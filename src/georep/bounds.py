@@ -14,6 +14,12 @@ time.  The shipping engine evaluates the active dimensions on every
 arriving update (and the lag dimension again on a periodic timer); any
 single dimension tripping causes the container's whole pending queue to
 be shipped as one batch.
+
+Payloads are parsed as numbers lazily: only the drift dimension reads
+them, so an update's payload is parsed (through ``parse_numeric``) the
+first time a container with an active drift limit asks for it, and at
+most once however many peers ask.  Containers without a drift limit
+never parse a payload and keep no shipped values.
 """
 
 from __future__ import annotations
@@ -29,16 +35,25 @@ UPDATE_OVERHEAD_BYTES = 34
 
 @dataclass(frozen=True, slots=True, order=True)
 class ContainerId:
-    """Identity of a replicated data container, written ``table:family``."""
+    """Identity of a replicated data container, written ``table:family``.
+
+    Every update is looked up by container several times on its way to
+    a peer, so the hash is computed once, at construction.
+    """
 
     table: str
     family: str
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.table or not self.family:
             raise ValueError(f"container parts must be non-empty: {self.table!r}:{self.family!r}")
         if ":" in self.table or ":" in self.family:
             raise ValueError(f"container parts may not contain ':': {self.table!r}, {self.family!r}")
+        object.__setattr__(self, "_hash", hash((self.table, self.family)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def parse(cls, text: str) -> ContainerId:
@@ -72,6 +87,9 @@ class Bound:
 
 IMMEDIATE = Bound()
 
+# Marks an update whose payload has not been parsed as a number yet.
+_UNPARSED = object()
+
 
 @dataclass(slots=True)
 class Update:
@@ -84,14 +102,19 @@ class Update:
     origin: int
     seq: int
     block: int | None = None
-    numeric: float | None = None
     size_bytes: int = 0
+    _numeric: object = field(default=_UNPARSED, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.numeric is None:
-            self.numeric = parse_numeric(self.value)
         if self.size_bytes == 0:
             self.size_bytes = update_size(self.key, self.value)
+
+    @property
+    def numeric(self) -> float | None:
+        """Float value of the payload, or None; parsed on first use only."""
+        if self._numeric is _UNPARSED:
+            self._numeric = parse_numeric(self.value)
+        return self._numeric
 
 
 def parse_numeric(value: bytes) -> float | None:
@@ -114,13 +137,13 @@ class ContainerState:
     ``arrivals`` counts updates seen since the container last shipped and
     always stays below an active pending limit (it resets in the same
     step it reaches the limit).  ``shipped_value`` remembers, per key,
-    the numeric payload most recently shipped, for drift comparisons.
+    the numeric payload most recently shipped, for drift comparisons; it
+    stays empty under a bound without a drift limit.
     """
 
     arrivals: int = 0
     last_ship_ms: int = 0
     shipped_value: dict[str, float] = field(default_factory=dict)
-    pending_bytes: int = 0
 
     def record_arrival(self, bound: Bound) -> bool:
         """Count one arriving update against the pending limit.
@@ -179,15 +202,17 @@ class ContainerState:
             hit = self.drift_exceeded(bound, update) or hit
         return hit
 
-    def mark_shipped(self, now: int, updates: list[Update]) -> None:
-        """Reset counters after this container shipped the given updates."""
+    def mark_shipped(self, now: int, updates: list[Update], bound: Bound) -> None:
+        """Reset counters after this container shipped the given updates;
+        under a drift limit, remember their numeric payloads."""
         self.arrivals = 0
         if now > self.last_ship_ms:
             self.last_ship_ms = now
-        for u in updates:
-            self.pending_bytes -= u.size_bytes
-            if u.numeric is not None:
-                self.shipped_value[u.key] = u.numeric
+        if bound.drift > 0.0:
+            for u in updates:
+                numeric = u.numeric
+                if numeric is not None:
+                    self.shipped_value[u.key] = numeric
 
 
 def pending_from_percent(percent: float, total_updates: int) -> int:

@@ -1,12 +1,25 @@
 """The simulation driver.
 
-Builds clusters, links and sessions from a scenario, schedules the
+Builds clusters, links and sessions from a scenario, streams the
 workload into the event loop, runs to quiescence, then drains
-stragglers until nothing moves anywhere.  The timer for lag validation
-(or the plain-mode poll) is armed lazily: one pending tick event at a
-time, on a grid of multiples of the tick interval, and only while some
-source actually has timer-driven work.  That keeps idle stretches free
-of events without changing when anything ships.
+stragglers until nothing moves anywhere.  The workload is not queued up
+front: the loop pulls one arrival instant at a time from ``generate``,
+and an instant's ops run before any other event at that instant; no
+event is held in memory for an instant the loop has not reached.
+
+The timer for lag validation (or the plain-mode poll) is armed lazily:
+one pending tick event at a time, on a grid of multiples of the tick
+interval, and only while some source actually has timer-driven work.
+That keeps idle stretches free of events without changing when anything
+ships.
+
+Each link's shipping backlog is sampled for the ``pending_max`` column
+at event boundaries.  A backlog only changes when its own cluster acts,
+so after a client op only the acting cluster's links are sampled, after
+a delivery only the destination's, and after a tick every link.  The
+first sample in each metric window also takes every link, so a backlog
+that sits unchanged across a window boundary is still recorded in the
+new window.
 
 Shipped batches are tracked as lightweight records (creation, delivery,
 trigger, involved containers and the post-shipment arrival counters),
@@ -17,7 +30,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
+from typing import Callable, Iterable, Iterator
 
 from .blocks import ClientSession
 from .cluster import ClusterNode
@@ -25,7 +42,7 @@ from .metrics import MetricsCollector, Row, write_csv, write_summary
 from .scenario import Scenario
 from .shipping import Batch, ReplicationSource
 from .simnet import SimNet
-from .workload import BlockEndOp, BlockStartOp, ReadOp, WriteOp, generate
+from .workload import BlockEndOp, BlockStartOp, ReadOp, TimedOp, WriteOp, generate
 
 Link = tuple[int, int]
 
@@ -92,6 +109,8 @@ class Simulation:
                 now_fn=lambda: self.net.now, on_ship=self._on_ship)
         self.sessions = {cid: ClientSession(node) for cid, node in self.clusters.items()}
         self.metrics = MetricsCollector(scenario.window_ms)
+        # Metric window of the latest backlog sample; see _sample_pending.
+        self._sampled_window = -1
         self.tallies = {cid: ClusterTally() for cid in scenario.clusters}
         self.batches: list[BatchRecord] = []
         self._records: dict[int, BatchRecord] = {}
@@ -130,7 +149,7 @@ class Simulation:
         tally.stale_discarded += report.stale_discarded
         tally.duplicates += report.duplicates
         self.metrics.note_delivery((batch.source, batch.destination), batch, now)
-        self._sample_pending()
+        self._sample_pending((self.clusters[batch.destination],))
         self._arm_tick()
 
     # -- timers ---------------------------------------------------------
@@ -153,8 +172,8 @@ class Simulation:
 
     # -- workload -------------------------------------------------------
 
-    def _apply_ops(self, group: list[tuple[int, object]]) -> None:
-        for origin, op in group:
+    def _apply_ops(self, group: list[TimedOp]) -> None:
+        for _, origin, op in group:
             session = self.sessions[origin]
             if isinstance(op, WriteOp):
                 session.put(op.container, op.key, op.value)
@@ -166,12 +185,19 @@ class Simulation:
                 session.start_block(op.mode)
             elif isinstance(op, BlockEndOp):
                 session.end_block()
-            self._sample_pending()
+            self._sample_pending((session.cluster,))
         self._arm_tick()
 
-    def _sample_pending(self) -> None:
+    def _sample_pending(self, changed: Iterable[ClusterNode] | None = None) -> None:
+        """Sample the backlog of every link out of the ``changed``
+        clusters (all of them when None, or when this is the first
+        sample in a new metric window)."""
         now = self.net.now
-        for node in self.clusters.values():
+        window = now // self.metrics.window_ms
+        if changed is None or window != self._sampled_window:
+            self._sampled_window = window
+            changed = self.clusters.values()
+        for node in changed:
             for peer, source in node.sources.items():
                 self.metrics.sample_pending((node.cluster_id, peer),
                                             source.cache.total_pending_count, now)
@@ -180,8 +206,7 @@ class Simulation:
 
     def run(self) -> RunResult:
         started = time.perf_counter()
-        self._schedule_workload()
-        self.net.run_until_quiescent()
+        self.net.run_until_quiescent(self._instants())
         # Straggler flush: sources may refill each other through relays,
         # so drain repeatedly until a full pass moves nothing.
         while True:
@@ -205,21 +230,11 @@ class Simulation:
             total_shipped_updates=self.total_shipped_updates,
         )
 
-    def _schedule_workload(self) -> None:
-        group: list[tuple[int, object]] = []
-        group_at = None
-        for at_ms, origin, op in generate(self.scenario.workload):
-            if group_at is None:
-                group_at = at_ms
-            elif at_ms != group_at:
-                self._schedule_group(group_at, group)
-                group, group_at = [], at_ms
-            group.append((origin, op))
-        if group:
-            self._schedule_group(group_at, group)
-
-    def _schedule_group(self, at_ms: int, group: list[tuple[int, object]]) -> None:
-        self.net.schedule(at_ms, lambda g=group: self._apply_ops(g))
+    def _instants(self) -> Iterator[tuple[int, Callable[[], None]]]:
+        """The workload as events, one per arrival instant, generated
+        only as the event loop reaches them."""
+        for at_ms, group in groupby(generate(self.scenario.workload), itemgetter(0)):
+            yield at_ms, partial(self._apply_ops, list(group))
 
     def _summarize(self, rows: list[Row], digests: dict[int, str],
                    ops_per_sec: float) -> dict:

@@ -110,7 +110,6 @@ class ReplicationSource:
             return None
         state, bound = self._state_and_bound(update.container)
         self.cache.enqueue(update)
-        state.pending_bytes += update.size_bytes
         if self.mode == "plain":
             return None
         # Count-only bounds are the common case; step the counter inline.
@@ -156,13 +155,12 @@ class ReplicationSource:
         if not accepted:
             return None
         for u in accepted:
-            self._enqueue(u)
+            self.cache.enqueue(u)
         if self.mode == "plain":
             return None
         tripped = False
         for u in accepted:
-            state = self.state_for(u.container)
-            bound = self.bound_for(u.container)
+            state, bound = self._state_and_bound(u.container)
             if state.should_ship(bound, u, now):
                 tripped = True
         if not tripped:
@@ -176,13 +174,9 @@ class ReplicationSource:
         if not accepted:
             return None
         for u in accepted:
-            self._enqueue(u)
+            self.cache.enqueue(u)
         involved = _ordered_containers(accepted)
         return self._drain(involved, now, Trigger.IMMEDIATE_BLOCK)
-
-    def _enqueue(self, update: Update) -> None:
-        self.cache.enqueue(update)
-        self.state_for(update.container).pending_bytes += update.size_bytes
 
     # -- timer and flush paths ----------------------------------------
 
@@ -238,7 +232,8 @@ class ReplicationSource:
         for u in updates:
             by_container.setdefault(u.container, []).append(u)
         for cid, members in by_container.items():
-            self.state_for(cid).mark_shipped(now, members)
+            state, bound = self._state_and_bound(cid)
+            state.mark_shipped(now, members, bound)
         self.unacked.append(batch)
         return batch
 

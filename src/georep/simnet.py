@@ -1,7 +1,9 @@
 """Deterministic discrete-event clock and network.
 
 Events execute in (timestamp, insertion order); the clock never moves
-backward.  Links have a fixed latency and a list of scheduled outage
+backward.  A long scripted event stream need not be queued up front: it
+can be fed to the loop lazily, one event at a time, and each fed event
+runs before every queued event at the same instant.  Links have a fixed latency and a list of scheduled outage
 windows.  A batch submitted while its link is down is not lost: delivery
 is retried the moment the outage window closes.  Delivered bytes are
 charged to the metric window containing the delivery instant, so the
@@ -16,7 +18,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable
 
 from .errors import LivelockError, ScenarioError
 from .shipping import Batch
@@ -138,19 +140,33 @@ class SimNet:
     def events_pending(self) -> bool:
         return bool(self._queue)
 
-    def run_until_quiescent(self) -> int:
-        """Run events until the queue empties; returns the final clock.
+    def run_until_quiescent(self, feed: Iterable[tuple[int, Callable[[], None]]] = ()) -> int:
+        """Run events until the queue and ``feed`` are empty; returns the
+        final clock.
 
-        Aborts with a diagnostic once the cumulative event count passes
-        the configured budget, which catches self-perpetuating loops.
+        ``feed`` yields (instant, callback) events in nondecreasing time
+        order.  They are pulled one at a time, and each runs before every
+        queued event at its instant.  Aborts with a diagnostic once the
+        cumulative event count, fed events included, passes the
+        configured budget, which catches self-perpetuating loops.
         """
-        while self._queue:
-            at_ms, _, fn = heapq.heappop(self._queue)
+        queue = self._queue
+        feed = iter(feed)
+        head = next(feed, None)
+        while True:
+            if head is not None and (not queue or head[0] <= queue[0][0]):
+                at_ms, fn = head
+                if at_ms < self.now:
+                    raise ValueError(f"fed event at {at_ms}, clock is at {self.now}")
+                head = next(feed, None)
+            elif queue:
+                at_ms, _, fn = heapq.heappop(queue)
+            else:
+                return self.now
             self.now = at_ms
             self._events_run += 1
             if self._events_run > self.max_events:
                 raise LivelockError(
                     f"event budget of {self.max_events} exceeded at t={self.now}ms; "
-                    f"{len(self._queue)} events still queued")
+                    f"{len(queue)} events still queued")
             fn()
-        return self.now

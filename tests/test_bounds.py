@@ -199,19 +199,21 @@ class TestCombinedEvaluation:
 
 class TestMarkShipped:
     def test_resets_counter_and_remembers_numerics(self):
-        state = ContainerState(arrivals=4, pending_bytes=500)
+        state = ContainerState(arrivals=4)
         shipped = [make_update(key="a", value=b"7"), make_update(key="b", value=b"x")]
-        total = sum(u.size_bytes for u in shipped)
-        state.pending_bytes = total
-        state.mark_shipped(now=250, updates=shipped)
+        state.mark_shipped(now=250, updates=shipped, bound=Bound(drift=1))
         assert state.arrivals == 0
         assert state.last_ship_ms == 250
-        assert state.pending_bytes == 0
         assert state.shipped_value == {"a": 7.0}
+        # Without a drift limit nothing reads shipped values, so none are kept.
+        plain = ContainerState(arrivals=4)
+        plain.mark_shipped(now=250, updates=shipped, bound=Bound(pending=5))
+        assert plain.arrivals == 0
+        assert plain.shipped_value == {}
 
     def test_last_ship_time_is_monotone(self):
         state = ContainerState(last_ship_ms=300)
-        state.mark_shipped(now=200, updates=[])
+        state.mark_shipped(now=200, updates=[], bound=IMMEDIATE)
         assert state.last_ship_ms == 300
 
 

@@ -1,0 +1,92 @@
+"""Backlog sampling: sampling only the links whose cluster acted gives the
+same pending_max rows as sampling every link at every event boundary."""
+
+import pytest
+
+from georep.engine import Simulation
+from georep.scenario import load_scenario
+
+
+class EveryLinkSimulation(Simulation):
+    """The reference rule: every link after every op, delivery and tick."""
+
+    def _sample_pending(self, changed=None):
+        super()._sample_pending(None)
+
+
+class NoWindowRuleSimulation(Simulation):
+    """Only the acting cluster's links, even on a new window's first
+    sample; misses a backlog that sits idle across a window boundary."""
+
+    def _sample_pending(self, changed=None):
+        self._sampled_window = self.net.now // self.metrics.window_ms
+        super()._sample_pending(changed)
+
+
+# Three clusters in a full mesh, every one an origin; the workload ends
+# before t=1000.  1<->2 is cut until t=4000, so its batches retry then.
+# ``idle:c`` never trips its count bound, so every link carries a backlog
+# of it until the final drain.  The slow links into cluster 3 keep it
+# idle in windows where clusters 1 and 2 act (t=4000 is one), so only a
+# new window's full walk records cluster 3's backlog there.
+MESH = """\
+[topology]
+clusters = 1 2 3
+links = 1>2 1>3 2>1 2>3 3>1 3>2
+
+[network]
+latency_ms = 10
+latency_ms.1>3 = 1500
+latency_ms.2>3 = 1500
+window_ms = 1000
+partitions =
+    1>2 200 4000
+    2>1 200 4000
+
+[bounds]
+default = 0 20 0
+idle:c = 0 100000 0
+
+[workload]
+operations = 2400
+write_fraction = 0.75
+distribution = zipfian
+keyspace = 500
+value_bytes = 40
+containers = usertable:family*3 idle:c*1
+seed = 5
+burst_ops = 3
+burst_spacing_ms = 1
+origins = 1 2 3
+"""
+
+
+def mesh(tmp_path):
+    path = tmp_path / "mesh-partition.ini"
+    path.write_text(MESH, encoding="utf-8")
+    return load_scenario(path)
+
+
+def rows(simulation_class, scenario):
+    return simulation_class(scenario).run().rows
+
+
+@pytest.mark.parametrize("name", ["ring-partition", "blocks-mixed"])
+def test_bundled_scenarios_match_every_link_sampling(scenario_dir, name):
+    scenario = load_scenario(scenario_dir / f"{name}.ini")
+    assert rows(Simulation, scenario) == rows(EveryLinkSimulation, scenario)
+
+
+def test_partitioned_mesh_matches_every_link_sampling(tmp_path):
+    scenario = mesh(tmp_path)
+    expected = rows(EveryLinkSimulation, scenario)
+    assert rows(Simulation, scenario) == expected
+    assert any(r.pending_max > 0 and r.bytes == 0 and r.staleness_max_ms == 0
+               for r in expected)
+
+
+def test_idle_backlog_across_a_window_boundary_needs_the_window_rule(tmp_path):
+    # The mesh case really has a backlog that only a new window's full
+    # walk records: without that rule its rows come out different.
+    scenario = mesh(tmp_path)
+    assert rows(NoWindowRuleSimulation, scenario) != rows(EveryLinkSimulation, scenario)

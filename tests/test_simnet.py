@@ -117,6 +117,32 @@ class TestEventLoop:
         with pytest.raises(LivelockError):
             net.run_until_quiescent()
 
+    def test_fed_events_run_before_queued_events_at_their_instant(self):
+        net = SimNet()
+        order = []
+        net.schedule(5, lambda: order.append("queued@5"))
+        net.schedule(10, lambda: order.append("queued@10"))
+
+        def feed():
+            yield 5, lambda: order.append("fed@5")
+            # Queued for t=7 before fed@7 is pulled, yet runs after it.
+            net.schedule(7, lambda: order.append("queued@7"))
+            yield 7, lambda: order.append("fed@7")
+            yield 12, lambda: order.append("fed@12")
+
+        assert net.run_until_quiescent(feed()) == 12
+        assert order == ["fed@5", "queued@5", "fed@7", "queued@7", "queued@10", "fed@12"]
+
+    def test_fed_events_count_against_the_budget(self):
+        net = SimNet(max_events=10)
+        with pytest.raises(LivelockError):
+            net.run_until_quiescent((t, lambda: None) for t in range(11))
+
+    def test_feeding_into_the_past_rejected(self):
+        net = SimNet()
+        with pytest.raises(ValueError):
+            net.run_until_quiescent([(5, lambda: None), (3, lambda: None)])
+
     def test_events_pending_flag(self):
         net = SimNet()
         assert not net.events_pending
