@@ -23,7 +23,7 @@ from .bounds import (
     update_size,
 )
 from .cache import PendingCache
-from .cluster import ApplyReport, ClusterNode, StoredCell
+from .cluster import ApplyReport, ClusterNode
 from .engine import BatchRecord, RunResult, Simulation, run_scenario
 from .errors import GeorepError, LivelockError, ProtocolError, ScenarioError
 from .metrics import (
@@ -92,7 +92,6 @@ __all__ = [
     "ScenarioError",
     "SimNet",
     "Simulation",
-    "StoredCell",
     "Trigger",
     "Update",
     "WorkloadSpec",

@@ -93,7 +93,8 @@ _UNPARSED = object()
 
 @dataclass(slots=True)
 class Update:
-    """One pending edit as carried through caches, batches and the wire."""
+    """One edit as carried through caches, batches and the wire, and as
+    held in every replica's store once applied."""
 
     container: ContainerId
     key: str
@@ -115,6 +116,14 @@ class Update:
         if self._numeric is _UNPARSED:
             self._numeric = parse_numeric(self.value)
         return self._numeric
+
+    @property
+    def version(self) -> tuple[int, int, int]:
+        """Last-writer-wins key: the greater triple wins.  The origin
+        breaks timestamp ties; the origin's sequence number breaks ties
+        between one origin's writes in the same millisecond, restoring
+        the program order in which they applied locally."""
+        return self.wall_ms, self.origin, self.seq
 
 
 def parse_numeric(value: bytes) -> float | None:

@@ -2,12 +2,24 @@
 
 Each cluster owns a key-value store keyed by container, an append-only
 write-ahead log of its local writes, and one replication source per
-peer.  Local writes apply unconditionally; remote batches apply under
-last-writer-wins, where the greater (timestamp, origin) pair overwrites
-and ties break toward the larger origin id so every replica resolves
+peer.  A store cell is the ``Update`` that wrote it: a local write
+stores the update it appends to the WAL, and a remote batch stores the
+delivered update objects, so a replica keeps no copy of its own.
+
+Local writes apply unconditionally; remote batches apply under
+last-writer-wins on ``Update.version``, the triple
+``(wall_ms, origin, seq)``: the greater triple overwrites, timestamp
+ties break toward the larger origin id, and one origin's writes within a
+millisecond keep their program order, so every replica resolves
 conflicts identically.  Updates applied from a remote batch are offered
 onward to the cluster's other peers with their original origin intact,
 so loops of any length stay echo-free.
+
+A store's digest is the XOR of one SHA-256 per cell.  Replicas that
+converged hold the very same update objects, so a digest can start from
+a peer's known digest and XOR in only the cells that are not the
+identical object under the same key on both sides; the shared cells
+cancel out.
 """
 
 from __future__ import annotations
@@ -26,26 +38,8 @@ from .shipping import Batch, ReplicationSource
 EMPTY_DIGEST = "0" * 64
 
 ShipFn = Callable[[ReplicationSource, Batch], None]
-
-
-@dataclass(frozen=True, slots=True)
-class StoredCell:
-    """One stored value with the write's own timestamp and origin.
-
-    The origin sequence number breaks last-writer-wins ties between a
-    single origin's writes that share a millisecond; it restores that
-    origin's program order, which is how the writes applied locally.
-    """
-
-    value: bytes
-    wall_ms: int
-    origin: int
-    seq: int
-
-    @property
-    def version(self) -> tuple[int, int, int]:
-        """Ordering key: greater pair wins, ties only within one origin."""
-        return self.wall_ms, self.origin, self.seq
+# Cells by container, then by key; a cell is the update that wrote it.
+Store = dict[ContainerId, dict[str, Update]]
 
 
 @dataclass(slots=True)
@@ -68,7 +62,7 @@ class ClusterNode:
         self.cluster_id = cluster_id
         self.now_fn = now_fn
         self.on_ship: ShipFn = on_ship or (lambda source, batch: None)
-        self.store: dict[ContainerId, dict[str, StoredCell]] = {}
+        self.store: Store = {}
         self.wal: list[Update] = []
         self.sources: dict[int, ReplicationSource] = {
             peer: ReplicationSource(cluster_id, peer, bounds, default_bound, mode, coalesce)
@@ -88,8 +82,10 @@ class ClusterNode:
             origin=self.cluster_id, seq=len(self.wal) + 1, block=block,
         )
         self.wal.append(update)
-        self.store.setdefault(cid, {})[key] = StoredCell(
-            value, update.wall_ms, update.origin, update.seq)
+        cells = self.store.get(cid)
+        if cells is None:
+            cells = self.store[cid] = {}
+        cells[key] = update
         return update
 
     def apply_local(self, update: Update) -> None:
@@ -135,30 +131,36 @@ class ClusterNode:
 
         Last-writer-wins per cell; already-seen updates are skipped so
         redelivery is harmless.  Freshly applied updates are relayed to
-        every peer other than the batch's own sender.
+        every peer other than the batch's own sender.  The container's
+        cell dict is looked up once per run of same-container updates.
         """
         if batch.destination != self.cluster_id:
             raise ProtocolError(
                 f"batch for cluster {batch.destination} delivered to {self.cluster_id}")
-        report = ApplyReport()
+        store, seen = self.store, self._applied
         fresh: list[Update] = []
+        stale = duplicates = 0
+        cid = cells = None
         for u in batch.updates:
             ident = (u.origin, u.seq)
-            if ident in self._applied:
-                report.duplicates += 1
+            if ident in seen:
+                duplicates += 1
                 continue
-            self._applied.add(ident)
-            cell = self.store.get(u.container, {}).get(u.key)
-            if cell is None or (u.wall_ms, u.origin, u.seq) > cell.version:
-                self.store.setdefault(u.container, {})[u.key] = StoredCell(
-                    u.value, u.wall_ms, u.origin, u.seq)
-                report.applied += 1
+            seen.add(ident)
+            if u.container is not cid and u.container != cid:
+                cid = u.container
+                cells = store.get(cid)
+                if cells is None:
+                    cells = store[cid] = {}
+            cell = cells.get(u.key)
+            if cell is None or u.version > cell.version:
+                cells[u.key] = u
                 fresh.append(u)
             else:
-                report.stale_discarded += 1
+                stale += 1
         if fresh:
             self._relay(fresh, exclude_peer=batch.source)
-        return report
+        return ApplyReport(len(fresh), stale, duplicates)
 
     def _relay(self, updates: list[Update], exclude_peer: int) -> None:
         now = self.now_fn()
@@ -201,22 +203,22 @@ class ClusterNode:
 
     # -- inspection ----------------------------------------------------
 
-    def digest(self) -> str:
+    def digest(self, base: ClusterNode | None = None, base_digest: str = "") -> str:
         """Order-independent hash of every stored cell.
 
-        XOR of per-cell SHA-256 digests; stores with the same cells give
-        the same hex string no matter the insertion order.  An empty
-        store hashes to all zeros.
+        XOR of per-cell SHA-256 digests of ``label|key|wall_ms|origin|value``;
+        stores with the same cells give the same hex string no matter the
+        insertion order.  An empty store hashes to all zeros.
+
+        Given ``base`` and ``base_digest``, the digest of ``base``'s
+        current store, only the cells that are not the identical object
+        under the same key in both stores are hashed, from both sides,
+        and XORed into ``base_digest``; the shared cells would cancel.
         """
-        acc = 0
-        for cid, cells in self.store.items():
-            label = str(cid).encode("utf-8")
-            for key, cell in cells.items():
-                record = b"|".join((
-                    label, key.encode("utf-8"),
-                    str(cell.wall_ms).encode(), str(cell.origin).encode(), cell.value,
-                ))
-                acc ^= int.from_bytes(hashlib.sha256(record).digest(), "big")
+        if base is None:
+            return f"{_xor_cells(self.store, {}):064x}"
+        acc = int(base_digest, 16) ^ _xor_cells(self.store, base.store) \
+            ^ _xor_cells(base.store, self.store)
         return f"{acc:064x}"
 
     def dump_wal(self, path: str) -> None:
@@ -250,3 +252,19 @@ class ClusterNode:
                     block=rec["block"],
                 ))
         return updates
+
+
+def _xor_cells(store: Store, other: Store) -> int:
+    """XOR of the cell hashes of ``store``, skipping each cell that is
+    the identical object under the same key in ``other``."""
+    acc = 0
+    sha256 = hashlib.sha256
+    for cid, cells in store.items():
+        label = str(cid).encode("utf-8")
+        twins = other.get(cid, {})
+        for key, cell in cells.items():
+            if twins.get(key) is not cell:
+                record = b"%b|%b|%d|%d|%b" % (
+                    label, key.encode("utf-8"), cell.wall_ms, cell.origin, cell.value)
+                acc ^= int.from_bytes(sha256(record).digest(), "big")
+    return acc

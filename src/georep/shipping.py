@@ -77,7 +77,6 @@ class ReplicationSource:
         self.cache = PendingCache(coalesce=coalesce)
         self.states: dict[ContainerId, ContainerState] = {}
         self.shipped_position: dict[int, int] = {}
-        self.unacked: list[Batch] = []
         # Per-container (state, bound) pairs, resolved once; offer() runs
         # for every arriving update, so one dict hit matters.
         self._resolved: dict[ContainerId, tuple[ContainerState, Bound]] = {}
@@ -234,15 +233,10 @@ class ReplicationSource:
         for cid, members in by_container.items():
             state, bound = self._state_and_bound(cid)
             state.mark_shipped(now, members, bound)
-        self.unacked.append(batch)
         return batch
 
     def acknowledge(self, batch: Batch) -> None:
         """Advance per-origin high-water marks once the peer applied it."""
-        try:
-            self.unacked.remove(batch)
-        except ValueError:
-            pass
         for u in batch.updates:
             if u.seq > self.shipped_position.get(u.origin, 0):
                 self.shipped_position[u.origin] = u.seq

@@ -212,7 +212,7 @@ def test_criterion_7_bounded_ingestion_keeps_pace(capsys, scenario_dir):
         Simulation(plain).run()
         Simulation(bounded).run()
         plain_rates, bounded_rates = [], []
-        for _ in range(5):
+        for _ in range(9):
             gc.collect()
             plain_rates.append(Simulation(plain).run().ops_per_sec)
             gc.collect()

@@ -1,13 +1,18 @@
 """Replica clusters: local writes, remote apply under LWW, digests."""
 
+import hashlib
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from georep.bounds import Bound, ContainerId, Update
-from georep.cluster import EMPTY_DIGEST, ClusterNode, StoredCell
+from georep.cluster import EMPTY_DIGEST, ClusterNode
 from georep.errors import ProtocolError
 from georep.shipping import Batch, Trigger
 
 CID = ContainerId("usertable", "family")
+OTHER = ContainerId("other", "fam")
 
 
 def make_node(cluster_id=1, peers=(), clock=None, shipped=None, **kwargs):
@@ -20,8 +25,8 @@ def remote_batch(updates, source, destination, created_ms=0):
     return Batch.build(updates, source, destination, created_ms, Trigger.COUNT)
 
 
-def foreign(key, value, wall_ms, origin, seq):
-    return Update(container=CID, key=key, value=value, wall_ms=wall_ms,
+def foreign(key, value, wall_ms, origin, seq, container=CID):
+    return Update(container=container, key=key, value=value, wall_ms=wall_ms,
                   origin=origin, seq=seq)
 
 
@@ -32,6 +37,12 @@ class TestLocalWrites:
         node.put(CID, "k", b"v")
         cell = node.store[CID]["k"]
         assert (cell.value, cell.wall_ms, cell.origin) == (b"v", 5, 1)
+
+    def test_store_holds_the_wal_entry_itself(self):
+        node = make_node()
+        node.put(CID, "k", b"v")
+        node.local_put(CID, "k", b"w", block=node.next_block_id())
+        assert node.store[CID]["k"] is node.wal[-1]
 
     def test_later_local_write_wins(self):
         clock = [5]
@@ -115,6 +126,48 @@ class TestRemoteApply:
             versions.append(node.store[CID]["k"].version)
         assert versions == sorted(versions)
 
+    def test_mixed_batch_matches_the_per_update_rule(self):
+        # Containers run CID, OTHER, CID; members are fresh, stale or
+        # duplicate, one duplicate repeating an update of the same batch.
+        earlier = [foreign("k", b"old", 5, 1, 1), foreign("x", b"old", 5, 1, 2, OTHER)]
+        repeated = foreign("n", b"new", 1, 2, 3)
+        batch = [
+            foreign("k", b"newer", 7, 2, 1),          # fresh: beats (5, 1, 1)
+            foreign("n", b"first", 1, 2, 2),          # fresh: empty cell
+            foreign("x", b"older", 3, 2, 4, OTHER),   # stale: loses to (5, 1, 2)
+            foreign("y", b"fresh", 3, 2, 5, OTHER),   # fresh: empty cell
+            foreign("k", b"old", 5, 1, 1),            # duplicate of earlier
+            repeated,                                 # fresh: beats (1, 2, 2)
+            foreign("k", b"lost", 6, 4, 1),           # stale: loses to (7, 2, 1)
+            repeated,                                 # duplicate within the batch
+        ]
+        node = make_node(cluster_id=3)
+        node.apply_remote(remote_batch(earlier, 1, 3))
+        report = node.apply_remote(remote_batch(batch, 2, 3))
+
+        # The per-update rule: skip seen identities, otherwise the
+        # greater version takes the cell.
+        cells, seen, tally = {}, set(), {"applied": 0, "stale": 0, "dup": 0}
+        for u in earlier + batch:
+            if (u.origin, u.seq) in seen:
+                tally["dup"] += 1
+                continue
+            seen.add((u.origin, u.seq))
+            cell = cells.get((u.container, u.key))
+            if cell is None or u.version > cell.version:
+                cells[(u.container, u.key)] = u
+                tally["applied"] += 1
+            else:
+                tally["stale"] += 1
+        assert (report.applied, report.stale_discarded, report.duplicates) == \
+            (tally["applied"] - len(earlier), tally["stale"], tally["dup"]) == (4, 2, 2)
+        stored = {(cid, key): cell for cid, by_key in node.store.items()
+                  for key, cell in by_key.items()}
+        assert stored.keys() == cells.keys()
+        assert all(stored[at] is cells[at] for at in cells)
+        assert node.store[CID]["k"] is batch[0]
+        assert node.store[CID]["n"] is repeated
+
 
 class TestDigest:
     def test_empty_store_constant(self):
@@ -126,17 +179,61 @@ class TestDigest:
         x = make_node(cluster_id=7)
         y = make_node(cluster_id=7)
         for key, value, ms in cells:
-            x.store.setdefault(CID, {})[key] = StoredCell(value, ms, 7, 1)
+            x.store.setdefault(CID, {})[key] = foreign(key, value, ms, 7, 1)
         for key, value, ms in reversed(cells):
-            y.store.setdefault(CID, {})[key] = StoredCell(value, ms, 7, 1)
+            y.store.setdefault(CID, {})[key] = foreign(key, value, ms, 7, 1)
         assert x.digest() == y.digest()
 
     def test_single_cell_difference_detected(self):
         x = make_node()
         y = make_node()
-        x.store.setdefault(CID, {})["k"] = StoredCell(b"a", 1, 1, 1)
-        y.store.setdefault(CID, {})["k"] = StoredCell(b"b", 1, 1, 1)
+        x.store.setdefault(CID, {})["k"] = foreign("k", b"a", 1, 1, 1)
+        y.store.setdefault(CID, {})["k"] = foreign("k", b"b", 1, 1, 1)
         assert x.digest() != y.digest()
+
+    @settings(max_examples=200, deadline=None)
+    @given(cells=st.dictionaries(
+        st.tuples(st.sampled_from([CID, OTHER]), st.text(max_size=3)),
+        st.tuples(st.sampled_from(["shared", "twins", "differ", "x_only", "y_only"]),
+                  st.binary(max_size=6), st.integers(0, 10**6), st.integers(1, 5)),
+        max_size=12),
+        empty_x=st.sets(st.sampled_from([CID, OTHER, ContainerId("empty", "fam")])),
+        empty_y=st.sets(st.sampled_from([CID, OTHER, ContainerId("empty", "fam")])))
+    def test_delta_digest_matches_full_digest(self, cells, empty_x, empty_y):
+        x, y = make_node(cluster_id=1), make_node(cluster_id=2)
+        for cid in empty_x:
+            x.store[cid] = {}
+        for cid in empty_y:
+            y.store[cid] = {}
+        for seq, ((cid, key), (placement, value, ms, origin)) in enumerate(cells.items()):
+            cell = foreign(key, value, ms, origin, seq, container=cid)
+            if placement in ("shared", "twins", "differ", "x_only"):
+                x.store.setdefault(cid, {})[key] = cell
+            if placement == "shared":
+                y.store.setdefault(cid, {})[key] = cell
+            elif placement == "twins":
+                y.store.setdefault(cid, {})[key] = foreign(key, value, ms, origin, seq, cid)
+            elif placement == "differ":
+                y.store.setdefault(cid, {})[key] = foreign(key, value + b"!", ms, origin, seq, cid)
+            elif placement == "y_only":
+                y.store.setdefault(cid, {})[key] = cell
+        assert x.digest() == reference_digest(x.store)
+        assert y.digest(x, x.digest()) == y.digest() == reference_digest(y.store)
+        assert x.digest(y, y.digest()) == x.digest()
+
+
+def reference_digest(store):
+    """The digest formula, written out independently of the cluster code."""
+    acc = 0
+    for cid, cells in store.items():
+        label = str(cid).encode("utf-8")
+        for key, cell in cells.items():
+            record = b"|".join((
+                label, key.encode("utf-8"),
+                str(cell.wall_ms).encode(), str(cell.origin).encode(), cell.value,
+            ))
+            acc ^= int.from_bytes(hashlib.sha256(record).digest(), "big")
+    return f"{acc:064x}"
 
 
 class TestRelay:
