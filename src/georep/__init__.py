@@ -11,103 +11,37 @@ deterministically and reports per-window bandwidth metrics.
 """
 
 from .blocks import BlockMode, ClientSession
-from .bounds import (
-    IMMEDIATE,
-    UPDATE_OVERHEAD_BYTES,
-    Bound,
-    ContainerId,
-    ContainerState,
-    Update,
-    parse_numeric,
-    pending_from_percent,
-    update_size,
-)
-from .cache import PendingCache
-from .cluster import ApplyReport, ClusterNode
-from .engine import BatchRecord, RunResult, Simulation, run_scenario
+from .bounds import Bound, ContainerId, Update
+from .cluster import ClusterNode
+from .engine import Simulation, run_scenario
 from .errors import GeorepError, LivelockError, ProtocolError, ScenarioError
-from .metrics import (
-    CSV_COLUMNS,
-    Comparison,
-    MetricsCollector,
-    Row,
-    compare_runs,
-    format_comparison,
-    read_csv,
-    write_csv,
-    write_summary,
-)
-from .scenario import Scenario, load_scenario
-from .shipping import (
-    BATCH_HEADER_BYTES,
-    Batch,
-    ReplicationSource,
-    Trigger,
-    decode_batch,
-    encode_batch,
-)
-from .simnet import LinkSpec, SimNet
-from .workload import (
-    BlockEndOp,
-    BlockScript,
-    BlockStartOp,
-    ReadOp,
-    WorkloadSpec,
-    WriteOp,
-    ZipfianSampler,
-    generate,
-)
+from .metrics import compare_runs, format_comparison, write_csv
+from .scenario import load_scenario
+from .shipping import ReplicationSource, Trigger
+from .simnet import SimNet
 
 __version__ = "0.1.0"
 
+# The names the demos and the benchmark import from the package, plus
+# the error classes; everything else is imported from its module.
 __all__ = [
-    "BATCH_HEADER_BYTES",
-    "CSV_COLUMNS",
-    "IMMEDIATE",
-    "UPDATE_OVERHEAD_BYTES",
-    "ApplyReport",
-    "Batch",
-    "BatchRecord",
-    "BlockEndOp",
     "BlockMode",
-    "BlockScript",
-    "BlockStartOp",
     "Bound",
     "ClientSession",
     "ClusterNode",
-    "Comparison",
     "ContainerId",
-    "ContainerState",
     "GeorepError",
-    "LinkSpec",
     "LivelockError",
-    "MetricsCollector",
-    "PendingCache",
     "ProtocolError",
-    "ReadOp",
     "ReplicationSource",
-    "Row",
-    "RunResult",
-    "Scenario",
     "ScenarioError",
     "SimNet",
     "Simulation",
     "Trigger",
     "Update",
-    "WorkloadSpec",
-    "WriteOp",
-    "ZipfianSampler",
     "compare_runs",
-    "decode_batch",
-    "encode_batch",
     "format_comparison",
-    "generate",
     "load_scenario",
-    "parse_numeric",
-    "pending_from_percent",
-    "read_csv",
     "run_scenario",
-    "update_size",
     "write_csv",
-    "write_summary",
 ]

@@ -10,10 +10,11 @@ along three independent dimensions, each with its own limit:
 
 A limit of zero disables that dimension.  A bound with every dimension
 disabled means the container is replicated immediately, one update at a
-time.  The shipping engine evaluates the active dimensions on every
-arriving update (and the lag dimension again on a periodic timer); any
-single dimension tripping causes the container's whole pending queue to
-be shipped as one batch.
+time.  ``ContainerState.should_ship`` is the one rule that evaluates the
+active dimensions on every arriving update (the shipping engine checks
+the lag dimension again on a periodic timer); any single dimension
+tripping causes the container's whole pending queue to be shipped as one
+batch, and the rule names the dimension that tripped.
 
 Payloads are parsed as numbers lazily: only the drift dimension reads
 them, so an update's payload is parsed (through ``parse_numeric``) the
@@ -24,13 +25,29 @@ never parse a payload and keep no shipped values.
 
 from __future__ import annotations
 
+import enum
+import math
 from dataclasses import dataclass, field
 
-# Fixed per-update overhead used for byte accounting, covering the
-# fixed-width fields of the wire record (see shipping.encode_batch):
-# u16 key length + u32 value length + u64 wall_ms + u32 origin +
-# u64 seq + u64 block id.
+# Fixed per-update overhead charged on top of the key and value bytes,
+# one fixed-width field each: u16 key length + u32 value length +
+# u64 wall_ms + u32 origin + u64 seq + u64 block id.
 UPDATE_OVERHEAD_BYTES = 34
+
+
+class Trigger(enum.IntEnum):
+    """What caused a batch to be cut.
+
+    When several dimensions trip on one arrival, ``should_ship`` owns
+    the tie order: COUNT, then TIME, then DELTA.
+    """
+
+    COUNT = 1            # pending-update limit reached
+    TIME = 2             # lag limit or baseline poll interval elapsed
+    DELTA = 3            # numeric drift limit exceeded
+    IMMEDIATE_BLOCK = 4  # client closed an immediately-replicated group
+    ANY_BLOCK = 5        # eligible group shipped on its first bound trip
+    FINAL_DRAIN = 6      # end-of-run flush of stragglers
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -78,6 +95,10 @@ class Bound:
     def __post_init__(self) -> None:
         if self.lag_ms < 0 or self.pending < 0 or self.drift < 0:
             raise ValueError(f"bound dimensions must be non-negative: {self}")
+        # A NaN or infinite drift limit could never trip, yet it would
+        # make the bound non-immediate and so hold traffic indefinitely.
+        if not math.isfinite(self.drift):
+            raise ValueError(f"drift limit must be finite: {self}")
 
     @property
     def immediate(self) -> bool:
@@ -193,23 +214,25 @@ class ContainerState:
             return False
         return abs(update.numeric - last) >= bound.drift
 
-    def should_ship(self, bound: Bound, update: Update, now: int) -> bool:
-        """Evaluate every active dimension for one arriving update.
+    def should_ship(self, bound: Bound, update: Update, now: int) -> Trigger | None:
+        """The bound rule: which active dimension trips for one arriving
+        update, or None when the update may wait.
 
-        OR of the active dimensions; an all-disabled bound replicates
-        immediately.  The arrival counter is advanced exactly once per
-        call regardless of what the other dimensions decide.
+        An all-disabled bound replicates immediately (COUNT).  When
+        several dimensions trip at once, count beats time beats drift.
+        The arrival counter is advanced exactly once per call, through
+        ``record_arrival``, whatever the other dimensions decide.
         """
-        if bound.immediate:
-            return True
-        hit = False
         if bound.pending > 0:
-            hit = self.record_arrival(bound)
-        if bound.lag_ms > 0:
-            hit = self.lag_expired(bound, now, pending=1) or hit
-        if bound.drift > 0.0:
-            hit = self.drift_exceeded(bound, update) or hit
-        return hit
+            if self.record_arrival(bound):
+                return Trigger.COUNT
+        elif bound.immediate:
+            return Trigger.COUNT
+        if bound.lag_ms > 0 and self.lag_expired(bound, now, pending=1):
+            return Trigger.TIME
+        if bound.drift > 0.0 and self.drift_exceeded(bound, update):
+            return Trigger.DELTA
+        return None
 
     def mark_shipped(self, now: int, updates: list[Update], bound: Bound) -> None:
         """Reset counters after this container shipped the given updates;

@@ -34,7 +34,6 @@ class PendingCache:
     coalesce: bool = False
     queues: dict[ContainerId, list[Update]] = field(default_factory=dict)
     block_index: dict[BlockKey, dict[ContainerId, int]] = field(default_factory=dict)
-    total_pending_bytes: int = 0
     total_pending_count: int = 0
     peak_pending: dict[ContainerId, int] = field(default_factory=dict)
     _seen: set[tuple[int, int]] = field(default_factory=set)
@@ -54,11 +53,9 @@ class PendingCache:
             for i, old in enumerate(queue):
                 if old.key == update.key and old.block is None:
                     del queue[i]
-                    self.total_pending_bytes -= old.size_bytes
                     self.total_pending_count -= 1
                     break
         queue.append(update)
-        self.total_pending_bytes += update.size_bytes
         self.total_pending_count += 1
         if len(queue) > self.peak_pending.get(update.container, 0):
             self.peak_pending[update.container] = len(queue)
@@ -106,7 +103,6 @@ class PendingCache:
         if not queue:
             return []
         for u in queue:
-            self.total_pending_bytes -= u.size_bytes
             if u.block is not None:
                 blocks.append((u.origin, u.block))
         self.total_pending_count -= len(queue)
@@ -122,7 +118,5 @@ class PendingCache:
             self.queues[cid] = remaining
         else:
             del self.queues[cid]
-        for u in members:
-            self.total_pending_bytes -= u.size_bytes
         self.total_pending_count -= len(members)
         return members

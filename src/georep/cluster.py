@@ -24,9 +24,7 @@ cancel out.
 
 from __future__ import annotations
 
-import base64
 import hashlib
-import json
 from dataclasses import dataclass
 from typing import Callable
 
@@ -220,38 +218,6 @@ class ClusterNode:
         acc = int(base_digest, 16) ^ _xor_cells(self.store, base.store) \
             ^ _xor_cells(base.store, self.store)
         return f"{acc:064x}"
-
-    def dump_wal(self, path: str) -> None:
-        """Write the WAL as JSON lines; values are base64 so any payload
-        survives the text encoding."""
-        with open(path, "w", encoding="utf-8") as fh:
-            for u in self.wal:
-                fh.write(json.dumps({
-                    "seq": u.seq,
-                    "container": str(u.container),
-                    "key": u.key,
-                    "value_b64": base64.b64encode(u.value).decode("ascii"),
-                    "wall_ms": u.wall_ms,
-                    "origin": u.origin,
-                    "block": u.block,
-                }, separators=(",", ":")) + "\n")
-
-    @staticmethod
-    def load_wal(path: str) -> list[Update]:
-        updates = []
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                rec = json.loads(line)
-                updates.append(Update(
-                    container=ContainerId.parse(rec["container"]),
-                    key=rec["key"],
-                    value=base64.b64decode(rec["value_b64"]),
-                    wall_ms=rec["wall_ms"],
-                    origin=rec["origin"],
-                    seq=rec["seq"],
-                    block=rec["block"],
-                ))
-        return updates
 
 
 def _xor_cells(store: Store, other: Store) -> int:

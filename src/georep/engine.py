@@ -21,9 +21,10 @@ first sample in each metric window also takes every link, so a backlog
 that sits unchanged across a window boundary is still recorded in the
 new window.
 
-Shipped batches are tracked as lightweight records (creation, delivery,
-trigger, involved containers and the post-shipment arrival counters),
-which is what the structural tests inspect.
+Every shipped batch gets a record that holds the whole ``Batch`` (its
+updates, trigger and creation time) plus its delivery time and the
+post-shipment arrival counters of the involved containers, which is
+what the structural tests inspect.  A record lives as long as the run.
 """
 
 from __future__ import annotations
@@ -113,7 +114,6 @@ class Simulation:
         self._sampled_window = -1
         self.tallies = {cid: ClusterTally() for cid in scenario.clusters}
         self.batches: list[BatchRecord] = []
-        self._records: dict[int, BatchRecord] = {}
         self._tick_armed = False
         self._tick_grid = scenario.poll_interval_ms if scenario.mode == "plain" \
             else scenario.tick_ms
@@ -133,14 +133,14 @@ class Simulation:
         record = BatchRecord(batch, counters_after=tuple(
             (str(cid), source.state_for(cid).arrivals) for cid in involved))
         self.batches.append(record)
-        self._records[id(batch)] = record
         self.total_shipped_bytes += batch.total_bytes
         self.total_shipped_updates += len(batch.updates)
-        self.net.submit(batch, lambda delivered, src=source: self._deliver(src, delivered))
+        self.net.submit(batch, partial(self._deliver, source, record))
 
-    def _deliver(self, source: ReplicationSource, batch: Batch) -> None:
+    def _deliver(self, source: ReplicationSource, record: BatchRecord,
+                 batch: Batch) -> None:
         now = self.net.now
-        self._records[id(batch)].delivered_ms = now
+        record.delivered_ms = now
         tally = self.tallies[batch.destination]
         tally.echoes += sum(1 for u in batch.updates if u.origin == batch.destination)
         report = self.clusters[batch.destination].apply_remote(batch)

@@ -1,4 +1,4 @@
-"""Per-peer shipping engine and the batch wire format.
+"""Per-peer shipping engine.
 
 One ReplicationSource watches the updates a cluster wants to push to one
 peer.  Updates queue in a pending cache until a container's divergence
@@ -10,31 +10,15 @@ bidirectional and cyclic topologies echo-free.
 
 from __future__ import annotations
 
-import enum
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .bounds import Bound, ContainerId, ContainerState, Update
+from .bounds import Bound, ContainerId, ContainerState, Trigger, Update
 from .cache import PendingCache
-from .errors import ProtocolError
 
-# Fixed batch header for byte accounting and the trace stream:
-# u32 source + u32 destination + u64 created_ms + u8 trigger + u32 count.
+# Fixed batch header charged once per batch, one fixed-width field each:
+# u32 source + u32 destination + u64 created_ms + u8 trigger +
+# u32 update count.
 BATCH_HEADER_BYTES = 21
-
-_HEADER = struct.Struct(">IIQBI")
-_RECORD_FIXED = struct.Struct(">QIQQ")  # wall_ms, origin, seq, block-or-0
-
-
-class Trigger(enum.IntEnum):
-    """What caused a batch to be cut."""
-
-    COUNT = 1            # pending-update limit reached
-    TIME = 2             # lag limit or baseline poll interval elapsed
-    DELTA = 3            # numeric drift limit exceeded
-    IMMEDIATE_BLOCK = 4  # client closed an immediately-replicated group
-    ANY_BLOCK = 5        # eligible group shipped on its first bound trip
-    FINAL_DRAIN = 6      # end-of-run flush of stragglers
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,10 +59,9 @@ class ReplicationSource:
         self.default_bound = default_bound
         self.mode = mode
         self.cache = PendingCache(coalesce=coalesce)
-        self.states: dict[ContainerId, ContainerState] = {}
         self.shipped_position: dict[int, int] = {}
-        # Per-container (state, bound) pairs, resolved once; offer() runs
-        # for every arriving update, so one dict hit matters.
+        # Per-container (state, bound) pairs, resolved on first use;
+        # offer() runs for every arriving update, so one dict hit matters.
         self._resolved: dict[ContainerId, tuple[ContainerState, Bound]] = {}
         # With no lag dimension anywhere, timers can never ship anything;
         # checked on every arrival, so precompute it.
@@ -89,15 +72,12 @@ class ReplicationSource:
         return self.bounds.get(cid, self.default_bound)
 
     def state_for(self, cid: ContainerId) -> ContainerState:
-        state = self.states.get(cid)
-        if state is None:
-            state = self.states[cid] = ContainerState()
-        return state
+        return self._state_and_bound(cid)[0]
 
     def _state_and_bound(self, cid: ContainerId) -> tuple[ContainerState, Bound]:
         entry = self._resolved.get(cid)
         if entry is None:
-            entry = self._resolved[cid] = (self.state_for(cid), self.bound_for(cid))
+            entry = self._resolved[cid] = (ContainerState(), self.bound_for(cid))
         return entry
 
     # -- ingestion ---------------------------------------------------
@@ -111,35 +91,10 @@ class ReplicationSource:
         self.cache.enqueue(update)
         if self.mode == "plain":
             return None
-        # Count-only bounds are the common case; step the counter inline.
-        if bound.lag_ms == 0 and bound.drift == 0.0:
-            if bound.pending > 0:
-                state.arrivals += 1
-                if state.arrivals < bound.pending:
-                    return None
-                state.arrivals = 0
-            return self._drain([update.container], now, Trigger.COUNT)
-        trigger = self._evaluate(state, bound, update, now)
+        trigger = state.should_ship(bound, update, now)
         if trigger is None:
             return None
         return self._drain([update.container], now, trigger)
-
-    @staticmethod
-    def _evaluate(state: ContainerState, bound: Bound, update: Update,
-                  now: int) -> Trigger | None:
-        """Evaluate an arrival like ContainerState.should_ship, but keep
-        which dimension tripped; count beats time beats drift when
-        several trip on the same arrival."""
-        if bound.immediate:
-            return Trigger.COUNT
-        trigger = None
-        if bound.drift > 0.0 and state.drift_exceeded(bound, update):
-            trigger = Trigger.DELTA
-        if bound.lag_ms > 0 and state.lag_expired(bound, now, pending=1):
-            trigger = Trigger.TIME
-        if bound.pending > 0 and state.record_arrival(bound):
-            trigger = Trigger.COUNT
-        return trigger
 
     def offer_group(self, updates: list[Update], now: int,
                     trigger: Trigger = Trigger.ANY_BLOCK) -> Batch | None:
@@ -160,7 +115,7 @@ class ReplicationSource:
         tripped = False
         for u in accepted:
             state, bound = self._state_and_bound(u.container)
-            if state.should_ship(bound, u, now):
+            if state.should_ship(bound, u, now) is not None:
                 tripped = True
         if not tripped:
             return None
@@ -195,7 +150,8 @@ class ReplicationSource:
             if self.mode == "plain":
                 due = True
             else:
-                due = self.state_for(cid).lag_expired(self.bound_for(cid), now, pending)
+                state, bound = self._state_and_bound(cid)
+                due = state.lag_expired(bound, now, pending)
             if due:
                 batches.append(self._drain([cid], now, Trigger.TIME))
         return [b for b in batches if b is not None]
@@ -247,61 +203,3 @@ def _ordered_containers(updates: list[Update]) -> list[ContainerId]:
     for u in updates:
         seen[u.container] = None
     return sorted(seen, key=str)
-
-
-# -- wire format -----------------------------------------------------
-#
-# Big-endian throughout.  A batch is encoded as:
-#   header : u32 source, u32 destination, u64 created_ms, u8 trigger,
-#            u32 update count                               (21 bytes)
-#   record : u16 container length, container bytes,
-#            u16 key length, key bytes,
-#            u32 value length, value bytes,
-#            u64 wall_ms, u32 origin, u64 seq, u64 block id (0 = none)
-#
-# Byte accounting (Update.size_bytes, Batch.total_bytes) counts the key,
-# the value and the fixed-width fields; the container label is carried
-# per record in the trace stream but charged only via the fixed header.
-
-
-def encode_batch(batch: Batch) -> bytes:
-    parts = [_HEADER.pack(batch.source, batch.destination, batch.created_ms,
-                          int(batch.trigger), len(batch.updates))]
-    for u in batch.updates:
-        container = str(u.container).encode("utf-8")
-        key = u.key.encode("utf-8")
-        parts.append(struct.pack(">H", len(container)))
-        parts.append(container)
-        parts.append(struct.pack(">H", len(key)))
-        parts.append(key)
-        parts.append(struct.pack(">I", len(u.value)))
-        parts.append(u.value)
-        parts.append(_RECORD_FIXED.pack(u.wall_ms, u.origin, u.seq,
-                                        0 if u.block is None else u.block))
-    return b"".join(parts)
-
-
-def decode_batch(data: bytes) -> Batch:
-    source, destination, created_ms, trigger, count = _HEADER.unpack_from(data, 0)
-    pos = _HEADER.size
-    updates = []
-    for _ in range(count):
-        (clen,) = struct.unpack_from(">H", data, pos)
-        pos += 2
-        container = ContainerId.parse(data[pos:pos + clen].decode("utf-8"))
-        pos += clen
-        (klen,) = struct.unpack_from(">H", data, pos)
-        pos += 2
-        key = data[pos:pos + klen].decode("utf-8")
-        pos += klen
-        (vlen,) = struct.unpack_from(">I", data, pos)
-        pos += 4
-        value = data[pos:pos + vlen]
-        pos += vlen
-        wall_ms, origin, seq, block = _RECORD_FIXED.unpack_from(data, pos)
-        pos += _RECORD_FIXED.size
-        updates.append(Update(container, key, value, wall_ms, origin, seq,
-                              block if block else None))
-    if pos != len(data):
-        raise ProtocolError(f"trailing bytes after batch: {len(data) - pos}")
-    return Batch.build(updates, source, destination, created_ms, Trigger(trigger))

@@ -3,11 +3,13 @@
 Events execute in (timestamp, insertion order); the clock never moves
 backward.  A long scripted event stream need not be queued up front: it
 can be fed to the loop lazily, one event at a time, and each fed event
-runs before every queued event at the same instant.  Links have a fixed latency and a list of scheduled outage
-windows.  A batch submitted while its link is down is not lost: delivery
-is retried the moment the outage window closes.  Delivered bytes are
-charged to the metric window containing the delivery instant, so the
-per-window byte totals always sum to the bytes actually delivered.
+runs before every queued event at the same instant.
+
+Links have a fixed latency and a list of scheduled outage windows.  A
+batch submitted while its link is down is not lost: delivery is retried
+the moment the outage window closes.  Delivered bytes are charged to the
+metric window containing the delivery instant, so the per-window byte
+totals always sum to the bytes actually delivered.
 
 Link capacity is not modeled: there is no queuing delay, so traffic
 peaks are measured rather than shaped.

@@ -116,8 +116,8 @@ class WorkloadSpec:
             raise ScenarioError(f"keyspace must be positive: {self.keyspace}")
         if self.value_bytes <= 0:
             raise ScenarioError(f"value size must be positive: {self.value_bytes}")
-        if not self.containers or any(w <= 0 for _, w in self.containers):
-            raise ScenarioError("container weights must be positive")
+        if not self.containers or not all(0 < w < math.inf for _, w in self.containers):
+            raise ScenarioError("container weights must be positive and finite")
         if self.burst_ops <= 0 or self.burst_spacing_ms <= 0:
             raise ScenarioError("burst pacing values must be positive")
         if not self.origins:

@@ -10,6 +10,7 @@ from georep.bounds import (
     Bound,
     ContainerId,
     ContainerState,
+    Trigger,
     Update,
     parse_numeric,
     pending_from_percent,
@@ -175,17 +176,17 @@ class TestCombinedEvaluation:
     def test_any_tripped_dimension_ships(self):
         state = ContainerState(arrivals=2, last_ship_ms=0)
         bound = Bound(lag_ms=10**6, pending=3)
-        assert state.should_ship(bound, make_update(), now=10) is True
+        assert state.should_ship(bound, make_update(), now=10) is Trigger.COUNT
 
     def test_all_inactive_ships_every_arrival(self):
         state = ContainerState()
         for _ in range(5):
-            assert state.should_ship(IMMEDIATE, make_update(), now=0) is True
+            assert state.should_ship(IMMEDIATE, make_update(), now=0) is Trigger.COUNT
 
     def test_no_dimension_tripped_holds(self):
         state = ContainerState(arrivals=0, last_ship_ms=0)
         bound = Bound(lag_ms=1000, pending=3, drift=10)
-        assert state.should_ship(bound, make_update(value=b"5"), now=500) is False
+        assert state.should_ship(bound, make_update(value=b"5"), now=500) is None
         assert state.arrivals == 1
 
     def test_counter_advances_even_when_another_dimension_fired(self):
@@ -193,7 +194,7 @@ class TestCombinedEvaluation:
         # what the other dimensions decided.
         state = ContainerState(arrivals=0, last_ship_ms=0, shipped_value={"k": 0.0})
         bound = Bound(pending=5, drift=1)
-        assert state.should_ship(bound, make_update(value=b"99"), now=0) is True
+        assert state.should_ship(bound, make_update(value=b"99"), now=0) is Trigger.DELTA
         assert state.arrivals == 1
 
 

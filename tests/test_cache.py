@@ -18,8 +18,9 @@ def test_enqueue_tracks_bytes_and_length():
     cache = PendingCache()
     u = make_update(key="key", value=b"x" * 83)  # 3 + 83 + 34 = 120
     cache.enqueue(u)
-    assert cache.total_pending_bytes == 120
+    assert [q.size_bytes for q in cache.queues[u.container]] == [120]
     assert cache.pending_count(u.container) == 1
+    assert cache.total_pending_count == 1
 
 
 def test_same_key_retained_in_arrival_order():
@@ -53,7 +54,6 @@ def test_drain_takes_whole_queue():
         cache.enqueue(u)
     assert cache.drain([A]) == updates
     assert cache.pending_count(A) == 0
-    assert cache.total_pending_bytes == 0
     assert cache.total_pending_count == 0
 
 
@@ -73,7 +73,7 @@ def test_drain_pulls_block_siblings_from_other_containers():
 def test_drain_empty_container_is_noop():
     cache = PendingCache()
     assert cache.drain([A]) == []
-    assert cache.total_pending_bytes == 0
+    assert cache.total_pending_count == 0
 
 
 def test_pending_count_lifecycle():
@@ -125,7 +125,8 @@ class TestCoalesce:
         cache.enqueue(make_update(container=A, key="k", value=b"0" * 100))
         replacement = make_update(container=A, key="k", value=b"1" * 10)
         cache.enqueue(replacement)
-        assert cache.total_pending_bytes == replacement.size_bytes
+        assert cache.queues[A] == [replacement]
+        assert cache.total_pending_count == 1
 
 
 @given(st.lists(st.tuples(st.sampled_from(["a", "b", "c"]),
@@ -150,7 +151,8 @@ def test_conservation_under_random_traffic(script):
             enqueued += 1
             enqueued_bytes += u.size_bytes
         assert cache.total_pending_count == enqueued - drained
-        assert cache.total_pending_bytes == enqueued_bytes - drained_bytes
+        pending_bytes = sum(u.size_bytes for q in cache.queues.values() for u in q)
+        assert pending_bytes == enqueued_bytes - drained_bytes
 
 
 def test_order_preserved_within_container():

@@ -62,6 +62,12 @@ class TestValidate:
         assert main(["validate", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_non_finite_bound_exits_two(self, tmp_path, capsys):
+        path = write(tmp_path, GOOD.replace("default = 0 50 0", "default = 0 0 nan"),
+                     "nan.ini")
+        assert main(["validate", str(path)]) == 2
+        assert "drift limit must be finite" in capsys.readouterr().err
+
     def test_missing_file_exits_two(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "absent.ini")]) == 2
         assert "error:" in capsys.readouterr().err

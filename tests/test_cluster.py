@@ -285,22 +285,6 @@ class TestRelay:
         assert shipped[0].trigger is Trigger.ANY_BLOCK
 
 
-class TestWalPersistence:
-    def test_roundtrip_binary_safe(self, tmp_path):
-        node = make_node()
-        node.put(CID, "k1", b"\x00\xff\n|binary")
-        node.put(ContainerId("other", "fam"), "k2", b"plain")
-        session_block = node.next_block_id()
-        node.local_put(CID, "k3", b"grouped", block=session_block)
-        path = tmp_path / "wal.jsonl"
-        node.dump_wal(str(path))
-        loaded = ClusterNode.load_wal(str(path))
-        assert [(u.container, u.key, u.value, u.wall_ms, u.origin, u.seq, u.block)
-                for u in loaded] == \
-               [(u.container, u.key, u.value, u.wall_ms, u.origin, u.seq, u.block)
-                for u in node.wal]
-
-
 def test_block_ids_are_unique_per_cluster():
     node = make_node()
     ids = [node.next_block_id() for _ in range(10)]

@@ -1,21 +1,17 @@
-"""Per-peer shipping: bound triggers, ticks, drains, wire format."""
+"""Per-peer shipping: bound triggers, ticks, drains, batch accounting."""
+
+from unittest import mock
 
 import pytest
 
-from georep.bounds import Bound, ContainerId
-from georep.shipping import (
-    BATCH_HEADER_BYTES,
-    Batch,
-    ReplicationSource,
-    Trigger,
-    decode_batch,
-    encode_batch,
-)
+from georep.bounds import Bound, ContainerId, ContainerState
+from georep.shipping import BATCH_HEADER_BYTES, ReplicationSource, Trigger
 
 from conftest import make_update
 
 A = ContainerId("a", "fam")
 B = ContainerId("b", "fam")
+C = ContainerId("c", "fam")
 
 
 def source_with(bound, **kwargs):
@@ -63,6 +59,22 @@ class TestOffer:
         batch = src.offer(make_update(key="k", value=b"99"), now=2)
         assert batch is not None
         assert batch.trigger is Trigger.COUNT
+
+    def test_time_beats_drift_when_both_trip(self):
+        src = source_with(Bound(lag_ms=100, drift=5))
+        src.offer(make_update(key="k", value=b"0"), now=0)
+        src.final_drain(now=10)  # baseline value 0 shipped at t = 10
+        batch = src.offer(make_update(key="k", value=b"50"), now=110)
+        assert batch is not None
+        assert batch.trigger is Trigger.TIME
+
+    def test_count_beats_time_when_both_trip(self):
+        src = source_with(Bound(lag_ms=100, pending=2))
+        assert src.offer(make_update(key="k1"), now=0) is None
+        batch = src.offer(make_update(key="k2"), now=150)
+        assert batch is not None
+        assert batch.trigger is Trigger.COUNT
+        assert len(batch.updates) == 2
 
     def test_counter_resets_with_every_shipment(self):
         src = source_with(Bound(pending=3))
@@ -166,6 +178,20 @@ class TestGroups:
         assert batch is not None
         assert len(batch.updates) == 5
 
+    def test_group_evaluates_members_after_the_first_trip(self):
+        src = source_with(Bound(pending=2))
+        src.offer(make_update(container=A, key="warm"), now=0)
+        members = [make_update(container=A, key="x", block=1),
+                   make_update(container=B, key="y", block=1),
+                   make_update(container=C, key="z", block=1)]
+        with mock.patch.object(ContainerState, "should_ship", autospec=True,
+                               side_effect=ContainerState.should_ship) as rule:
+            batch = src.offer_group(members, now=5)
+        # A's member trips first; B's and C's are still evaluated.
+        assert [call.args[2].key for call in rule.call_args_list] == ["x", "y", "z"]
+        assert batch.trigger is Trigger.ANY_BLOCK
+        assert len(batch.updates) == 4
+
     def test_immediate_group_ships_at_once(self):
         src = source_with(Bound(pending=10**6))
         members = [make_update(container=A, key="x", block=2),
@@ -244,35 +270,6 @@ class TestTimerWork:
 
     def test_empty_cache_never_needs_timer(self):
         assert not source_with(Bound(lag_ms=500)).has_timer_work()
-
-
-class TestWireFormat:
-    def test_roundtrip_preserves_everything(self):
-        updates = [
-            make_update(container=A, key="k1", value=b"\x00\xffbinary", origin=3,
-                        seq=7, wall_ms=123),
-            make_update(container=B, key="k2", value=b"42", origin=3, seq=8,
-                        wall_ms=456, block=9),
-        ]
-        batch = Batch.build(updates, source=3, destination=4, created_ms=500,
-                            trigger=Trigger.ANY_BLOCK)
-        decoded = decode_batch(encode_batch(batch))
-        assert decoded.source == 3
-        assert decoded.destination == 4
-        assert decoded.created_ms == 500
-        assert decoded.trigger is Trigger.ANY_BLOCK
-        assert decoded.total_bytes == batch.total_bytes
-        for orig, copy in zip(batch.updates, decoded.updates):
-            assert (copy.container, copy.key, copy.value) == \
-                (orig.container, orig.key, orig.value)
-            assert (copy.wall_ms, copy.origin, copy.seq, copy.block) == \
-                (orig.wall_ms, orig.origin, orig.seq, orig.block)
-
-    def test_trailing_garbage_rejected(self):
-        batch = Batch.build([make_update()], 1, 2, 0, Trigger.COUNT)
-        from georep.errors import ProtocolError
-        with pytest.raises(ProtocolError):
-            decode_batch(encode_batch(batch) + b"\x00")
 
 
 def test_unknown_mode_rejected():

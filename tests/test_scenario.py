@@ -183,6 +183,26 @@ class TestRejections:
                                               "default = 0 100"),
                     "lag_ms pending drift")
 
+    @pytest.mark.parametrize("drift", ["nan", "inf"])
+    def test_non_finite_default_drift(self, tmp_path, drift):
+        # Such a limit never trips but makes the bound non-immediate, so
+        # it would hold every update until the final drain.
+        self.reject(tmp_path, MINIMAL.replace("default = 0 100 0",
+                                              f"default = 0 0 {drift}"),
+                    "drift limit must be finite")
+
+    @pytest.mark.parametrize("drift", ["nan", "inf"])
+    def test_non_finite_container_drift(self, tmp_path, drift):
+        self.reject(tmp_path, MINIMAL.replace("default = 0 100 0",
+                                              f"default = 0 100 0\norders:acct = 0 5 {drift}"),
+                    "drift limit must be finite")
+
+    @pytest.mark.parametrize("weight", ["nan", "inf"])
+    def test_non_finite_container_weight(self, tmp_path, weight):
+        self.reject(tmp_path, MINIMAL.replace(
+            "seed = 3", f"seed = 3\ncontainers = usertable:family*{weight} a:b*1"),
+                    "weights must be positive and finite")
+
     def test_bad_integer(self, tmp_path):
         self.reject(tmp_path, MINIMAL.replace("operations = 500",
                                               "operations = many"),
