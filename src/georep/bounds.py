@@ -29,6 +29,8 @@ import enum
 import math
 from dataclasses import dataclass, field
 
+from .errors import ProtocolError
+
 # Fixed per-update overhead charged on top of the key and value bytes,
 # one fixed-width field each: u16 key length + u32 value length +
 # u64 wall_ms + u32 origin + u64 seq + u64 block id.
@@ -55,12 +57,15 @@ class ContainerId:
     """Identity of a replicated data container, written ``table:family``.
 
     Every update is looked up by container several times on its way to
-    a peer, so the hash is computed once, at construction.
+    a peer, and containers are visited in the order of their text, so
+    the hash and the ``table:family`` text are computed once, at
+    construction.
     """
 
     table: str
     family: str
     _hash: int = field(init=False, repr=False, compare=False)
+    _text: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.table or not self.family:
@@ -68,6 +73,7 @@ class ContainerId:
         if ":" in self.table or ":" in self.family:
             raise ValueError(f"container parts may not contain ':': {self.table!r}, {self.family!r}")
         object.__setattr__(self, "_hash", hash((self.table, self.family)))
+        object.__setattr__(self, "_text", f"{self.table}:{self.family}")
 
     def __hash__(self) -> int:
         return self._hash
@@ -81,7 +87,7 @@ class ContainerId:
         return cls(parts[0], parts[1])
 
     def __str__(self) -> str:
-        return f"{self.table}:{self.family}"
+        return self._text
 
 
 @dataclass(frozen=True, slots=True)
@@ -147,6 +153,64 @@ class Update:
         return self.wall_ms, self.origin, self.seq
 
 
+class SeqWindow:
+    """The ``(origin, seq)`` identities seen so far, kept per origin as
+    a floor plus the seqs above it that arrived early.
+
+    Every seq from 1 up to ``floors[origin]`` has been seen;
+    ``early[origin]`` holds the seen seqs above ``floor + 1`` and exists
+    only while it is non-empty.  An origin numbers its updates 1, 2, 3
+    and so on, so a window that sees all of an origin's seqs ends with
+    one floor for it and no early seqs, however long the run.  Seqs that
+    never arrive leave their gap open, and every seq seen above the gap
+    stays early.
+    """
+
+    __slots__ = ("floors", "early")
+
+    def __init__(self) -> None:
+        self.floors: dict[int, int] = {}
+        self.early: dict[int, set[int]] = {}
+
+    def add(self, origin: int, seq: int) -> bool:
+        """Record one identity; False when it was already seen.
+
+        A seq below 1 is no origin's and raises ProtocolError.  The
+        in-order case, the next seq after the floor while no origin has
+        early seqs, costs one dict lookup and one compare.
+        """
+        floors = self.floors
+        floor = floors.get(origin, 0)
+        # The difference 1 is a cached small int; ``floor + 1`` would be
+        # a new int object once seqs pass 256.
+        if seq - floor == 1:
+            floors[origin] = seq
+            early = self.early
+            if early:
+                waiting = early.get(origin)
+                if waiting is not None and seq + 1 in waiting:
+                    # The floor takes in the early seqs that now follow on.
+                    while seq + 1 in waiting:
+                        seq += 1
+                        waiting.remove(seq)
+                    floors[origin] = seq
+                    if not waiting:
+                        del early[origin]
+            return True
+        if seq <= floor:
+            if seq < 1:
+                raise ProtocolError(f"update ({origin}, {seq}) has a sequence number below 1")
+            return False
+        waiting = self.early.get(origin)
+        if waiting is None:
+            self.early[origin] = {seq}
+        elif seq in waiting:
+            return False
+        else:
+            waiting.add(seq)
+        return True
+
+
 def parse_numeric(value: bytes) -> float | None:
     """Float value of a payload that encodes a number, else None."""
     try:
@@ -164,9 +228,10 @@ def update_size(key: str, value: bytes) -> int:
 class ContainerState:
     """Live counters tracked against one container's bound.
 
-    ``arrivals`` counts updates seen since the container last shipped and
-    always stays below an active pending limit (it resets in the same
-    step it reaches the limit).  ``shipped_value`` remembers, per key,
+    ``arrivals`` counts updates seen since the container last shipped,
+    plus any that a shipment of only some of its updates left queued,
+    and always stays below an active pending limit (it resets in the
+    same step it reaches the limit).  ``shipped_value`` remembers, per key,
     the numeric payload most recently shipped, for drift comparisons; it
     stays empty under a bound without a drift limit.
     """
@@ -234,10 +299,16 @@ class ContainerState:
             return Trigger.DELTA
         return None
 
-    def mark_shipped(self, now: int, updates: list[Update], bound: Bound) -> None:
+    def mark_shipped(self, now: int, updates: list[Update], bound: Bound,
+                     still_queued: int = 0) -> None:
         """Reset counters after this container shipped the given updates;
-        under a drift limit, remember their numeric payloads."""
-        self.arrivals = 0
+        under a drift limit, remember their numeric payloads.
+
+        A shipment that pulled only some of the container's updates (the
+        members of a group shipped from another container) leaves the
+        rest queued; under a pending limit they stay counted.
+        """
+        self.arrivals = still_queued if bound.pending > 0 else 0
         if now > self.last_ship_ms:
             self.last_ship_ms = now
         if bound.drift > 0.0:

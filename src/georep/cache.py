@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .bounds import ContainerId, Update
+from .bounds import ContainerId, SeqWindow, Update
 from .errors import ProtocolError
 
 # Blocks are numbered per origin cluster, so the globally unique group
@@ -29,6 +29,17 @@ class PendingCache:
     update for the same (container, key); block members are exempt so
     groups stay intact.  Coalescing is off by default, which keeps batch
     sizes exactly equal to arrival counts.
+
+    Every update enqueued is remembered by its ``(origin, seq)`` in a
+    ``SeqWindow``: one floor per origin plus the seqs that came in ahead
+    of a gap.  A source sees every seq of its own cluster's updates, so
+    those gaps close (a group's members fill theirs when the group
+    closes).  A relaying source sees only the foreign updates its cluster
+    applied fresh and did not get from that same peer, so the rest stay
+    gaps in its window, and the seqs above them stay early; that is
+    never more entries than one per update.  Updates dropped by
+    coalescing were enqueued, so they leave no gap here, only at the
+    peer.
     """
 
     coalesce: bool = False
@@ -36,19 +47,20 @@ class PendingCache:
     block_index: dict[BlockKey, dict[ContainerId, int]] = field(default_factory=dict)
     total_pending_count: int = 0
     peak_pending: dict[ContainerId, int] = field(default_factory=dict)
-    _seen: set[tuple[int, int]] = field(default_factory=set)
+    _seen: SeqWindow = field(default_factory=SeqWindow)
 
     def enqueue(self, update: Update) -> None:
         """Append an update to its container queue.
 
-        Re-enqueueing the same (origin, seq) is a protocol violation.
+        Re-enqueueing the same (origin, seq) is a protocol violation, and
+        so is a seq below 1.
         """
-        ident = (update.origin, update.seq)
-        if ident in self._seen:
-            raise ProtocolError(f"duplicate enqueue of update {ident}")
-        self._seen.add(ident)
+        if not self._seen.add(update.origin, update.seq):
+            raise ProtocolError(f"duplicate enqueue of update {(update.origin, update.seq)}")
 
-        queue = self.queues.setdefault(update.container, [])
+        queue = self.queues.get(update.container)
+        if queue is None:
+            queue = self.queues[update.container] = []
         if self.coalesce and update.block is None:
             for i, old in enumerate(queue):
                 if old.key == update.key and old.block is None:
@@ -60,7 +72,10 @@ class PendingCache:
         if len(queue) > self.peak_pending.get(update.container, 0):
             self.peak_pending[update.container] = len(queue)
         if update.block is not None:
-            members = self.block_index.setdefault((update.origin, update.block), {})
+            bkey = (update.origin, update.block)
+            members = self.block_index.get(bkey)
+            if members is None:
+                members = self.block_index[bkey] = {}
             members[update.container] = members.get(update.container, 0) + 1
 
     def pending_count(self, cid: ContainerId) -> int:
@@ -81,21 +96,19 @@ class PendingCache:
                 continue
             visited.add(cid)
             taken.extend(self._take_queue(cid, blocks))
-        # Pull sibling members of every touched block from containers not
-        # drained outright.  Newly discovered blocks cannot appear: only
-        # the named members of already-listed blocks are removed.
-        pulled: set[BlockKey] = set()
-        for bkey in blocks:
-            if bkey in pulled:
-                continue
-            pulled.add(bkey)
-            members = self.block_index.pop(bkey, None)
-            if not members:
-                continue
-            for cid in list(members):
-                if cid in visited:
-                    continue
-                taken.extend(self._take_block_members(cid, bkey))
+        if blocks:
+            # Pull the sibling members of every touched block from the
+            # containers not drained outright, each container's members
+            # in its arrival order.  Newly discovered blocks cannot
+            # appear: only members of already-listed blocks are removed.
+            touched = dict.fromkeys(blocks)
+            siblings: dict[ContainerId, None] = {}
+            for bkey in touched:
+                for cid in self.block_index.pop(bkey, ()):
+                    if cid not in visited:
+                        siblings[cid] = None
+            for cid in siblings:
+                taken.extend(self._take_block_members(cid, touched))
         return taken
 
     def _take_queue(self, cid: ContainerId, blocks: list[BlockKey]) -> list[Update]:
@@ -108,12 +121,17 @@ class PendingCache:
         self.total_pending_count -= len(queue)
         return queue
 
-    def _take_block_members(self, cid: ContainerId, bkey: BlockKey) -> list[Update]:
-        queue = self.queues.get(cid, [])
-        members = [u for u in queue if u.block is not None and (u.origin, u.block) == bkey]
+    def _take_block_members(self, cid: ContainerId,
+                            bkeys: dict[BlockKey, None]) -> list[Update]:
+        members: list[Update] = []
+        remaining: list[Update] = []
+        for u in self.queues.get(cid, ()):
+            if u.block is not None and (u.origin, u.block) in bkeys:
+                members.append(u)
+            else:
+                remaining.append(u)
         if not members:
             return []
-        remaining = [u for u in queue if u.block is None or (u.origin, u.block) != bkey]
         if remaining:
             self.queues[cid] = remaining
         else:

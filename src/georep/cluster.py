@@ -15,6 +15,15 @@ conflicts identically.  Updates applied from a remote batch are offered
 onward to the cluster's other peers with their original origin intact,
 so loops of any length stay echo-free.
 
+Redelivery is harmless: a ``SeqWindow`` remembers the ``(origin, seq)``
+of every update applied from a remote batch as one floor per origin
+plus the seqs that arrived ahead of a gap, and a second copy counts as
+a duplicate.  In a full mesh every origin's seqs all reach every other
+cluster, so each window ends as one floor per origin.  Gaps stay open
+only for seqs that never arrive: updates coalesced away in a sender's
+cache, and, on paths that reach a cluster only through a relay, updates
+the relay discarded as stale.
+
 A store's digest is the XOR of one SHA-256 per cell.  Replicas that
 converged hold the very same update objects, so a digest can start from
 a peer's known digest and XOR in only the cells that are not the
@@ -28,7 +37,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Callable
 
-from .bounds import Bound, ContainerId, Update
+from .bounds import Bound, ContainerId, SeqWindow, Update
 from .errors import ProtocolError
 from .shipping import Batch, ReplicationSource
 
@@ -66,7 +75,7 @@ class ClusterNode:
             peer: ReplicationSource(cluster_id, peer, bounds, default_bound, mode, coalesce)
             for peer in sorted(peers)
         }
-        self._applied: set[tuple[int, int]] = set()
+        self._applied = SeqWindow()
         self._next_block = 0
 
     # -- local write path ----------------------------------------------
@@ -128,23 +137,22 @@ class ClusterNode:
         """Apply a delivered batch in one atomic step.
 
         Last-writer-wins per cell; already-seen updates are skipped so
-        redelivery is harmless.  Freshly applied updates are relayed to
-        every peer other than the batch's own sender.  The container's
-        cell dict is looked up once per run of same-container updates.
+        redelivery is harmless, and an update with a seq below 1 raises
+        ProtocolError.  Freshly applied updates are relayed to every peer
+        other than the batch's own sender.  The container's cell dict is
+        looked up once per run of same-container updates.
         """
         if batch.destination != self.cluster_id:
             raise ProtocolError(
                 f"batch for cluster {batch.destination} delivered to {self.cluster_id}")
-        store, seen = self.store, self._applied
+        store, first_sight = self.store, self._applied.add
         fresh: list[Update] = []
         stale = duplicates = 0
         cid = cells = None
         for u in batch.updates:
-            ident = (u.origin, u.seq)
-            if ident in seen:
+            if not first_sight(u.origin, u.seq):
                 duplicates += 1
                 continue
-            seen.add(ident)
             if u.container is not cid and u.container != cid:
                 cid = u.container
                 cells = store.get(cid)

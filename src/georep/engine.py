@@ -25,6 +25,12 @@ Every shipped batch gets a record that holds the whole ``Batch`` (its
 updates, trigger and creation time) plus its delivery time and the
 post-shipment arrival counters of the involved containers, which is
 what the structural tests inspect.  A record lives as long as the run.
+
+These records and each cluster's write-ahead log are the state that
+grows with every update.  The exactly-once filters in the pending
+caches and in remote apply keep a floor per origin plus the seqs that
+arrived ahead of a gap, so in a run where every seq arrives they stay
+one entry per origin however long the run.
 """
 
 from __future__ import annotations

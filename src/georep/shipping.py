@@ -188,7 +188,7 @@ class ReplicationSource:
             by_container.setdefault(u.container, []).append(u)
         for cid, members in by_container.items():
             state, bound = self._state_and_bound(cid)
-            state.mark_shipped(now, members, bound)
+            state.mark_shipped(now, members, bound, self.cache.pending_count(cid))
         return batch
 
     def acknowledge(self, batch: Batch) -> None:

@@ -4,7 +4,9 @@ The model below restates the rule from the module docs without using
 any of georep's bound code: count, then time, then drift; the arrival
 counter moves once per arriving update; a shipment takes the whole
 queue of every involved container plus the siblings of any group it
-touches, and resets the counters of every container it took from.
+touches, and sets the counter of every container it took from to the
+number of updates that container still holds (zero unless it gave up
+only group members).
 """
 
 from itertools import count
@@ -60,10 +62,14 @@ class Model:
         taken += [u for u in self.queue if u[0] not in cids and u[3] in groups]
         self.queue = [u for u in self.queue if u[0] not in cids and u[3] not in groups]
         for cid, key, numeric, _ in taken:
-            self.arrivals[cid] = 0
             self.last_ship[cid] = max(self.last_ship[cid], now)
             if numeric is not None:
                 self.shipped[cid][key] = numeric
+        # A container that gave up only group members keeps counting
+        # the updates it still holds.
+        for cid in {u[0] for u in taken}:
+            if self.bounds[cid].pending:
+                self.arrivals[cid] = sum(1 for u in self.queue if u[0] == cid)
         return len(taken)
 
 
@@ -147,3 +153,25 @@ def test_offer_group_follows_the_model_and_counts_every_member(bound_a, bound_b,
                 want.append((index, Trigger.ANY_BLOCK, model.ship(involved, now)))
     assert got == want
 
+
+
+def test_pulling_group_members_leaves_the_loose_updates_counted():
+    """A container that gives up only a group's members keeps counting
+    the loose updates it still holds, so its next COUNT batch is no
+    larger than its pending limit."""
+    bound = Bound(pending=3)
+    src = ReplicationSource(source=1, peer=2, bounds={A: bound, B: bound})
+    assert src.offer_group([make_update(container=A, block=1),
+                            make_update(container=B, block=1)], now=0) is None
+    assert src.offer(make_update(container=B, key="loose1"), now=0) is None
+    assert src.offer(make_update(container=A), now=0) is None
+    tripped = src.offer(make_update(container=A), now=0)
+    assert tripped.trigger is Trigger.COUNT
+    assert {u.container for u in tripped.updates} == {A, B}
+    assert src.cache.pending_count(B) == 1
+    assert src.state_for(B).arrivals == 1
+    batches = [src.offer(make_update(container=B, key=f"m{i}"), now=0) for i in range(3)]
+    assert batches[0] is None and batches[2] is None
+    assert batches[1].trigger is Trigger.COUNT
+    assert [u.key for u in batches[1].updates] == ["loose1", "m0", "m1"]
+    assert src.state_for(B).arrivals == 1

@@ -43,7 +43,7 @@ def test_block_membership_indexed():
 def test_duplicate_identity_rejected():
     cache = PendingCache()
     cache.enqueue(make_update(origin=1, seq=100))
-    with pytest.raises(ProtocolError):
+    with pytest.raises(ProtocolError, match=r"duplicate enqueue of update \(1, 100\)"):
         cache.enqueue(make_update(origin=1, seq=100))
 
 
@@ -175,3 +175,19 @@ def test_no_partial_block_ever_drains():
     assert len(out) == 6
     assert cache.total_pending_count == 0
     assert not cache.block_index
+
+
+def test_members_pulled_from_one_container_keep_arrival_order():
+    # B holds members of blocks 1 and 2, block 2's first; draining A
+    # touches block 1 before block 2, yet B's members leave in B's order.
+    cache = PendingCache()
+    for u in [make_update(container=B, key="b2", block=2, origin=5, seq=1),
+              make_update(container=B, key="b1", block=1, origin=5, seq=2),
+              make_update(container=B, key="loose", origin=5, seq=3),
+              make_update(container=A, key="a1", block=1, origin=5, seq=4),
+              make_update(container=A, key="a2", block=2, origin=5, seq=5)]:
+        cache.enqueue(u)
+    out = cache.drain([A])
+    assert [u.key for u in out] == ["a1", "a2", "b2", "b1"]
+    assert [u.key for u in cache.queues[B]] == ["loose"]
+    assert cache.total_pending_count == 1

@@ -1,0 +1,212 @@
+"""Exactly-once by sequence windows: per-origin floors plus early seqs.
+
+``SeqWindow`` is checked against a plain set of ``(origin, seq)`` pairs,
+then in place: in the pending caches, in remote apply, and across whole
+runs, where every window must end as one floor per origin whatever the
+run length.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from georep.bounds import Bound, ContainerId, SeqWindow
+from georep.cache import PendingCache
+from georep.cluster import ClusterNode
+from georep.engine import Simulation
+from georep.errors import ProtocolError
+from georep.scenario import load_scenario
+from georep.shipping import Batch, Trigger
+
+from conftest import make_update
+
+CID = ContainerId("usertable", "family")
+
+origins = st.integers(1, 4)
+# Single identities, ascending runs from any start, and shuffled blocks of
+# consecutive seqs; repeats come from overlapping draws.
+singles = st.tuples(origins, st.integers(1, 40)).map(lambda ident: [ident])
+runs = st.tuples(origins, st.integers(1, 40), st.integers(1, 60)).map(
+    lambda r: [(r[0], seq) for seq in range(r[1], r[1] + r[2])])
+shuffled = st.tuples(origins, st.integers(1, 30)).flatmap(
+    lambda r: st.permutations([(r[0], seq) for seq in range(1, r[1] + 1)]))
+streams = st.lists(st.one_of(singles, runs, shuffled), max_size=20).map(
+    lambda chunks: [ident for chunk in chunks for ident in chunk])
+
+
+def assert_shape(window: SeqWindow, seen: set[tuple[int, int]]) -> None:
+    """The window holds exactly ``seen``: 1..floor plus the early seqs,
+    with floor + 1 missing and no empty early set kept."""
+    for origin in {o for o, _ in seen}:
+        mine = {seq for o, seq in seen if o == origin}
+        floor = window.floors.get(origin, 0)
+        assert set(range(1, floor + 1)) <= mine
+        assert floor + 1 not in mine
+        assert window.early.get(origin, set()) == {seq for seq in mine if seq > floor}
+    assert set(window.floors) | set(window.early) <= {o for o, _ in seen}
+    assert all(window.early.values())
+
+
+@given(streams)
+@settings(max_examples=300, deadline=None)
+def test_window_matches_a_set_of_identities(stream):
+    window, seen = SeqWindow(), set()
+    for origin, seq in stream:
+        assert window.add(origin, seq) is ((origin, seq) not in seen)
+        seen.add((origin, seq))
+    assert_shape(window, seen)
+
+
+def test_a_filled_gap_takes_in_the_early_seqs_above_it():
+    window = SeqWindow()
+    for seq in (1, 3, 4, 6):
+        window.add(2, seq)
+    assert (window.floors, window.early) == ({2: 1}, {2: {3, 4, 6}})
+    window.add(2, 2)
+    assert (window.floors, window.early) == ({2: 4}, {2: {6}})
+    window.add(2, 5)
+    assert (window.floors, window.early) == ({2: 6}, {})
+
+
+# -- seqs below 1 -----------------------------------------------------
+
+
+@pytest.mark.parametrize("seq", [0, -3])
+def test_seq_below_one_raises_in_the_window(seq):
+    window = SeqWindow()
+    with pytest.raises(ProtocolError, match="below 1"):
+        window.add(1, seq)
+    window.add(1, 1)
+    with pytest.raises(ProtocolError, match="below 1"):
+        window.add(1, seq)
+
+
+@pytest.mark.parametrize("seq", [0, -3])
+def test_seq_below_one_raises_in_enqueue(seq):
+    cache = PendingCache()
+    with pytest.raises(ProtocolError, match="below 1"):
+        cache.enqueue(make_update(origin=1, seq=seq))
+    assert cache.total_pending_count == 0
+
+
+@pytest.mark.parametrize("seq", [0, -3])
+def test_seq_below_one_raises_in_apply_remote(seq):
+    node = ClusterNode(2, [])
+    batch = Batch.build([make_update(origin=1, seq=seq)], 1, 2, 0, Trigger.COUNT)
+    with pytest.raises(ProtocolError, match="below 1"):
+        node.apply_remote(batch)
+    assert node.store == {}
+
+
+# -- whole runs: windows stay one floor per origin ---------------------
+
+CHAIN = """\
+[topology]
+clusters = 1 2 3
+links = 1>2 2>3
+
+[network]
+latency_ms = 10
+window_ms = 1000
+
+[bounds]
+default = 200 25 0
+tick_ms = 50
+
+[workload]
+operations = {ops}
+write_fraction = 1.0
+distribution = zipfian
+keyspace = 300
+value_bytes = 20
+seed = 3
+origins = 1
+"""
+
+# Every cluster writes overlapping keys, so relays meet stale and
+# duplicate updates; 1<->2 is cut for a while, so batches wait.
+MESH = """\
+[topology]
+clusters = 1 2 3
+links = 1>2 1>3 2>1 2>3 3>1 3>2
+
+[network]
+latency_ms = 10
+latency_ms.1>3 = 40
+latency_ms.2>3 = 25
+window_ms = 1000
+partitions =
+    1>2 100 600
+    2>1 100 600
+
+[bounds]
+default = 150 30 0
+tick_ms = 50
+
+[workload]
+operations = {ops}
+write_fraction = 0.8
+distribution = zipfian
+keyspace = 200
+value_bytes = 20
+seed = 9
+origins = 1 2 3
+"""
+
+
+def run(tmp_path, text, ops, name="run"):
+    path = tmp_path / f"{name}-{ops}.ini"
+    path.write_text(text.format(ops=ops), encoding="utf-8")
+    sim = Simulation(load_scenario(path))
+    return sim, sim.run()
+
+
+@pytest.mark.parametrize("text, writers, upstream", [
+    (CHAIN, {1}, {1: [], 2: [1], 3: [1]}),
+    (MESH, {1, 2, 3}, {1: [2, 3], 2: [1, 3], 3: [1, 2]}),
+], ids=["chain", "mesh"])
+def test_windows_end_as_one_floor_per_origin_at_any_length(tmp_path, text, writers,
+                                                           upstream):
+    for ops in (400, 1600):
+        sim, result = run(tmp_path, text, ops)
+        assert len(set(result.digests.values())) == 1
+        # Only the mesh delivers some updates twice, by two paths.
+        assert any(t.duplicates for t in result.tallies.values()) == (len(writers) > 1)
+        wal = {cid: len(node.wal) for cid, node in sim.clusters.items()}
+        assert {cid for cid, n in wal.items() if n} == writers
+        for cid, node in sim.clusters.items():
+            assert node._applied.floors == {o: wal[o] for o in upstream[cid]}
+            assert node._applied.early == {}
+            # A source sees every seq of its own cluster's writes.
+            for source in node.sources.values():
+                assert source.cache._seen.floors.get(cid, 0) == wal[cid]
+                assert cid not in source.cache._seen.early
+
+
+# -- coalescing leaves gaps; redelivery is still caught ---------------
+
+
+def test_redelivery_above_a_coalescing_gap_counts_as_duplicates():
+    sender = ClusterNode(1, [2], default_bound=Bound(pending=3), coalesce=True)
+    shipped = []
+    sender.on_ship = lambda source, batch: shipped.append(batch)
+    for key in ("a", "a", "b"):
+        sender.put(CID, key, b"v")
+    [batch] = shipped
+    assert [u.seq for u in batch.updates] == [2, 3]
+    receiver = ClusterNode(2, [])
+    assert receiver.apply_remote(batch).applied == 2
+    assert (receiver._applied.floors, receiver._applied.early) == ({}, {1: {2, 3}})
+    again = receiver.apply_remote(batch)
+    assert (again.applied, again.stale_discarded, again.duplicates) == (0, 0, 2)
+
+
+def test_redelivered_batches_of_a_coalescing_run_are_all_duplicates(tmp_path):
+    text = MESH.replace("default = 150 30 0", "default = 150 30 0\ncoalesce = true")
+    sim, result = run(tmp_path, text, 800, name="coalesce")
+    # Coalescing dropped seqs, so the windows keep gaps and early seqs.
+    assert any(node._applied.early for node in sim.clusters.values())
+    for record in result.batches:
+        report = sim.clusters[record.batch.destination].apply_remote(record.batch)
+        assert (report.applied, report.stale_discarded) == (0, 0)
+        assert report.duplicates == len(record.batch.updates)
