@@ -23,39 +23,43 @@ BlockKey = tuple[int, int]
 
 @dataclass(slots=True)
 class PendingCache:
-    """FIFO queues of pending updates, grouped by container.
+    """FIFO queues of pending updates, grouped by container, held by the
+    replication source of cluster ``origin`` for one peer.
 
     With ``coalesce`` enabled, a new update replaces an older pending
     update for the same (container, key); block members are exempt so
     groups stay intact.  Coalescing is off by default, which keeps batch
     sizes exactly equal to arrival counts.
 
-    Every update enqueued is remembered by its ``(origin, seq)`` in a
-    ``SeqWindow``: one floor per origin plus the seqs that came in ahead
-    of a gap.  A source sees every seq of its own cluster's updates, so
-    those gaps close (a group's members fill theirs when the group
-    closes).  A relaying source sees only the foreign updates its cluster
-    applied fresh and did not get from that same peer, so the rest stay
-    gaps in its window, and the seqs above them stay early; that is
-    never more entries than one per update.  Updates dropped by
-    coalescing were enqueued, so they leave no gap here, only at the
-    peer.
+    Every update of the cache's own cluster is remembered by its seq in
+    a ``SeqWindow``.  The source sees every seq its cluster writes, so
+    the window ends as one floor (a group's members fill their gap when
+    the group closes).  Updates dropped by coalescing were enqueued, so
+    they leave no gap here, only at the peer.  Foreign updates are not
+    tracked: they reach a cache only by relaying, which offers only the
+    updates the cluster's remote apply saw for the first time.
+
+    A queue grows only in ``enqueue``, and a coalescing replace keeps its
+    length, so its high-water mark is taken when something leaves it:
+    the length just before a drain takes from it.  ``peaks`` adds the
+    lengths of the queues still waiting.
     """
 
+    origin: int
     coalesce: bool = False
     queues: dict[ContainerId, list[Update]] = field(default_factory=dict)
     block_index: dict[BlockKey, dict[ContainerId, int]] = field(default_factory=dict)
     total_pending_count: int = 0
-    peak_pending: dict[ContainerId, int] = field(default_factory=dict)
+    _drained_peaks: dict[ContainerId, int] = field(default_factory=dict)
     _seen: SeqWindow = field(default_factory=SeqWindow)
 
     def enqueue(self, update: Update) -> None:
         """Append an update to its container queue.
 
-        Re-enqueueing the same (origin, seq) is a protocol violation, and
-        so is a seq below 1.
+        Re-enqueueing one of the own cluster's seqs is a protocol
+        violation, and so is an own seq below 1.
         """
-        if not self._seen.add(update.origin, update.seq):
+        if update.origin == self.origin and not self._seen.add(update.origin, update.seq):
             raise ProtocolError(f"duplicate enqueue of update {(update.origin, update.seq)}")
 
         queue = self.queues.get(update.container)
@@ -69,14 +73,20 @@ class PendingCache:
                     break
         queue.append(update)
         self.total_pending_count += 1
-        if len(queue) > self.peak_pending.get(update.container, 0):
-            self.peak_pending[update.container] = len(queue)
         if update.block is not None:
             bkey = (update.origin, update.block)
             members = self.block_index.get(bkey)
             if members is None:
                 members = self.block_index[bkey] = {}
             members[update.container] = members.get(update.container, 0) + 1
+
+    def peaks(self) -> dict[ContainerId, int]:
+        """The largest length each container's queue has reached."""
+        peaks = dict(self._drained_peaks)
+        for cid, queue in self.queues.items():
+            if len(queue) > peaks.get(cid, 0):
+                peaks[cid] = len(queue)
+        return peaks
 
     def pending_count(self, cid: ContainerId) -> int:
         return len(self.queues.get(cid, ()))
@@ -115,6 +125,7 @@ class PendingCache:
         queue = self.queues.pop(cid, None)
         if not queue:
             return []
+        self._note_peak(cid, len(queue))
         for u in queue:
             if u.block is not None:
                 blocks.append((u.origin, u.block))
@@ -132,9 +143,14 @@ class PendingCache:
                 remaining.append(u)
         if not members:
             return []
+        self._note_peak(cid, len(members) + len(remaining))
         if remaining:
             self.queues[cid] = remaining
         else:
             del self.queues[cid]
         self.total_pending_count -= len(members)
         return members
+
+    def _note_peak(self, cid: ContainerId, length: int) -> None:
+        if length > self._drained_peaks.get(cid, 0):
+            self._drained_peaks[cid] = length

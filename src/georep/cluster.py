@@ -113,7 +113,8 @@ class ClusterNode:
         return update
 
     def get(self, cid: ContainerId, key: str) -> bytes | None:
-        cell = self.store.get(cid, {}).get(key)
+        cells = self.store.get(cid)
+        cell = None if cells is None else cells.get(key)
         return None if cell is None else cell.value
 
     def offer_group(self, updates: list[Update], immediate: bool) -> None:
@@ -137,14 +138,19 @@ class ClusterNode:
         """Apply a delivered batch in one atomic step.
 
         Last-writer-wins per cell; already-seen updates are skipped so
-        redelivery is harmless, and an update with a seq below 1 raises
-        ProtocolError.  Freshly applied updates are relayed to every peer
-        other than the batch's own sender.  The container's cell dict is
-        looked up once per run of same-container updates.
+        redelivery is harmless.  A batch holding a seq below 1 raises
+        ProtocolError before anything is stored or remembered.  Freshly
+        applied updates are relayed to every peer other than the batch's
+        own sender.  The container's cell dict is looked up once per run
+        of same-container updates.
         """
         if batch.destination != self.cluster_id:
             raise ProtocolError(
                 f"batch for cluster {batch.destination} delivered to {self.cluster_id}")
+        for u in batch.updates:
+            if u.seq < 1:
+                raise ProtocolError(
+                    f"update ({u.origin}, {u.seq}) has a sequence number below 1")
         store, first_sight = self.store, self._applied.add
         fresh: list[Update] = []
         stale = duplicates = 0

@@ -15,11 +15,16 @@ ships.
 
 Each link's shipping backlog is sampled for the ``pending_max`` column
 at event boundaries.  A backlog only changes when its own cluster acts,
-so after a client op only the acting cluster's links are sampled, after
-a delivery only the destination's, and after a tick every link.  The
-first sample in each metric window also takes every link, so a backlog
-that sits unchanged across a window boundary is still recorded in the
-new window.
+so after a delivery only the destination's links are sampled, after a
+tick every link, and after a client op that can change a backlog (a put
+outside a block, a block end) the acting cluster's links.  The first
+sample in each metric window takes every link, so a backlog that sits
+unchanged across a window boundary is still recorded in the new window;
+that first sample may follow any client op.  A read, a block start and
+a put inside a block change no backlog, so once the window holds a
+sample they take none: every change since the window's first sample was
+followed by a sample of its link, so theirs would repeat a value the
+window already holds.
 
 Every shipped batch gets a record that holds the whole ``Batch`` (its
 updates, trigger and creation time) plus its delivery time and the
@@ -27,10 +32,11 @@ post-shipment arrival counters of the involved containers, which is
 what the structural tests inspect.  A record lives as long as the run.
 
 These records and each cluster's write-ahead log are the state that
-grows with every update.  The exactly-once filters in the pending
-caches and in remote apply keep a floor per origin plus the seqs that
-arrived ahead of a gap, so in a run where every seq arrives they stay
-one entry per origin however long the run.
+grows with every update.  The exactly-once filter in remote apply keeps
+a floor per origin plus the seqs that arrived ahead of a gap, so in a
+run where every seq arrives it stays one entry per origin however long
+the run; a pending cache checks only its own cluster's seqs, which
+always end as one floor.
 """
 
 from __future__ import annotations
@@ -38,8 +44,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import partial
-from itertools import groupby
-from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -49,7 +53,7 @@ from .metrics import MetricsCollector, Row, write_csv, write_summary
 from .scenario import Scenario
 from .shipping import Batch, ReplicationSource
 from .simnet import SimNet
-from .workload import BlockEndOp, BlockStartOp, ReadOp, TimedOp, WriteOp, generate
+from .workload import BlockStartOp, ReadOp, TimedOp, WriteOp, generate
 
 Link = tuple[int, int]
 
@@ -179,19 +183,32 @@ class Simulation:
     # -- workload -------------------------------------------------------
 
     def _apply_ops(self, group: list[TimedOp]) -> None:
+        # Ops that change no backlog skip the sample once this window
+        # holds one (module docstring).  Every op of the group shares now.
+        window = self.net.now // self.metrics.window_ms
+        sessions = self.sessions
+        client_ops = 0
         for _, origin, op in group:
-            session = self.sessions[origin]
-            if isinstance(op, WriteOp):
+            session = sessions[origin]
+            kind = type(op)
+            if kind is WriteOp:
                 session.put(op.container, op.key, op.value)
-                self._client_ops += 1
-            elif isinstance(op, ReadOp):
+                client_ops += 1
+                if session.in_block and window == self._sampled_window:
+                    continue
+            elif kind is ReadOp:
                 session.read(op.container, op.key)
-                self._client_ops += 1
-            elif isinstance(op, BlockStartOp):
+                client_ops += 1
+                if window == self._sampled_window:
+                    continue
+            elif kind is BlockStartOp:
                 session.start_block(op.mode)
-            elif isinstance(op, BlockEndOp):
+                if window == self._sampled_window:
+                    continue
+            else:
                 session.end_block()
             self._sample_pending((session.cluster,))
+        self._client_ops += client_ops
         self._arm_tick()
 
     def _sample_pending(self, changed: Iterable[ClusterNode] | None = None) -> None:
@@ -203,10 +220,10 @@ class Simulation:
         if changed is None or window != self._sampled_window:
             self._sampled_window = window
             changed = self.clusters.values()
+        sample = self.metrics.sample_pending
         for node in changed:
-            for peer, source in node.sources.items():
-                self.metrics.sample_pending((node.cluster_id, peer),
-                                            source.cache.total_pending_count, now)
+            for source in node.sources.values():
+                sample(source.link, source.cache.total_pending_count, now)
 
     # -- the run --------------------------------------------------------
 
@@ -244,15 +261,24 @@ class Simulation:
     def _instants(self) -> Iterator[tuple[int, Callable[[], None]]]:
         """The workload as events, one per arrival instant, generated
         only as the event loop reaches them."""
-        for at_ms, group in groupby(generate(self.scenario.workload), itemgetter(0)):
-            yield at_ms, partial(self._apply_ops, list(group))
+        group: list[TimedOp] = []
+        at_ms = None
+        for timed in generate(self.scenario.workload):
+            if timed[0] != at_ms:
+                if group:
+                    yield at_ms, partial(self._apply_ops, group)
+                at_ms, group = timed[0], [timed]
+            else:
+                group.append(timed)
+        if group:
+            yield at_ms, partial(self._apply_ops, group)
 
     def _summarize(self, rows: list[Row], digests: dict[int, str],
                    ops_per_sec: float) -> dict:
         pending_peaks: dict[str, int] = {}
         for node in self.clusters.values():
             for source in node.sources.values():
-                for cid, peak in source.cache.peak_pending.items():
+                for cid, peak in source.cache.peaks().items():
                     name = str(cid)
                     if peak > pending_peaks.get(name, 0):
                         pending_peaks[name] = peak

@@ -55,10 +55,11 @@ class ReplicationSource:
             raise ValueError(f"unknown shipping mode: {mode!r}")
         self.source = source
         self.peer = peer
+        self.link = (source, peer)
         self.bounds = dict(bounds or {})
         self.default_bound = default_bound
         self.mode = mode
-        self.cache = PendingCache(coalesce=coalesce)
+        self.cache = PendingCache(source, coalesce=coalesce)
         self.shipped_position: dict[int, int] = {}
         # Per-container (state, bound) pairs, resolved on first use;
         # offer() runs for every arriving update, so one dict hit matters.

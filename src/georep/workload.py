@@ -24,36 +24,34 @@ import bisect
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Iterator, NamedTuple, Union
 
 from .blocks import BlockMode
 from .bounds import ContainerId
 from .errors import ScenarioError
 
 
-@dataclass(frozen=True, slots=True)
-class ReadOp:
+class ReadOp(NamedTuple):
     container: ContainerId
     key: str
 
 
-@dataclass(frozen=True, slots=True)
-class WriteOp:
+class WriteOp(NamedTuple):
     container: ContainerId
     key: str
     value: bytes
 
 
-@dataclass(frozen=True, slots=True)
-class BlockStartOp:
+class BlockStartOp(NamedTuple):
     mode: BlockMode
 
 
-@dataclass(frozen=True, slots=True)
-class BlockEndOp:
+class BlockEndOp(NamedTuple):
     pass
 
 
+# Ops are named tuples: immutable, yet built without the per-field
+# ``object.__setattr__`` a frozen dataclass pays.
 Operation = Union[ReadOp, WriteOp, BlockStartOp, BlockEndOp]
 
 # One scheduled client action: (arrival instant, acting cluster, op).
@@ -160,12 +158,6 @@ class ZipfianSampler:
         return bisect.bisect_right(self._cdf, rng.random())
 
 
-def _is_write(index: int, write_fraction: float) -> bool:
-    """Deterministic interleave: op ``index`` is a write exactly when the
-    running write quota ticks up at this index."""
-    return math.floor((index + 1) * write_fraction) > math.floor(index * write_fraction)
-
-
 def generate(spec: WorkloadSpec) -> Iterator[TimedOp]:
     """Yield the full operation stream for a spec, in arrival order.
 
@@ -190,17 +182,28 @@ def generate(spec: WorkloadSpec) -> Iterator[TimedOp]:
             cum_weights.append(acc / total)
         cum_weights[-1] = 1.0
 
+    burst_ops, spacing_ms = spec.burst_ops, spec.burst_spacing_ms
+    origins, n_origins = spec.origins, len(spec.origins)
+    write_fraction, value_bytes = spec.write_fraction, spec.value_bytes
+    keyspace, disjoint_keys = spec.keyspace, spec.disjoint_keys
+    sample = sampler.sample if sampler is not None else None
+    random_, randrange, randbytes = rng.random, rng.randrange, rng.randbytes
+    # The interleave test floor((k+1) * f) > floor(k * f) with a running
+    # count: the writes so far equal floor(k * f), and for an integer w,
+    # floor(x) > w exactly when x >= w + 1.
+    next_write = 1
     for k in range(spec.operations):
-        at_ms = (k // spec.burst_ops) * spec.burst_spacing_ms
-        origin = spec.origins[k % len(spec.origins)]
+        at_ms = (k // burst_ops) * spacing_ms
+        origin = origins[k % n_origins]
         if cum_weights is None:
             cid = cids[0]
         else:
-            cid = cids[bisect.bisect_right(cum_weights, rng.random())]
-        idx = sampler.sample(rng) if sampler is not None else rng.randrange(spec.keyspace)
-        key = f"c{origin}-user{idx}" if spec.disjoint_keys else f"user{idx}"
-        if _is_write(k, spec.write_fraction):
-            yield at_ms, origin, WriteOp(cid, key, rng.randbytes(spec.value_bytes))
+            cid = cids[bisect.bisect_right(cum_weights, random_())]
+        idx = sample(rng) if sample is not None else randrange(keyspace)
+        key = f"c{origin}-user{idx}" if disjoint_keys else f"user{idx}"
+        if (k + 1) * write_fraction >= next_write:
+            next_write += 1
+            yield at_ms, origin, WriteOp(cid, key, randbytes(value_bytes))
         else:
             yield at_ms, origin, ReadOp(cid, key)
 

@@ -15,7 +15,7 @@ B = ContainerId("b", "fam")
 
 
 def test_enqueue_tracks_bytes_and_length():
-    cache = PendingCache()
+    cache = PendingCache(origin=1)
     u = make_update(key="key", value=b"x" * 83)  # 3 + 83 + 34 = 120
     cache.enqueue(u)
     assert [q.size_bytes for q in cache.queues[u.container]] == [120]
@@ -25,7 +25,7 @@ def test_enqueue_tracks_bytes_and_length():
 
 def test_same_key_retained_in_arrival_order():
     # No coalescing by default: batch sizes equal arrival counts.
-    cache = PendingCache()
+    cache = PendingCache(origin=1)
     first = make_update(key="k", value=b"old", container=A)
     second = make_update(key="k", value=b"new", container=A)
     cache.enqueue(first)
@@ -34,21 +34,21 @@ def test_same_key_retained_in_arrival_order():
 
 
 def test_block_membership_indexed():
-    cache = PendingCache()
+    cache = PendingCache(origin=1)
     u = make_update(container=A, block=9)
     cache.enqueue(u)
     assert cache.block_index[(u.origin, 9)] == {A: 1}
 
 
 def test_duplicate_identity_rejected():
-    cache = PendingCache()
+    cache = PendingCache(origin=1)
     cache.enqueue(make_update(origin=1, seq=100))
     with pytest.raises(ProtocolError, match=r"duplicate enqueue of update \(1, 100\)"):
         cache.enqueue(make_update(origin=1, seq=100))
 
 
 def test_drain_takes_whole_queue():
-    cache = PendingCache()
+    cache = PendingCache(origin=1)
     updates = [make_update(container=A, key=f"k{i}") for i in range(3)]
     for u in updates:
         cache.enqueue(u)
@@ -59,7 +59,7 @@ def test_drain_takes_whole_queue():
 
 def test_drain_pulls_block_siblings_from_other_containers():
     # A group never splits: draining one member container takes the rest.
-    cache = PendingCache()
+    cache = PendingCache(origin=1)
     in_a = make_update(container=A, key="x", block=5, origin=2)
     in_b = make_update(container=B, key="y", block=5, origin=2)
     loose = make_update(container=B, key="z", origin=2)
@@ -71,13 +71,13 @@ def test_drain_pulls_block_siblings_from_other_containers():
 
 
 def test_drain_empty_container_is_noop():
-    cache = PendingCache()
+    cache = PendingCache(origin=1)
     assert cache.drain([A]) == []
     assert cache.total_pending_count == 0
 
 
 def test_pending_count_lifecycle():
-    cache = PendingCache()
+    cache = PendingCache(origin=1)
     cache.enqueue(make_update(container=A, key="1"))
     cache.enqueue(make_update(container=A, key="2"))
     assert cache.pending_count(A) == 2
@@ -87,24 +87,51 @@ def test_pending_count_lifecycle():
 
 
 def test_peak_pending_tracks_high_water_mark():
-    cache = PendingCache()
+    cache = PendingCache(origin=1)
     for i in range(4):
         cache.enqueue(make_update(container=A, key=f"k{i}"))
     cache.drain([A])
     cache.enqueue(make_update(container=A, key="again"))
-    assert cache.peak_pending[A] == 4
+    assert cache.peaks()[A] == 4
+
+
+puts = st.tuples(st.just("put"), st.sampled_from("abc"), st.integers(0, 3),
+                st.sampled_from([None, None, 1, 2, 3]))
+drains = st.tuples(st.just("drain"), st.lists(st.sampled_from("abc"), min_size=1, max_size=3))
+
+
+@given(st.booleans(), st.lists(st.one_of(puts, puts, drains), max_size=80))
+@settings(max_examples=200, deadline=None)
+def test_peaks_match_the_length_after_every_enqueue(coalesce, script):
+    """Peaks taken at drain time equal a model that records each queue's
+    length after every enqueue, with coalescing replaces and block-member
+    pulls from containers not drained."""
+    cache = PendingCache(origin=1, coalesce=coalesce)
+    model: dict[ContainerId, int] = {}
+    seq = 0
+    for step in script:
+        if step[0] == "put":
+            _, table, key, block = step
+            cid = ContainerId(table, "fam")
+            seq += 1
+            cache.enqueue(make_update(container=cid, key=f"k{key}", block=block,
+                                      origin=1, seq=seq))
+            model[cid] = max(model.get(cid, 0), len(cache.queues[cid]))
+        else:
+            cache.drain([ContainerId(table, "fam") for table in step[1]])
+        assert cache.peaks() == model
 
 
 class TestCoalesce:
     def test_same_key_replaced_by_newest(self):
-        cache = PendingCache(coalesce=True)
+        cache = PendingCache(origin=1, coalesce=True)
         cache.enqueue(make_update(container=A, key="k", value=b"old"))
         newest = make_update(container=A, key="k", value=b"new")
         cache.enqueue(newest)
         assert cache.drain([A]) == [newest]
 
     def test_distinct_keys_unaffected(self):
-        cache = PendingCache(coalesce=True)
+        cache = PendingCache(origin=1, coalesce=True)
         u1 = make_update(container=A, key="k1")
         u2 = make_update(container=A, key="k2")
         cache.enqueue(u1)
@@ -113,7 +140,7 @@ class TestCoalesce:
 
     def test_block_members_exempt(self):
         # Groups must stay intact, so their members never coalesce away.
-        cache = PendingCache(coalesce=True)
+        cache = PendingCache(origin=1, coalesce=True)
         grouped = make_update(container=A, key="k", block=3)
         plain = make_update(container=A, key="k")
         cache.enqueue(grouped)
@@ -121,7 +148,7 @@ class TestCoalesce:
         assert cache.drain([A]) == [grouped, plain]
 
     def test_byte_total_follows_replacement(self):
-        cache = PendingCache(coalesce=True)
+        cache = PendingCache(origin=1, coalesce=True)
         cache.enqueue(make_update(container=A, key="k", value=b"0" * 100))
         replacement = make_update(container=A, key="k", value=b"1" * 10)
         cache.enqueue(replacement)
@@ -134,7 +161,7 @@ class TestCoalesce:
 @settings(max_examples=50, deadline=None)
 def test_conservation_under_random_traffic(script):
     """enqueued == drained + pending, by count and by bytes."""
-    cache = PendingCache()
+    cache = PendingCache(origin=1)
     seq = 0
     enqueued = drained = 0
     enqueued_bytes = drained_bytes = 0
@@ -156,7 +183,7 @@ def test_conservation_under_random_traffic(script):
 
 
 def test_order_preserved_within_container():
-    cache = PendingCache()
+    cache = PendingCache(origin=1)
     updates = [make_update(container=A, key=f"k{i}", origin=3, seq=i + 1)
                for i in range(10)]
     for u in updates:
@@ -166,7 +193,7 @@ def test_order_preserved_within_container():
 
 
 def test_no_partial_block_ever_drains():
-    cache = PendingCache()
+    cache = PendingCache(origin=1)
     members = [make_update(container=[A, B][i % 2], key=f"m{i}", block=7, origin=4)
                for i in range(6)]
     for u in members:
@@ -180,7 +207,7 @@ def test_no_partial_block_ever_drains():
 def test_members_pulled_from_one_container_keep_arrival_order():
     # B holds members of blocks 1 and 2, block 2's first; draining A
     # touches block 1 before block 2, yet B's members leave in B's order.
-    cache = PendingCache()
+    cache = PendingCache(origin=1)
     for u in [make_update(container=B, key="b2", block=2, origin=5, seq=1),
               make_update(container=B, key="b1", block=1, origin=5, seq=2),
               make_update(container=B, key="loose", origin=5, seq=3),

@@ -10,13 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from georep.bounds import Bound, ContainerId, SeqWindow
+from georep.bounds import Bound, ContainerId, SeqWindow, Update
 from georep.cache import PendingCache
 from georep.cluster import ClusterNode
 from georep.engine import Simulation
 from georep.errors import ProtocolError
 from georep.scenario import load_scenario
-from georep.shipping import Batch, Trigger
+from georep.shipping import Batch, ReplicationSource, Trigger
 
 from conftest import make_update
 
@@ -83,7 +83,7 @@ def test_seq_below_one_raises_in_the_window(seq):
 
 @pytest.mark.parametrize("seq", [0, -3])
 def test_seq_below_one_raises_in_enqueue(seq):
-    cache = PendingCache()
+    cache = PendingCache(origin=1)
     with pytest.raises(ProtocolError, match="below 1"):
         cache.enqueue(make_update(origin=1, seq=seq))
     assert cache.total_pending_count == 0
@@ -96,6 +96,32 @@ def test_seq_below_one_raises_in_apply_remote(seq):
     with pytest.raises(ProtocolError, match="below 1"):
         node.apply_remote(batch)
     assert node.store == {}
+
+
+def snapshot(node):
+    """Copies of a cluster's store, apply window and pending caches."""
+    return (
+        {cid: dict(cells) for cid, cells in node.store.items()},
+        dict(node._applied.floors), dict(node._applied.early),
+        {peer: ({cid: list(q) for cid, q in source.cache.queues.items()},
+                source.cache.total_pending_count, dict(source.cache._seen.floors))
+         for peer, source in node.sources.items()},
+    )
+
+
+def test_a_batch_with_a_seq_below_one_changes_nothing():
+    # Cluster 2 relays to 3, has applied (1, 1) and holds its own write
+    # pending for 3; a batch [(1, 2), (1, 0)] must leave all of it as is.
+    node = ClusterNode(2, [1, 3], default_bound=Bound(pending=100))
+    node.apply_remote(Batch.build([make_update(key="a", origin=1, seq=1)], 1, 2, 0,
+                                  Trigger.COUNT))
+    node.put(CID, "mine", b"v")
+    before = snapshot(node)
+    bad = Batch.build([make_update(key="b", origin=1, seq=2),
+                       make_update(key="a", origin=1, seq=0)], 1, 2, 5, Trigger.COUNT)
+    with pytest.raises(ProtocolError, match=r"update \(1, 0\) has a sequence number below 1"):
+        node.apply_remote(bad)
+    assert snapshot(node) == before
 
 
 # -- whole runs: windows stay one floor per origin ---------------------
@@ -177,10 +203,39 @@ def test_windows_end_as_one_floor_per_origin_at_any_length(tmp_path, text, write
         for cid, node in sim.clusters.items():
             assert node._applied.floors == {o: wal[o] for o in upstream[cid]}
             assert node._applied.early == {}
-            # A source sees every seq of its own cluster's writes.
+            # A source sees every seq of its own cluster's writes and
+            # tracks no foreign origin, relaying or not.
+            own = {cid: wal[cid]} if wal[cid] else {}
             for source in node.sources.values():
-                assert source.cache._seen.floors.get(cid, 0) == wal[cid]
-                assert cid not in source.cache._seen.early
+                assert source.cache._seen.floors == own
+                assert source.cache._seen.early == {}
+
+
+@pytest.mark.parametrize("text", [CHAIN, MESH, MESH.replace(
+    "default = 150 30 0", "default = 150 30 0\ncoalesce = true")],
+    ids=["chain", "mesh", "coalescing-mesh"])
+def test_no_source_is_offered_a_foreign_update_twice(tmp_path, monkeypatch, text):
+    # Why the caches need not track foreign seqs: a foreign update
+    # reaches a source only by relaying, once, when remote apply first
+    # sees it.
+    offered: dict[int, list[tuple[int, int]]] = {}
+
+    def recording(method):
+        def record(source, updates, *args):
+            foreign = [updates] if isinstance(updates, Update) else updates
+            offered.setdefault(id(source), []).extend(
+                (u.origin, u.seq) for u in foreign if u.origin != source.source)
+            return method(source, updates, *args)
+        return record
+
+    for name in ("offer", "offer_group", "ship_group_now"):
+        monkeypatch.setattr(ReplicationSource, name,
+                            recording(getattr(ReplicationSource, name)))
+    sim, result = run(tmp_path, text, 1600)
+    assert len(set(result.digests.values())) == 1
+    assert sum(map(len, offered.values())) > 1000
+    for identities in offered.values():
+        assert len(identities) == len(set(identities))
 
 
 # -- coalescing leaves gaps; redelivery is still caught ---------------

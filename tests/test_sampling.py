@@ -1,14 +1,39 @@
-"""Backlog sampling: sampling only the links whose cluster acted gives the
-same pending_max rows as sampling every link at every event boundary."""
+"""Backlog sampling: sampling only where a backlog can have changed gives
+the same pending_max rows as sampling every link after every client op,
+delivery and tick."""
+
+import dataclasses
+from pathlib import Path
 
 import pytest
 
 from georep.engine import Simulation
 from georep.scenario import load_scenario
+from georep.workload import BlockStartOp, ReadOp, WriteOp
+
+from conftest import SCENARIO_DIR
+
+BENCH_WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads"
 
 
 class EveryLinkSimulation(Simulation):
     """The reference rule: every link after every op, delivery and tick."""
+
+    def _apply_ops(self, group):
+        for _, origin, op in group:
+            session = self.sessions[origin]
+            if isinstance(op, WriteOp):
+                session.put(op.container, op.key, op.value)
+                self._client_ops += 1
+            elif isinstance(op, ReadOp):
+                session.read(op.container, op.key)
+                self._client_ops += 1
+            elif isinstance(op, BlockStartOp):
+                session.start_block(op.mode)
+            else:
+                session.end_block()
+            self._sample_pending(None)
+        self._arm_tick()
 
     def _sample_pending(self, changed=None):
         super()._sample_pending(None)
@@ -61,6 +86,30 @@ origins = 1 2 3
 """
 
 
+# One write every ten ops on a 1>2 link whose count bound never trips:
+# the backlog only grows, and every other 5 ms window holds reads only,
+# so only the window rule records the backlog there.
+READS = """\
+[topology]
+clusters = 1 2
+links = 1>2
+
+[network]
+latency_ms = 10
+window_ms = 5
+
+[bounds]
+default = 0 100000 0
+
+[workload]
+operations = 200
+write_fraction = 0.1
+distribution = uniform
+keyspace = 50
+value_bytes = 10
+"""
+
+
 def mesh(tmp_path):
     path = tmp_path / "mesh-partition.ini"
     path.write_text(MESH, encoding="utf-8")
@@ -71,10 +120,31 @@ def rows(simulation_class, scenario):
     return simulation_class(scenario).run().rows
 
 
-@pytest.mark.parametrize("name", ["ring-partition", "blocks-mixed"])
+def bench_workload(name, ops=3000):
+    """A benchmark workload cut to about ``ops`` client ops."""
+    scenario = load_scenario(BENCH_WORKLOADS / f"{name}.ini")
+    spec = scenario.workload
+    if spec.block_script is None:
+        spec = dataclasses.replace(spec, operations=ops)
+    else:
+        script = spec.block_script
+        count = ops // (script.puts_per_block + 2)
+        spec = dataclasses.replace(spec, block_script=dataclasses.replace(script, count=count))
+    return dataclasses.replace(scenario, workload=spec)
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in SCENARIO_DIR.glob("*.ini")))
 def test_bundled_scenarios_match_every_link_sampling(scenario_dir, name):
     scenario = load_scenario(scenario_dir / f"{name}.ini")
     assert rows(Simulation, scenario) == rows(EveryLinkSimulation, scenario)
+
+
+@pytest.mark.parametrize("name", ["steady", "burst", "mesh", "blocks"])
+def test_bench_workloads_match_every_link_sampling(name):
+    scenario = bench_workload(name)
+    expected = rows(EveryLinkSimulation, scenario)
+    assert rows(Simulation, scenario) == expected
+    assert any(r.pending_max > 0 for r in expected)
 
 
 def test_partitioned_mesh_matches_every_link_sampling(tmp_path):
@@ -83,6 +153,16 @@ def test_partitioned_mesh_matches_every_link_sampling(tmp_path):
     assert rows(Simulation, scenario) == expected
     assert any(r.pending_max > 0 and r.bytes == 0 and r.staleness_max_ms == 0
                for r in expected)
+
+
+def test_read_only_windows_match_every_link_sampling(tmp_path):
+    path = tmp_path / "reads.ini"
+    path.write_text(READS, encoding="utf-8")
+    scenario = load_scenario(path)
+    expected = rows(EveryLinkSimulation, scenario)
+    assert rows(Simulation, scenario) == expected
+    # Windows [10, 15), [20, 25), ... hold reads only, yet carry a row.
+    assert {r.window_start_ms for r in expected} >= set(range(10, 200, 10))
 
 
 def test_idle_backlog_across_a_window_boundary_needs_the_window_rule(tmp_path):

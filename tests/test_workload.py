@@ -1,5 +1,6 @@
 """Workload generation: mixes, key distributions, pacing, block scripts."""
 
+import bisect
 import math
 import random
 from collections import Counter
@@ -53,6 +54,81 @@ class TestMix:
         writes = sum(isinstance(op, WriteOp) for op in ops)
         assert len(ops) == n
         assert writes == math.floor(n * wf)
+
+
+def reference_generate(spec):
+    """The generator as first written, one frozen record per op: each op
+    as (instant, origin, kind, fields)."""
+    rng = random.Random(spec.seed)
+    if spec.block_script is not None:
+        script = spec.block_script
+        for bi in range(script.count):
+            at_ms = bi * script.spacing_ms
+            origin = spec.origins[bi % len(spec.origins)]
+            yield at_ms, origin, "BlockStartOp", (script.pattern[bi % len(script.pattern)],)
+            for pi in range(script.puts_per_block):
+                cid = script.containers[pi % len(script.containers)]
+                yield at_ms, origin, "WriteOp", (cid, f"b{bi}-p{pi}",
+                                                 rng.randbytes(spec.value_bytes))
+            yield at_ms, origin, "BlockEndOp", ()
+        return
+    sampler = None
+    if spec.distribution == "zipfian":
+        sampler = ZipfianSampler(spec.keyspace, spec.zipf_constant)
+    cids = [cid for cid, _ in spec.containers]
+    cum_weights = None
+    if len(cids) > 1:
+        total = sum(w for _, w in spec.containers)
+        acc = 0.0
+        cum_weights = []
+        for _, w in spec.containers:
+            acc += w
+            cum_weights.append(acc / total)
+        cum_weights[-1] = 1.0
+    for k in range(spec.operations):
+        at_ms = (k // spec.burst_ops) * spec.burst_spacing_ms
+        origin = spec.origins[k % len(spec.origins)]
+        if cum_weights is None:
+            cid = cids[0]
+        else:
+            cid = cids[bisect.bisect_right(cum_weights, rng.random())]
+        idx = sampler.sample(rng) if sampler is not None else rng.randrange(spec.keyspace)
+        key = f"c{origin}-user{idx}" if spec.disjoint_keys else f"user{idx}"
+        wf = spec.write_fraction
+        if math.floor((k + 1) * wf) > math.floor(k * wf):
+            yield at_ms, origin, "WriteOp", (cid, key, rng.randbytes(spec.value_bytes))
+        else:
+            yield at_ms, origin, "ReadOp", (cid, key)
+
+
+scripts = st.builds(
+    BlockScript, count=st.integers(1, 12), puts_per_block=st.integers(1, 5),
+    pattern=st.lists(st.sampled_from(BlockMode), min_size=1, max_size=4).map(tuple),
+    containers=st.lists(st.sampled_from([CID, ContainerId("t", "f"), ContainerId("u", "f")]),
+                        min_size=1, max_size=3).map(tuple),
+    spacing_ms=st.integers(1, 3))
+specs = st.builds(
+    WorkloadSpec, operations=st.integers(1, 300),
+    write_fraction=st.sampled_from([0.0, 1.0, 1 / 3, 0.999, 0.5]) | st.floats(0, 1),
+    distribution=st.sampled_from(["zipfian", "uniform"]),
+    zipf_constant=st.sampled_from([0.5, 0.99]), keyspace=st.integers(1, 300),
+    value_bytes=st.integers(1, 40),
+    containers=st.lists(st.tuples(st.sampled_from([CID, ContainerId("t", "f"),
+                                                   ContainerId("u", "f")]),
+                                  st.floats(0.1, 5.0)),
+                        min_size=1, max_size=3).map(tuple),
+    seed=st.integers(0, 2**32), burst_ops=st.integers(1, 7),
+    burst_spacing_ms=st.integers(1, 4),
+    origins=st.lists(st.integers(1, 4), min_size=1, max_size=3).map(tuple),
+    disjoint_keys=st.booleans(), block_script=st.none() | scripts)
+
+
+@given(specs)
+@settings(max_examples=200, deadline=None)
+def test_stream_matches_the_reference_generator(workload):
+    got = [(at_ms, origin, type(op).__name__, tuple(op))
+           for at_ms, origin, op in generate(workload)]
+    assert got == list(reference_generate(workload))
 
 
 class TestDeterminism:
