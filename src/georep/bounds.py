@@ -130,12 +130,11 @@ class Update:
     origin: int
     seq: int
     block: int | None = None
-    size_bytes: int = 0
+    size_bytes: int = field(init=False)
     _numeric: object = field(default=_UNPARSED, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.size_bytes == 0:
-            self.size_bytes = update_size(self.key, self.value)
+        self.size_bytes = update_size(self.key, self.value)
 
     @property
     def numeric(self) -> float | None:

@@ -1,10 +1,11 @@
 """A simulated data-center replica.
 
-Each cluster owns a key-value store keyed by container, an append-only
-write-ahead log of its local writes, and one replication source per
-peer.  A store cell is the ``Update`` that wrote it: a local write
-stores the update it appends to the WAL, and a remote batch stores the
-delivered update objects, so a replica keeps no copy of its own.
+Each cluster owns a key-value store keyed by container, a counter that
+numbers its local writes, and one replication source per peer.  No log
+of past writes is kept: nothing reads one back.  A store cell is the
+``Update`` that wrote it: a local write stores the update it creates,
+and a remote batch stores the delivered update objects, so a replica
+keeps no copy of its own.
 
 Local writes apply unconditionally; remote batches apply under
 last-writer-wins on ``Update.version``, the triple
@@ -70,7 +71,8 @@ class ClusterNode:
         self.now_fn = now_fn
         self.on_ship: ShipFn = on_ship or (lambda source, batch: None)
         self.store: Store = {}
-        self.wal: list[Update] = []
+        # Seq of the latest local write; the next one gets last_seq + 1.
+        self.last_seq = 0
         self.sources: dict[int, ReplicationSource] = {
             peer: ReplicationSource(cluster_id, peer, bounds, default_bound, mode, coalesce)
             for peer in sorted(peers)
@@ -84,11 +86,11 @@ class ClusterNode:
                   block: int | None = None) -> Update:
         """Durably apply one local write; the caller decides when it is
         offered for replication (immediately, or on group close)."""
+        self.last_seq += 1
         update = Update(
             container=cid, key=key, value=value, wall_ms=self.now_fn(),
-            origin=self.cluster_id, seq=len(self.wal) + 1, block=block,
+            origin=self.cluster_id, seq=self.last_seq, block=block,
         )
-        self.wal.append(update)
         cells = self.store.get(cid)
         if cells is None:
             cells = self.store[cid] = {}

@@ -31,12 +31,13 @@ updates, trigger and creation time) plus its delivery time and the
 post-shipment arrival counters of the involved containers, which is
 what the structural tests inspect.  A record lives as long as the run.
 
-These records and each cluster's write-ahead log are the state that
-grows with every update.  The exactly-once filter in remote apply keeps
-a floor per origin plus the seqs that arrived ahead of a gap, so in a
-run where every seq arrives it stays one entry per origin however long
-the run; a pending cache checks only its own cluster's seqs, which
-always end as one floor.
+These records are the only state that grows with every update: a
+cluster numbers its writes from a counter and keeps no log, and the
+metric ledger grows with windows.  The exactly-once filter in remote
+apply keeps a floor per origin plus the seqs that arrived ahead of a
+gap, so in a run where every seq arrives it stays one entry per origin
+however long the run; a pending cache checks only its own cluster's
+seqs, which always end as one floor.
 """
 
 from __future__ import annotations
@@ -108,7 +109,7 @@ class Simulation:
 
     def __init__(self, scenario: Scenario) -> None:
         self.scenario = scenario
-        self.net = SimNet(scenario.window_ms, scenario.max_events)
+        self.net = SimNet(max_events=scenario.max_events)
         for (src, dst), spec in scenario.links.items():
             self.net.add_link(src, dst, spec)
         self.clusters: dict[int, ClusterNode] = {}
@@ -248,7 +249,7 @@ class Simulation:
         first_digest = first.digest()
         digests = {cid: first_digest if node is first else node.digest(first, first_digest)
                    for cid, node in self.clusters.items()}
-        rows = self.metrics.build_rows(self.net)
+        rows = self.metrics.build_rows()
         summary = self._summarize(rows, digests, ops_per_sec)
         return RunResult(
             scenario_name=self.scenario.name, rows=rows, summary=summary,
@@ -295,7 +296,7 @@ class Simulation:
             "total_batches": sum(r.batches for r in rows),
             "peak_window_bytes": max((r.bytes for r in rows), default=0),
             "max_batch_bytes": max((r.max_batch_bytes for r in rows), default=0),
-            "max_staleness_ms": self.metrics.max_staleness_ms,
+            "max_staleness_ms": max((r.staleness_max_ms for r in rows), default=0),
             "pending_max_per_container": pending_peaks,
             "digests": {str(cid): digest for cid, digest in sorted(digests.items())},
             "applied": {str(cid): t.applied for cid, t in sorted(self.tallies.items())},

@@ -11,11 +11,14 @@ scenarios and seeds produce byte-identical files.  Host-dependent
 figures (ingestion ops/sec) go to the JSON summary next to the CSV,
 never into the CSV itself.
 
-bytes/batches/max_batch_bytes are charged at batch delivery time.
-staleness_max_ms is the oldest age (delivery time minus the update's
-original write time) among updates delivered in the window.
-pending_max is the largest shipping backlog (updates queued for the
-link) observed at an event boundary inside the window.
+One ``MetricsCollector`` ledger maps each (window, link) to the record
+its row is read from.  bytes/batches/max_batch_bytes and
+staleness_max_ms are charged together at batch delivery, in the window
+of the delivery instant.  staleness_max_ms is the oldest age (delivery
+time minus the update's original write time) among updates delivered in
+the window.  pending_max is the largest shipping backlog (updates queued
+for the link) observed at an event boundary inside the window; a sample
+of an empty backlog adds no row.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from pathlib import Path
 
 from .errors import ScenarioError
 from .shipping import Batch
-from .simnet import SimNet
 
 Link = tuple[int, int]
 
@@ -51,52 +53,60 @@ class Row:
 
 
 @dataclass(slots=True)
+class LinkWindow:
+    """One link's figures in one metric window: a CSV row in the making."""
+
+    bytes: int = 0
+    batches: int = 0
+    max_batch_bytes: int = 0
+    pending_max: int = 0
+    staleness_max_ms: int = 0
+
+
+@dataclass(slots=True)
 class MetricsCollector:
-    """Accumulates the engine-side metrics (staleness, backlog) that the
-    network layer cannot see; merges with the network's byte accounting
-    into CSV rows."""
+    """The one ledger of per-window figures, keyed by (window, link);
+    a record exists once its window saw a delivery or a nonzero backlog."""
 
     window_ms: int
-    staleness: dict[tuple[Link, int], int] = field(default_factory=dict)
-    pending: dict[tuple[Link, int], int] = field(default_factory=dict)
-    max_staleness_ms: int = 0
+    ledger: dict[tuple[int, Link], LinkWindow] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if self.window_ms <= 0:
+            raise ScenarioError(f"metric window must be positive: {self.window_ms}")
 
     def note_delivery(self, link: Link, batch: Batch, now: int) -> None:
-        window = now // self.window_ms
-        worst = self.staleness.get((link, window), 0)
+        key = (now // self.window_ms, link)
+        record = self.ledger.get(key)
+        if record is None:
+            record = self.ledger[key] = LinkWindow()
+        size = batch.total_bytes
+        record.bytes += size
+        record.batches += 1
+        if size > record.max_batch_bytes:
+            record.max_batch_bytes = size
+        worst = record.staleness_max_ms
         for u in batch.updates:
             age = now - u.wall_ms
             if age > worst:
                 worst = age
-        self.staleness[(link, window)] = worst
-        if worst > self.max_staleness_ms:
-            self.max_staleness_ms = worst
+        record.staleness_max_ms = worst
 
     def sample_pending(self, link: Link, count: int, now: int) -> None:
-        key = (link, now // self.window_ms)
-        if count > self.pending.get(key, 0):
-            self.pending[key] = count
+        if count <= 0:
+            return
+        key = (now // self.window_ms, link)
+        record = self.ledger.get(key)
+        if record is None:
+            record = self.ledger[key] = LinkWindow(pending_max=count)
+        elif count > record.pending_max:
+            record.pending_max = count
 
-    def build_rows(self, net: SimNet) -> list[Row]:
-        windows: dict[tuple[int, Link], Row] = {}
-        keys: set[tuple[Link, int]] = set()
-        for link, stats in net.stats.items():
-            keys.update((link, w) for w in stats.bytes)
-        keys.update(self.staleness)
-        keys.update(self.pending)
-        for link, window in keys:
-            stats = net.stats[link]
-            windows[(window, link)] = Row(
-                window_start_ms=window * self.window_ms,
-                link_src=link[0],
-                link_dst=link[1],
-                bytes=stats.bytes.get(window, 0),
-                batches=stats.batches.get(window, 0),
-                max_batch_bytes=stats.max_batch_bytes.get(window, 0),
-                pending_max=self.pending.get((link, window), 0),
-                staleness_max_ms=self.staleness.get((link, window), 0),
-            )
-        return [windows[key] for key in sorted(windows)]
+    def build_rows(self) -> list[Row]:
+        """One row per ledger record, sorted by window, then link."""
+        return [Row(window * self.window_ms, src, dst, r.bytes, r.batches,
+                    r.max_batch_bytes, r.pending_max, r.staleness_max_ms)
+                for (window, (src, dst)), r in sorted(self.ledger.items())]
 
 
 def write_csv(path: str | Path, rows: list[Row]) -> None:

@@ -155,6 +155,9 @@ def load_scenario(path: str | Path, seed_override: int | None = None) -> Scenari
     window_ms = _parse_int(net.get("window_ms", "1000"), "network.window_ms")
     max_events = _parse_int(net.get("max_events", str(DEFAULT_MAX_EVENTS)),
                             "network.max_events")
+    for key, value in (("window_ms", window_ms), ("max_events", max_events)):
+        if value <= 0:
+            raise ScenarioError(f"network.{key} must be positive: {value}")
     partitions: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for line in net.get("partitions", "").splitlines():
         line = line.strip()

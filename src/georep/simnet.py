@@ -7,9 +7,10 @@ runs before every queued event at the same instant.
 
 Links have a fixed latency and a list of scheduled outage windows.  A
 batch submitted while its link is down is not lost: delivery is retried
-the moment the outage window closes.  Delivered bytes are charged to the
-metric window containing the delivery instant, so the per-window byte
-totals always sum to the bytes actually delivered.
+the moment the outage window closes.  The network keeps no accounting of
+its own: it calls the sender's ``deliver`` at the arrival instant, and
+the engine's handler charges the batch to the metric window of that
+instant (``metrics.MetricsCollector``).
 
 Link capacity is not modeled: there is no queuing delay, so traffic
 peaks are measured rather than shaped.
@@ -19,7 +20,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable
 
 from .errors import LivelockError, ScenarioError
@@ -64,36 +66,19 @@ class LinkSpec:
         return None
 
 
-@dataclass(slots=True)
-class LinkStats:
-    """Per-window delivery accounting for one link."""
-
-    bytes: dict[int, int] = field(default_factory=dict)
-    batches: dict[int, int] = field(default_factory=dict)
-    max_batch_bytes: dict[int, int] = field(default_factory=dict)
-    total_bytes: int = 0
-    total_batches: int = 0
-
-
 class SimNet:
     """Single-threaded simulated network and event loop."""
 
-    def __init__(self, window_ms: int = 1000,
-                 max_events: int = DEFAULT_MAX_EVENTS) -> None:
-        if window_ms <= 0:
-            raise ScenarioError(f"metric window must be positive: {window_ms}")
+    def __init__(self, max_events: int = DEFAULT_MAX_EVENTS) -> None:
         self.now = 0
-        self.window_ms = window_ms
         self.max_events = max_events
         self.links: dict[Link, LinkSpec] = {}
-        self.stats: dict[Link, LinkStats] = {}
         self._queue: list[tuple[int, int, Callable[[], None]]] = []
         self._order = itertools.count()
         self._events_run = 0
 
     def add_link(self, src: int, dst: int, spec: LinkSpec) -> None:
         self.links[(src, dst)] = spec
-        self.stats[(src, dst)] = LinkStats()
 
     def schedule(self, at_ms: int, fn: Callable[[], None]) -> None:
         """Queue ``fn`` to run at ``at_ms``; same-instant events run in
@@ -109,34 +94,18 @@ class SimNet:
         when the current outage window ends (at-least-once from the
         sender's view; receivers apply idempotently).
         """
-        link = (batch.source, batch.destination)
-        spec = self.links.get(link)
+        spec = self.links.get((batch.source, batch.destination))
         if spec is None:
             raise ScenarioError(f"no link from cluster {batch.source} to {batch.destination}")
-        self._try_send(link, spec, batch, deliver)
+        self._try_send(spec, batch, deliver)
 
-    def _try_send(self, link: Link, spec: LinkSpec, batch: Batch,
+    def _try_send(self, spec: LinkSpec, batch: Batch,
                   deliver: Callable[[Batch], None]) -> None:
         retry_at = spec.down_until(self.now)
         if retry_at is not None:
-            self.schedule(retry_at, lambda: self._try_send(link, spec, batch, deliver))
-            return
-
-        def arrive() -> None:
-            self._charge(link, batch)
-            deliver(batch)
-
-        self.schedule(self.now + spec.latency_ms, arrive)
-
-    def _charge(self, link: Link, batch: Batch) -> None:
-        window = self.now // self.window_ms
-        stats = self.stats[link]
-        stats.bytes[window] = stats.bytes.get(window, 0) + batch.total_bytes
-        stats.batches[window] = stats.batches.get(window, 0) + 1
-        if batch.total_bytes > stats.max_batch_bytes.get(window, 0):
-            stats.max_batch_bytes[window] = batch.total_bytes
-        stats.total_bytes += batch.total_bytes
-        stats.total_batches += 1
+            self.schedule(retry_at, partial(self._try_send, spec, batch, deliver))
+        else:
+            self.schedule(self.now + spec.latency_ms, partial(deliver, batch))
 
     @property
     def events_pending(self) -> bool:

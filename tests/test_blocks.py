@@ -70,7 +70,7 @@ class TestPutSemantics:
         session, node = session_with(default_bound=Bound(pending=100))
         block_id = session.start_block(BlockMode.ANY)
         session.put(ORDERS, "k", b"v")
-        assert node.wal[-1].block == block_id
+        assert node.store[ORDERS]["k"].block == block_id
 
 
 class TestImmediateBlocks:

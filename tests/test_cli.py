@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from georep.cli import main
 
 
@@ -67,6 +69,12 @@ class TestValidate:
                      "nan.ini")
         assert main(["validate", str(path)]) == 2
         assert "drift limit must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["window_ms", "max_events"])
+    def test_non_positive_network_setting_exits_two(self, tmp_path, capsys, key):
+        path = write(tmp_path, GOOD + f"\n[network]\n{key} = 0\n", f"{key}.ini")
+        assert main(["validate", str(path)]) == 2
+        assert f"network.{key} must be positive" in capsys.readouterr().err
 
     def test_missing_file_exits_two(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "absent.ini")]) == 2

@@ -41,8 +41,8 @@ class TestLocalWrites:
     def test_store_holds_the_wal_entry_itself(self):
         node = make_node()
         node.put(CID, "k", b"v")
-        node.local_put(CID, "k", b"w", block=node.next_block_id())
-        assert node.store[CID]["k"] is node.wal[-1]
+        update = node.local_put(CID, "k", b"w", block=node.next_block_id())
+        assert node.store[CID]["k"] is update
 
     def test_later_local_write_wins(self):
         clock = [5]
@@ -54,9 +54,11 @@ class TestLocalWrites:
 
     def test_wal_sequences_are_contiguous_from_one(self):
         node = make_node()
-        for i in range(5):
-            node.put(CID, f"k{i}", b"v")
-        assert [u.seq for u in node.wal] == [1, 2, 3, 4, 5]
+        updates = [node.put(CID, f"k{i}", b"v") for i in range(3)]
+        updates += [node.local_put(CID, f"b{i}", b"v", block=node.next_block_id())
+                    for i in range(2)]
+        assert [u.seq for u in updates] == [1, 2, 3, 4, 5]
+        assert node.last_seq == 5
 
     def test_get_missing_key_is_none(self):
         assert make_node().get(CID, "nope") is None

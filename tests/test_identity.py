@@ -198,14 +198,14 @@ def test_windows_end_as_one_floor_per_origin_at_any_length(tmp_path, text, write
         assert len(set(result.digests.values())) == 1
         # Only the mesh delivers some updates twice, by two paths.
         assert any(t.duplicates for t in result.tallies.values()) == (len(writers) > 1)
-        wal = {cid: len(node.wal) for cid, node in sim.clusters.items()}
-        assert {cid for cid, n in wal.items() if n} == writers
+        writes = {cid: node.last_seq for cid, node in sim.clusters.items()}
+        assert {cid for cid, n in writes.items() if n} == writers
         for cid, node in sim.clusters.items():
-            assert node._applied.floors == {o: wal[o] for o in upstream[cid]}
+            assert node._applied.floors == {o: writes[o] for o in upstream[cid]}
             assert node._applied.early == {}
             # A source sees every seq of its own cluster's writes and
             # tracks no foreign origin, relaying or not.
-            own = {cid: wal[cid]} if wal[cid] else {}
+            own = {cid: writes[cid]} if writes[cid] else {}
             for source in node.sources.values():
                 assert source.cache._seen.floors == own
                 assert source.cache._seen.early == {}

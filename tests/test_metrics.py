@@ -1,9 +1,11 @@
-"""CSV contract, staleness/backlog collection and run comparison."""
+"""CSV contract, the per-window ledger and run comparison."""
 
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from georep.errors import ScenarioError
 from georep.metrics import (
@@ -62,6 +64,27 @@ class TestCsvContract:
             read_csv(tmp_path / "absent.csv")
 
 
+def batch_for(src, dst, n_updates=1):
+    updates = [make_update(key=f"k{i}", origin=src) for i in range(n_updates)]
+    return Batch.build(updates, src, dst, 0, Trigger.COUNT)
+
+
+def delivered_through(window_ms, latency_ms, sends):
+    """A collector charged by a network: each (at_ms, batch) is
+    submitted at its instant on link 1>2 and noted on arrival."""
+    net = SimNet()
+    net.add_link(1, 2, LinkSpec(latency_ms=latency_ms))
+    coll = MetricsCollector(window_ms=window_ms)
+
+    def deliver(batch):
+        coll.note_delivery((batch.source, batch.destination), batch, net.now)
+
+    for at_ms, batch in sends:
+        net.schedule(at_ms, lambda b=batch: net.submit(b, deliver))
+    net.run_until_quiescent()
+    return coll
+
+
 class TestCollector:
     def batch_at(self, wall_times, created=0):
         updates = [make_update(key=f"k{i}", wall_ms=w)
@@ -71,32 +94,29 @@ class TestCollector:
     def test_staleness_is_oldest_delivered_age(self):
         coll = MetricsCollector(window_ms=1000)
         coll.note_delivery((1, 2), self.batch_at([100, 700]), now=800)
-        assert coll.staleness[((1, 2), 0)] == 700
-        assert coll.max_staleness_ms == 700
+        [r] = coll.build_rows()
+        assert r.staleness_max_ms == 700
 
     def test_staleness_keeps_window_maximum(self):
         coll = MetricsCollector(window_ms=1000)
         coll.note_delivery((1, 2), self.batch_at([500]), now=600)
         coll.note_delivery((1, 2), self.batch_at([550]), now=650)
-        assert coll.staleness[((1, 2), 0)] == 100
+        [r] = coll.build_rows()
+        assert (r.staleness_max_ms, r.batches) == (100, 2)
 
     def test_pending_sample_keeps_window_maximum(self):
         coll = MetricsCollector(window_ms=1000)
         coll.sample_pending((1, 2), 5, now=100)
         coll.sample_pending((1, 2), 9, now=200)
         coll.sample_pending((1, 2), 2, now=300)
-        assert coll.pending[((1, 2), 0)] == 9
+        [r] = coll.build_rows()
+        assert (r.pending_max, r.bytes, r.batches, r.staleness_max_ms) == (9, 0, 0, 0)
 
     def test_rows_merge_network_and_collector_views(self):
-        net = SimNet(window_ms=1000)
-        net.add_link(1, 2, LinkSpec(latency_ms=0))
         batch = self.batch_at([0])
-        net.schedule(500, lambda: net.submit(batch, lambda b: None))
-        net.run_until_quiescent()
-        coll = MetricsCollector(window_ms=1000)
-        coll.note_delivery((1, 2), batch, now=500)
+        coll = delivered_through(1000, 0, [(500, batch)])
         coll.sample_pending((1, 2), 3, now=1500)  # backlog-only window
-        rows = coll.build_rows(net)
+        rows = coll.build_rows()
         assert [r.window_start_ms for r in rows] == [0, 1000]
         assert rows[0].bytes == batch.total_bytes
         assert rows[0].staleness_max_ms == 500
@@ -104,16 +124,101 @@ class TestCollector:
         assert rows[1].pending_max == 3
 
     def test_rows_sorted_by_window_then_link(self):
-        net = SimNet(window_ms=100)
-        net.add_link(1, 2, LinkSpec(latency_ms=0))
-        net.add_link(2, 1, LinkSpec(latency_ms=0))
         coll = MetricsCollector(window_ms=100)
         coll.sample_pending((2, 1), 1, now=0)
         coll.sample_pending((1, 2), 1, now=0)
         coll.sample_pending((1, 2), 1, now=250)
-        rows = coll.build_rows(net)
+        rows = coll.build_rows()
         assert [(r.window_start_ms, r.link_src, r.link_dst) for r in rows] == \
             [(0, 1, 2), (0, 2, 1), (200, 1, 2)]
+
+
+class TestWindowAccounting:
+    def test_bytes_charged_to_the_delivery_window(self):
+        batch = batch_for(1, 2)
+        rows = delivered_through(1000, 10, [(995, batch)]).build_rows()
+        # Charged in the window of t=1005, not of the send at t=995.
+        assert [(r.window_start_ms, r.bytes) for r in rows] == [(1000, batch.total_bytes)]
+
+    def test_window_totals_sum_to_delivered_bytes(self):
+        batches = [batch_for(1, 2, n_updates=1 + i) for i in range(5)]
+        sends = [(i * 77, b) for i, b in enumerate(batches)]
+        rows = delivered_through(100, 30, sends).build_rows()
+        assert len(rows) > 1
+        assert sum(r.bytes for r in rows) == sum(b.total_bytes for b in batches)
+        assert sum(r.batches for r in rows) == 5
+
+    def test_max_batch_bytes_per_window(self):
+        small, large = batch_for(1, 2, 1), batch_for(1, 2, 9)
+        rows = delivered_through(1000, 0, [(0, small), (1, large)]).build_rows()
+        assert [(r.window_start_ms, r.max_batch_bytes, r.batches) for r in rows] == \
+            [(0, large.total_bytes, 2)]
+
+    def test_non_positive_window_rejected(self):
+        for window_ms in (0, -1):
+            with pytest.raises(ScenarioError, match="metric window must be positive"):
+                MetricsCollector(window_ms=window_ms)
+
+
+def reference_rows(window_ms, events):
+    """The rows the collector gave when its figures lived in five maps
+    (bytes, batches and max batch size per link on the network side,
+    staleness and backlog maxima per (link, window) in the collector)
+    merged over the union of their keys."""
+    bytes_, batches, max_batch = {}, {}, {}
+    staleness, pending = {}, {}
+    for kind, link, payload, now in events:
+        key = (link, now // window_ms)
+        if kind == "deliver":
+            size = payload.total_bytes
+            bytes_[key] = bytes_.get(key, 0) + size
+            batches[key] = batches.get(key, 0) + 1
+            if size > max_batch.get(key, 0):
+                max_batch[key] = size
+            worst = staleness.get(key, 0)
+            for u in payload.updates:
+                worst = max(worst, now - u.wall_ms)
+            staleness[key] = worst
+        elif payload > pending.get(key, 0):
+            pending[key] = payload
+    keys = set(bytes_) | set(staleness) | set(pending)
+    return [Row(w * window_ms, link[0], link[1], bytes_.get((link, w), 0),
+                batches.get((link, w), 0), max_batch.get((link, w), 0),
+                pending.get((link, w), 0), staleness.get((link, w), 0))
+            for link, w in sorted(keys, key=lambda k: (k[1], k[0]))]
+
+
+@st.composite
+def ledger_events(draw):
+    links = draw(st.lists(st.sampled_from([(1, 2), (2, 1), (2, 3)]),
+                          min_size=1, max_size=3, unique=True))
+    now, events = 0, []
+    for _ in range(draw(st.integers(0, 40))):
+        now += draw(st.integers(0, 700))
+        link = draw(st.sampled_from(links))
+        if draw(st.booleans()):
+            # Ages from 0 up, so a batch written at its delivery instant
+            # (age 0) and an empty batch both occur.
+            ages = draw(st.lists(st.integers(0, 2000), max_size=4))
+            updates = [make_update(key=f"k{i}", wall_ms=now - age)
+                       for i, age in enumerate(ages)]
+            batch = Batch.build(updates, link[0], link[1], now, Trigger.COUNT)
+            events.append(("deliver", link, batch, now))
+        else:
+            events.append(("sample", link, draw(st.integers(0, 5)), now))
+    return events
+
+
+@settings(max_examples=300, deadline=None)
+@given(window_ms=st.integers(1, 1000), events=ledger_events())
+def test_ledger_rows_match_the_five_map_merge(window_ms, events):
+    coll = MetricsCollector(window_ms=window_ms)
+    for kind, link, payload, now in events:
+        if kind == "deliver":
+            coll.note_delivery(link, payload, now)
+        else:
+            coll.sample_pending(link, payload, now)
+    assert coll.build_rows() == reference_rows(window_ms, events)
 
 
 class TestComparison:

@@ -203,6 +203,14 @@ class TestRejections:
             "seed = 3", f"seed = 3\ncontainers = usertable:family*{weight} a:b*1"),
                     "weights must be positive and finite")
 
+    @pytest.mark.parametrize("key", ["window_ms", "max_events"])
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_non_positive_network_setting(self, tmp_path, key, value):
+        # A zero window cannot bucket the CSV, and a zero event budget
+        # aborts the run as a livelock at t=0.
+        self.reject(tmp_path, MINIMAL + f"\n[network]\n{key} = {value}\n",
+                    f"network.{key} must be positive")
+
     def test_bad_integer(self, tmp_path):
         self.reject(tmp_path, MINIMAL.replace("operations = 500",
                                               "operations = many"),

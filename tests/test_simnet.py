@@ -1,4 +1,4 @@
-"""Event loop, link latency, partitions and window byte accounting."""
+"""Event loop, link latency and partitions."""
 
 import pytest
 
@@ -150,39 +150,3 @@ class TestEventLoop:
         assert net.events_pending
         net.run_until_quiescent()
         assert not net.events_pending
-
-
-class TestWindowAccounting:
-    def test_bytes_charged_to_the_delivery_window(self):
-        net = SimNet(window_ms=1000)
-        net.add_link(1, 2, LinkSpec(latency_ms=10))
-        batch = batch_for(1, 2)
-        net.schedule(995, lambda: net.submit(batch, lambda b: None))
-        net.run_until_quiescent()
-        stats = net.stats[(1, 2)]
-        assert stats.bytes == {1: batch.total_bytes}  # window of t=1005
-
-    def test_window_totals_sum_to_delivered_bytes(self):
-        net = SimNet(window_ms=100)
-        net.add_link(1, 2, LinkSpec(latency_ms=30))
-        batches = [batch_for(1, 2, n_updates=1 + i) for i in range(5)]
-        for i, batch in enumerate(batches):
-            net.schedule(i * 77, lambda b=batch: net.submit(b, lambda _: None))
-        net.run_until_quiescent()
-        stats = net.stats[(1, 2)]
-        assert sum(stats.bytes.values()) == sum(b.total_bytes for b in batches)
-        assert stats.total_bytes == sum(b.total_bytes for b in batches)
-        assert stats.total_batches == 5
-
-    def test_max_batch_bytes_per_window(self):
-        net = SimNet(window_ms=1000)
-        net.add_link(1, 2, LinkSpec(latency_ms=0))
-        small, large = batch_for(1, 2, 1), batch_for(1, 2, 9)
-        net.schedule(0, lambda: net.submit(small, lambda b: None))
-        net.schedule(1, lambda: net.submit(large, lambda b: None))
-        net.run_until_quiescent()
-        assert net.stats[(1, 2)].max_batch_bytes == {0: large.total_bytes}
-
-    def test_non_positive_window_rejected(self):
-        with pytest.raises(ScenarioError):
-            SimNet(window_ms=0)
