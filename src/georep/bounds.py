@@ -4,7 +4,7 @@ A replicated data container is allowed to drift from its remote copies
 along three independent dimensions, each with its own limit:
 
 * ``lag_ms``   - maximum time between shipments of the container,
-* ``pending``  - maximum number of locally accumulated updates,
+* ``pending``  - maximum number of updates held back from the peer,
 * ``drift``    - maximum absolute difference between a key's current
   numeric value and the value last shipped for that key.
 
@@ -15,6 +15,12 @@ active dimensions on every arriving update (the shipping engine checks
 the lag dimension again on a periodic timer); any single dimension
 tripping causes the container's whole pending queue to be shipped as one
 batch, and the rule names the dimension that tripped.
+
+The pending dimension keeps no counter of its own.  The updates a
+container holds back are the ones in its pending-cache queue, and the
+cache reports how many there are (under coalescing, a write replaced by
+a newer one still counts until something leaves the container); the
+rule is handed that count.
 
 Payloads are parsed as numbers lazily: only the drift dimension reads
 them, so an update's payload is parsed (through ``parse_numeric``) the
@@ -225,45 +231,26 @@ def update_size(key: str, value: bytes) -> int:
 
 @dataclass(slots=True)
 class ContainerState:
-    """Live counters tracked against one container's bound.
+    """What one container's bound remembers between shipments.
 
-    ``arrivals`` counts updates seen since the container last shipped,
-    plus any that a shipment of only some of its updates left queued,
-    and always stays below an active pending limit (it resets in the
-    same step it reaches the limit).  ``shipped_value`` remembers, per key,
-    the numeric payload most recently shipped, for drift comparisons; it
-    stays empty under a bound without a drift limit.
+    ``last_ship_ms`` is when the container last shipped, for the lag
+    dimension.  ``shipped_value`` remembers, per key, the numeric payload
+    most recently shipped, for drift comparisons; it stays empty under a
+    bound without a drift limit.  The pending dimension keeps no state
+    here: the number of updates held back is read from the pending cache.
     """
 
-    arrivals: int = 0
     last_ship_ms: int = 0
     shipped_value: dict[str, float] = field(default_factory=dict)
 
-    def record_arrival(self, bound: Bound) -> bool:
-        """Count one arriving update against the pending limit.
-
-        Returns True when the update must be replicated: either the
-        limit is disabled (no holding) or the incremented counter
-        reached it, in which case the counter resets to zero.
-        """
-        if bound.pending == 0:
-            return True
-        self.arrivals += 1
-        if self.arrivals >= bound.pending:
-            self.arrivals = 0
-            return True
-        return False
-
-    def lag_expired(self, bound: Bound, now: int, pending: int) -> bool:
-        """True when updates are pending and the shipment lag limit is up.
+    def lag_expired(self, bound: Bound, now: int) -> bool:
+        """True when the shipment lag limit is up.
 
         Inclusive at the boundary: trips exactly when the elapsed time
         reaches ``lag_ms``.  Does not mutate; the shipping path advances
-        ``last_ship_ms``.
+        ``last_ship_ms``.  Callers ask only for containers holding updates.
         """
-        if bound.lag_ms == 0 or pending <= 0:
-            return False
-        return now - self.last_ship_ms >= bound.lag_ms
+        return bound.lag_ms > 0 and now - self.last_ship_ms >= bound.lag_ms
 
     def drift_exceeded(self, bound: Bound, update: Update) -> bool:
         """True when a numeric payload moved at least ``drift`` away from
@@ -278,36 +265,31 @@ class ContainerState:
             return False
         return abs(update.numeric - last) >= bound.drift
 
-    def should_ship(self, bound: Bound, update: Update, now: int) -> Trigger | None:
+    def should_ship(self, bound: Bound, update: Update, now: int,
+                    held: int) -> Trigger | None:
         """The bound rule: which active dimension trips for one arriving
         update, or None when the update may wait.
 
-        An all-disabled bound replicates immediately (COUNT).  When
-        several dimensions trip at once, count beats time beats drift.
-        The arrival counter is advanced exactly once per call, through
-        ``record_arrival``, whatever the other dimensions decide.
+        ``held`` is the number of updates the container holds back once
+        this one has arrived; the pending dimension trips when it reaches
+        the limit.  An all-disabled bound replicates immediately (COUNT).
+        When several dimensions trip at once, count beats time beats
+        drift.  Does not mutate.
         """
         if bound.pending > 0:
-            if self.record_arrival(bound):
+            if held >= bound.pending:
                 return Trigger.COUNT
         elif bound.immediate:
             return Trigger.COUNT
-        if bound.lag_ms > 0 and self.lag_expired(bound, now, pending=1):
+        if bound.lag_ms > 0 and self.lag_expired(bound, now):
             return Trigger.TIME
         if bound.drift > 0.0 and self.drift_exceeded(bound, update):
             return Trigger.DELTA
         return None
 
-    def mark_shipped(self, now: int, updates: list[Update], bound: Bound,
-                     still_queued: int = 0) -> None:
-        """Reset counters after this container shipped the given updates;
-        under a drift limit, remember their numeric payloads.
-
-        A shipment that pulled only some of the container's updates (the
-        members of a group shipped from another container) leaves the
-        rest queued; under a pending limit they stay counted.
-        """
-        self.arrivals = still_queued if bound.pending > 0 else 0
+    def mark_shipped(self, now: int, updates: list[Update], bound: Bound) -> None:
+        """Restart the lag clock after this container shipped the given
+        updates; under a drift limit, remember their numeric payloads."""
         if now > self.last_ship_ms:
             self.last_ship_ms = now
         if bound.drift > 0.0:

@@ -31,6 +31,12 @@ class PendingCache:
     groups stay intact.  Coalescing is off by default, which keeps batch
     sizes exactly equal to arrival counts.
 
+    ``pending_count`` is the number of updates a container holds back
+    from the peer, the count its pending limit is checked against.  It
+    is the length of the container's queue plus, under coalescing, the
+    writes a newer write replaced since something last left that queue:
+    a replaced write was still an arrival the peer has not seen.
+
     Every update of the cache's own cluster is remembered by its seq in
     a ``SeqWindow``.  The source sees every seq its cluster writes, so
     the window ends as one floor (a group's members fill their gap when
@@ -52,9 +58,13 @@ class PendingCache:
     total_pending_count: int = 0
     _drained_peaks: dict[ContainerId, int] = field(default_factory=dict)
     _seen: SeqWindow = field(default_factory=SeqWindow)
+    # Per container, the writes coalesced away since something last left
+    # its queue; only a coalescing cache has entries.
+    _replaced: dict[ContainerId, int] = field(default_factory=dict)
 
-    def enqueue(self, update: Update) -> None:
-        """Append an update to its container queue.
+    def enqueue(self, update: Update) -> int:
+        """Append an update to its container queue and return the
+        container's ``pending_count``.
 
         Re-enqueueing one of the own cluster's seqs is a protocol
         violation, and so is an own seq below 1.
@@ -62,14 +72,16 @@ class PendingCache:
         if update.origin == self.origin and not self._seen.add(update.origin, update.seq):
             raise ProtocolError(f"duplicate enqueue of update {(update.origin, update.seq)}")
 
-        queue = self.queues.get(update.container)
+        cid = update.container
+        queue = self.queues.get(cid)
         if queue is None:
-            queue = self.queues[update.container] = []
+            queue = self.queues[cid] = []
         if self.coalesce and update.block is None:
             for i, old in enumerate(queue):
                 if old.key == update.key and old.block is None:
                     del queue[i]
                     self.total_pending_count -= 1
+                    self._replaced[cid] = self._replaced.get(cid, 0) + 1
                     break
         queue.append(update)
         self.total_pending_count += 1
@@ -78,7 +90,8 @@ class PendingCache:
             members = self.block_index.get(bkey)
             if members is None:
                 members = self.block_index[bkey] = {}
-            members[update.container] = members.get(update.container, 0) + 1
+            members[cid] = members.get(cid, 0) + 1
+        return len(queue) + self._replaced.get(cid, 0)
 
     def peaks(self) -> dict[ContainerId, int]:
         """The largest length each container's queue has reached."""
@@ -89,7 +102,8 @@ class PendingCache:
         return peaks
 
     def pending_count(self, cid: ContainerId) -> int:
-        return len(self.queues.get(cid, ()))
+        """How many updates the container holds back (class docstring)."""
+        return len(self.queues.get(cid, ())) + self._replaced.get(cid, 0)
 
     def drain(self, cids: list[ContainerId]) -> list[Update]:
         """Remove and return every update queued for the given containers,
@@ -126,6 +140,7 @@ class PendingCache:
         if not queue:
             return []
         self._note_peak(cid, len(queue))
+        self._replaced.pop(cid, None)
         for u in queue:
             if u.block is not None:
                 blocks.append((u.origin, u.block))
@@ -144,6 +159,7 @@ class PendingCache:
         if not members:
             return []
         self._note_peak(cid, len(members) + len(remaining))
+        self._replaced.pop(cid, None)
         if remaining:
             self.queues[cid] = remaining
         else:

@@ -27,8 +27,7 @@ followed by a sample of its link, so theirs would repeat a value the
 window already holds.
 
 Every shipped batch gets a record that holds the whole ``Batch`` (its
-updates, trigger and creation time) plus its delivery time and the
-post-shipment arrival counters of the involved containers, which is
+updates, trigger and creation time) plus its delivery time, which is
 what the structural tests inspect.  A record lives as long as the run.
 
 These records are the only state that grows with every update: a
@@ -56,8 +55,6 @@ from .shipping import Batch, ReplicationSource
 from .simnet import SimNet
 from .workload import BlockStartOp, ReadOp, TimedOp, WriteOp, generate
 
-Link = tuple[int, int]
-
 
 @dataclass(slots=True)
 class BatchRecord:
@@ -65,17 +62,6 @@ class BatchRecord:
 
     batch: Batch
     delivered_ms: int = -1
-    # (container, arrivals counter) for each involved container, sampled
-    # immediately after the batch was cut.
-    counters_after: tuple[tuple[str, int], ...] = ()
-
-    @property
-    def created_ms(self) -> int:
-        return self.batch.created_ms
-
-    @property
-    def link(self) -> Link:
-        return self.batch.source, self.batch.destination
 
 
 @dataclass(slots=True)
@@ -140,9 +126,7 @@ class Simulation:
     # -- shipping and delivery -----------------------------------------
 
     def _on_ship(self, source: ReplicationSource, batch: Batch) -> None:
-        involved = sorted({u.container for u in batch.updates}, key=str)
-        record = BatchRecord(batch, counters_after=tuple(
-            (str(cid), source.state_for(cid).arrivals) for cid in involved))
+        record = BatchRecord(batch)
         self.batches.append(record)
         self.total_shipped_bytes += batch.total_bytes
         self.total_shipped_updates += len(batch.updates)

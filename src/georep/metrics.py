@@ -171,15 +171,26 @@ def _ratio(b: int, a: int) -> float:
 def compare_runs(csv_a: str | Path, csv_b: str | Path) -> Comparison:
     """Compare two run CSVs produced with the same metric window size.
 
-    Window sizes come from the runs' JSON summaries when present, else
-    are inferred from the window starts; a detectable mismatch is
-    rejected.
+    A run's window size comes from the JSON summary next to its CSV.
+    Two known sizes must be equal.  When only one is known, every window
+    start of the other run must be a multiple of it; a run that writes
+    no traffic into some windows does not show its own size, so nothing
+    more can be told.  With no summary on either side there is no check.
     """
     rows_a, rows_b = read_csv(csv_a), read_csv(csv_b)
-    win_a, win_b = _window_of(csv_a, rows_a), _window_of(csv_b, rows_b)
+    win_a, win_b = _window_of(csv_a), _window_of(csv_b)
     if win_a is not None and win_b is not None and win_a != win_b:
         raise ScenarioError(
             f"metric window mismatch: {csv_a} uses {win_a}ms, {csv_b} uses {win_b}ms")
+    for path, rows, other, window in ((csv_a, rows_a, csv_b, win_b),
+                                      (csv_b, rows_b, csv_a, win_a)):
+        if window is None:
+            continue
+        for r in rows:
+            if r.window_start_ms % window:
+                raise ScenarioError(
+                    f"metric window mismatch: {path} has a window starting at "
+                    f"{r.window_start_ms}ms, {other} uses {window}ms")
     return Comparison(
         peak_bytes_a=max((r.bytes for r in rows_a), default=0),
         peak_bytes_b=max((r.bytes for r in rows_b), default=0),
@@ -205,7 +216,8 @@ def format_comparison(comp: Comparison) -> str:
     return "\n".join(lines)
 
 
-def _window_of(csv_path: str | Path, rows: list[Row]) -> int | None:
+def _window_of(csv_path: str | Path) -> int | None:
+    """The window size in the run's JSON summary, or None without one."""
     summary_path = Path(str(csv_path)[: -len(".csv")] + ".summary.json") \
         if str(csv_path).endswith(".csv") else None
     if summary_path is not None and summary_path.exists():
@@ -216,7 +228,4 @@ def _window_of(csv_path: str | Path, rows: list[Row]) -> int | None:
                 return window
         except (OSError, ValueError):
             pass
-    starts = sorted({r.window_start_ms for r in rows if r.window_start_ms > 0})
-    if not starts:
-        return None
-    return math.gcd(*starts)
+    return None

@@ -20,7 +20,8 @@ Sections and keys:
     some_table:family = 1000 0 0    per-container bound, same triple
     pending_percent = 0.5         pending limit as a percent of the run's
                                 updates (alternative to a pending count)
-    pending_percent.tbl:fam = 2   per-container percent
+    pending_percent.tbl:fam = 2   per-container percent (over the container's
+                                triple, which must then have pending 0)
     tick_ms = 100               lag-validation timer grid
     poll_interval_ms = 1000     plain-mode shipping period
     coalesce = false            keep only the newest pending value per key
@@ -277,15 +278,23 @@ def _parse_bounds(section, total_updates: int) -> tuple[Bound, dict[ContainerId,
                               _resolve_percent(percent, total_updates),
                               default_bound.drift)
     bounds: dict[ContainerId, Bound] = {}
+    percents = []
     for key, raw in section.items():
         if key.startswith("pending_percent."):
-            cid = _parse_container(key[len("pending_percent."):])
-            base = bounds.get(cid, default_bound)
-            percent = _parse_float(raw, key)
-            bounds[cid] = Bound(base.lag_ms, _resolve_percent(percent, total_updates),
-                                base.drift)
+            percents.append((key, raw))
         elif ":" in key:
             bounds[_parse_container(key)] = _parse_bound_triple(raw, key)
+    # A container's percent applies on top of its own triple, whichever
+    # key comes first, and may not contradict a pending count in it.
+    for key, raw in percents:
+        cid = _parse_container(key[len("pending_percent."):])
+        base = bounds.get(cid)
+        if base is None:
+            base = default_bound
+        elif base.pending:
+            raise ScenarioError(f"{key} conflicts with a pending count in bounds.{cid}")
+        bounds[cid] = Bound(base.lag_ms, _resolve_percent(_parse_float(raw, key), total_updates),
+                            base.drift)
     return default_bound, bounds
 
 

@@ -64,16 +64,9 @@ class ReplicationSource:
         # Per-container (state, bound) pairs, resolved on first use;
         # offer() runs for every arriving update, so one dict hit matters.
         self._resolved: dict[ContainerId, tuple[ContainerState, Bound]] = {}
-        # With no lag dimension anywhere, timers can never ship anything;
-        # checked on every arrival, so precompute it.
-        self._any_lag = default_bound.lag_ms > 0 or \
-            any(b.lag_ms > 0 for b in self.bounds.values())
 
     def bound_for(self, cid: ContainerId) -> Bound:
         return self.bounds.get(cid, self.default_bound)
-
-    def state_for(self, cid: ContainerId) -> ContainerState:
-        return self._state_and_bound(cid)[0]
 
     def _state_and_bound(self, cid: ContainerId) -> tuple[ContainerState, Bound]:
         entry = self._resolved.get(cid)
@@ -89,22 +82,24 @@ class ReplicationSource:
         if update.origin == self.peer:
             return None
         state, bound = self._state_and_bound(update.container)
-        self.cache.enqueue(update)
+        held = self.cache.enqueue(update)
         if self.mode == "plain":
             return None
-        trigger = state.should_ship(bound, update, now)
+        trigger = state.should_ship(bound, update, now, held)
         if trigger is None:
             return None
         return self._drain([update.container], now, trigger)
 
-    def offer_group(self, updates: list[Update], now: int,
-                    trigger: Trigger = Trigger.ANY_BLOCK) -> Batch | None:
+    def offer_group(self, updates: list[Update], now: int) -> Batch | None:
         """Accept a completed atomic group in one step.
 
-        Every member is enqueued and counted before any shipping
-        decision, so the group can only leave whole.  If any member's
-        arrival trips its container's bound, the involved containers
-        drain immediately as one batch.
+        Every member is enqueued before any shipping decision, so the
+        group can only leave whole.  Each member is then evaluated
+        against its container's held-back count after the whole group;
+        the count only grows within a group, so this trips exactly when
+        some member's own arrival would have.  If any member trips its
+        container's bound, the involved containers drain immediately as
+        one batch.
         """
         accepted = [u for u in updates if u.origin != self.peer]
         if not accepted:
@@ -116,12 +111,12 @@ class ReplicationSource:
         tripped = False
         for u in accepted:
             state, bound = self._state_and_bound(u.container)
-            if state.should_ship(bound, u, now) is not None:
+            if state.should_ship(bound, u, now, self.cache.pending_count(u.container)) is not None:
                 tripped = True
         if not tripped:
             return None
         involved = _ordered_containers(accepted)
-        return self._drain(involved, now, trigger)
+        return self._drain(involved, now, Trigger.ANY_BLOCK)
 
     def ship_group_now(self, updates: list[Update], now: int) -> Batch | None:
         """Accept an atomic group that replicates immediately on close."""
@@ -145,14 +140,13 @@ class ReplicationSource:
         """
         batches = []
         for cid in sorted(self.cache.queues, key=str):
-            pending = self.cache.pending_count(cid)
-            if pending == 0:
+            if self.cache.pending_count(cid) == 0:
                 continue
             if self.mode == "plain":
                 due = True
             else:
                 state, bound = self._state_and_bound(cid)
-                due = state.lag_expired(bound, now, pending)
+                due = state.lag_expired(bound, now)
             if due:
                 batches.append(self._drain([cid], now, Trigger.TIME))
         return [b for b in batches if b is not None]
@@ -173,8 +167,6 @@ class ReplicationSource:
             return False
         if self.mode == "plain":
             return True
-        if not self._any_lag:
-            return False
         return any(self.bound_for(cid).lag_ms > 0 for cid in self.cache.queues)
 
     # -- batch construction and acknowledgment ------------------------
@@ -189,7 +181,7 @@ class ReplicationSource:
             by_container.setdefault(u.container, []).append(u)
         for cid, members in by_container.items():
             state, bound = self._state_and_bound(cid)
-            state.mark_shipped(now, members, bound, self.cache.pending_count(cid))
+            state.mark_shipped(now, members, bound)
         return batch
 
     def acknowledge(self, batch: Batch) -> None:

@@ -98,8 +98,8 @@ class TestImmediateBlocks:
         session.put(PAYMENTS, "b", b"2")
         session.end_block()
         source = node.sources[2]
-        assert source.state_for(ORDERS).arrivals == 0
-        assert source.state_for(PAYMENTS).arrivals == 0
+        assert source.cache.pending_count(ORDERS) == 0
+        assert source.cache.pending_count(PAYMENTS) == 0
 
 
 class TestAnyBlocks:

@@ -17,7 +17,9 @@ from georep.bounds import (
     update_size,
 )
 
-from conftest import make_update
+from georep.shipping import ReplicationSource
+
+from conftest import CID, make_update
 
 
 class TestContainerId:
@@ -78,63 +80,48 @@ class TestUpdate:
 
 
 class TestArrivalCounter:
-    def test_reaching_bound_resets_and_fires(self):
-        # Third arrival against a bound of 3 ships and leaves the counter at 0.
-        state = ContainerState(arrivals=2)
-        assert state.record_arrival(Bound(pending=3)) is True
-        assert state.arrivals == 0
-
-    def test_disabled_counter_always_fires_untouched(self):
-        state = ContainerState(arrivals=7)
-        assert state.record_arrival(Bound(pending=0)) is True
-        assert state.arrivals == 7
-
-    def test_below_bound_counts_and_holds(self):
-        state = ContainerState()
-        assert state.record_arrival(Bound(pending=3)) is False
-        assert state.arrivals == 1
-
-    def test_fires_exactly_at_multiples_of_bound(self):
-        state = ContainerState()
-        bound = Bound(pending=5)
-        fired = [k for k in range(1, 23) if state.record_arrival(bound)]
-        assert fired == [5, 10, 15, 20]
-        assert state.arrivals == 22 % 5
-
     @given(b=st.integers(1, 500), n=st.integers(0, 2000))
     @settings(max_examples=60, deadline=None)
     def test_counter_equals_arrivals_mod_bound(self, b, n):
-        state = ContainerState()
-        bound = Bound(pending=b)
+        # Offer k ships exactly when b divides k, taking the b updates
+        # held back; the cache ends holding n mod b.
+        src = ReplicationSource(source=1, peer=2, default_bound=Bound(pending=b))
         for k in range(1, n + 1):
-            fired = state.record_arrival(bound)
-            assert fired == (k % b == 0)
-        assert state.arrivals == n % b
+            batch = src.offer(make_update(key=f"k{k}"), now=0)
+            if k % b == 0:
+                assert batch.trigger is Trigger.COUNT
+                assert len(batch.updates) == b
+            else:
+                assert batch is None
+        assert src.cache.pending_count(CID) == n % b
 
 
 class TestLagExpiry:
     def test_elapsed_past_bound_with_pending_fires(self):
         state = ContainerState(last_ship_ms=0)
-        assert state.lag_expired(Bound(lag_ms=1000), now=1200, pending=4)
+        assert state.lag_expired(Bound(lag_ms=1000), now=1200)
 
     def test_below_bound_holds(self):
         state = ContainerState(last_ship_ms=0)
-        assert not state.lag_expired(Bound(lag_ms=1000), now=500, pending=4)
+        assert not state.lag_expired(Bound(lag_ms=1000), now=500)
 
     def test_disabled_dimension_never_fires(self):
         state = ContainerState(last_ship_ms=0)
-        assert not state.lag_expired(Bound(lag_ms=0), now=10**9, pending=4)
+        assert not state.lag_expired(Bound(lag_ms=0), now=10**9)
 
     def test_boundary_is_inclusive(self):
         # Flips from false to true exactly when elapsed == lag_ms.
         state = ContainerState(last_ship_ms=100)
         bound = Bound(lag_ms=1000)
-        assert not state.lag_expired(bound, now=1099, pending=1)
-        assert state.lag_expired(bound, now=1100, pending=1)
+        assert not state.lag_expired(bound, now=1099)
+        assert state.lag_expired(bound, now=1100)
 
     def test_nothing_pending_never_fires(self):
-        state = ContainerState(last_ship_ms=0)
-        assert not state.lag_expired(Bound(lag_ms=1000), now=5000, pending=0)
+        # A tick long past the lag ships nothing once the queue is empty.
+        src = ReplicationSource(source=1, peer=2, default_bound=Bound(lag_ms=1000))
+        assert src.offer(make_update(), now=0) is None
+        assert [b.trigger for b in src.tick(1000)] == [Trigger.TIME]
+        assert src.tick(5000) == []
 
 
 class TestDriftEvaluation:
@@ -174,42 +161,43 @@ class TestDriftEvaluation:
 
 class TestCombinedEvaluation:
     def test_any_tripped_dimension_ships(self):
-        state = ContainerState(arrivals=2, last_ship_ms=0)
+        state = ContainerState(last_ship_ms=0)
         bound = Bound(lag_ms=10**6, pending=3)
-        assert state.should_ship(bound, make_update(), now=10) is Trigger.COUNT
+        assert state.should_ship(bound, make_update(), now=10, held=3) is Trigger.COUNT
 
     def test_all_inactive_ships_every_arrival(self):
         state = ContainerState()
         for _ in range(5):
-            assert state.should_ship(IMMEDIATE, make_update(), now=0) is Trigger.COUNT
+            assert state.should_ship(IMMEDIATE, make_update(), now=0, held=1) is Trigger.COUNT
 
     def test_no_dimension_tripped_holds(self):
-        state = ContainerState(arrivals=0, last_ship_ms=0)
+        state = ContainerState(last_ship_ms=0)
         bound = Bound(lag_ms=1000, pending=3, drift=10)
-        assert state.should_ship(bound, make_update(value=b"5"), now=500) is None
-        assert state.arrivals == 1
+        assert state.should_ship(bound, make_update(value=b"5"), now=500, held=2) is None
 
-    def test_counter_advances_even_when_another_dimension_fired(self):
-        # The arrival count mutates exactly once per call regardless of
-        # what the other dimensions decided.
-        state = ContainerState(arrivals=0, last_ship_ms=0, shipped_value={"k": 0.0})
-        bound = Bound(pending=5, drift=1)
-        assert state.should_ship(bound, make_update(value=b"99"), now=0) is Trigger.DELTA
-        assert state.arrivals == 1
+    def test_should_ship_leaves_the_state_unchanged(self):
+        # Whatever trips, the rule only reads: the held-back count lives
+        # in the cache and the shipping path restarts the lag clock.
+        state = ContainerState(last_ship_ms=0, shipped_value={"k": 0.0})
+        bound = Bound(lag_ms=10, pending=5, drift=1)
+        for held, now, trigger in ((5, 20, Trigger.COUNT), (1, 20, Trigger.TIME),
+                                   (1, 0, Trigger.DELTA)):
+            assert state.should_ship(bound, make_update(value=b"99"), now, held) is trigger
+        assert state == ContainerState(last_ship_ms=0, shipped_value={"k": 0.0})
 
 
 class TestMarkShipped:
     def test_resets_counter_and_remembers_numerics(self):
-        state = ContainerState(arrivals=4)
+        # The lag clock restarts at the shipment.
+        state = ContainerState(last_ship_ms=100)
         shipped = [make_update(key="a", value=b"7"), make_update(key="b", value=b"x")]
         state.mark_shipped(now=250, updates=shipped, bound=Bound(drift=1))
-        assert state.arrivals == 0
         assert state.last_ship_ms == 250
         assert state.shipped_value == {"a": 7.0}
         # Without a drift limit nothing reads shipped values, so none are kept.
-        plain = ContainerState(arrivals=4)
+        plain = ContainerState()
         plain.mark_shipped(now=250, updates=shipped, bound=Bound(pending=5))
-        assert plain.arrivals == 0
+        assert plain.last_ship_ms == 250
         assert plain.shipped_value == {}
 
     def test_last_ship_time_is_monotone(self):

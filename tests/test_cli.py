@@ -76,6 +76,13 @@ class TestValidate:
         assert main(["validate", str(path)]) == 2
         assert f"network.{key} must be positive" in capsys.readouterr().err
 
+    def test_percent_against_own_pending_count_exits_two(self, tmp_path, capsys):
+        path = write(tmp_path, GOOD.replace(
+            "default = 0 50 0",
+            "default = 0 50 0\na:b = 0 5 0\npending_percent.a:b = 10"), "conflict.ini")
+        assert main(["validate", str(path)]) == 2
+        assert "pending_percent.a:b conflicts" in capsys.readouterr().err
+
     def test_missing_file_exits_two(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "absent.ini")]) == 2
         assert "error:" in capsys.readouterr().err

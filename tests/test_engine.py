@@ -161,7 +161,7 @@ class TestAccounting:
 
     def test_every_batch_is_delivered(self, scenario_dir):
         result = run(scenario_dir, "batch-size-05pct")
-        assert all(r.delivered_ms >= r.created_ms for r in result.batches)
+        assert all(r.delivered_ms >= r.batch.created_ms for r in result.batches)
 
     def test_summary_reflects_rows(self, scenario_dir):
         result = run(scenario_dir, "staleness-lag")

@@ -255,11 +255,30 @@ class TestComparison:
             compare_runs(a, b)
 
     def test_window_inferred_from_starts_when_no_summary(self, tmp_path):
+        # b has no summary, but its window at 1000 cannot start on a's
+        # 300 ms grid.
         a = self.write_run(tmp_path, "a", [row(window=0), row(window=300),
-                                           row(window=600)])
+                                           row(window=600)], window_ms=300)
         b = self.write_run(tmp_path, "b", [row(window=1000)])
         with pytest.raises(ScenarioError, match="window mismatch"):
             compare_runs(a, b)
+        with pytest.raises(ScenarioError, match="window mismatch"):
+            compare_runs(b, a)
+
+    def test_sparse_starts_without_summary_fit_a_known_window(self, tmp_path):
+        # Traffic only in even windows makes the starts look like 2000 ms
+        # windows, yet every start lies on the 1000 ms grid.
+        a = self.write_run(tmp_path, "a", [row(window=0), row(window=1000)],
+                           window_ms=1000)
+        b = self.write_run(tmp_path, "b", [row(window=2000), row(window=4000)])
+        assert compare_runs(a, b).total_ratio == 1.0
+        assert compare_runs(b, a).total_ratio == 1.0
+
+    def test_no_summaries_give_no_verdict(self, tmp_path):
+        a = self.write_run(tmp_path, "a", [row(window=0), row(window=300),
+                                           row(window=600)])
+        b = self.write_run(tmp_path, "b", [row(window=1000)])
+        assert compare_runs(a, b).total_ratio == 1 / 3
 
     def test_empty_b_run_compares_cleanly(self, tmp_path):
         a = self.write_run(tmp_path, "a", [row(bytes=100)])

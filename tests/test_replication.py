@@ -80,7 +80,7 @@ class TestOffer:
         src = source_with(Bound(pending=3))
         for i in range(7):
             src.offer(make_update(container=A, key=f"k{i}"), now=i)
-        assert src.state_for(A).arrivals == 7 % 3
+        assert src.cache.pending_count(A) == 7 % 3
 
     def test_plain_mode_never_ships_on_offer(self):
         src = source_with(Bound(), mode="plain")
@@ -207,8 +207,8 @@ class TestGroups:
         members = [make_update(container=A, key="x", block=2),
                    make_update(container=B, key="y", block=2)]
         src.ship_group_now(members, now=5)
-        assert src.state_for(A).arrivals == 0
-        assert src.state_for(B).arrivals == 0
+        assert src.cache.pending_count(A) == 0
+        assert src.cache.pending_count(B) == 0
 
     def test_group_from_peer_origin_fully_dropped(self):
         src = source_with(Bound(pending=1))

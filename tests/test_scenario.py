@@ -95,6 +95,24 @@ def test_per_container_percentage(tmp_path):
     assert sc.bounds[ContainerId("orders", "acct")].pending == 10  # 2% of 500
 
 
+@pytest.mark.parametrize("lines", [
+    ["orders:acct = 100 0 0", "pending_percent.orders:acct = 4"],
+    ["pending_percent.orders:acct = 4", "orders:acct = 100 0 0"],
+])
+def test_per_container_percentage_ignores_key_order(tmp_path, lines):
+    text = MINIMAL.replace("default = 0 100 0", "\n".join(["default = 0 100 0"] + lines))
+    sc = load_scenario(write_scenario(tmp_path, text))
+    assert sc.bounds[ContainerId("orders", "acct")] == Bound(100, 20, 0)  # 4% of 500
+
+
+def test_per_container_percentage_conflicts_with_own_pending(tmp_path):
+    text = MINIMAL.replace("default = 0 100 0",
+                           "default = 0 100 0\norders:acct = 0 5 0\n"
+                           "pending_percent.orders:acct = 2")
+    with pytest.raises(ScenarioError, match="pending_percent.orders:acct"):
+        load_scenario(write_scenario(tmp_path, text))
+
+
 def test_pending_percent_sets_default_pending(tmp_path):
     text = MINIMAL.replace("default = 0 100 0", "pending_percent = 10")
     sc = load_scenario(write_scenario(tmp_path, text))
