@@ -6,11 +6,11 @@ end_block, writes apply locally right away (local visibility is never
 deferred) but are withheld from replication and then offered to the
 peers as one group when the block closes:
 
-* IMMEDIATE blocks ship as a single batch at close, and every involved
-  container's counters reset with the shipment.
+* IMMEDIATE blocks ship as a single batch at close, together with
+  everything else the involved containers hold back.
 * ANY blocks become eligible at close; the whole group ships the first
-  time any involved container's bound evaluation returns true, which
-  the close itself may cause.  If a member container replicates
+  time the bound rule trips for any involved container, which the
+  close itself may cause.  If a member container replicates
   immediately (all-inactive bound), the group ships at close.
 
 Blocks do not nest and a session holds at most one open block.

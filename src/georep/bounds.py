@@ -18,9 +18,7 @@ batch, and the rule names the dimension that tripped.
 
 The pending dimension keeps no counter of its own.  The updates a
 container holds back are the ones in its pending-cache queue, and the
-cache reports how many there are (under coalescing, a write replaced by
-a newer one still counts until something leaves the container); the
-rule is handed that count.
+rule is handed that queue's length.
 
 Payloads are parsed as numbers lazily: only the drift dimension reads
 them, so an update's payload is parsed (through ``parse_numeric``) the

@@ -26,41 +26,28 @@ class PendingCache:
     """FIFO queues of pending updates, grouped by container, held by the
     replication source of cluster ``origin`` for one peer.
 
-    With ``coalesce`` enabled, a new update replaces an older pending
-    update for the same (container, key); block members are exempt so
-    groups stay intact.  Coalescing is off by default, which keeps batch
-    sizes exactly equal to arrival counts.
-
     ``pending_count`` is the number of updates a container holds back
-    from the peer, the count its pending limit is checked against.  It
-    is the length of the container's queue plus, under coalescing, the
-    writes a newer write replaced since something last left that queue:
-    a replaced write was still an arrival the peer has not seen.
+    from the peer, the count its pending limit is checked against: the
+    length of the container's queue.
 
     Every update of the cache's own cluster is remembered by its seq in
     a ``SeqWindow``.  The source sees every seq its cluster writes, so
     the window ends as one floor (a group's members fill their gap when
-    the group closes).  Updates dropped by coalescing were enqueued, so
-    they leave no gap here, only at the peer.  Foreign updates are not
-    tracked: they reach a cache only by relaying, which offers only the
-    updates the cluster's remote apply saw for the first time.
+    the group closes).  Foreign updates are not tracked: they reach a
+    cache only by relaying, which offers only the updates the cluster's
+    remote apply saw for the first time.
 
-    A queue grows only in ``enqueue``, and a coalescing replace keeps its
-    length, so its high-water mark is taken when something leaves it:
-    the length just before a drain takes from it.  ``peaks`` adds the
-    lengths of the queues still waiting.
+    A queue grows only in ``enqueue``, so its high-water mark is taken
+    when something leaves it: the length just before a drain takes from
+    it.  ``peaks`` adds the lengths of the queues still waiting.
     """
 
     origin: int
-    coalesce: bool = False
     queues: dict[ContainerId, list[Update]] = field(default_factory=dict)
     block_index: dict[BlockKey, dict[ContainerId, int]] = field(default_factory=dict)
     total_pending_count: int = 0
     _drained_peaks: dict[ContainerId, int] = field(default_factory=dict)
     _seen: SeqWindow = field(default_factory=SeqWindow)
-    # Per container, the writes coalesced away since something last left
-    # its queue; only a coalescing cache has entries.
-    _replaced: dict[ContainerId, int] = field(default_factory=dict)
 
     def enqueue(self, update: Update) -> int:
         """Append an update to its container queue and return the
@@ -76,13 +63,6 @@ class PendingCache:
         queue = self.queues.get(cid)
         if queue is None:
             queue = self.queues[cid] = []
-        if self.coalesce and update.block is None:
-            for i, old in enumerate(queue):
-                if old.key == update.key and old.block is None:
-                    del queue[i]
-                    self.total_pending_count -= 1
-                    self._replaced[cid] = self._replaced.get(cid, 0) + 1
-                    break
         queue.append(update)
         self.total_pending_count += 1
         if update.block is not None:
@@ -91,7 +71,7 @@ class PendingCache:
             if members is None:
                 members = self.block_index[bkey] = {}
             members[cid] = members.get(cid, 0) + 1
-        return len(queue) + self._replaced.get(cid, 0)
+        return len(queue)
 
     def peaks(self) -> dict[ContainerId, int]:
         """The largest length each container's queue has reached."""
@@ -103,7 +83,7 @@ class PendingCache:
 
     def pending_count(self, cid: ContainerId) -> int:
         """How many updates the container holds back (class docstring)."""
-        return len(self.queues.get(cid, ())) + self._replaced.get(cid, 0)
+        return len(self.queues.get(cid, ()))
 
     def drain(self, cids: list[ContainerId]) -> list[Update]:
         """Remove and return every update queued for the given containers,
@@ -140,7 +120,6 @@ class PendingCache:
         if not queue:
             return []
         self._note_peak(cid, len(queue))
-        self._replaced.pop(cid, None)
         for u in queue:
             if u.block is not None:
                 blocks.append((u.origin, u.block))
@@ -159,7 +138,6 @@ class PendingCache:
         if not members:
             return []
         self._note_peak(cid, len(members) + len(remaining))
-        self._replaced.pop(cid, None)
         if remaining:
             self.queues[cid] = remaining
         else:

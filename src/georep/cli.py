@@ -53,7 +53,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "compare":
             return _cmd_compare(args)
         return _cmd_validate(args)
-    except ScenarioError as exc:
+    except (ScenarioError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_SCENARIO
     except LivelockError as exc:

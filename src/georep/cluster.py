@@ -21,9 +21,8 @@ of every update applied from a remote batch as one floor per origin
 plus the seqs that arrived ahead of a gap, and a second copy counts as
 a duplicate.  In a full mesh every origin's seqs all reach every other
 cluster, so each window ends as one floor per origin.  Gaps stay open
-only for seqs that never arrive: updates coalesced away in a sender's
-cache, and, on paths that reach a cluster only through a relay, updates
-the relay discarded as stale.
+only for seqs that never arrive: on paths that reach a cluster only
+through a relay, updates the relay discarded as stale.
 
 A store's digest is the XOR of one SHA-256 per cell.  Replicas that
 converged hold the very same update objects, so a digest can start from
@@ -65,7 +64,7 @@ class ClusterNode:
     def __init__(self, cluster_id: int, peers: list[int],
                  bounds: dict[ContainerId, Bound] | None = None,
                  default_bound: Bound = Bound(), mode: str = "bounded",
-                 coalesce: bool = False, now_fn: Callable[[], int] = lambda: 0,
+                 now_fn: Callable[[], int] = lambda: 0,
                  on_ship: ShipFn | None = None) -> None:
         self.cluster_id = cluster_id
         self.now_fn = now_fn
@@ -74,7 +73,7 @@ class ClusterNode:
         # Seq of the latest local write; the next one gets last_seq + 1.
         self.last_seq = 0
         self.sources: dict[int, ReplicationSource] = {
-            peer: ReplicationSource(cluster_id, peer, bounds, default_bound, mode, coalesce)
+            peer: ReplicationSource(cluster_id, peer, bounds, default_bound, mode)
             for peer in sorted(peers)
         }
         self._applied = SeqWindow()

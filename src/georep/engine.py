@@ -103,8 +103,7 @@ class Simulation:
             peers = [dst for (src, dst) in scenario.links if src == cid]
             self.clusters[cid] = ClusterNode(
                 cid, peers, scenario.bounds, scenario.default_bound,
-                mode=scenario.mode, coalesce=scenario.coalesce,
-                now_fn=lambda: self.net.now, on_ship=self._on_ship)
+                mode=scenario.mode, now_fn=lambda: self.net.now, on_ship=self._on_ship)
         self.sessions = {cid: ClientSession(node) for cid, node in self.clusters.items()}
         self.metrics = MetricsCollector(scenario.window_ms)
         # Metric window of the latest backlog sample; see _sample_pending.
@@ -293,10 +292,14 @@ class Simulation:
 
 
 def run_scenario(scenario: Scenario, out_dir: str | Path = ".") -> RunResult:
-    """Run a scenario and write its CSV and JSON summary into out_dir."""
-    result = Simulation(scenario).run()
+    """Run a scenario and write its CSV and JSON summary into out_dir.
+
+    out_dir is made first, so an unusable one fails before the run, not
+    after it.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    result = Simulation(scenario).run()
     result.csv_path = out / scenario.csv_name
     result.summary_path = out / scenario.summary_name
     write_csv(result.csv_path, result.rows)

@@ -8,7 +8,7 @@ Sections and keys:
 
 [network]                       (optional)
     latency_ms = 10             default one-way link latency
-    latency_ms.1>2 = 25         per-link override
+    latency_ms.1>2 = 25         override for a declared link
     partitions =                outage windows, one per line:
         1>2 5000 10000          link, start ms, end ms (half-open)
     window_ms = 1000            metric window for the CSV
@@ -18,13 +18,10 @@ Sections and keys:
     mode = bounded              bounded | plain (poll-everything baseline)
     default = 0 500 0           lag_ms, pending, drift; 0 disables
     some_table:family = 1000 0 0    per-container bound, same triple
-    pending_percent = 0.5         pending limit as a percent of the run's
+    pending_percent = 0.5       pending limit as a percent of the run's
                                 updates (alternative to a pending count)
-    pending_percent.tbl:fam = 2   per-container percent (over the container's
-                                triple, which must then have pending 0)
     tick_ms = 100               lag-validation timer grid
     poll_interval_ms = 1000     plain-mode shipping period
-    coalesce = false            keep only the newest pending value per key
 
 [workload]
     operations = 50000          client operations (reads + writes)
@@ -72,7 +69,7 @@ _KNOWN_KEYS = {
     "topology": {"clusters", "links"},
     "network": {"latency_ms", "partitions", "window_ms", "max_events"},
     "bounds": {"mode", "default", "pending_percent", "tick_ms",
-               "poll_interval_ms", "coalesce"},
+               "poll_interval_ms"},
     "workload": {"operations", "write_fraction", "distribution", "zipf_constant",
                  "keyspace", "value_bytes", "containers", "seed", "burst_ops",
                  "burst_spacing_ms", "origins", "disjoint_keys"},
@@ -93,7 +90,6 @@ class Scenario:
     bounds: dict[ContainerId, Bound]
     tick_ms: int
     poll_interval_ms: int
-    coalesce: bool
     window_ms: int
     max_events: int
     workload: WorkloadSpec
@@ -124,9 +120,12 @@ def load_scenario(path: str | Path, seed_override: int | None = None) -> Scenari
         for key in parser[section]:
             if key in _KNOWN_KEYS[section]:
                 continue
-            if section == "bounds" and (":" in key or key.startswith("pending_percent.")):
-                continue
             if section == "network" and key.startswith("latency_ms."):
+                continue  # a per-link override, checked against the links below
+            # Any other ':' key in [bounds] names a container, unless it
+            # reads as a dotted override of a [bounds] key, which has none.
+            if (section == "bounds" and ":" in key
+                    and key.partition(".")[0] not in _KNOWN_KEYS["bounds"]):
                 continue
             raise ScenarioError(f"unknown key {key!r} in section [{section}]")
     for required in ("topology", "bounds", "workload"):
@@ -174,9 +173,12 @@ def load_scenario(path: str | Path, seed_override: int | None = None) -> Scenari
         end = _parse_int(parts[2], "partition end")
         partitions.setdefault(link, []).append((start, end))
 
+    latency_keys = {link: f"latency_ms.{link[0]}>{link[1]}" for link in link_pairs}
+    for key in net:
+        if key.startswith("latency_ms.") and key not in latency_keys.values():
+            raise ScenarioError(f"{key} does not name a declared link")
     links: dict[tuple[int, int], LinkSpec] = {}
-    for link in link_pairs:
-        latency_key = f"latency_ms.{link[0]}>{link[1]}"
+    for link, latency_key in latency_keys.items():
         latency = _parse_int(net[latency_key], latency_key) \
             if latency_key in net else default_latency
         links[link] = LinkSpec(latency, tuple(sorted(partitions.get(link, []))))
@@ -191,7 +193,6 @@ def load_scenario(path: str | Path, seed_override: int | None = None) -> Scenari
                          "bounds.poll_interval_ms")
     if tick_ms <= 0 or poll_ms <= 0:
         raise ScenarioError("bounds.tick_ms and bounds.poll_interval_ms must be positive")
-    coalesce = _parse_bool(bounds_cfg.get("coalesce", "false"), "bounds.coalesce")
     default_bound, bounds = _parse_bounds(bounds_cfg, workload.total_updates)
 
     out = parser["output"] if "output" in parser else {}
@@ -205,7 +206,7 @@ def load_scenario(path: str | Path, seed_override: int | None = None) -> Scenari
     return Scenario(
         name=stem, clusters=clusters, links=links, mode=mode,
         default_bound=default_bound, bounds=bounds, tick_ms=tick_ms,
-        poll_interval_ms=poll_ms, coalesce=coalesce, window_ms=window_ms,
+        poll_interval_ms=poll_ms, window_ms=window_ms,
         max_events=max_events, workload=workload,
         csv_name=csv_name, summary_name=summary_name,
     )
@@ -274,35 +275,14 @@ def _parse_bounds(section, total_updates: int) -> tuple[Bound, dict[ContainerId,
             raise ScenarioError(
                 "bounds.pending_percent conflicts with a pending count in bounds.default")
         percent = _parse_float(section["pending_percent"], "bounds.pending_percent")
-        default_bound = Bound(default_bound.lag_ms,
-                              _resolve_percent(percent, total_updates),
-                              default_bound.drift)
-    bounds: dict[ContainerId, Bound] = {}
-    percents = []
-    for key, raw in section.items():
-        if key.startswith("pending_percent."):
-            percents.append((key, raw))
-        elif ":" in key:
-            bounds[_parse_container(key)] = _parse_bound_triple(raw, key)
-    # A container's percent applies on top of its own triple, whichever
-    # key comes first, and may not contradict a pending count in it.
-    for key, raw in percents:
-        cid = _parse_container(key[len("pending_percent."):])
-        base = bounds.get(cid)
-        if base is None:
-            base = default_bound
-        elif base.pending:
-            raise ScenarioError(f"{key} conflicts with a pending count in bounds.{cid}")
-        bounds[cid] = Bound(base.lag_ms, _resolve_percent(_parse_float(raw, key), total_updates),
-                            base.drift)
+        try:
+            pending = pending_from_percent(percent, total_updates)
+        except ValueError as exc:
+            raise ScenarioError(str(exc)) from exc
+        default_bound = Bound(default_bound.lag_ms, pending, default_bound.drift)
+    bounds = {_parse_container(key): _parse_bound_triple(raw, key)
+              for key, raw in section.items() if ":" in key}
     return default_bound, bounds
-
-
-def _resolve_percent(percent: float, total_updates: int) -> int:
-    try:
-        return pending_from_percent(percent, total_updates)
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from exc
 
 
 def _parse_bound_triple(raw: str, where: str) -> Bound:

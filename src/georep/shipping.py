@@ -49,8 +49,7 @@ class ReplicationSource:
     """
 
     def __init__(self, source: int, peer: int, bounds: dict[ContainerId, Bound] | None = None,
-                 default_bound: Bound = Bound(), mode: str = "bounded",
-                 coalesce: bool = False) -> None:
+                 default_bound: Bound = Bound(), mode: str = "bounded") -> None:
         if mode not in ("bounded", "plain"):
             raise ValueError(f"unknown shipping mode: {mode!r}")
         self.source = source
@@ -59,7 +58,7 @@ class ReplicationSource:
         self.bounds = dict(bounds or {})
         self.default_bound = default_bound
         self.mode = mode
-        self.cache = PendingCache(source, coalesce=coalesce)
+        self.cache = PendingCache(source)
         self.shipped_position: dict[int, int] = {}
         # Per-container (state, bound) pairs, resolved on first use;
         # offer() runs for every arriving update, so one dict hit matters.

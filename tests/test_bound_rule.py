@@ -6,11 +6,9 @@ a pending limit, a container's count moves once per arriving update; a
 shipment takes the whole queue of every involved container plus the
 siblings of any group it touches, and sets the count of every container
 it took from to the number of updates that container still holds (zero
-unless it gave up only group members).  Under coalescing, an arriving
-loose update replaces an older queued loose update with the same key,
-and it still counts: the replaced write was held back too.  After every
-stream the model's counts must equal the cache's ``pending_count`` for
-each container under a pending limit.
+unless it gave up only group members).  After every stream the model's
+counts must equal the cache's ``pending_count`` for each container
+under a pending limit.
 """
 
 from itertools import count
@@ -32,9 +30,8 @@ C = ContainerId("c", "fam")
 class Model:
     """Reference shipping decisions of one source; one arrival at a time."""
 
-    def __init__(self, bounds: dict[ContainerId, Bound], coalesce: bool) -> None:
+    def __init__(self, bounds: dict[ContainerId, Bound]) -> None:
         self.bounds = bounds
-        self.coalesce = coalesce
         self.arrivals = {cid: 0 for cid in bounds}
         self.last_ship = {cid: 0 for cid in bounds}
         self.shipped = {cid: {} for cid in bounds}
@@ -43,9 +40,6 @@ class Model:
 
     def arrive(self, cid, key, numeric, now, block=None):
         """Queue one update; the dimension that trips, or None."""
-        if self.coalesce and block is None:
-            self.queue = [u for u in self.queue
-                          if not (u[0] == cid and u[1] == key and u[3] is None)]
         self.queue.append((cid, key, numeric, block))
         bound = self.bounds[cid]
         lag, pending, drift = bound.lag_ms, bound.pending, bound.drift
@@ -98,10 +92,10 @@ arrivals = st.tuples(st.sampled_from([A, B, C]), st.sampled_from(["k1", "k2", "k
                      payloads, st.integers(0, 15))
 
 
-def source_and_model(bound_a, bound_b, default, coalesce):
+def source_and_model(bound_a, bound_b, default):
     src = ReplicationSource(source=1, peer=2, bounds={A: bound_a, B: bound_b},
-                            default_bound=default, coalesce=coalesce)
-    return src, Model({A: bound_a, B: bound_b, C: default}, coalesce)
+                            default_bound=default)
+    return src, Model({A: bound_a, B: bound_b, C: default})
 
 
 def held_counts(src, model):
@@ -112,11 +106,11 @@ def held_counts(src, model):
             {cid: model.arrivals[cid] for cid in limited})
 
 
-@given(bound_a=bounds, bound_b=bounds, default=bounds, coalesce=st.booleans(),
+@given(bound_a=bounds, bound_b=bounds, default=bounds,
        stream=st.lists(arrivals, max_size=60))
 @settings(max_examples=300, deadline=None)
-def test_offer_follows_the_model(bound_a, bound_b, default, coalesce, stream):
-    src, model = source_and_model(bound_a, bound_b, default, coalesce)
+def test_offer_follows_the_model(bound_a, bound_b, default, stream):
+    src, model = source_and_model(bound_a, bound_b, default)
     now = 0
     got, want = [], []
     for index, (cid, key, (value, numeric), gap) in enumerate(stream):
@@ -132,17 +126,17 @@ def test_offer_follows_the_model(bound_a, bound_b, default, coalesce, stream):
     assert cache_counts == model_counts
 
 
-@given(bound_a=bounds, bound_b=bounds, default=bounds, coalesce=st.booleans(),
+@given(bound_a=bounds, bound_b=bounds, default=bounds,
        ops=st.lists(st.one_of(arrivals.map(lambda a: [a]),
                               st.lists(arrivals, min_size=2, max_size=4)),
                     max_size=30))
 @settings(max_examples=300, deadline=None)
 def test_offer_group_follows_the_model_and_counts_every_member(bound_a, bound_b,
-                                                               default, coalesce, ops):
+                                                               default, ops):
     """Single offers mixed with groups; a group ships whole as ANY_BLOCK
     when any member trips, and every member is evaluated, also those
     after the first that trips."""
-    src, model = source_and_model(bound_a, bound_b, default, coalesce)
+    src, model = source_and_model(bound_a, bound_b, default)
     blocks = count(1)
     now = 0
     got, want = [], []
@@ -194,22 +188,3 @@ def test_pulling_group_members_leaves_the_loose_updates_counted():
     assert [u.key for u in batches[1].updates] == ["loose1", "m0", "m1"]
     assert src.cache.pending_count(B) == 1
 
-
-def test_pulling_group_members_forgets_the_replaced_writes():
-    """Under coalescing, a container that gives up only a group's members
-    counts the loose updates it still queues; the writes they replaced
-    left with that shipment's count, as after any shipment."""
-    src = ReplicationSource(source=1, peer=2, bounds={A: Bound(pending=3), B: Bound(pending=4)},
-                            coalesce=True)
-    assert src.offer_group([make_update(container=A, block=1),
-                            make_update(container=B, block=1)], now=0) is None
-    assert src.offer(make_update(container=B, key="loose"), now=0) is None
-    assert src.offer(make_update(container=B, key="loose"), now=0) is None
-    assert src.cache.pending_count(B) == 3
-    assert src.offer(make_update(container=A), now=0) is None
-    tripped = src.offer(make_update(container=A), now=0)
-    assert tripped.trigger is Trigger.COUNT
-    assert src.cache.pending_count(B) == 1
-    batches = [src.offer(make_update(container=B, key=f"m{i}"), now=0) for i in range(3)]
-    assert batches[:2] == [None, None]
-    assert [u.key for u in batches[2].updates] == ["loose", "m0", "m1", "m2"]

@@ -24,7 +24,7 @@ def test_enqueue_tracks_bytes_and_length():
 
 
 def test_same_key_retained_in_arrival_order():
-    # No coalescing by default: batch sizes equal arrival counts.
+    # Every write to a key stays queued: batch sizes equal arrival counts.
     cache = PendingCache(origin=1)
     first = make_update(key="k", value=b"old", container=A)
     second = make_update(key="k", value=b"new", container=A)
@@ -95,65 +95,29 @@ def test_peak_pending_tracks_high_water_mark():
     assert cache.peaks()[A] == 4
 
 
-puts = st.tuples(st.just("put"), st.sampled_from("abc"), st.integers(0, 3),
-                st.sampled_from([None, None, 1, 2, 3]))
+puts = st.tuples(st.just("put"), st.sampled_from("abc"), st.sampled_from([None, None, 1, 2, 3]))
 drains = st.tuples(st.just("drain"), st.lists(st.sampled_from("abc"), min_size=1, max_size=3))
 
 
-@given(st.booleans(), st.lists(st.one_of(puts, puts, drains), max_size=80))
+@given(st.lists(st.one_of(puts, puts, drains), max_size=80))
 @settings(max_examples=200, deadline=None)
-def test_peaks_match_the_length_after_every_enqueue(coalesce, script):
+def test_peaks_match_the_length_after_every_enqueue(script):
     """Peaks taken at drain time equal a model that records each queue's
-    length after every enqueue, with coalescing replaces and block-member
-    pulls from containers not drained."""
-    cache = PendingCache(origin=1, coalesce=coalesce)
+    length after every enqueue, with block-member pulls from containers
+    not drained."""
+    cache = PendingCache(origin=1)
     model: dict[ContainerId, int] = {}
     seq = 0
     for step in script:
         if step[0] == "put":
-            _, table, key, block = step
+            _, table, block = step
             cid = ContainerId(table, "fam")
             seq += 1
-            cache.enqueue(make_update(container=cid, key=f"k{key}", block=block,
-                                      origin=1, seq=seq))
+            cache.enqueue(make_update(container=cid, block=block, origin=1, seq=seq))
             model[cid] = max(model.get(cid, 0), len(cache.queues[cid]))
         else:
             cache.drain([ContainerId(table, "fam") for table in step[1]])
         assert cache.peaks() == model
-
-
-class TestCoalesce:
-    def test_same_key_replaced_by_newest(self):
-        cache = PendingCache(origin=1, coalesce=True)
-        cache.enqueue(make_update(container=A, key="k", value=b"old"))
-        newest = make_update(container=A, key="k", value=b"new")
-        cache.enqueue(newest)
-        assert cache.drain([A]) == [newest]
-
-    def test_distinct_keys_unaffected(self):
-        cache = PendingCache(origin=1, coalesce=True)
-        u1 = make_update(container=A, key="k1")
-        u2 = make_update(container=A, key="k2")
-        cache.enqueue(u1)
-        cache.enqueue(u2)
-        assert cache.drain([A]) == [u1, u2]
-
-    def test_block_members_exempt(self):
-        # Groups must stay intact, so their members never coalesce away.
-        cache = PendingCache(origin=1, coalesce=True)
-        grouped = make_update(container=A, key="k", block=3)
-        plain = make_update(container=A, key="k")
-        cache.enqueue(grouped)
-        cache.enqueue(plain)
-        assert cache.drain([A]) == [grouped, plain]
-
-    def test_byte_total_follows_replacement(self):
-        cache = PendingCache(origin=1, coalesce=True)
-        cache.enqueue(make_update(container=A, key="k", value=b"0" * 100))
-        replacement = make_update(container=A, key="k", value=b"1" * 10)
-        cache.enqueue(replacement)
-        assert cache.queues[A] == [replacement]
-        assert cache.total_pending_count == 1
 
 
 @given(st.lists(st.tuples(st.sampled_from(["a", "b", "c"]),

@@ -76,12 +76,20 @@ class TestValidate:
         assert main(["validate", str(path)]) == 2
         assert f"network.{key} must be positive" in capsys.readouterr().err
 
-    def test_percent_against_own_pending_count_exits_two(self, tmp_path, capsys):
+    @pytest.mark.parametrize("key, value", [("coalesce", "false"),
+                                            ("pending_percent.a:b", "10")])
+    def test_dropped_bounds_key_exits_two(self, tmp_path, capsys, key, value):
         path = write(tmp_path, GOOD.replace(
-            "default = 0 50 0",
-            "default = 0 50 0\na:b = 0 5 0\npending_percent.a:b = 10"), "conflict.ini")
+            "default = 0 50 0", f"default = 0 50 0\na:b = 0 0 0\n{key} = {value}"),
+            "dropped.ini")
         assert main(["validate", str(path)]) == 2
-        assert "pending_percent.a:b conflicts" in capsys.readouterr().err
+        assert f"unknown key '{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["latency_ms.2>1", "latency_ms.1>9", "latency_ms.oops"])
+    def test_latency_override_of_no_declared_link_exits_two(self, tmp_path, capsys, key):
+        path = write(tmp_path, GOOD + f"\n[network]\n{key} = 500\n", "latency.ini")
+        assert main(["validate", str(path)]) == 2
+        assert f"{key} does not name a declared link" in capsys.readouterr().err
 
     def test_missing_file_exits_two(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "absent.ini")]) == 2
@@ -113,6 +121,13 @@ class TestRun:
         read = lambda d: json.loads(
             (tmp_path / d / "good.summary.json").read_text(encoding="utf-8"))
         assert read("a")["digests"] != read("b")["digests"]
+
+    def test_out_naming_a_file_exits_two_before_running(self, tmp_path, capsys, monkeypatch):
+        path = write(tmp_path, GOOD, "good.ini")
+        taken = write(tmp_path, "", "taken")
+        monkeypatch.setattr("georep.engine.Simulation.run", lambda self: pytest.fail("ran"))
+        assert main(["run", str(path), "--out", str(taken), "--quiet"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_livelock_exits_three(self, tmp_path, capsys):
         path = write(tmp_path, RUNAWAY, "runaway.ini")

@@ -211,9 +211,7 @@ def test_windows_end_as_one_floor_per_origin_at_any_length(tmp_path, text, write
                 assert source.cache._seen.early == {}
 
 
-@pytest.mark.parametrize("text", [CHAIN, MESH, MESH.replace(
-    "default = 150 30 0", "default = 150 30 0\ncoalesce = true")],
-    ids=["chain", "mesh", "coalescing-mesh"])
+@pytest.mark.parametrize("text", [CHAIN, MESH], ids=["chain", "mesh"])
 def test_no_source_is_offered_a_foreign_update_twice(tmp_path, monkeypatch, text):
     # Why the caches need not track foreign seqs: a foreign update
     # reaches a source only by relaying, once, when remote apply first
@@ -238,30 +236,15 @@ def test_no_source_is_offered_a_foreign_update_twice(tmp_path, monkeypatch, text
         assert len(identities) == len(set(identities))
 
 
-# -- coalescing leaves gaps; redelivery is still caught ---------------
+# -- a gap below the early seqs; redelivery is still caught ----------
 
 
-def test_redelivery_above_a_coalescing_gap_counts_as_duplicates():
-    sender = ClusterNode(1, [2], default_bound=Bound(pending=3), coalesce=True)
-    shipped = []
-    sender.on_ship = lambda source, batch: shipped.append(batch)
-    for key in ("a", "a", "b"):
-        sender.put(CID, key, b"v")
-    [batch] = shipped
-    assert [u.seq for u in batch.updates] == [2, 3]
+def test_redelivery_above_a_gap_counts_as_duplicates():
+    # Seq 1 never arrives, as when a relay discarded it as stale.
+    batch = Batch.build([make_update(key="a", origin=1, seq=2),
+                         make_update(key="b", origin=1, seq=3)], 1, 2, 0, Trigger.COUNT)
     receiver = ClusterNode(2, [])
     assert receiver.apply_remote(batch).applied == 2
     assert (receiver._applied.floors, receiver._applied.early) == ({}, {1: {2, 3}})
     again = receiver.apply_remote(batch)
     assert (again.applied, again.stale_discarded, again.duplicates) == (0, 0, 2)
-
-
-def test_redelivered_batches_of_a_coalescing_run_are_all_duplicates(tmp_path):
-    text = MESH.replace("default = 150 30 0", "default = 150 30 0\ncoalesce = true")
-    sim, result = run(tmp_path, text, 800, name="coalesce")
-    # Coalescing dropped seqs, so the windows keep gaps and early seqs.
-    assert any(node._applied.early for node in sim.clusters.values())
-    for record in result.batches:
-        report = sim.clusters[record.batch.destination].apply_remote(record.batch)
-        assert (report.applied, report.stale_discarded) == (0, 0)
-        assert report.duplicates == len(record.batch.updates)

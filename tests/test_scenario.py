@@ -87,32 +87,6 @@ def test_per_container_bound_triple(tmp_path):
     assert sc.bounds[ContainerId("orders", "acct")] == Bound(1000, 5, 2.5)
 
 
-def test_per_container_percentage(tmp_path):
-    text = MINIMAL.replace(
-        "default = 0 100 0",
-        "default = 0 0 0\npending_percent.orders:acct = 2")
-    sc = load_scenario(write_scenario(tmp_path, text))
-    assert sc.bounds[ContainerId("orders", "acct")].pending == 10  # 2% of 500
-
-
-@pytest.mark.parametrize("lines", [
-    ["orders:acct = 100 0 0", "pending_percent.orders:acct = 4"],
-    ["pending_percent.orders:acct = 4", "orders:acct = 100 0 0"],
-])
-def test_per_container_percentage_ignores_key_order(tmp_path, lines):
-    text = MINIMAL.replace("default = 0 100 0", "\n".join(["default = 0 100 0"] + lines))
-    sc = load_scenario(write_scenario(tmp_path, text))
-    assert sc.bounds[ContainerId("orders", "acct")] == Bound(100, 20, 0)  # 4% of 500
-
-
-def test_per_container_percentage_conflicts_with_own_pending(tmp_path):
-    text = MINIMAL.replace("default = 0 100 0",
-                           "default = 0 100 0\norders:acct = 0 5 0\n"
-                           "pending_percent.orders:acct = 2")
-    with pytest.raises(ScenarioError, match="pending_percent.orders:acct"):
-        load_scenario(write_scenario(tmp_path, text))
-
-
 def test_pending_percent_sets_default_pending(tmp_path):
     text = MINIMAL.replace("default = 0 100 0", "pending_percent = 10")
     sc = load_scenario(write_scenario(tmp_path, text))
@@ -157,6 +131,19 @@ class TestRejections:
 
     def test_unknown_key(self, tmp_path):
         self.reject(tmp_path, MINIMAL + "\n[network]\nlatencyms = 10\n", "unknown key")
+
+    @pytest.mark.parametrize("key, value", [("coalesce", "false"),
+                                            ("pending_percent.orders:acct", "2")])
+    def test_dropped_bounds_key_is_unknown(self, tmp_path, key, value):
+        text = MINIMAL.replace("default = 0 100 0",
+                               f"default = 0 100 0\norders:acct = 0 0 0\n{key} = {value}")
+        self.reject(tmp_path, text, f"unknown key '{key}'")
+
+    @pytest.mark.parametrize("key", ["latency_ms.2>1", "latency_ms.1>9", "latency_ms.oops"],
+                             ids=["reversed-link", "unknown-cluster", "garbage"])
+    def test_latency_override_of_no_declared_link(self, tmp_path, key):
+        self.reject(tmp_path, MINIMAL + f"\n[network]\n{key} = 500\n",
+                    f"{key} does not name a declared link")
 
     def test_missing_required_section(self, tmp_path):
         self.reject(tmp_path, "[topology]\nclusters = 1\n", r"\[bounds\]")
