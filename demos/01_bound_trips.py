@@ -43,15 +43,16 @@ def show(label, batch):
               f"[{batch.trigger.name}] -> {keys}")
 
 
-# A pending-count bound holds updates until the counter reaches the
-# limit, then the whole container queue leaves as one batch.
+# A pending-count bound holds updates until the container's queue
+# reaches the limit, then the whole queue leaves as one batch.
 print("pending bound of 3 on inventory:stock")
 show("write sku-1", put(STOCK, "sku-1", b"12", now=0))
 show("write sku-2", put(STOCK, "sku-2", b"7", now=1))
 show("write sku-3", put(STOCK, "sku-3", b"90", now=2))
 
-# A lag bound never ships on arrival; the timer tick does it once the
-# configured time has passed since the last shipment.
+# A lag bound ships once the configured time has passed since the last
+# shipment: on the timer tick, or on an arrival that finds the lag
+# already up.  Here neither write finds it up, so the tick ships them.
 print("\nlag bound of 500 ms on prices:feed")
 show("write eurusd", put(FEED, "eurusd", b"1.0831", now=100))
 show("write gbpusd", put(FEED, "gbpusd", b"1.2544", now=250))

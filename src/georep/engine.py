@@ -49,7 +49,7 @@ from typing import Callable, Iterable, Iterator
 
 from .blocks import ClientSession
 from .cluster import ClusterNode
-from .metrics import MetricsCollector, Row, write_csv, write_summary
+from .metrics import MetricsCollector, Row, summary_path, write_csv, write_summary
 from .scenario import Scenario
 from .shipping import Batch, ReplicationSource
 from .simnet import SimNet
@@ -111,8 +111,6 @@ class Simulation:
         self.tallies = {cid: ClusterTally() for cid in scenario.clusters}
         self.batches: list[BatchRecord] = []
         self._tick_armed = False
-        self._tick_grid = scenario.poll_interval_ms if scenario.mode == "plain" \
-            else scenario.tick_ms
         # Timers only matter for the plain poll or an active lag bound;
         # otherwise skip the per-arrival arming check entirely.
         self._tick_possible = scenario.mode == "plain" \
@@ -153,7 +151,7 @@ class Simulation:
             return
         if not any(node.has_timer_work() for node in self.clusters.values()):
             return
-        next_tick = (self.net.now // self._tick_grid + 1) * self._tick_grid
+        next_tick = (self.net.now // self.scenario.tick_ms + 1) * self.scenario.tick_ms
         self.net.schedule(next_tick, self._tick_event)
         self._tick_armed = True
 
@@ -300,8 +298,8 @@ def run_scenario(scenario: Scenario, out_dir: str | Path = ".") -> RunResult:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     result = Simulation(scenario).run()
-    result.csv_path = out / scenario.csv_name
-    result.summary_path = out / scenario.summary_name
+    result.csv_path = out / f"{scenario.name}.csv"
+    result.summary_path = summary_path(result.csv_path)
     write_csv(result.csv_path, result.rows)
     write_summary(result.summary_path, result.summary)
     return result

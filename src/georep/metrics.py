@@ -132,6 +132,11 @@ def read_csv(path: str | Path) -> list[Row]:
         return [Row(*(int(v) for v in line)) for line in reader if line]
 
 
+def summary_path(csv_path: str | Path) -> Path:
+    """A run's JSON summary sits beside its CSV: ``<stem>.summary.json``."""
+    return Path(str(csv_path).removesuffix(".csv") + ".summary.json")
+
+
 def write_summary(path: str | Path, summary: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
@@ -218,11 +223,10 @@ def format_comparison(comp: Comparison) -> str:
 
 def _window_of(csv_path: str | Path) -> int | None:
     """The window size in the run's JSON summary, or None without one."""
-    summary_path = Path(str(csv_path)[: -len(".csv")] + ".summary.json") \
-        if str(csv_path).endswith(".csv") else None
-    if summary_path is not None and summary_path.exists():
+    path = summary_path(csv_path)
+    if path.exists():
         try:
-            with open(summary_path, encoding="utf-8") as fh:
+            with open(path, encoding="utf-8") as fh:
                 window = json.load(fh).get("window_ms")
             if isinstance(window, int) and window > 0:
                 return window

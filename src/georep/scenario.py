@@ -20,8 +20,8 @@ Sections and keys:
     some_table:family = 1000 0 0    per-container bound, same triple
     pending_percent = 0.5       pending limit as a percent of the run's
                                 updates (alternative to a pending count)
-    tick_ms = 100               lag-validation timer grid
-    poll_interval_ms = 1000     plain-mode shipping period
+    tick_ms = 100               shipping timer grid: lag validation, or
+                                the plain-mode poll
 
 [workload]
     operations = 50000          client operations (reads + writes)
@@ -44,13 +44,16 @@ Sections and keys:
     containers = a:fam b:fam    puts cycle across these
     spacing_ms = 1
 
-[output]                        (optional)
-    csv = run.csv               default: <scenario stem>.csv
-    summary = run.summary.json  default: <scenario stem>.summary.json
+A run writes ``<scenario stem>.csv`` and ``<scenario stem>.summary.json``.
 
-Unknown sections or keys are rejected so typos fail loudly.  Percentage
-bounds resolve against the number of replicated updates the workload
-will produce (its writes), not its total operation count.
+Unknown sections or keys are rejected so typos fail loudly, and so are
+keys that would have no effect: under ``mode = plain`` every [bounds]
+key but ``mode`` and ``tick_ms``; with a [blocks] script every
+[workload] key but ``seed``, ``value_bytes`` and ``origins``; and a
+per-container bound for a container the workload never writes (the
+[blocks] containers under a script, the [workload] ones otherwise).
+Percentage bounds resolve against the number of replicated updates the
+workload will produce (its writes), not its total operation count.
 """
 
 from __future__ import annotations
@@ -68,13 +71,11 @@ from .workload import BlockScript, WorkloadSpec
 _KNOWN_KEYS = {
     "topology": {"clusters", "links"},
     "network": {"latency_ms", "partitions", "window_ms", "max_events"},
-    "bounds": {"mode", "default", "pending_percent", "tick_ms",
-               "poll_interval_ms"},
+    "bounds": {"mode", "default", "pending_percent", "tick_ms"},
     "workload": {"operations", "write_fraction", "distribution", "zipf_constant",
                  "keyspace", "value_bytes", "containers", "seed", "burst_ops",
                  "burst_spacing_ms", "origins", "disjoint_keys"},
     "blocks": {"count", "puts_per_block", "pattern", "containers", "spacing_ms"},
-    "output": {"csv", "summary"},
 }
 
 
@@ -89,12 +90,9 @@ class Scenario:
     default_bound: Bound
     bounds: dict[ContainerId, Bound]
     tick_ms: int
-    poll_interval_ms: int
     window_ms: int
     max_events: int
     workload: WorkloadSpec
-    csv_name: str
-    summary_name: str
 
 
 def load_scenario(path: str | Path, seed_override: int | None = None) -> Scenario:
@@ -188,27 +186,20 @@ def load_scenario(path: str | Path, seed_override: int | None = None) -> Scenari
     mode = bounds_cfg.get("mode", "bounded")
     if mode not in ("bounded", "plain"):
         raise ScenarioError(f"bounds.mode must be 'bounded' or 'plain': {mode!r}")
+    if mode == "plain":
+        _reject_keys(bounds_cfg, "bounds", {"mode", "tick_ms"}, "under bounds.mode = plain")
     tick_ms = _parse_int(bounds_cfg.get("tick_ms", "100"), "bounds.tick_ms")
-    poll_ms = _parse_int(bounds_cfg.get("poll_interval_ms", "1000"),
-                         "bounds.poll_interval_ms")
-    if tick_ms <= 0 or poll_ms <= 0:
-        raise ScenarioError("bounds.tick_ms and bounds.poll_interval_ms must be positive")
-    default_bound, bounds = _parse_bounds(bounds_cfg, workload.total_updates)
-
-    out = parser["output"] if "output" in parser else {}
-    stem = path.stem
-    csv_name = out.get("csv", f"{stem}.csv")
-    summary_name = out.get("summary", f"{stem}.summary.json")
+    if tick_ms <= 0:
+        raise ScenarioError(f"bounds.tick_ms must be positive: {tick_ms}")
+    default_bound, bounds = _parse_bounds(bounds_cfg, workload)
 
     if seed_override is not None:
         workload = replace(workload, seed=seed_override)
 
     return Scenario(
-        name=stem, clusters=clusters, links=links, mode=mode,
+        name=path.stem, clusters=clusters, links=links, mode=mode,
         default_bound=default_bound, bounds=bounds, tick_ms=tick_ms,
-        poll_interval_ms=poll_ms, window_ms=window_ms,
-        max_events=max_events, workload=workload,
-        csv_name=csv_name, summary_name=summary_name,
+        window_ms=window_ms, max_events=max_events, workload=workload,
     )
 
 
@@ -224,6 +215,8 @@ def _parse_workload(parser: configparser.ConfigParser,
 
     block_script = None
     if "blocks" in parser:
+        _reject_keys(wl, "workload", {"seed", "value_bytes", "origins"},
+                     "with a [blocks] script")
         blk = parser["blocks"]
         pattern = []
         for tok in blk.get("pattern", "").split():
@@ -242,9 +235,8 @@ def _parse_workload(parser: configparser.ConfigParser,
             spacing_ms=_parse_int(blk.get("spacing_ms", "1"), "blocks.spacing_ms"),
         )
 
-    operations = _parse_int(wl.get("operations", "50000"), "workload.operations")
-    if block_script is not None:
-        operations = block_script.total_updates
+    operations = block_script.total_updates if block_script is not None \
+        else _parse_int(wl.get("operations", "50000"), "workload.operations")
     return WorkloadSpec(
         operations=operations,
         write_fraction=_parse_float(wl.get("write_fraction", "0.5"),
@@ -266,7 +258,14 @@ def _parse_workload(parser: configparser.ConfigParser,
     )
 
 
-def _parse_bounds(section, total_updates: int) -> tuple[Bound, dict[ContainerId, Bound]]:
+def _reject_keys(section, name: str, read: set[str], where: str) -> None:
+    """Reject any key of ``section`` outside ``read``: it would be ignored."""
+    for key in section:
+        if key not in read:
+            raise ScenarioError(f"{name}.{key} has no effect {where}")
+
+
+def _parse_bounds(section, workload: WorkloadSpec) -> tuple[Bound, dict[ContainerId, Bound]]:
     default_triple = section.get("default")
     default_bound = _parse_bound_triple(default_triple, "bounds.default") \
         if default_triple is not None else Bound()
@@ -276,12 +275,17 @@ def _parse_bounds(section, total_updates: int) -> tuple[Bound, dict[ContainerId,
                 "bounds.pending_percent conflicts with a pending count in bounds.default")
         percent = _parse_float(section["pending_percent"], "bounds.pending_percent")
         try:
-            pending = pending_from_percent(percent, total_updates)
+            pending = pending_from_percent(percent, workload.total_updates)
         except ValueError as exc:
             raise ScenarioError(str(exc)) from exc
         default_bound = Bound(default_bound.lag_ms, pending, default_bound.drift)
     bounds = {_parse_container(key): _parse_bound_triple(raw, key)
               for key, raw in section.items() if ":" in key}
+    script = workload.block_script
+    written = script.containers if script is not None else [c for c, _ in workload.containers]
+    for cid in bounds:
+        if cid not in written:
+            raise ScenarioError(f"bounds.{cid}: the workload writes no such container")
     return default_bound, bounds
 
 

@@ -77,13 +77,33 @@ class TestValidate:
         assert f"network.{key} must be positive" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [("coalesce", "false"),
-                                            ("pending_percent.a:b", "10")])
+                                            ("pending_percent.a:b", "10"),
+                                            ("poll_interval_ms", "1000")])
     def test_dropped_bounds_key_exits_two(self, tmp_path, capsys, key, value):
         path = write(tmp_path, GOOD.replace(
-            "default = 0 50 0", f"default = 0 50 0\na:b = 0 0 0\n{key} = {value}"),
+            "default = 0 50 0", f"default = 0 50 0\na:b = 0 0 0\n{key} = {value}").replace(
+            "seed = 21", "seed = 21\ncontainers = usertable:family a:b"),
             "dropped.ini")
         assert main(["validate", str(path)]) == 2
         assert f"unknown key '{key}'" in capsys.readouterr().err
+
+    def test_output_section_exits_two(self, tmp_path, capsys):
+        path = write(tmp_path, GOOD + "\n[output]\nsummary = renamed.json\n", "output.ini")
+        assert main(["validate", str(path)]) == 2
+        assert "unknown section [output]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("default = 0 50 0", "default = 0 50 0\na:b = 0 5 0",
+         "bounds.a:b: the workload writes no such container"),
+        ("default = 0 50 0", "mode = plain\ndefault = 0 1 0",
+         "bounds.default has no effect under bounds.mode = plain"),
+        ("seed = 21", "seed = 21\n\n[blocks]\ncount = 5\npattern = ANY\ncontainers = a:b",
+         "workload.operations has no effect with a [blocks] script"),
+    ], ids=["unwritten-container", "plain-bounds", "op-key-under-blocks"])
+    def test_ignored_key_exits_two(self, tmp_path, capsys, old, new, message):
+        path = write(tmp_path, GOOD.replace(old, new), "ignored.ini")
+        assert main(["validate", str(path)]) == 2
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("key", ["latency_ms.2>1", "latency_ms.1>9", "latency_ms.oops"])
     def test_latency_override_of_no_declared_link_exits_two(self, tmp_path, capsys, key):
@@ -147,6 +167,17 @@ class TestCompare:
         out = capsys.readouterr().out
         assert "peak window bytes : A=14246 B=14246 ratio=1.0000" in out
         assert "total bytes       : A=14246 B=14246 ratio=1.0000" in out
+
+    def test_runs_with_different_windows_exit_two(self, tmp_path, capsys):
+        # Each run's window comes from the summary that run wrote
+        # beside its CSV.
+        for window in (1000, 100):
+            path = write(tmp_path, GOOD + f"\n[network]\nwindow_ms = {window}\n",
+                         f"w{window}.ini")
+            assert main(["run", str(path), "--out", str(tmp_path), "--quiet"]) == 0
+        code = main(["compare", str(tmp_path / "w1000.csv"), str(tmp_path / "w100.csv")])
+        assert code == 2
+        assert "window mismatch" in capsys.readouterr().err
 
     def test_missing_csv_exits_two(self, tmp_path, capsys):
         path = write(tmp_path, GOOD, "good.ini")

@@ -71,7 +71,7 @@ links = 1>2
 
 [bounds]
 mode = plain
-poll_interval_ms = 1000
+tick_ms = 1000
 
 [workload]
 operations = 3000

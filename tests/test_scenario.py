@@ -27,6 +27,32 @@ seed = 3
 """
 
 
+# MINIMAL with a second written container, which a [bounds] triple
+# may then name.
+ORDERS = MINIMAL.replace("seed = 3", "seed = 3\ncontainers = usertable:family orders:acct")
+
+# MINIMAL's clusters and bounds with a [blocks] script in place of its
+# op stream: only seed, value_bytes and origins stay in [workload].
+BLOCKS = """\
+[topology]
+clusters = 1 2
+links = 1>2
+
+[bounds]
+default = 0 100 0
+
+[workload]
+value_bytes = 10
+seed = 3
+
+[blocks]
+count = 2
+puts_per_block = 1
+pattern = IMMEDIATE
+containers = a:f
+"""
+
+
 def write_scenario(tmp_path, text, name="case.ini"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -42,8 +68,7 @@ def test_minimal_scenario_loads(tmp_path):
     assert sc.mode == "bounded"
     assert sc.default_bound == Bound(pending=100)
     assert sc.workload.operations == 500
-    assert sc.csv_name == "case.csv"
-    assert sc.summary_name == "case.summary.json"
+    assert sc.tick_ms == 100  # default
 
 
 def test_all_bundled_scenarios_load(scenario_dir):
@@ -80,7 +105,7 @@ def test_block_scenario_counts_scripted_puts(scenario_dir):
 
 
 def test_per_container_bound_triple(tmp_path):
-    text = MINIMAL.replace(
+    text = ORDERS.replace(
         "default = 0 100 0",
         "default = 0 100 0\norders:acct = 1000 5 2.5")
     sc = load_scenario(write_scenario(tmp_path, text))
@@ -132,12 +157,49 @@ class TestRejections:
     def test_unknown_key(self, tmp_path):
         self.reject(tmp_path, MINIMAL + "\n[network]\nlatencyms = 10\n", "unknown key")
 
+    def test_output_section_is_unknown(self, tmp_path):
+        self.reject(tmp_path, MINIMAL + "\n[output]\ncsv = run.csv\n",
+                    r"unknown section \[output\]")
+
     @pytest.mark.parametrize("key, value", [("coalesce", "false"),
-                                            ("pending_percent.orders:acct", "2")])
+                                            ("pending_percent.orders:acct", "2"),
+                                            ("poll_interval_ms", "1000")])
     def test_dropped_bounds_key_is_unknown(self, tmp_path, key, value):
-        text = MINIMAL.replace("default = 0 100 0",
-                               f"default = 0 100 0\norders:acct = 0 0 0\n{key} = {value}")
+        text = ORDERS.replace("default = 0 100 0",
+                              f"default = 0 100 0\norders:acct = 0 0 0\n{key} = {value}")
         self.reject(tmp_path, text, f"unknown key '{key}'")
+
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_non_positive_tick(self, tmp_path, value):
+        self.reject(tmp_path, MINIMAL.replace("default = 0 100 0",
+                                              f"default = 0 100 0\ntick_ms = {value}"),
+                    "bounds.tick_ms must be positive")
+
+    def test_bound_for_a_container_the_workload_never_writes(self, tmp_path):
+        # A typo in a container name would leave it on the default bound.
+        self.reject(tmp_path, MINIMAL.replace("default = 0 100 0",
+                                              "default = 0 100 0\nordrs:acct = 0 5 0"),
+                    "bounds.ordrs:acct: the workload writes no such container")
+
+    def test_bound_for_a_container_the_block_script_never_writes(self, tmp_path):
+        # Under a script only the [blocks] containers are written.
+        self.reject(tmp_path, BLOCKS.replace("default = 0 100 0",
+                                             "default = 0 100 0\nusertable:family = 0 5 0"),
+                    "bounds.usertable:family: the workload writes no such container")
+
+    @pytest.mark.parametrize("key, value", [
+        ("operations", "999"), ("write_fraction", "0.1"), ("distribution", "uniform"),
+        ("zipf_constant", "0.5"), ("keyspace", "7"), ("containers", "nothere:fam"),
+        ("burst_ops", "50"), ("burst_spacing_ms", "3"), ("disjoint_keys", "true")])
+    def test_op_stream_key_under_a_block_script(self, tmp_path, key, value):
+        self.reject(tmp_path, BLOCKS.replace("seed = 3", f"seed = 3\n{key} = {value}"),
+                    f"workload.{key} has no effect with a \\[blocks\\] script")
+
+    @pytest.mark.parametrize("key, value", [
+        ("default", "0 1 0"), ("pending_percent", "2"), ("usertable:family", "5 0 0")])
+    def test_bound_key_under_plain_mode(self, tmp_path, key, value):
+        text = MINIMAL.replace("default = 0 100 0", f"mode = plain\n{key} = {value}")
+        self.reject(tmp_path, text, f"bounds.{key} has no effect under bounds.mode = plain")
 
     @pytest.mark.parametrize("key", ["latency_ms.2>1", "latency_ms.1>9", "latency_ms.oops"],
                              ids=["reversed-link", "unknown-cluster", "garbage"])
@@ -198,8 +260,8 @@ class TestRejections:
 
     @pytest.mark.parametrize("drift", ["nan", "inf"])
     def test_non_finite_container_drift(self, tmp_path, drift):
-        self.reject(tmp_path, MINIMAL.replace("default = 0 100 0",
-                                              f"default = 0 100 0\norders:acct = 0 5 {drift}"),
+        self.reject(tmp_path, ORDERS.replace("default = 0 100 0",
+                                             f"default = 0 100 0\norders:acct = 0 5 {drift}"),
                     "drift limit must be finite")
 
     @pytest.mark.parametrize("weight", ["nan", "inf"])
@@ -226,6 +288,5 @@ class TestRejections:
             load_scenario(tmp_path / "nope.ini")
 
     def test_unknown_block_mode(self, tmp_path):
-        text = MINIMAL + ("\n[blocks]\ncount = 2\nputs_per_block = 1\n"
-                          "pattern = EVENTUAL\ncontainers = a:f\n")
-        self.reject(tmp_path, text, "unknown block mode")
+        self.reject(tmp_path, BLOCKS.replace("pattern = IMMEDIATE", "pattern = EVENTUAL"),
+                    "unknown block mode")
