@@ -56,31 +56,34 @@ class Trigger(enum.IntEnum):
     FINAL_DRAIN = 6      # end-of-run flush of stragglers
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class ContainerId:
-    """Identity of a replicated data container, written ``table:family``.
+class ContainerId(str):
+    """Identity of a replicated data container: the ``str`` ``table:family``.
 
-    Every update is looked up by container several times on its way to
-    a peer, and containers are visited in the order of their text, so
-    the hash and the ``table:family`` text are computed once, at
-    construction.
+    Hashing, equality and ordering are the string's own and run in C, so
+    the canonical order of containers is their text order.  Neither part
+    may be empty or hold a colon, so the text splits back into its parts;
+    ``__getnewargs__`` rebuilds an id from them for copy and pickle.
     """
 
-    table: str
-    family: str
-    _hash: int = field(init=False, repr=False, compare=False)
-    _text: str = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.table or not self.family:
-            raise ValueError(f"container parts must be non-empty: {self.table!r}:{self.family!r}")
-        if ":" in self.table or ":" in self.family:
-            raise ValueError(f"container parts may not contain ':': {self.table!r}, {self.family!r}")
-        object.__setattr__(self, "_hash", hash((self.table, self.family)))
-        object.__setattr__(self, "_text", f"{self.table}:{self.family}")
+    def __new__(cls, table: str, family: str) -> ContainerId:
+        if not table or not family:
+            raise ValueError(f"container parts must be non-empty: {table!r}:{family!r}")
+        if ":" in table or ":" in family:
+            raise ValueError(f"container parts may not contain ':': {table!r}, {family!r}")
+        return super().__new__(cls, f"{table}:{family}")
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __getnewargs__(self) -> tuple[str, str]:
+        return self.table, self.family
+
+    @property
+    def table(self) -> str:
+        return self.partition(":")[0]
+
+    @property
+    def family(self) -> str:
+        return self.partition(":")[2]
 
     @classmethod
     def parse(cls, text: str) -> ContainerId:
@@ -89,9 +92,6 @@ class ContainerId:
         if len(parts) != 2:
             raise ValueError(f"container id must be 'table:family': {text!r}")
         return cls(parts[0], parts[1])
-
-    def __str__(self) -> str:
-        return self._text
 
 
 @dataclass(frozen=True, slots=True)
@@ -122,7 +122,7 @@ IMMEDIATE = Bound()
 _UNPARSED = object()
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class Update:
     """One edit as carried through caches, batches and the wire, and as
     held in every replica's store once applied."""
@@ -133,12 +133,17 @@ class Update:
     wall_ms: int
     origin: int
     seq: int
-    block: int | None = None
-    size_bytes: int = field(init=False)
-    _numeric: object = field(default=_UNPARSED, init=False, repr=False, compare=False)
+    block: int | None
+    size_bytes: int
+    _numeric: object = field(repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        self.size_bytes = update_size(self.key, self.value)
+    def __init__(self, container: ContainerId, key: str, value: bytes, wall_ms: int,
+                 origin: int, seq: int, block: int | None = None) -> None:
+        self.container, self.key, self.value = container, key, value
+        self.wall_ms, self.origin, self.seq = wall_ms, origin, seq
+        self.block, self._numeric = block, _UNPARSED
+        # The accounted size: UTF-8 key, value and the fixed overhead.
+        self.size_bytes = len(key.encode("utf-8")) + len(value) + UPDATE_OVERHEAD_BYTES
 
     @property
     def numeric(self) -> float | None:
@@ -220,11 +225,6 @@ def parse_numeric(value: bytes) -> float | None:
         return float(value)
     except (ValueError, UnicodeDecodeError):
         return None
-
-
-def update_size(key: str, value: bytes) -> int:
-    """Accounted size of one update: key + value + fixed overhead."""
-    return len(key.encode("utf-8")) + len(value) + UPDATE_OVERHEAD_BYTES
 
 
 @dataclass(slots=True)

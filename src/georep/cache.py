@@ -6,7 +6,7 @@ belonging to any atomic group (block) that has a member in that queue,
 wherever those siblings live, so a group never ships partially split
 across batches.  Due-ness ordering across containers is the shipping
 layer's job: it drains a container the moment its bound trips, and the
-periodic timer visits overdue containers in canonical name order.
+periodic timer visits overdue containers in ``table:family`` text order.
 """
 
 from __future__ import annotations
@@ -44,7 +44,8 @@ class PendingCache:
 
     origin: int
     queues: dict[ContainerId, list[Update]] = field(default_factory=dict)
-    block_index: dict[BlockKey, dict[ContainerId, int]] = field(default_factory=dict)
+    # A block's containers in arrival order; a set's would follow the hash seed.
+    block_index: dict[BlockKey, dict[ContainerId, None]] = field(default_factory=dict)
     total_pending_count: int = 0
     _drained_peaks: dict[ContainerId, int] = field(default_factory=dict)
     _seen: SeqWindow = field(default_factory=SeqWindow)
@@ -70,7 +71,7 @@ class PendingCache:
             members = self.block_index.get(bkey)
             if members is None:
                 members = self.block_index[bkey] = {}
-            members[cid] = members.get(cid, 0) + 1
+            members[cid] = None
         return len(queue)
 
     def peaks(self) -> dict[ContainerId, int]:

@@ -241,7 +241,7 @@ def _xor_cells(store: Store, other: Store) -> int:
     acc = 0
     sha256 = hashlib.sha256
     for cid, cells in store.items():
-        label = str(cid).encode("utf-8")
+        label = cid.encode("utf-8")
         twins = other.get(cid, {})
         for key, cell in cells.items():
             if twins.get(key) is not cell:

@@ -261,9 +261,8 @@ class Simulation:
         for node in self.clusters.values():
             for source in node.sources.values():
                 for cid, peak in source.cache.peaks().items():
-                    name = str(cid)
-                    if peak > pending_peaks.get(name, 0):
-                        pending_peaks[name] = peak
+                    if peak > pending_peaks.get(cid, 0):
+                        pending_peaks[cid] = peak
         return {
             "scenario": self.scenario.name,
             "mode": self.scenario.mode,

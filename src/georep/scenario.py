@@ -51,7 +51,8 @@ keys that would have no effect: under ``mode = plain`` every [bounds]
 key but ``mode`` and ``tick_ms``; with a [blocks] script every
 [workload] key but ``seed``, ``value_bytes`` and ``origins``; and a
 per-container bound for a container the workload never writes (the
-[blocks] containers under a script, the [workload] ones otherwise).
+[blocks] containers under a script, the [workload] ones otherwise;
+none if it writes nothing, and then ``bounds.default`` is rejected too).
 Percentage bounds resolve against the number of replicated updates the
 workload will produce (its writes), not its total operation count.
 """
@@ -283,9 +284,13 @@ def _parse_bounds(section, workload: WorkloadSpec) -> tuple[Bound, dict[Containe
               for key, raw in section.items() if ":" in key}
     script = workload.block_script
     written = script.containers if script is not None else [c for c, _ in workload.containers]
+    if workload.total_updates == 0:
+        written = []
     for cid in bounds:
         if cid not in written:
             raise ScenarioError(f"bounds.{cid}: the workload writes no such container")
+    if not written and default_triple is not None:
+        raise ScenarioError("bounds.default has no effect under a workload that writes nothing")
     return default_bound, bounds
 
 

@@ -60,17 +60,16 @@ class ReplicationSource:
         self.mode = mode
         self.cache = PendingCache(source)
         self.shipped_position: dict[int, int] = {}
-        # Per-container (state, bound) pairs, resolved on first use;
-        # offer() runs for every arriving update, so one dict hit matters.
+        # Per-container (state, bound) pairs, resolved on first use.
+        # offer() runs for every update, so a hit is one dict.get.
         self._resolved: dict[ContainerId, tuple[ContainerState, Bound]] = {}
 
     def bound_for(self, cid: ContainerId) -> Bound:
         return self.bounds.get(cid, self.default_bound)
 
     def _state_and_bound(self, cid: ContainerId) -> tuple[ContainerState, Bound]:
-        entry = self._resolved.get(cid)
-        if entry is None:
-            entry = self._resolved[cid] = (ContainerState(), self.bound_for(cid))
+        """Resolve a container's pair on a ``_resolved`` miss."""
+        entry = self._resolved[cid] = (ContainerState(), self.bound_for(cid))
         return entry
 
     # -- ingestion ---------------------------------------------------
@@ -80,41 +79,42 @@ class ReplicationSource:
         bound trips.  Updates that originated at the peer are dropped."""
         if update.origin == self.peer:
             return None
-        state, bound = self._state_and_bound(update.container)
         held = self.cache.enqueue(update)
         if self.mode == "plain":
             return None
+        cid = update.container
+        state, bound = self._resolved.get(cid) or self._state_and_bound(cid)
         trigger = state.should_ship(bound, update, now, held)
         if trigger is None:
             return None
-        return self._drain([update.container], now, trigger)
+        return self._drain([cid], now, trigger)
 
     def offer_group(self, updates: list[Update], now: int) -> Batch | None:
         """Accept a completed atomic group in one step.
 
         Every member is enqueued before any shipping decision, so the
         group can only leave whole.  Each member is then evaluated
-        against its container's held-back count after the whole group;
-        the count only grows within a group, so this trips exactly when
-        some member's own arrival would have.  If any member trips its
+        against its container's held-back count at its own arrival, the
+        length of the queue it was appended to.  If any member trips its
         container's bound, the involved containers drain immediately as
         one batch.
         """
         accepted = [u for u in updates if u.origin != self.peer]
         if not accepted:
             return None
-        for u in accepted:
-            self.cache.enqueue(u)
+        enqueue = self.cache.enqueue
+        held = [enqueue(u) for u in accepted]
         if self.mode == "plain":
             return None
         tripped = False
-        for u in accepted:
-            state, bound = self._state_and_bound(u.container)
-            if state.should_ship(bound, u, now, self.cache.pending_count(u.container)) is not None:
+        resolved = self._resolved
+        for u, count in zip(accepted, held):
+            state, bound = resolved.get(u.container) or self._state_and_bound(u.container)
+            if state.should_ship(bound, u, now, count) is not None:
                 tripped = True
         if not tripped:
             return None
-        involved = _ordered_containers(accepted)
+        involved = sorted({u.container for u in accepted})
         return self._drain(involved, now, Trigger.ANY_BLOCK)
 
     def ship_group_now(self, updates: list[Update], now: int) -> Batch | None:
@@ -124,7 +124,7 @@ class ReplicationSource:
             return None
         for u in accepted:
             self.cache.enqueue(u)
-        involved = _ordered_containers(accepted)
+        involved = sorted({u.container for u in accepted})
         return self._drain(involved, now, Trigger.IMMEDIATE_BLOCK)
 
     # -- timer and flush paths ----------------------------------------
@@ -134,17 +134,17 @@ class ReplicationSource:
 
         In plain mode every non-empty container ships.  In bounded mode
         a container ships when it has pending updates and its lag limit
-        has elapsed.  Overdue containers are visited in canonical name
-        order so multi-container ticks are deterministic.
+        has elapsed.  Overdue containers are visited in ``table:family``
+        text order, so multi-container ticks are deterministic.
         """
         batches = []
-        for cid in sorted(self.cache.queues, key=str):
+        for cid in sorted(self.cache.queues):
             if self.cache.pending_count(cid) == 0:
                 continue
             if self.mode == "plain":
                 due = True
             else:
-                state, bound = self._state_and_bound(cid)
+                state, bound = self._resolved.get(cid) or self._state_and_bound(cid)
                 due = state.lag_expired(bound, now)
             if due:
                 batches.append(self._drain([cid], now, Trigger.TIME))
@@ -153,7 +153,7 @@ class ReplicationSource:
     def final_drain(self, now: int) -> list[Batch]:
         """Flush every non-empty container regardless of bounds."""
         batches = []
-        for cid in sorted(self.cache.queues, key=str):
+        for cid in sorted(self.cache.queues):
             if self.cache.pending_count(cid) > 0:
                 batch = self._drain([cid], now, Trigger.FINAL_DRAIN)
                 if batch is not None:
@@ -179,7 +179,7 @@ class ReplicationSource:
         for u in updates:
             by_container.setdefault(u.container, []).append(u)
         for cid, members in by_container.items():
-            state, bound = self._state_and_bound(cid)
+            state, bound = self._resolved.get(cid) or self._state_and_bound(cid)
             state.mark_shipped(now, members, bound)
         return batch
 
@@ -188,10 +188,3 @@ class ReplicationSource:
         for u in batch.updates:
             if u.seq > self.shipped_position.get(u.origin, 0):
                 self.shipped_position[u.origin] = u.seq
-
-
-def _ordered_containers(updates: list[Update]) -> list[ContainerId]:
-    seen: dict[ContainerId, None] = {}
-    for u in updates:
-        seen[u.container] = None
-    return sorted(seen, key=str)

@@ -1,5 +1,8 @@
 """Container identity, divergence bounds and per-dimension evaluation."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,12 +17,17 @@ from georep.bounds import (
     Update,
     parse_numeric,
     pending_from_percent,
-    update_size,
 )
 
 from georep.shipping import ReplicationSource
 
 from conftest import CID, make_update
+
+# A non-empty container part: any text without a colon.
+PART = st.text(min_size=1, max_size=6).filter(lambda s: ":" not in s)
+# A part that is empty or holds a colon.
+MALFORMED = st.one_of(st.just(""), st.builds("{}:{}".format, st.text(max_size=3),
+                                               st.text(max_size=3)))
 
 
 class TestContainerId:
@@ -37,6 +45,34 @@ class TestContainerId:
     def test_malformed_rejected(self, text):
         with pytest.raises(ValueError):
             ContainerId.parse(text)
+
+    @given(st.lists(st.tuples(PART, PART), min_size=1, max_size=8))
+    def test_natural_order_is_text_order(self, parts):
+        ids = [ContainerId(t, f) for t, f in parts]
+        assert sorted(ids) == sorted(ids, key=str)
+
+    @given(PART, PART)
+    def test_text_parses_back(self, table, family):
+        cid = ContainerId(table, family)
+        back = ContainerId.parse(str(cid))
+        assert back == cid and hash(back) == hash(cid)
+        assert (back.table, back.family) == (table, family)
+
+    @given(PART, PART)
+    def test_copy_and_pickle_round_trip(self, table, family):
+        cid = ContainerId(table, family)
+        copies = [copy.copy(cid), copy.deepcopy(cid)]
+        copies += [pickle.loads(pickle.dumps(cid, protocol))
+                   for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for other in copies:
+            assert type(other) is ContainerId and other == cid
+            assert (other.table, other.family) == (table, family)
+
+    @given(MALFORMED, PART, st.booleans())
+    def test_malformed_parts_rejected(self, bad, good, bad_first):
+        table, family = (bad, good) if bad_first else (good, bad)
+        with pytest.raises(ValueError):
+            ContainerId(table, family)
 
 
 class TestBound:
@@ -63,7 +99,8 @@ class TestUpdate:
     def test_size_is_key_plus_value_plus_overhead(self):
         u = make_update(key="abc", value=b"x" * 83)
         assert u.size_bytes == 3 + 83 + UPDATE_OVERHEAD_BYTES
-        assert update_size("abc", b"x" * 83) == u.size_bytes
+        # The key counts in UTF-8 bytes, not characters.
+        assert make_update(key="é", value=b"").size_bytes == 2 + UPDATE_OVERHEAD_BYTES
 
     def test_numeric_payloads_parse(self):
         assert make_update(value=b"12.5").numeric == 12.5

@@ -37,7 +37,7 @@ def test_block_membership_indexed():
     cache = PendingCache(origin=1)
     u = make_update(container=A, block=9)
     cache.enqueue(u)
-    assert cache.block_index[(u.origin, 9)] == {A: 1}
+    assert cache.block_index[(u.origin, 9)] == {A: None}
 
 
 def test_duplicate_identity_rejected():

@@ -118,6 +118,17 @@ class TestTick:
         batches = src.tick(now=500)
         assert [b.updates[0].container for b in batches] == [A, B]
 
+    def test_overdue_containers_drain_in_text_order(self):
+        # Tuple order puts ("a", "z") first; the text "a-b:c" sorts
+        # before "a:z", since "-" sorts before ":".
+        az, abc = ContainerId("a", "z"), ContainerId("a-b", "c")
+        src = source_with(Bound(lag_ms=100))
+        src.offer(make_update(container=az, key="k1"), now=0)
+        src.offer(make_update(container=abc, key="k2"), now=0)
+        batches = src.tick(now=100)
+        assert [b.trigger for b in batches] == [Trigger.TIME, Trigger.TIME]
+        assert [b.updates[0].container for b in batches] == [abc, az]
+
     def test_plain_mode_tick_ships_everything(self):
         src = source_with(Bound(), mode="plain")
         src.offer(make_update(container=A, key="x"), now=0)

@@ -4,6 +4,7 @@ import pytest
 
 from georep.blocks import BlockMode
 from georep.bounds import Bound, ContainerId
+from georep.cli import main
 from georep.errors import ScenarioError
 from georep.scenario import load_scenario
 
@@ -187,6 +188,15 @@ class TestRejections:
                                              "default = 0 100 0\nusertable:family = 0 5 0"),
                     "bounds.usertable:family: the workload writes no such container")
 
+    @pytest.mark.parametrize("bounds, message", [
+        ("a:b = 0 5 0", "bounds.a:b: the workload writes no such container"),
+        ("default = 0 5 0", "bounds.default has no effect under a workload that writes nothing"),
+    ])
+    def test_bound_under_a_workload_that_writes_nothing(self, tmp_path, bounds, message):
+        text = MINIMAL.replace("default = 0 100 0", bounds).replace(
+            "write_fraction = 1.0", "write_fraction = 0.0\ncontainers = usertable:family a:b")
+        self.reject(tmp_path, text, message)
+
     @pytest.mark.parametrize("key, value", [
         ("operations", "999"), ("write_fraction", "0.1"), ("distribution", "uniform"),
         ("zipf_constant", "0.5"), ("keyspace", "7"), ("containers", "nothere:fam"),
@@ -290,3 +300,22 @@ class TestRejections:
     def test_unknown_block_mode(self, tmp_path):
         self.reject(tmp_path, BLOCKS.replace("pattern = IMMEDIATE", "pattern = EVENTUAL"),
                     "unknown block mode")
+
+
+def test_validate_exits_two_on_a_bound_for_a_workload_that_writes_nothing(tmp_path, capsys):
+    # Reads only: no container is written, so no bound can apply.
+    path = write_scenario(tmp_path, """\
+[topology]
+clusters = 1 2
+links = 1>2
+
+[bounds]
+a:b = 0 5 0
+
+[workload]
+operations = 100
+write_fraction = 0.0
+containers = usertable:family a:b
+""", "ro.ini")
+    assert main(["validate", str(path)]) == 2
+    assert "the workload writes no such container" in capsys.readouterr().err
