@@ -51,11 +51,14 @@ Store = dict[ContainerId, dict[str, Update]]
 
 @dataclass(slots=True)
 class ApplyReport:
-    """Outcome counts for one remote batch application."""
+    """Outcome counts of remote batch application: one batch's, or a
+    node's running tally.  An echo, an update back at its own origin,
+    also counts as stale."""
 
     applied: int = 0
     stale_discarded: int = 0
     duplicates: int = 0
+    echoes: int = 0
 
 
 class ClusterNode:
@@ -78,6 +81,8 @@ class ClusterNode:
         }
         self._applied = SeqWindow()
         self._next_block = 0
+        # Running sum of every apply_remote report.
+        self.tally = ApplyReport()
 
     # -- local write path ----------------------------------------------
 
@@ -143,7 +148,8 @@ class ClusterNode:
         ProtocolError before anything is stored or remembered.  Freshly
         applied updates are relayed to every peer other than the batch's
         own sender.  The container's cell dict is looked up once per run
-        of same-container updates.
+        of same-container updates.  The batch's counts are returned and
+        added to ``tally``.
         """
         if batch.destination != self.cluster_id:
             raise ProtocolError(
@@ -154,9 +160,12 @@ class ClusterNode:
                     f"update ({u.origin}, {u.seq}) has a sequence number below 1")
         store, first_sight = self.store, self._applied.add
         fresh: list[Update] = []
-        stale = duplicates = 0
+        stale = duplicates = echoes = 0
+        me = self.cluster_id
         cid = cells = None
         for u in batch.updates:
+            if u.origin == me:
+                echoes += 1
             if not first_sight(u.origin, u.seq):
                 duplicates += 1
                 continue
@@ -173,7 +182,12 @@ class ClusterNode:
                 stale += 1
         if fresh:
             self._relay(fresh, exclude_peer=batch.source)
-        return ApplyReport(len(fresh), stale, duplicates)
+        tally = self.tally
+        tally.applied += len(fresh)
+        tally.stale_discarded += stale
+        tally.duplicates += duplicates
+        tally.echoes += echoes
+        return ApplyReport(len(fresh), stale, duplicates, echoes)
 
     def _relay(self, updates: list[Update], exclude_peer: int) -> None:
         now = self.now_fn()

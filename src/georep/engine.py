@@ -48,7 +48,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 from .blocks import ClientSession
-from .cluster import ClusterNode
+from .cluster import ApplyReport, ClusterNode
 from .metrics import MetricsCollector, Row, summary_path, write_csv, write_summary
 from .scenario import Scenario
 from .shipping import Batch, ReplicationSource
@@ -65,24 +65,12 @@ class BatchRecord:
 
 
 @dataclass(slots=True)
-class ClusterTally:
-    """Per-cluster outcome counts of remote batch application."""
-
-    applied: int = 0
-    stale_discarded: int = 0
-    duplicates: int = 0
-    echoes: int = 0
-
-
-@dataclass(slots=True)
 class RunResult:
-    scenario_name: str
     rows: list[Row]
     summary: dict
     batches: list[BatchRecord]
     digests: dict[int, str]
-    tallies: dict[int, ClusterTally]
-    final_ms: int
+    tallies: dict[int, ApplyReport]
     ops_per_sec: float
     total_shipped_bytes: int
     total_shipped_updates: int
@@ -108,7 +96,7 @@ class Simulation:
         self.metrics = MetricsCollector(scenario.window_ms)
         # Metric window of the latest backlog sample; see _sample_pending.
         self._sampled_window = -1
-        self.tallies = {cid: ClusterTally() for cid in scenario.clusters}
+        self.tallies = {cid: node.tally for cid, node in self.clusters.items()}
         self.batches: list[BatchRecord] = []
         self._tick_armed = False
         # Timers only matter for the plain poll or an active lag bound;
@@ -133,13 +121,8 @@ class Simulation:
                  batch: Batch) -> None:
         now = self.net.now
         record.delivered_ms = now
-        tally = self.tallies[batch.destination]
-        tally.echoes += sum(1 for u in batch.updates if u.origin == batch.destination)
-        report = self.clusters[batch.destination].apply_remote(batch)
+        self.clusters[batch.destination].apply_remote(batch)
         source.acknowledge(batch)
-        tally.applied += report.applied
-        tally.stale_discarded += report.stale_discarded
-        tally.duplicates += report.duplicates
         self.metrics.note_delivery((batch.source, batch.destination), batch, now)
         self._sample_pending((self.clusters[batch.destination],))
         self._arm_tick()
@@ -233,9 +216,8 @@ class Simulation:
         rows = self.metrics.build_rows()
         summary = self._summarize(rows, digests, ops_per_sec)
         return RunResult(
-            scenario_name=self.scenario.name, rows=rows, summary=summary,
-            batches=self.batches, digests=digests, tallies=self.tallies,
-            final_ms=self.net.now, ops_per_sec=ops_per_sec,
+            rows=rows, summary=summary, batches=self.batches, digests=digests,
+            tallies=self.tallies, ops_per_sec=ops_per_sec,
             total_shipped_bytes=self.total_shipped_bytes,
             total_shipped_updates=self.total_shipped_updates,
         )

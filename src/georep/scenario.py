@@ -49,7 +49,8 @@ A run writes ``<scenario stem>.csv`` and ``<scenario stem>.summary.json``.
 Unknown sections or keys are rejected so typos fail loudly, and so are
 keys that would have no effect: under ``mode = plain`` every [bounds]
 key but ``mode`` and ``tick_ms``; with a [blocks] script every
-[workload] key but ``seed``, ``value_bytes`` and ``origins``; and a
+[workload] key but ``seed``, ``value_bytes`` and ``origins``;
+``zipf_constant`` under ``distribution = uniform``; and a
 per-container bound for a container the workload never writes (the
 [blocks] containers under a script, the [workload] ones otherwise;
 none if it writes nothing, and then ``bounds.default`` is rejected too).
@@ -236,6 +237,8 @@ def _parse_workload(parser: configparser.ConfigParser,
             spacing_ms=_parse_int(blk.get("spacing_ms", "1"), "blocks.spacing_ms"),
         )
 
+    if wl.get("distribution") == "uniform" and "zipf_constant" in wl:
+        raise ScenarioError("workload.zipf_constant has no effect under distribution = uniform")
     operations = block_script.total_updates if block_script is not None \
         else _parse_int(wl.get("operations", "50000"), "workload.operations")
     return WorkloadSpec(

@@ -148,16 +148,14 @@ class ReplicationSource:
                 due = state.lag_expired(bound, now)
             if due:
                 batches.append(self._drain([cid], now, Trigger.TIME))
-        return [b for b in batches if b is not None]
+        return batches
 
     def final_drain(self, now: int) -> list[Batch]:
         """Flush every non-empty container regardless of bounds."""
         batches = []
         for cid in sorted(self.cache.queues):
             if self.cache.pending_count(cid) > 0:
-                batch = self._drain([cid], now, Trigger.FINAL_DRAIN)
-                if batch is not None:
-                    batches.append(batch)
+                batches.append(self._drain([cid], now, Trigger.FINAL_DRAIN))
         return batches
 
     def has_timer_work(self) -> bool:
@@ -170,10 +168,9 @@ class ReplicationSource:
 
     # -- batch construction and acknowledgment ------------------------
 
-    def _drain(self, cids: list[ContainerId], now: int, trigger: Trigger) -> Batch | None:
+    def _drain(self, cids: list[ContainerId], now: int, trigger: Trigger) -> Batch:
+        """Ship what ``cids`` hold back; every caller knows they hold some."""
         updates = self.cache.drain(cids)
-        if not updates:
-            return None
         batch = Batch.build(updates, self.source, self.peer, now, trigger)
         by_container: dict[ContainerId, list[Update]] = {}
         for u in updates:

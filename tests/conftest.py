@@ -1,10 +1,13 @@
 """Shared fixtures and small builders used across the test modules."""
 
+import gc
 from pathlib import Path
 
 import pytest
 
 from georep.bounds import ContainerId, Update
+from georep.engine import run_scenario
+from georep.scenario import load_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -24,3 +27,33 @@ def make_update(key="k", value=b"v", wall_ms=0, origin=1, seq=None,
 @pytest.fixture
 def scenario_dir():
     return SCENARIO_DIR
+
+
+@pytest.fixture(scope="session")
+def bundled(tmp_path_factory):
+    """``bundled(name)``: the ``RunResult`` of the bundled scenario
+    ``scenarios/<name>.ini``, run through ``run_scenario`` once per test
+    session into a session temp dir, so its CSV and summary files are
+    written too.
+
+    Every caller gets the same object, so it is read-only: a test that
+    mutates a result, its rows, batches, tallies or summary, or rewrites
+    its files, corrupts every later reader.  Copy first (as the goldens
+    copy the summary), and give a test that needs its own run (to patch
+    the engine, time it, or compare two runs) a fresh one.
+
+    After each run the heap is collected and frozen, so the cyclic
+    collector does not rescan the held results in every later test.
+    """
+    out = tmp_path_factory.mktemp("bundled")
+    runs = {}
+
+    def get(name):
+        if name not in runs:
+            runs[name] = run_scenario(load_scenario(SCENARIO_DIR / f"{name}.ini"), out)
+            gc.collect()
+            gc.freeze()
+        return runs[name]
+
+    yield get
+    gc.unfreeze()

@@ -2,7 +2,9 @@
 
 Every test exercises a bundled scenario (or a purpose-built probe) and
 prints a single PASS/FAIL line so the gate can be read off the terminal
-without digging through pytest output.
+without digging through pytest output.  Criteria 2, 3, 4, 6 and 8 read
+the session's shared run of each scenario (the ``bundled`` fixture);
+criteria 5 and 7 patch or time the engine, so they run their own.
 """
 
 import gc
@@ -26,10 +28,6 @@ def criterion(capsys, number, label):
     finally:
         with capsys.disabled():
             print(f"criterion {number} [{label}]: {verdict}")
-
-
-def run(scenario_dir, name):
-    return Simulation(load_scenario(scenario_dir / f"{name}.ini")).run()
 
 
 def offer_stream(b, n):
@@ -77,14 +75,14 @@ def test_criterion_1_arrival_counter_matches_modular_oracle(capsys):
         assert time.perf_counter() - started < 10.0
 
 
-def test_criterion_2_pending_bound_fixes_batch_size(capsys, scenario_dir, tmp_path):
+def test_criterion_2_pending_bound_fixes_batch_size(capsys, bundled, tmp_path):
     """Percent bounds cut batches of exactly the resolved size."""
     with criterion(capsys, 2, "batch size bound"):
         for name, size in (("batch-size-2pct", 1000),
                            ("batch-size-05pct", 250)):
-            started = time.perf_counter()
-            result = run(scenario_dir, name)
-            assert time.perf_counter() - started < 30.0
+            result = bundled(name)
+            # The run's own wall time, whenever the session ran it.
+            assert result.summary["operations"] / result.ops_per_sec < 30.0
             count = [r.batch for r in result.batches
                      if r.batch.trigger is Trigger.COUNT]
             # 50,000 writes divide evenly; every batch is full and no
@@ -121,12 +119,12 @@ seed = 7
         assert sizes[Trigger.FINAL_DRAIN] == [3]
 
 
-def test_criterion_3_bounds_flatten_bandwidth_peaks(capsys, scenario_dir):
+def test_criterion_3_bounds_flatten_bandwidth_peaks(capsys, bundled):
     """Bursty load: bounded shipping peaks below the plain baseline."""
     with criterion(capsys, 3, "peak reduction"):
-        plain = run(scenario_dir, "write-burst-plain")
-        tight = run(scenario_dir, "write-burst-bounded05pct")
-        loose = run(scenario_dir, "write-burst-bounded2pct")
+        plain = bundled("write-burst-plain")
+        tight = bundled("write-burst-bounded05pct")
+        loose = bundled("write-burst-bounded2pct")
         assert tight.summary["peak_window_bytes"] \
             < plain.summary["peak_window_bytes"]
         # Looser bound: traffic moves less often, in bigger batches.
@@ -135,10 +133,10 @@ def test_criterion_3_bounds_flatten_bandwidth_peaks(capsys, scenario_dir):
             > max(r.max_batch_bytes for r in tight.rows)
 
 
-def test_criterion_4_time_bound_caps_staleness(capsys, scenario_dir):
+def test_criterion_4_time_bound_caps_staleness(capsys, bundled):
     """Every update is visible within lag bound + tick + link latency."""
     with criterion(capsys, 4, "staleness bound"):
-        result = run(scenario_dir, "staleness-lag")
+        result = bundled("staleness-lag")
         limit = 1000 + 100 + 10
         for record in result.batches:
             assert record.delivered_ms >= 0
@@ -216,10 +214,10 @@ def test_criterion_5_blocks_ship_atomically(capsys, scenario_dir):
         assert held_after == [0] * len(result.batches)
 
 
-def test_criterion_6_masters_converge_without_echo(capsys, scenario_dir):
+def test_criterion_6_masters_converge_without_echo(capsys, bundled):
     """Partitioned master pair: exactly-once apply, no echo, same digest."""
     with criterion(capsys, 6, "no-echo convergence"):
-        result = run(scenario_dir, "ring-partition")
+        result = bundled("ring-partition")
         for cid in (1, 2):
             assert result.tallies[cid].applied == 10_000
             assert result.tallies[cid].duplicates == 0
@@ -247,11 +245,10 @@ def test_criterion_7_bounded_ingestion_keeps_pace(capsys, scenario_dir):
         assert ratio >= 0.9
 
 
-def test_criterion_8_reruns_are_byte_identical(capsys, scenario_dir, tmp_path):
-    """Same scenario, same seed: the CSV artifact does not move a byte."""
+def test_criterion_8_reruns_are_byte_identical(capsys, scenario_dir, bundled, tmp_path):
+    """Same scenario, same seed: the session's shared run and a fresh
+    rerun write the very same CSV bytes."""
     with criterion(capsys, 8, "determinism"):
         for path in sorted(scenario_dir.glob("*.ini")):
-            scenario = load_scenario(path)
-            first = run_scenario(scenario, tmp_path / "a" / path.stem)
-            second = run_scenario(scenario, tmp_path / "b" / path.stem)
-            assert first.csv_path.read_bytes() == second.csv_path.read_bytes()
+            rerun = run_scenario(load_scenario(path), tmp_path)
+            assert bundled(path.stem).csv_path.read_bytes() == rerun.csv_path.read_bytes()

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from georep.bounds import Bound, ContainerId, Update
-from georep.cluster import EMPTY_DIGEST, ClusterNode
+from georep.cluster import EMPTY_DIGEST, ApplyReport, ClusterNode
 from georep.errors import ProtocolError
 from georep.shipping import Batch, Trigger
 
@@ -113,6 +113,17 @@ class TestRemoteApply:
         assert report.duplicates == 1
         assert report.applied == 0
         assert node.digest() == before
+
+    def test_echo_counts_as_stale_and_the_tally_sums_reports(self):
+        node = make_node(cluster_id=3)
+        own = node.put(CID, "k", b"mine")
+        first = node.apply_remote(remote_batch([foreign("j", b"v", 5, 1, 1)], 1, 3))
+        echo = node.apply_remote(remote_batch([own, foreign("j", b"v", 5, 1, 1)], 1, 3))
+        assert (echo.applied, echo.stale_discarded, echo.duplicates, echo.echoes) == \
+            (0, 1, 1, 1)
+        assert node.get(CID, "k") == b"mine"
+        assert node.tally == ApplyReport(1, 1, 1, 1)
+        assert (first.applied, first.echoes) == (1, 0)
 
     def test_wrong_destination_rejected(self):
         node = make_node(cluster_id=3)

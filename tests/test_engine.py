@@ -4,19 +4,11 @@ import json
 
 import pytest
 
-from georep.engine import Simulation, run_scenario
+from georep.engine import Simulation
 from georep.errors import LivelockError
 from georep.metrics import read_csv
 from georep.scenario import load_scenario
 from georep.shipping import BATCH_HEADER_BYTES, Trigger
-
-
-def load(scenario_dir, name):
-    return load_scenario(scenario_dir / f"{name}.ini")
-
-
-def run(scenario_dir, name):
-    return Simulation(load(scenario_dir, name)).run()
 
 
 def write_and_load(tmp_path, text, name="case.ini"):
@@ -26,8 +18,8 @@ def write_and_load(tmp_path, text, name="case.ini"):
 
 
 class TestBatchStructure:
-    def test_count_batches_carry_exactly_the_bound(self, scenario_dir):
-        result = run(scenario_dir, "batch-size-2pct")
+    def test_count_batches_carry_exactly_the_bound(self, bundled):
+        result = bundled("batch-size-2pct")
         count_batches = [r for r in result.batches
                          if r.batch.trigger is Trigger.COUNT]
         assert len(count_batches) == 50
@@ -92,8 +84,8 @@ seed = 11
 
 
 class TestConvergence:
-    def test_partitioned_ring_applies_everything_exactly_once(self, scenario_dir):
-        result = run(scenario_dir, "ring-partition")
+    def test_partitioned_ring_applies_everything_exactly_once(self, bundled):
+        result = bundled("ring-partition")
         assert result.tallies[1].applied == 10_000
         assert result.tallies[2].applied == 10_000
         assert result.tallies[1].duplicates == 0
@@ -102,9 +94,9 @@ class TestConvergence:
         assert result.tallies[2].echoes == 0
         assert result.digests[1] == result.digests[2]
 
-    def test_partition_shapes_staleness(self, scenario_dir):
+    def test_partition_shapes_staleness(self, bundled):
         # Writes stuck behind the 5 s outage age until it lifts.
-        result = run(scenario_dir, "ring-partition")
+        result = bundled("ring-partition")
         assert result.summary["max_staleness_ms"] == 5020  # outage + latency
 
     def test_three_cluster_ring_converges(self, tmp_path):
@@ -134,24 +126,24 @@ disjoint_keys = true
             assert result.tallies[cid].duplicates == 0
             assert result.tallies[cid].echoes == 0
 
-    def test_lag_scenario_converges_with_bounded_staleness(self, scenario_dir):
-        result = run(scenario_dir, "staleness-lag")
+    def test_lag_scenario_converges_with_bounded_staleness(self, bundled):
+        result = bundled("staleness-lag")
         assert result.digests[1] == result.digests[2]
         assert result.tallies[2].applied == 10_000
         assert result.summary["max_staleness_ms"] <= 1000 + 100 + 10
 
 
 class TestAccounting:
-    def test_csv_totals_equal_shipped_bytes(self, scenario_dir):
-        result = run(scenario_dir, "staleness-lag")
+    def test_csv_totals_equal_shipped_bytes(self, bundled):
+        result = bundled("staleness-lag")
         assert sum(r.bytes for r in result.rows) == result.total_shipped_bytes
         assert sum(r.batches for r in result.rows) == len(result.batches)
 
-    def test_modes_move_identical_payload_bytes(self, scenario_dir):
+    def test_modes_move_identical_payload_bytes(self, bundled):
         # Same workload, different batching: totals differ only by the
         # per-batch header overhead.
-        plain = run(scenario_dir, "workload-a-plain")
-        bounded = run(scenario_dir, "workload-a-bounded05pct")
+        plain = bundled("workload-a-plain")
+        bounded = bundled("workload-a-bounded05pct")
         plain_payload = plain.total_shipped_bytes \
             - BATCH_HEADER_BYTES * len(plain.batches)
         bounded_payload = bounded.total_shipped_bytes \
@@ -159,12 +151,12 @@ class TestAccounting:
         assert plain_payload == bounded_payload
         assert plain.total_shipped_updates == bounded.total_shipped_updates == 25_000
 
-    def test_every_batch_is_delivered(self, scenario_dir):
-        result = run(scenario_dir, "batch-size-05pct")
+    def test_every_batch_is_delivered(self, bundled):
+        result = bundled("batch-size-05pct")
         assert all(r.delivered_ms >= r.batch.created_ms for r in result.batches)
 
-    def test_summary_reflects_rows(self, scenario_dir):
-        result = run(scenario_dir, "staleness-lag")
+    def test_summary_reflects_rows(self, bundled):
+        result = bundled("staleness-lag")
         s = result.summary
         assert s["total_bytes"] == sum(r.bytes for r in result.rows)
         assert s["peak_window_bytes"] == max(r.bytes for r in result.rows)
@@ -174,27 +166,24 @@ class TestAccounting:
 
 
 class TestDeterminism:
-    def test_repeat_runs_are_identical(self, scenario_dir):
-        a = run(scenario_dir, "staleness-lag")
-        b = run(scenario_dir, "staleness-lag")
+    def test_repeat_runs_are_identical(self, scenario_dir, bundled):
+        a = bundled("staleness-lag")
+        b = Simulation(load_scenario(scenario_dir / "staleness-lag.ini")).run()
         assert a.rows == b.rows
         assert a.digests == b.digests
         assert [r.batch.created_ms for r in a.batches] == \
             [r.batch.created_ms for r in b.batches]
 
-    def test_seed_changes_the_traffic(self, scenario_dir):
-        base = load(scenario_dir, "staleness-lag")
+    def test_seed_changes_the_traffic(self, scenario_dir, bundled):
+        base = load_scenario(scenario_dir / "staleness-lag.ini")
         from dataclasses import replace
         reseeded = replace(base, workload=replace(base.workload, seed=999))
-        a = Simulation(base).run()
-        b = Simulation(reseeded).run()
-        assert a.digests != b.digests
+        assert bundled("staleness-lag").digests != Simulation(reseeded).run().digests
 
 
 class TestRunScenario:
-    def test_writes_csv_and_summary(self, scenario_dir, tmp_path):
-        scenario = load(scenario_dir, "staleness-lag")
-        result = run_scenario(scenario, tmp_path)
+    def test_writes_csv_and_summary(self, bundled):
+        result = bundled("staleness-lag")
         assert result.csv_path.exists()
         assert result.summary_path.exists()
         assert read_csv(result.csv_path) == result.rows
@@ -202,9 +191,8 @@ class TestRunScenario:
         assert summary["scenario"] == "staleness-lag"
         assert summary["window_ms"] == 1000
 
-    def test_ops_per_sec_is_host_side_only(self, scenario_dir, tmp_path):
-        scenario = load(scenario_dir, "staleness-lag")
-        result = run_scenario(scenario, tmp_path)
+    def test_ops_per_sec_is_host_side_only(self, bundled):
+        result = bundled("staleness-lag")
         text = result.csv_path.read_text(encoding="utf-8")
         assert "ops" not in text
         assert result.summary["ops_per_sec"] > 0

@@ -4,8 +4,9 @@ Criterion 8 compares reruns of one build with each other; these pins
 compare every build with the recorded outputs, so a change that moves
 any figure of any bundled scenario fails here.  The summary is hashed
 without ``ops_per_sec``, its one host-side field, in the format
-``write_summary`` uses.  A deliberate output change must update the pins
-and say why.
+``write_summary`` uses.  The outputs checked are the session's shared
+runs (the ``bundled`` fixture), which every other reader has seen too.
+A deliberate output change must update the pins and say why.
 """
 
 import hashlib
@@ -13,9 +14,7 @@ import json
 
 import pytest
 
-from georep.engine import run_scenario
 from georep.metrics import write_summary
-from georep.scenario import load_scenario
 
 # scenario: (CSV SHA-256, summary-without-ops_per_sec SHA-256)
 PINS = {
@@ -49,8 +48,8 @@ def test_every_bundled_scenario_is_pinned(scenario_dir):
 
 
 @pytest.mark.parametrize("name", sorted(PINS))
-def test_outputs_match_pins(scenario_dir, tmp_path, name):
-    result = run_scenario(load_scenario(scenario_dir / f"{name}.ini"), tmp_path)
+def test_outputs_match_pins(bundled, tmp_path, name):
+    result = bundled(name)
     summary = dict(result.summary)
     del summary["ops_per_sec"]
     write_summary(tmp_path / "pinned.json", summary)

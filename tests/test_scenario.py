@@ -205,6 +205,10 @@ class TestRejections:
         self.reject(tmp_path, BLOCKS.replace("seed = 3", f"seed = 3\n{key} = {value}"),
                     f"workload.{key} has no effect with a \\[blocks\\] script")
 
+    def test_zipf_constant_under_uniform_keys(self, tmp_path):
+        self.reject(tmp_path, MINIMAL.replace("seed = 3", "seed = 3\nzipf_constant = 5"),
+                    "workload.zipf_constant has no effect under distribution = uniform")
+
     @pytest.mark.parametrize("key, value", [
         ("default", "0 1 0"), ("pending_percent", "2"), ("usertable:family", "5 0 0")])
     def test_bound_key_under_plain_mode(self, tmp_path, key, value):
