@@ -37,22 +37,20 @@ class ClientSession:
 
     def __init__(self, cluster: ClusterNode) -> None:
         self.cluster = cluster
-        self._block_id: int | None = None
-        self._block_mode: BlockMode | None = None
-        self._block_updates: list[Update] = []
+        # The open block as (id, mode, members written so far), or None.
+        self._block: tuple[int, BlockMode, list[Update]] | None = None
 
     @property
     def in_block(self) -> bool:
-        return self._block_id is not None
+        return self._block is not None
 
     def start_block(self, mode: BlockMode) -> int:
         """Open a write group; returns its id.  Groups do not nest."""
-        if self._block_id is not None:
-            raise ProtocolError(f"block {self._block_id} already open on this session")
-        self._block_id = self.cluster.next_block_id()
-        self._block_mode = mode
-        self._block_updates = []
-        return self._block_id
+        if self._block is not None:
+            raise ProtocolError(f"block {self._block[0]} already open on this session")
+        block_id = self.cluster.next_block_id()
+        self._block = (block_id, mode, [])
+        return block_id
 
     def put(self, cid: ContainerId, key: str, value: bytes) -> Update:
         """Write one cell.
@@ -60,20 +58,19 @@ class ClientSession:
         Locally durable and visible immediately either way; replication
         is immediate-path outside a block, deferred to close inside one.
         """
-        if self._block_id is None:
+        block = self._block
+        if block is None:
             return self.cluster.put(cid, key, value)
-        update = self.cluster.local_put(cid, key, value, block=self._block_id)
-        self._block_updates.append(update)
+        update = self.cluster.local_put(cid, key, value, block=block[0])
+        block[2].append(update)
         return update
 
     def end_block(self) -> None:
         """Close the open group and hand it to replication whole."""
-        if self._block_id is None:
+        if self._block is None:
             raise ProtocolError("no block open on this session")
-        updates, mode = self._block_updates, self._block_mode
-        self._block_id = None
-        self._block_mode = None
-        self._block_updates = []
+        _, mode, updates = self._block
+        self._block = None
         if updates:
             self.cluster.offer_group(updates, immediate=(mode is BlockMode.IMMEDIATE))
 

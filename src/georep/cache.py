@@ -91,15 +91,12 @@ class PendingCache:
         plus the complete membership of any block touched by them.
 
         Within each container the returned updates keep arrival order.
-        Draining containers with nothing queued yields an empty list.
+        Draining containers with nothing queued yields an empty list, and
+        a repeated id adds nothing: its queue is already taken.
         """
         taken: list[Update] = []
-        visited: set[ContainerId] = set()
         blocks: list[BlockKey] = []
         for cid in cids:
-            if cid in visited:
-                continue
-            visited.add(cid)
             taken.extend(self._take_queue(cid, blocks))
         if blocks:
             # Pull the sibling members of every touched block from the
@@ -110,7 +107,7 @@ class PendingCache:
             siblings: dict[ContainerId, None] = {}
             for bkey in touched:
                 for cid in self.block_index.pop(bkey, ()):
-                    if cid not in visited:
+                    if cid not in cids:
                         siblings[cid] = None
             for cid in siblings:
                 taken.extend(self._take_block_members(cid, touched))

@@ -101,21 +101,14 @@ class ClusterNode:
         cells[key] = update
         return update
 
-    def apply_local(self, update: Update) -> None:
-        """Offer an already-durable local update to every peer."""
-        if update.origin != self.cluster_id:
-            raise ProtocolError(
-                f"local update with foreign origin {update.origin} at cluster {self.cluster_id}")
+    def put(self, cid: ContainerId, key: str, value: bytes) -> Update:
+        """Write locally and offer the update to every peer in one step."""
+        update = self.local_put(cid, key, value)
         now = self.now_fn()
         for source in self.sources.values():
             batch = source.offer(update, now)
             if batch is not None:
                 self.on_ship(source, batch)
-
-    def put(self, cid: ContainerId, key: str, value: bytes) -> Update:
-        """Write locally and offer for replication in one step."""
-        update = self.local_put(cid, key, value)
-        self.apply_local(update)
         return update
 
     def get(self, cid: ContainerId, key: str) -> bytes | None:

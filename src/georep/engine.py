@@ -196,13 +196,10 @@ class Simulation:
         started = time.perf_counter()
         self.net.run_until_quiescent(self._instants())
         # Straggler flush: sources may refill each other through relays,
-        # so drain repeatedly until a full pass moves nothing.
-        while True:
-            shipped = 0
-            for cid in sorted(self.clusters):
-                shipped += self.clusters[cid].final_drain(self.net.now)
-            if shipped == 0 and not self.net.events_pending:
-                break
+        # so drain repeatedly until a full pass moves nothing.  A pass that
+        # ships nothing submits nothing, so the event queue stays empty.
+        nodes = [self.clusters[cid] for cid in sorted(self.clusters)]
+        while sum(node.final_drain(self.net.now) for node in nodes):
             self.net.run_until_quiescent()
         elapsed = max(time.perf_counter() - started, 1e-9)
 

@@ -28,19 +28,16 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import ScenarioError
 from .shipping import Batch
 
 Link = tuple[int, int]
 
-CSV_COLUMNS = ("window_start_ms", "link_src", "link_dst", "bytes", "batches",
-               "max_batch_bytes", "pending_max", "staleness_max_ms")
 
-
-@dataclass(frozen=True, slots=True)
-class Row:
-    """One (window, link) line of the CSV."""
+class Row(NamedTuple):
+    """One (window, link) line of the CSV; its fields are the columns."""
 
     window_start_ms: int
     link_src: int
@@ -50,6 +47,9 @@ class Row:
     max_batch_bytes: int
     pending_max: int
     staleness_max_ms: int
+
+
+CSV_COLUMNS = Row._fields
 
 
 @dataclass(slots=True)
@@ -113,10 +113,7 @@ def write_csv(path: str | Path, rows: list[Row]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        for row in rows:
-            writer.writerow((row.window_start_ms, row.link_src, row.link_dst,
-                             row.bytes, row.batches, row.max_batch_bytes,
-                             row.pending_max, row.staleness_max_ms))
+        writer.writerows(rows)
 
 
 def read_csv(path: str | Path) -> list[Row]:
@@ -126,10 +123,25 @@ def read_csv(path: str | Path) -> list[Row]:
         raise ScenarioError(f"cannot read metrics CSV: {exc}") from exc
     with fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != list(CSV_COLUMNS):
-            raise ScenarioError(f"{path}: not a metrics CSV (bad header)")
-        return [Row(*(int(v) for v in line)) for line in reader if line]
+        # A row of the wrong length raises TypeError, a bad cell ValueError.
+        try:
+            if next(reader, None) != list(CSV_COLUMNS):
+                raise ScenarioError(f"{path}: not a metrics CSV (bad header)")
+            return [Row._make(map(_cell, line)) for line in reader if line]
+        except UnicodeDecodeError as exc:
+            raise ScenarioError(f"{path}: metrics CSV is not UTF-8: {exc}") from exc
+        except (TypeError, ValueError, csv.Error) as exc:
+            raise ScenarioError(
+                f"{path}: malformed metrics CSV at line {reader.line_num}: {exc}") from exc
+
+
+def _cell(text: str) -> int:
+    """A CSV cell as an integer of at most 64 bits; a larger one would
+    overflow the ratios."""
+    value = int(text)
+    if value.bit_length() > 63:
+        raise ValueError(f"not a 64-bit integer: {text!r}")
+    return value
 
 
 def summary_path(csv_path: str | Path) -> Path:
@@ -222,14 +234,12 @@ def format_comparison(comp: Comparison) -> str:
 
 
 def _window_of(csv_path: str | Path) -> int | None:
-    """The window size in the run's JSON summary, or None without one."""
-    path = summary_path(csv_path)
-    if path.exists():
-        try:
-            with open(path, encoding="utf-8") as fh:
-                window = json.load(fh).get("window_ms")
-            if isinstance(window, int) and window > 0:
-                return window
-        except (OSError, ValueError):
-            pass
-    return None
+    """The window size in the run's JSON summary, or None without a
+    readable one."""
+    try:
+        with open(summary_path(csv_path), encoding="utf-8") as fh:
+            summary = json.load(fh)
+    except (OSError, ValueError, RecursionError):
+        return None
+    window = summary.get("window_ms") if isinstance(summary, dict) else None
+    return window if isinstance(window, int) and window > 0 else None

@@ -1,25 +1,27 @@
 """Scenario files: the INI-style description of one simulation run.
 
-Sections and keys:
+Sections and keys.  Each ``key = value`` shows the key's default,
+except that ``e.g.`` marks an example value of a key that has no
+default (``required`` if it must be set, optional otherwise):
 
 [topology]
-    clusters = 1 2              cluster ids, space separated
-    links = 1>2 2>1             directed replication links
+    clusters = 1 2              e.g., required: cluster ids, space separated
+    links = 1>2 2>1             e.g.: directed replication links
 
 [network]                       (optional)
     latency_ms = 10             default one-way link latency
-    latency_ms.1>2 = 25         override for a declared link
-    partitions =                outage windows, one per line:
+    latency_ms.1>2 = 25         e.g.: override for a declared link
+    partitions =                e.g.: outage windows, one per line:
         1>2 5000 10000          link, start ms, end ms (half-open)
     window_ms = 1000            metric window for the CSV
     max_events = 10000000       event budget before a livelock abort
 
 [bounds]
     mode = bounded              bounded | plain (poll-everything baseline)
-    default = 0 500 0           lag_ms, pending, drift; 0 disables
-    some_table:family = 1000 0 0    per-container bound, same triple
-    pending_percent = 0.5       pending limit as a percent of the run's
-                                updates (alternative to a pending count)
+    default = 0 0 0             lag_ms, pending, drift; 0 disables
+    some_table:family = 1000 0 0    e.g.: per-container bound, same triple
+    pending_percent = 0.5       e.g.: pending limit as a percent of the
+                                run's updates (alternative to a pending count)
     tick_ms = 100               shipping timer grid: lag validation, or
                                 the plain-mode poll
 
@@ -30,7 +32,7 @@ Sections and keys:
     zipf_constant = 0.99
     keyspace = 10000
     value_bytes = 1000
-    containers = usertable:family       weighted: name*weight
+    containers = usertable:family       weighted: name or name*weight
     seed = 42
     burst_ops = 1               ops sharing each arrival instant
     burst_spacing_ms = 1        gap between instants
@@ -38,10 +40,10 @@ Sections and keys:
     disjoint_keys = false       prefix keys per origin cluster
 
 [blocks]                        (optional; replaces the plain op stream)
-    count = 1000
-    puts_per_block = 4
-    pattern = IMMEDIATE ANY     modes cycled across blocks
-    containers = a:fam b:fam    puts cycle across these
+    count = 1000                e.g., required
+    puts_per_block = 1
+    pattern = IMMEDIATE ANY     e.g., required: modes cycled across blocks
+    containers = a:fam b:fam    e.g., required: puts cycle across these
     spacing_ms = 1
 
 A run writes ``<scenario stem>.csv`` and ``<scenario stem>.summary.json``.
@@ -113,6 +115,8 @@ def load_scenario(path: str | Path, seed_override: int | None = None) -> Scenari
         raise ScenarioError(f"cannot read scenario file: {exc}") from exc
     except configparser.Error as exc:
         raise ScenarioError(f"malformed scenario file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"malformed scenario file: {path}: {exc}") from exc
 
     for section in parser.sections():
         if section not in _KNOWN_KEYS:
@@ -310,9 +314,9 @@ def _parse_bound_triple(raw: str, where: str) -> Bound:
 def _parse_weighted_containers(raw: str) -> tuple[tuple[ContainerId, float], ...]:
     entries = []
     for tok in raw.split():
-        name, _, weight = tok.partition("*")
+        name, star, weight = tok.partition("*")
         entries.append((_parse_container(name),
-                        _parse_float(weight, f"weight of {name}") if weight else 1.0))
+                        _parse_float(weight, f"weight of {name}") if star else 1.0))
     if not entries:
         raise ScenarioError("workload.containers must list at least one container")
     return tuple(entries)
@@ -334,9 +338,13 @@ def _parse_link(token: str) -> tuple[int, int]:
 
 def _parse_int(raw: str, where: str) -> int:
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
         raise ScenarioError(f"{where}: not an integer: {raw!r}") from None
+    # A larger count would overflow the float arithmetic of percentages.
+    if value.bit_length() > 63:
+        raise ScenarioError(f"{where}: not a 64-bit integer: {raw!r}")
+    return value
 
 
 def _parse_float(raw: str, where: str) -> float:

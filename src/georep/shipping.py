@@ -139,6 +139,7 @@ class ReplicationSource:
         """
         batches = []
         for cid in sorted(self.cache.queues):
+            # An earlier drain may have pulled this queue's block members.
             if self.cache.pending_count(cid) == 0:
                 continue
             if self.mode == "plain":
@@ -154,6 +155,7 @@ class ReplicationSource:
         """Flush every non-empty container regardless of bounds."""
         batches = []
         for cid in sorted(self.cache.queues):
+            # An earlier drain may have pulled this queue's block members.
             if self.cache.pending_count(cid) > 0:
                 batches.append(self._drain([cid], now, Trigger.FINAL_DRAIN))
         return batches

@@ -107,10 +107,6 @@ class SimNet:
         else:
             self.schedule(self.now + spec.latency_ms, partial(deliver, batch))
 
-    @property
-    def events_pending(self) -> bool:
-        return bool(self._queue)
-
     def run_until_quiescent(self, feed: Iterable[tuple[int, Callable[[], None]]] = ()) -> int:
         """Run events until the queue and ``feed`` are empty; returns the
         final clock.

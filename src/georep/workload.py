@@ -142,8 +142,6 @@ class ZipfianSampler:
             raise ScenarioError(f"keyspace must be at least 1: {keyspace}")
         if not 0.0 < constant < 1.0:
             raise ScenarioError(f"zipfian constant must be in (0, 1): {constant}")
-        self.keyspace = keyspace
-        self.constant = constant
         weights = [1.0 / math.pow(rank + 1, constant) for rank in range(keyspace)]
         total = math.fsum(weights)
         cdf = []

@@ -70,6 +70,23 @@ def test_drain_pulls_block_siblings_from_other_containers():
     assert cache.drain([B]) == [loose]
 
 
+def test_repeated_id_drains_like_a_single_one():
+    def filled():
+        cache = PendingCache(origin=2)
+        for u in (make_update(container=A, key="x", origin=1, seq=1),
+                  make_update(container=A, key="y", block=5, origin=1, seq=2),
+                  make_update(container=B, key="z", block=5, origin=1, seq=3),
+                  make_update(container=B, key="w", origin=1, seq=4)):
+            cache.enqueue(u)
+        return cache
+
+    once, twice = filled(), filled()
+    assert [u.key for u in twice.drain([A, A])] == [u.key for u in once.drain([A])] \
+        == ["x", "y", "z"]
+    assert twice.queues == once.queues
+    assert twice.total_pending_count == once.total_pending_count == 1
+
+
 def test_drain_empty_container_is_noop():
     cache = PendingCache(origin=1)
     assert cache.drain([A]) == []

@@ -1,10 +1,16 @@
 """Command-line interface: verbs, outputs, exit codes."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from georep.cli import main
+from georep.metrics import CSV_COLUMNS
+from georep.scenario import _KNOWN_KEYS
 
 
 GOOD = """\
@@ -186,3 +192,107 @@ class TestCompare:
                      str(tmp_path / "missing.csv")])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+
+HEADER = ",".join(CSV_COLUMNS) + "\n"
+ONE_ROW = HEADER + "0,1,2,100,1,100,0,5\n"
+
+
+class TestMalformedInput:
+    """An input file the CLI cannot use exits 2 with a one-line error."""
+
+    def assert_rejected(self, capsys, argv, *fragments):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert all(str(fragment) in err for fragment in fragments)
+
+    @pytest.mark.parametrize("body, message", [
+        (b"0,1,2,100\n", "at line 2: Expected 8 arguments, got 4"),
+        (b"0,1,2,1e3,1,100,0,5\n", "at line 2: invalid literal for int()"),
+        (b"0,1,2,\xff,1,100,0,5\n", "metrics CSV is not UTF-8"),
+        (b"0,1,2,1" + b"0" * 400 + b",1,100,0,5\n", "at line 2: not a 64-bit integer"),
+    ], ids=["short-row", "non-integer-cell", "not-utf8", "huge-cell"])
+    def test_malformed_csv(self, tmp_path, capsys, body, message):
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        good.write_text(ONE_ROW, encoding="utf-8")
+        bad.write_bytes(HEADER.encode() + body)
+        self.assert_rejected(capsys, ["compare", str(good), str(bad)], bad, message)
+
+    @pytest.mark.parametrize("verb", [["validate"], ["run", "--quiet"]])
+    def test_scenario_not_utf8(self, tmp_path, capsys, verb):
+        path = tmp_path / "latin.ini"
+        path.write_bytes(GOOD.replace("seed = 21", "seed = 21\n# caf\xe9").encode("latin-1"))
+        self.assert_rejected(capsys, [verb[0], str(path), *verb[1:]], path,
+                             "malformed scenario file")
+
+    def test_scenario_count_beyond_64_bits(self, tmp_path, capsys):
+        path = write(tmp_path, GOOD.replace("operations = 200", "operations = 1" + "0" * 400),
+                     "huge.ini")
+        self.assert_rejected(capsys, ["validate", str(path)],
+                             "workload.operations: not a 64-bit integer")
+
+    @pytest.mark.parametrize("summary", ["[]", "[" * 100_000], ids=["array", "deep-nesting"])
+    def test_unusable_summary_means_no_summary(self, tmp_path, capsys, summary):
+        for name in ("a", "b"):
+            (tmp_path / f"{name}.csv").write_text(ONE_ROW, encoding="utf-8")
+        (tmp_path / "b.summary.json").write_text(summary, encoding="utf-8")
+        assert main(["compare", str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]) == 0
+        assert "ratio=1.0000" in capsys.readouterr().out
+
+
+# Scenario text from the known sections and keys with arbitrary values;
+# the plausible tokens let an example get past the first checks.
+TOKENS = ["0", "1", "2", "-1", "100", "1.0", "0.5", "nan", "1e400", "1" + "0" * 400,
+          "1>2", "2>1", "1 2", "a:b", "a:b*2", "usertable:family", "0 5 0", "1000 0 0",
+          "IMMEDIATE ANY", "uniform", "zipfian", "plain", "bounded", "true", "", "*"]
+values = st.one_of(st.sampled_from(TOKENS),
+                   st.lists(st.sampled_from(TOKENS), max_size=4).map(" ".join),
+                   st.text(st.characters(blacklist_categories=("Cs",)), max_size=20))
+
+
+@st.composite
+def scenario_texts(draw):
+    # The required sections come first, so that most examples get past
+    # the section checks to the values.
+    sections = ["topology", "bounds", "workload"] + draw(st.lists(
+        st.sampled_from(sorted(_KNOWN_KEYS)), unique=True))
+    lines = []
+    for section in dict.fromkeys(sections):
+        lines.append(f"[{section}]")
+        for key in draw(st.lists(st.sampled_from(sorted(_KNOWN_KEYS[section])), unique=True)):
+            lines.append(f"{key} = {draw(values)}")
+    return "\n".join(lines) + "\n"
+
+
+cells = st.one_of(st.integers().map(str), st.integers(0, 10).map(str),
+                  st.sampled_from(["", "1e3", " 7", "x", "9" * 400]))
+csv_rows = st.lists(st.one_of(st.lists(cells, min_size=8, max_size=8),
+                              st.lists(cells, max_size=10)).map(",".join), max_size=4).map(
+    lambda rows: "".join(row + "\n" for row in rows).encode())
+csv_files = st.one_of(st.binary(), st.binary().map(HEADER.encode().__add__),
+                      csv_rows.map(HEADER.encode().__add__))
+summaries = st.one_of(st.none(), st.binary(),
+                      st.sampled_from([b"[]", b"{}", b"null", b'{"window_ms": 100}']))
+
+
+@given(text=scenario_texts(), raw=st.binary(max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_validate_never_raises(text, raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        for data in (text.encode("utf-8"), raw):
+            path = Path(tmp) / "fuzz.ini"
+            path.write_bytes(data)
+            assert main(["validate", str(path)]) in (0, 2)
+
+
+@given(csvs=st.tuples(csv_files, csv_files), summary=summaries)
+@settings(max_examples=300, deadline=None)
+def test_compare_never_raises(csvs, summary):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp) / "a.csv", Path(tmp) / "b.csv"]
+        for path, data in zip(paths, csvs):
+            path.write_bytes(data)
+        if summary is not None:
+            (Path(tmp) / "b.summary.json").write_bytes(summary)
+        assert main(["compare", *map(str, paths)]) in (0, 2)

@@ -63,11 +63,6 @@ class TestLocalWrites:
     def test_get_missing_key_is_none(self):
         assert make_node().get(CID, "nope") is None
 
-    def test_foreign_origin_rejected_on_local_path(self):
-        node = make_node(cluster_id=1)
-        with pytest.raises(ProtocolError):
-            node.apply_local(foreign("k", b"v", 0, origin=9, seq=1))
-
 
 class TestRemoteApply:
     def test_newer_timestamp_overwrites(self):

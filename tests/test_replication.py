@@ -138,6 +138,15 @@ class TestTick:
         assert all(b.trigger is Trigger.TIME for b in batches)
         assert src.cache.total_pending_count == 0
 
+    def test_plain_tick_ships_a_block_across_two_containers_once(self):
+        # Draining A pulls B's member and empties B's queue before the
+        # loop reaches B, which must then ship nothing.
+        src = source_with(Bound(), mode="plain")
+        members = [make_update(container=cid, key=f"m{cid}", block=4) for cid in (A, B)]
+        src.offer_group(members, now=0)
+        batches = src.tick(now=100)
+        assert [[u.key for u in b.updates] for b in batches] == [[f"m{A}", f"m{B}"]]
+
 
 class TestFinalDrain:
     def test_stragglers_ship_as_one_batch(self):
@@ -153,16 +162,13 @@ class TestFinalDrain:
         assert source_with(Bound(pending=5)).final_drain(now=0) == []
 
     def test_pending_group_ships_whole(self):
+        # Draining A pulls B's members, so B ships no second, empty batch.
         src = source_with(Bound(pending=100))
         members = [make_update(container=[A, B][i % 2], key=f"m{i}", block=4)
                    for i in range(4)]
         assert src.offer_group(members, now=0) is None
         batches = src.final_drain(now=10)
-        total = [u for b in batches for u in b.updates]
-        assert len(total) == 4
-        blocks = {u.block for b in batches for u in b.updates}
-        assert blocks == {4}
-        assert len({id(b) for b in batches if any(u.block == 4 for u in b.updates)}) == 1
+        assert [sorted(u.key for u in b.updates) for b in batches] == [["m0", "m1", "m2", "m3"]]
 
 
 class TestGroups:

@@ -284,6 +284,12 @@ class TestRejections:
             "seed = 3", f"seed = 3\ncontainers = usertable:family*{weight} a:b*1"),
                     "weights must be positive and finite")
 
+    def test_star_without_a_weight(self, tmp_path):
+        # Only a bare name means weight 1; a '*' must be followed by one.
+        self.reject(tmp_path, MINIMAL.replace(
+            "seed = 3", "seed = 3\ncontainers = usertable:family*"),
+                    "weight of usertable:family: not a number: ''")
+
     @pytest.mark.parametrize("key", ["window_ms", "max_events"])
     @pytest.mark.parametrize("value", ["0", "-5"])
     def test_non_positive_network_setting(self, tmp_path, key, value):

@@ -142,11 +142,3 @@ class TestEventLoop:
         net = SimNet()
         with pytest.raises(ValueError):
             net.run_until_quiescent([(5, lambda: None), (3, lambda: None)])
-
-    def test_events_pending_flag(self):
-        net = SimNet()
-        assert not net.events_pending
-        net.schedule(5, lambda: None)
-        assert net.events_pending
-        net.run_until_quiescent()
-        assert not net.events_pending
