@@ -19,7 +19,7 @@ node = ClusterNode(
     1, peers=[2],
     bounds={ORDERS: Bound(pending=5), PAYMENTS: Bound(pending=100)},
     now_fn=lambda: clock[0],
-    on_ship=lambda source, batch: shipped.append(batch),
+    on_ship=shipped.append,
 )
 session = ClientSession(node)
 

@@ -29,13 +29,15 @@ for window in sorted(per_window):
     bar = "#" * (per_window[window] // 40_000)
     print(f"  t={window:>6}..{window + 1000:<6} {per_window[window]:>9} {bar}")
 
+# Per-cluster tallies and digests are read from the run's summary,
+# keyed by cluster id as text.
+summary = result.summary
 print("\nper-cluster outcome:")
-for cid in sorted(result.tallies):
-    tally = result.tallies[cid]
-    print(f"  cluster {cid}: applied={tally.applied} "
-          f"duplicates={tally.duplicates} echoes={tally.echoes}")
+for cid in summary["applied"]:
+    print(f"  cluster {cid}: applied={summary['applied'][cid]} "
+          f"duplicates={summary['duplicates'][cid]} echoes={summary['echoes'][cid]}")
 
-digests = {cid: d[:16] for cid, d in result.digests.items()}
+digests = {cid: d[:16] for cid, d in summary["digests"].items()}
 print(f"\nstore digests: {digests}")
-print("converged:", len(set(result.digests.values())) == 1)
-print(f"max staleness through the outage: {result.summary['max_staleness_ms']} ms")
+print("converged:", len(set(summary["digests"].values())) == 1)
+print(f"max staleness through the outage: {summary['max_staleness_ms']} ms")

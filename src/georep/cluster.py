@@ -1,11 +1,13 @@
 """A simulated data-center replica.
 
 Each cluster owns a key-value store keyed by container, a counter that
-numbers its local writes, and one replication source per peer.  No log
-of past writes is kept: nothing reads one back.  A store cell is the
-``Update`` that wrote it: a local write stores the update it creates,
-and a remote batch stores the delivered update objects, so a replica
-keeps no copy of its own.
+numbers its local writes, and one replication source per peer, built
+with the node's ``on_ship``: a source ships the batches it cuts, and
+the node only offers it updates and runs its timers and flushes.  No
+log of past writes is kept: nothing reads one back.  A store cell is
+the ``Update`` that wrote it: a local write stores the update it
+creates, and a remote batch stores the delivered update objects, so a
+replica keeps no copy of its own.
 
 Local writes apply unconditionally; remote batches apply under
 last-writer-wins on ``Update.version``, the triple
@@ -44,7 +46,6 @@ from .shipping import Batch, ReplicationSource
 # Digest of a store with no cells.
 EMPTY_DIGEST = "0" * 64
 
-ShipFn = Callable[[ReplicationSource, Batch], None]
 # Cells by container, then by key; a cell is the update that wrote it.
 Store = dict[ContainerId, dict[str, Update]]
 
@@ -68,15 +69,14 @@ class ClusterNode:
                  bounds: dict[ContainerId, Bound] | None = None,
                  default_bound: Bound = Bound(), mode: str = "bounded",
                  now_fn: Callable[[], int] = lambda: 0,
-                 on_ship: ShipFn | None = None) -> None:
+                 on_ship: Callable[[Batch], None] | None = None) -> None:
         self.cluster_id = cluster_id
         self.now_fn = now_fn
-        self.on_ship: ShipFn = on_ship or (lambda source, batch: None)
         self.store: Store = {}
         # Seq of the latest local write; the next one gets last_seq + 1.
         self.last_seq = 0
         self.sources: dict[int, ReplicationSource] = {
-            peer: ReplicationSource(cluster_id, peer, bounds, default_bound, mode)
+            peer: ReplicationSource(cluster_id, peer, bounds, default_bound, mode, on_ship)
             for peer in sorted(peers)
         }
         self._applied = SeqWindow()
@@ -106,9 +106,7 @@ class ClusterNode:
         update = self.local_put(cid, key, value)
         now = self.now_fn()
         for source in self.sources.values():
-            batch = source.offer(update, now)
-            if batch is not None:
-                self.on_ship(source, batch)
+            source.offer(update, now)
         return update
 
     def get(self, cid: ContainerId, key: str) -> bytes | None:
@@ -120,12 +118,8 @@ class ClusterNode:
         """Offer a closed atomic group of local updates to every peer."""
         now = self.now_fn()
         for source in self.sources.values():
-            if immediate:
-                batch = source.ship_group_now(updates, now)
-            else:
-                batch = source.offer_group(updates, now)
-            if batch is not None:
-                self.on_ship(source, batch)
+            offer = source.ship_group_now if immediate else source.offer_group
+            offer(updates, now)
 
     def next_block_id(self) -> int:
         self._next_block += 1
@@ -195,28 +189,20 @@ class ClusterNode:
             if peer == exclude_peer:
                 continue
             for u in singles:
-                batch = source.offer(u, now)
-                if batch is not None:
-                    self.on_ship(source, batch)
+                source.offer(u, now)
             for members in groups.values():
-                batch = source.offer_group(members, now)
-                if batch is not None:
-                    self.on_ship(source, batch)
+                source.offer_group(members, now)
 
     # -- timers and flushes ----------------------------------------------
 
     def tick(self, now: int) -> None:
         for source in self.sources.values():
-            for batch in source.tick(now):
-                self.on_ship(source, batch)
+            source.tick(now)
 
     def final_drain(self, now: int) -> int:
-        shipped = 0
-        for source in self.sources.values():
-            for batch in source.final_drain(now):
-                self.on_ship(source, batch)
-                shipped += len(batch.updates)
-        return shipped
+        """Flush every source; the number of updates shipped."""
+        return sum(len(batch.updates) for source in self.sources.values()
+                   for batch in source.final_drain(now))
 
     def has_timer_work(self) -> bool:
         return any(source.has_timer_work() for source in self.sources.values())

@@ -26,9 +26,13 @@ sample they take none: every change since the window's first sample was
 followed by a sample of its link, so theirs would repeat a value the
 window already holds.
 
-Every shipped batch gets a record that holds the whole ``Batch`` (its
+A replication source ships its own batches: each cluster hands the
+engine's ``_on_ship`` to every source it builds, and a source calls it
+once for every batch it cuts.  ``_on_ship`` records the batch and
+submits it to the network.  The record holds the whole ``Batch`` (its
 updates, trigger and creation time) plus its delivery time, which is
-what the structural tests inspect.  A record lives as long as the run.
+what the structural tests inspect; the summary's ``shipped_updates`` is
+counted from the records.  A record lives as long as the run.
 
 These records are the only state that grows with every update: a
 cluster numbers its writes from a counter and keeps no log, and the
@@ -48,10 +52,10 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 from .blocks import ClientSession
-from .cluster import ApplyReport, ClusterNode
+from .cluster import ClusterNode
 from .metrics import MetricsCollector, Row, summary_path, write_csv, write_summary
 from .scenario import Scenario
-from .shipping import Batch, ReplicationSource
+from .shipping import Batch
 from .simnet import SimNet
 from .workload import BlockStartOp, ReadOp, TimedOp, WriteOp, generate
 
@@ -69,11 +73,6 @@ class RunResult:
     rows: list[Row]
     summary: dict
     batches: list[BatchRecord]
-    digests: dict[int, str]
-    tallies: dict[int, ApplyReport]
-    ops_per_sec: float
-    total_shipped_bytes: int
-    total_shipped_updates: int
     csv_path: Path | None = None
     summary_path: Path | None = None
 
@@ -96,7 +95,6 @@ class Simulation:
         self.metrics = MetricsCollector(scenario.window_ms)
         # Metric window of the latest backlog sample; see _sample_pending.
         self._sampled_window = -1
-        self.tallies = {cid: node.tally for cid, node in self.clusters.items()}
         self.batches: list[BatchRecord] = []
         self._tick_armed = False
         # Timers only matter for the plain poll or an active lag bound;
@@ -105,26 +103,23 @@ class Simulation:
             or scenario.default_bound.lag_ms > 0 \
             or any(b.lag_ms > 0 for b in scenario.bounds.values())
         self._client_ops = 0
-        self.total_shipped_bytes = 0
-        self.total_shipped_updates = 0
 
     # -- shipping and delivery -----------------------------------------
 
-    def _on_ship(self, source: ReplicationSource, batch: Batch) -> None:
+    def _on_ship(self, batch: Batch) -> None:
         record = BatchRecord(batch)
         self.batches.append(record)
-        self.total_shipped_bytes += batch.total_bytes
-        self.total_shipped_updates += len(batch.updates)
-        self.net.submit(batch, partial(self._deliver, source, record))
+        self.net.submit(batch, partial(self._deliver, record))
 
-    def _deliver(self, source: ReplicationSource, record: BatchRecord,
-                 batch: Batch) -> None:
+    def _deliver(self, record: BatchRecord, batch: Batch) -> None:
         now = self.net.now
         record.delivered_ms = now
-        self.clusters[batch.destination].apply_remote(batch)
-        source.acknowledge(batch)
-        self.metrics.note_delivery((batch.source, batch.destination), batch, now)
-        self._sample_pending((self.clusters[batch.destination],))
+        src, dst = batch.source, batch.destination
+        node = self.clusters[dst]
+        node.apply_remote(batch)
+        self.clusters[src].sources[dst].acknowledge(batch)
+        self.metrics.note_delivery((src, dst), batch, now)
+        self._sample_pending((node,))
         self._arm_tick()
 
     # -- timers ---------------------------------------------------------
@@ -202,22 +197,9 @@ class Simulation:
         while sum(node.final_drain(self.net.now) for node in nodes):
             self.net.run_until_quiescent()
         elapsed = max(time.perf_counter() - started, 1e-9)
-
-        ops_per_sec = self._client_ops / elapsed
-        # Digest one cluster in full and the others against it: only the
-        # cells where two stores differ are hashed.
-        first = next(iter(self.clusters.values()))
-        first_digest = first.digest()
-        digests = {cid: first_digest if node is first else node.digest(first, first_digest)
-                   for cid, node in self.clusters.items()}
         rows = self.metrics.build_rows()
-        summary = self._summarize(rows, digests, ops_per_sec)
-        return RunResult(
-            rows=rows, summary=summary, batches=self.batches, digests=digests,
-            tallies=self.tallies, ops_per_sec=ops_per_sec,
-            total_shipped_bytes=self.total_shipped_bytes,
-            total_shipped_updates=self.total_shipped_updates,
-        )
+        summary = self._summarize(rows, self._client_ops / elapsed)
+        return RunResult(rows=rows, summary=summary, batches=self.batches)
 
     def _instants(self) -> Iterator[tuple[int, Callable[[], None]]]:
         """The workload as events, one per arrival instant, generated
@@ -234,8 +216,12 @@ class Simulation:
         if group:
             yield at_ms, partial(self._apply_ops, group)
 
-    def _summarize(self, rows: list[Row], digests: dict[int, str],
-                   ops_per_sec: float) -> dict:
+    def _summarize(self, rows: list[Row], ops_per_sec: float) -> dict:
+        nodes = {str(cid): self.clusters[cid] for cid in sorted(self.clusters)}
+        # Digest one cluster in full and the others against it: only the
+        # cells where two stores differ are hashed.
+        first = next(iter(nodes.values()))
+        first_digest = first.digest()
         pending_peaks: dict[str, int] = {}
         for node in self.clusters.values():
             for source in node.sources.values():
@@ -250,19 +236,19 @@ class Simulation:
             "final_ms": self.net.now,
             "operations": self._client_ops,
             "workload_updates": self.scenario.workload.total_updates,
-            "shipped_updates": self.total_shipped_updates,
+            "shipped_updates": sum(len(r.batch.updates) for r in self.batches),
             "total_bytes": sum(r.bytes for r in rows),
             "total_batches": sum(r.batches for r in rows),
             "peak_window_bytes": max((r.bytes for r in rows), default=0),
             "max_batch_bytes": max((r.max_batch_bytes for r in rows), default=0),
             "max_staleness_ms": max((r.staleness_max_ms for r in rows), default=0),
             "pending_max_per_container": pending_peaks,
-            "digests": {str(cid): digest for cid, digest in sorted(digests.items())},
-            "applied": {str(cid): t.applied for cid, t in sorted(self.tallies.items())},
-            "stale_discarded": {str(cid): t.stale_discarded
-                                for cid, t in sorted(self.tallies.items())},
-            "duplicates": {str(cid): t.duplicates for cid, t in sorted(self.tallies.items())},
-            "echoes": {str(cid): t.echoes for cid, t in sorted(self.tallies.items())},
+            "digests": {cid: first_digest if node is first else node.digest(first, first_digest)
+                        for cid, node in nodes.items()},
+            "applied": {cid: node.tally.applied for cid, node in nodes.items()},
+            "stale_discarded": {cid: node.tally.stale_discarded for cid, node in nodes.items()},
+            "duplicates": {cid: node.tally.duplicates for cid, node in nodes.items()},
+            "echoes": {cid: node.tally.echoes for cid, node in nodes.items()},
             "ops_per_sec": round(ops_per_sec, 2),
         }
 

@@ -113,6 +113,12 @@ def load_scenario(path: str | Path, seed_override: int | None = None) -> Scenari
             parser.read_file(fh)
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file: {exc}") from exc
+    except configparser.MissingSectionHeaderError as exc:
+        raise ScenarioError(f"malformed scenario file: {path}: line {exc.lineno}: "
+                            "a [section] header must come first") from exc
+    except configparser.ParsingError as exc:
+        raise ScenarioError(f"malformed scenario file: {path}: line {exc.errors[0][0]}: "
+                            "neither a [section] header nor a key = value line") from exc
     except configparser.Error as exc:
         raise ScenarioError(f"malformed scenario file: {exc}") from exc
     except UnicodeDecodeError as exc:

@@ -11,6 +11,7 @@ bidirectional and cyclic topologies echo-free.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .bounds import Bound, ContainerId, ContainerState, Trigger, Update
 from .cache import PendingCache
@@ -46,12 +47,17 @@ class ReplicationSource:
     baseline behavior of shipping everything accumulated on every poll
     tick ("plain").  Bounds come from a per-container map; containers
     not listed use ``default_bound``.
+
+    The source ships its own batches: ``_drain`` hands each batch it
+    cuts to ``on_ship`` once, then returns it to the caller.
     """
 
     def __init__(self, source: int, peer: int, bounds: dict[ContainerId, Bound] | None = None,
-                 default_bound: Bound = Bound(), mode: str = "bounded") -> None:
+                 default_bound: Bound = Bound(), mode: str = "bounded",
+                 on_ship: Callable[[Batch], None] | None = None) -> None:
         if mode not in ("bounded", "plain"):
             raise ValueError(f"unknown shipping mode: {mode!r}")
+        self.on_ship = on_ship or (lambda batch: None)
         self.source = source
         self.peer = peer
         self.link = (source, peer)
@@ -180,6 +186,7 @@ class ReplicationSource:
         for cid, members in by_container.items():
             state, bound = self._resolved.get(cid) or self._state_and_bound(cid)
             state.mark_shipped(now, members, bound)
+        self.on_ship(batch)
         return batch
 
     def acknowledge(self, batch: Batch) -> None:

@@ -37,7 +37,7 @@ def bundled(tmp_path_factory):
     written too.
 
     Every caller gets the same object, so it is read-only: a test that
-    mutates a result, its rows, batches, tallies or summary, or rewrites
+    mutates a result, its rows, batches or summary, or rewrites
     its files, corrupts every later reader.  Copy first (as the goldens
     copy the summary), and give a test that needs its own run (to patch
     the engine, time it, or compare two runs) a fresh one.

@@ -82,7 +82,7 @@ def test_criterion_2_pending_bound_fixes_batch_size(capsys, bundled, tmp_path):
                            ("batch-size-05pct", 250)):
             result = bundled(name)
             # The run's own wall time, whenever the session ran it.
-            assert result.summary["operations"] / result.ops_per_sec < 30.0
+            assert result.summary["operations"] / result.summary["ops_per_sec"] < 30.0
             count = [r.batch for r in result.batches
                      if r.batch.trigger is Trigger.COUNT]
             # 50,000 writes divide evenly; every batch is full and no
@@ -90,7 +90,7 @@ def test_criterion_2_pending_bound_fixes_batch_size(capsys, bundled, tmp_path):
             assert len(count) == 50_000 // size
             assert all(len(b.updates) == size for b in count)
             assert len(count) == len(result.batches)
-            assert result.total_shipped_updates == 50_000
+            assert result.summary["shipped_updates"] == 50_000
         # Remainder probe: 1,003 writes at 2% resolve to batches of 20,
         # leaving 3 updates for the final drain.
         probe = tmp_path / "remainder.ini"
@@ -142,7 +142,7 @@ def test_criterion_4_time_bound_caps_staleness(capsys, bundled):
             assert record.delivered_ms >= 0
             for update in record.batch.updates:
                 assert record.delivered_ms - update.wall_ms <= limit
-        assert result.total_shipped_updates == 10_000
+        assert result.summary["shipped_updates"] == 10_000
 
 
 def test_criterion_5_blocks_ship_atomically(capsys, scenario_dir):
@@ -152,15 +152,18 @@ def test_criterion_5_blocks_ship_atomically(capsys, scenario_dir):
         # What each batch's containers hold back right after it is cut.
         held_after = []
 
-        def watch(ship):
-            def ship_and_record(source, batch):
+        def watch(source):
+            ship = source.on_ship
+
+            def ship_and_record(batch):
                 held_after.append(sum(source.cache.pending_count(cid)
                                       for cid in {u.container for u in batch.updates}))
-                ship(source, batch)
+                ship(batch)
             return ship_and_record
 
         for node in sim.clusters.values():
-            node.on_ship = watch(node.on_ship)
+            for source in node.sources.values():
+                source.on_ship = watch(source)
         result = sim.run()
 
         # Independent replay of the scenario's block schedule: four puts
@@ -218,11 +221,12 @@ def test_criterion_6_masters_converge_without_echo(capsys, bundled):
     """Partitioned master pair: exactly-once apply, no echo, same digest."""
     with criterion(capsys, 6, "no-echo convergence"):
         result = bundled("ring-partition")
-        for cid in (1, 2):
-            assert result.tallies[cid].applied == 10_000
-            assert result.tallies[cid].duplicates == 0
-            assert result.tallies[cid].echoes == 0
-        assert result.digests[1] == result.digests[2]
+        summary = result.summary
+        for cid in ("1", "2"):
+            assert summary["applied"][cid] == 10_000
+            assert summary["duplicates"][cid] == 0
+            assert summary["echoes"][cid] == 0
+        assert summary["digests"]["1"] == summary["digests"]["2"]
 
 
 def test_criterion_7_bounded_ingestion_keeps_pace(capsys, scenario_dir):
@@ -238,9 +242,9 @@ def test_criterion_7_bounded_ingestion_keeps_pace(capsys, scenario_dir):
         plain_rates, bounded_rates = [], []
         for _ in range(9):
             gc.collect()
-            plain_rates.append(Simulation(plain).run().ops_per_sec)
+            plain_rates.append(Simulation(plain).run().summary["ops_per_sec"])
             gc.collect()
-            bounded_rates.append(Simulation(bounded).run().ops_per_sec)
+            bounded_rates.append(Simulation(bounded).run().summary["ops_per_sec"])
         ratio = statistics.median(bounded_rates) / statistics.median(plain_rates)
         assert ratio >= 0.9
 

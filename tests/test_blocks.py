@@ -14,8 +14,7 @@ PAYMENTS = ContainerId("payments", "acct")
 
 def session_with(bounds=None, default_bound=Bound(), shipped=None):
     node = ClusterNode(1, [2], bounds=bounds, default_bound=default_bound,
-                       on_ship=(lambda s, b: shipped.append(b))
-                       if shipped is not None else None)
+                       on_ship=shipped.append if shipped is not None else None)
     return ClientSession(node), node
 
 

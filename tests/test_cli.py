@@ -226,6 +226,20 @@ class TestMalformedInput:
         self.assert_rejected(capsys, [verb[0], str(path), *verb[1:]], path,
                              "malformed scenario file")
 
+    @pytest.mark.parametrize("text, fragments", [
+        ("clusters = 1 2\n" + GOOD, ["line 1: a [section] header must come first"]),
+        (GOOD.replace("seed = 21", "seed = 21\njunk\nmore junk"),
+         ["line 15: neither a [section] header nor a key = value line"]),
+        (GOOD + "[bounds]\n", ["[line 15]", "section 'bounds' already exists"]),
+        (GOOD.replace("seed = 21", "seed = 21\nseed = 22"),
+         ["[line 15]", "option 'seed' in section 'workload' already exists"]),
+    ], ids=["no-section-header", "line-without-equals", "duplicate-section",
+            "duplicate-option"])
+    def test_scenario_parse_error(self, tmp_path, capsys, text, fragments):
+        path = write(tmp_path, text, "broken.ini")
+        self.assert_rejected(capsys, ["validate", str(path)],
+                             "malformed scenario file:", path, *fragments)
+
     def test_scenario_count_beyond_64_bits(self, tmp_path, capsys):
         path = write(tmp_path, GOOD.replace("operations = 200", "operations = 1" + "0" * 400),
                      "huge.ini")

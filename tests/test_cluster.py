@@ -17,7 +17,7 @@ OTHER = ContainerId("other", "fam")
 
 def make_node(cluster_id=1, peers=(), clock=None, shipped=None, **kwargs):
     fn = (lambda: clock[0]) if clock is not None else (lambda: 0)
-    on_ship = (lambda s, b: shipped.append(b)) if shipped is not None else None
+    on_ship = shipped.append if shipped is not None else None
     return ClusterNode(cluster_id, list(peers), now_fn=fn, on_ship=on_ship, **kwargs)
 
 

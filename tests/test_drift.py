@@ -83,7 +83,7 @@ def run_writes(writes, containers):
     shipped = []
     node = ClusterNode(1, [2, 3], {DRIFTY: Bound(pending=7, drift=12.5)}, Bound(pending=5),
                        now_fn=lambda: clock[0],
-                       on_ship=lambda source, batch: shipped.append((
+                       on_ship=lambda batch: shipped.append((
                            batch.destination, batch.updates[0].container, clock[0],
                            batch.trigger, len(batch.updates))))
     for i, (key, value) in enumerate(writes):
@@ -116,5 +116,5 @@ def test_containers_without_drift_limit_parse_nothing(parse_calls):
 
 def test_bundled_run_without_drift_bounds_parses_nothing(scenario_dir, parse_calls):
     result = Simulation(load_scenario(scenario_dir / "ring-partition.ini")).run()
-    assert result.total_shipped_updates > 0
+    assert result.summary["shipped_updates"] > 0
     assert parse_calls[0] == 0

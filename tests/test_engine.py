@@ -25,7 +25,7 @@ class TestBatchStructure:
         assert len(count_batches) == 50
         assert all(len(r.batch.updates) == 1000 for r in count_batches)
         # 50,000 writes divide evenly: nothing left for the final drain.
-        assert result.total_shipped_updates == 50_000
+        assert result.summary["shipped_updates"] == 50_000
 
     def test_final_drain_carries_the_remainder(self, tmp_path):
         scenario = write_and_load(tmp_path, """\
@@ -85,14 +85,14 @@ seed = 11
 
 class TestConvergence:
     def test_partitioned_ring_applies_everything_exactly_once(self, bundled):
-        result = bundled("ring-partition")
-        assert result.tallies[1].applied == 10_000
-        assert result.tallies[2].applied == 10_000
-        assert result.tallies[1].duplicates == 0
-        assert result.tallies[2].duplicates == 0
-        assert result.tallies[1].echoes == 0
-        assert result.tallies[2].echoes == 0
-        assert result.digests[1] == result.digests[2]
+        summary = bundled("ring-partition").summary
+        assert summary["applied"]["1"] == 10_000
+        assert summary["applied"]["2"] == 10_000
+        assert summary["duplicates"]["1"] == 0
+        assert summary["duplicates"]["2"] == 0
+        assert summary["echoes"]["1"] == 0
+        assert summary["echoes"]["2"] == 0
+        assert summary["digests"]["1"] == summary["digests"]["2"]
 
     def test_partition_shapes_staleness(self, bundled):
         # Writes stuck behind the 5 s outage age until it lifts.
@@ -118,25 +118,26 @@ seed = 13
 origins = 1 2 3
 disjoint_keys = true
 """)
-        result = Simulation(scenario).run()
-        assert len(set(result.digests.values())) == 1
+        summary = Simulation(scenario).run().summary
+        assert len(set(summary["digests"].values())) == 1
         # Each write is applied at both non-origin clusters, exactly once.
-        for cid in (1, 2, 3):
-            assert result.tallies[cid].applied == 20
-            assert result.tallies[cid].duplicates == 0
-            assert result.tallies[cid].echoes == 0
+        for cid in ("1", "2", "3"):
+            assert summary["applied"][cid] == 20
+            assert summary["duplicates"][cid] == 0
+            assert summary["echoes"][cid] == 0
 
     def test_lag_scenario_converges_with_bounded_staleness(self, bundled):
-        result = bundled("staleness-lag")
-        assert result.digests[1] == result.digests[2]
-        assert result.tallies[2].applied == 10_000
-        assert result.summary["max_staleness_ms"] <= 1000 + 100 + 10
+        summary = bundled("staleness-lag").summary
+        assert summary["digests"]["1"] == summary["digests"]["2"]
+        assert summary["applied"]["2"] == 10_000
+        assert summary["max_staleness_ms"] <= 1000 + 100 + 10
 
 
 class TestAccounting:
     def test_csv_totals_equal_shipped_bytes(self, bundled):
         result = bundled("staleness-lag")
-        assert sum(r.bytes for r in result.rows) == result.total_shipped_bytes
+        assert sum(r.bytes for r in result.rows) == \
+            sum(r.batch.total_bytes for r in result.batches)
         assert sum(r.batches for r in result.rows) == len(result.batches)
 
     def test_modes_move_identical_payload_bytes(self, bundled):
@@ -144,12 +145,12 @@ class TestAccounting:
         # per-batch header overhead.
         plain = bundled("workload-a-plain")
         bounded = bundled("workload-a-bounded05pct")
-        plain_payload = plain.total_shipped_bytes \
-            - BATCH_HEADER_BYTES * len(plain.batches)
-        bounded_payload = bounded.total_shipped_bytes \
-            - BATCH_HEADER_BYTES * len(bounded.batches)
-        assert plain_payload == bounded_payload
-        assert plain.total_shipped_updates == bounded.total_shipped_updates == 25_000
+        def payload(result):
+            return sum(r.batch.total_bytes - BATCH_HEADER_BYTES for r in result.batches)
+
+        assert payload(plain) == payload(bounded)
+        assert plain.summary["shipped_updates"] == bounded.summary["shipped_updates"] \
+            == 25_000
 
     def test_every_batch_is_delivered(self, bundled):
         result = bundled("batch-size-05pct")
@@ -162,7 +163,7 @@ class TestAccounting:
         assert s["peak_window_bytes"] == max(r.bytes for r in result.rows)
         assert s["total_batches"] == sum(r.batches for r in result.rows)
         assert s["operations"] == 10_000
-        assert s["shipped_updates"] == result.total_shipped_updates
+        assert s["shipped_updates"] == sum(len(r.batch.updates) for r in result.batches)
 
 
 class TestDeterminism:
@@ -170,7 +171,7 @@ class TestDeterminism:
         a = bundled("staleness-lag")
         b = Simulation(load_scenario(scenario_dir / "staleness-lag.ini")).run()
         assert a.rows == b.rows
-        assert a.digests == b.digests
+        assert a.summary["digests"] == b.summary["digests"]
         assert [r.batch.created_ms for r in a.batches] == \
             [r.batch.created_ms for r in b.batches]
 
@@ -178,7 +179,8 @@ class TestDeterminism:
         base = load_scenario(scenario_dir / "staleness-lag.ini")
         from dataclasses import replace
         reseeded = replace(base, workload=replace(base.workload, seed=999))
-        assert bundled("staleness-lag").digests != Simulation(reseeded).run().digests
+        assert bundled("staleness-lag").summary["digests"] != \
+            Simulation(reseeded).run().summary["digests"]
 
 
 class TestRunScenario:

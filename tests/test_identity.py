@@ -195,9 +195,9 @@ def test_windows_end_as_one_floor_per_origin_at_any_length(tmp_path, text, write
                                                            upstream):
     for ops in (400, 1600):
         sim, result = run(tmp_path, text, ops)
-        assert len(set(result.digests.values())) == 1
+        assert len(set(result.summary["digests"].values())) == 1
         # Only the mesh delivers some updates twice, by two paths.
-        assert any(t.duplicates for t in result.tallies.values()) == (len(writers) > 1)
+        assert any(result.summary["duplicates"].values()) == (len(writers) > 1)
         writes = {cid: node.last_seq for cid, node in sim.clusters.items()}
         assert {cid for cid, n in writes.items() if n} == writers
         for cid, node in sim.clusters.items():
@@ -230,7 +230,7 @@ def test_no_source_is_offered_a_foreign_update_twice(tmp_path, monkeypatch, text
         monkeypatch.setattr(ReplicationSource, name,
                             recording(getattr(ReplicationSource, name)))
     sim, result = run(tmp_path, text, 1600)
-    assert len(set(result.digests.values())) == 1
+    assert len(set(result.summary["digests"].values())) == 1
     assert sum(map(len, offered.values())) > 1000
     for identities in offered.values():
         assert len(identities) == len(set(identities))

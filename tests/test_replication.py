@@ -234,6 +234,67 @@ class TestGroups:
         assert src.cache.total_pending_count == 0
 
 
+# Each helper drives one entry point and returns every batch it returned.
+def offer_each(src):
+    return [b for i in range(8)
+            if (b := src.offer(make_update(container=[A, B][i % 2], key=f"k{i}"), now=i))]
+
+
+def offer_groups(src):
+    return [b for block in (1, 2, 3)
+            if (b := src.offer_group([make_update(container=cid, key=f"g{block}{cid}",
+                                                  block=block) for cid in (A, B)], now=block))]
+
+
+def ship_groups_now(src):
+    return [src.ship_group_now([make_update(container=A, key=f"g{block}", block=block)],
+                               now=block) for block in (1, 2)]
+
+
+def tick_after(src):
+    for i, cid in enumerate((B, A, C)):
+        src.offer(make_update(container=cid, key=f"t{i}"), now=0)
+    return src.tick(now=50) + src.tick(now=100)
+
+
+def drain_after(src):
+    for i, cid in enumerate((B, A, A)):
+        src.offer(make_update(container=cid, key=f"d{i}"), now=0)
+    return src.final_drain(now=10) + src.final_drain(now=20)
+
+
+class TestOnShip:
+    """A source hands every batch it cuts to ``on_ship`` exactly once,
+    and the batch an entry point returns is the very object handed over."""
+
+    @pytest.mark.parametrize("bound, mode, cut, trigger, batches", [
+        (Bound(pending=2), "bounded", offer_each, Trigger.COUNT, 4),
+        (Bound(pending=3), "bounded", offer_groups, Trigger.ANY_BLOCK, 1),
+        (Bound(pending=10), "bounded", ship_groups_now, Trigger.IMMEDIATE_BLOCK, 2),
+        (Bound(lag_ms=100), "bounded", tick_after, Trigger.TIME, 3),
+        (Bound(), "plain", tick_after, Trigger.TIME, 3),
+        (Bound(pending=10), "bounded", drain_after, Trigger.FINAL_DRAIN, 2),
+    ], ids=["offer", "offer_group", "ship_group_now", "tick-bounded", "tick-plain",
+            "final_drain"])
+    def test_every_cut_batch_is_handed_over_once(self, bound, mode, cut, trigger, batches):
+        shipped = []
+        src = source_with(bound, mode=mode, on_ship=shipped.append)
+        returned = cut(src)
+        assert len(returned) == batches
+        assert [b.trigger for b in returned] == [trigger] * batches
+        assert len(shipped) == len(returned)
+        assert all(s is r for s, r in zip(shipped, returned))
+        assert src.cache.total_pending_count == 0
+
+    def test_a_source_that_cuts_nothing_hands_over_nothing(self):
+        shipped = []
+        src = source_with(Bound(pending=10), on_ship=shipped.append)
+        src.offer(make_update(key="held"), now=0)
+        src.offer(make_update(key="echo", origin=2), now=0)
+        src.offer_group([make_update(container=B, key="peer", block=5, origin=2)], now=0)
+        assert src.tick(now=10**6) == [] and shipped == []
+
+
 class TestAcknowledge:
     def test_high_water_marks_advance(self):
         src = source_with(Bound(pending=2))
