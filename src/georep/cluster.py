@@ -3,11 +3,11 @@
 Each cluster owns a key-value store keyed by container, a counter that
 numbers its local writes, and one replication source per peer, built
 with the node's ``on_ship``: a source ships the batches it cuts, and
-the node only offers it updates and runs its timers and flushes.  No
-log of past writes is kept: nothing reads one back.  A store cell is
-the ``Update`` that wrote it: a local write stores the update it
-creates, and a remote batch stores the delivered update objects, so a
-replica keeps no copy of its own.
+the node only offers it updates; the engine ticks and flushes every
+source itself.  No log of past writes is kept: nothing reads one back.
+A store cell is the ``Update`` that wrote it: a local write stores the
+update it creates, and a remote batch stores the delivered update
+objects, so a replica keeps no copy of its own.
 
 Local writes apply unconditionally; remote batches apply under
 last-writer-wins on ``Update.version``, the triple
@@ -192,20 +192,6 @@ class ClusterNode:
                 source.offer(u, now)
             for members in groups.values():
                 source.offer_group(members, now)
-
-    # -- timers and flushes ----------------------------------------------
-
-    def tick(self, now: int) -> None:
-        for source in self.sources.values():
-            source.tick(now)
-
-    def final_drain(self, now: int) -> int:
-        """Flush every source; the number of updates shipped."""
-        return sum(len(batch.updates) for source in self.sources.values()
-                   for batch in source.final_drain(now))
-
-    def has_timer_work(self) -> bool:
-        return any(source.has_timer_work() for source in self.sources.values())
 
     # -- inspection ----------------------------------------------------
 

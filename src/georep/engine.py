@@ -7,11 +7,12 @@ front: the loop pulls one arrival instant at a time from ``generate``,
 and an instant's ops run before any other event at that instant; no
 event is held in memory for an instant the loop has not reached.
 
-The timer for lag validation (or the plain-mode poll) is armed lazily:
-one pending tick event at a time, on a grid of multiples of the tick
-interval, and only while some source actually has timer-driven work.
-That keeps idle stretches free of events without changing when anything
-ships.
+The engine, not the clusters, ticks and flushes every replication
+source, in link order (by cluster, then by peer).  The timer for lag
+validation (or the plain-mode poll) is armed lazily: one pending tick
+event at a time, on a grid of multiples of the tick interval, and only
+while some source actually has timer-driven work.  That keeps idle
+stretches free of events without changing when anything ships.
 
 Each link's shipping backlog is sampled for the ``pending_max`` column
 at event boundaries.  A backlog only changes when its own cluster acts,
@@ -53,7 +54,7 @@ from typing import Callable, Iterable, Iterator
 
 from .blocks import ClientSession
 from .cluster import ClusterNode
-from .metrics import MetricsCollector, Row, summary_path, write_csv, write_summary
+from .metrics import MetricsCollector, Row, run_totals, summary_path, write_csv, write_summary
 from .scenario import Scenario
 from .shipping import Batch
 from .simnet import SimNet
@@ -92,6 +93,8 @@ class Simulation:
                 cid, peers, scenario.bounds, scenario.default_bound,
                 mode=scenario.mode, now_fn=lambda: self.net.now, on_ship=self._on_ship)
         self.sessions = {cid: ClientSession(node) for cid, node in self.clusters.items()}
+        self._sources = [source for cid in sorted(self.clusters)
+                         for source in self.clusters[cid].sources.values()]
         self.metrics = MetricsCollector(scenario.window_ms)
         # Metric window of the latest backlog sample; see _sample_pending.
         self._sampled_window = -1
@@ -127,7 +130,7 @@ class Simulation:
     def _arm_tick(self) -> None:
         if self._tick_armed or not self._tick_possible:
             return
-        if not any(node.has_timer_work() for node in self.clusters.values()):
+        if not any(source.has_timer_work() for source in self._sources):
             return
         next_tick = (self.net.now // self.scenario.tick_ms + 1) * self.scenario.tick_ms
         self.net.schedule(next_tick, self._tick_event)
@@ -135,8 +138,8 @@ class Simulation:
 
     def _tick_event(self) -> None:
         self._tick_armed = False
-        for cid in sorted(self.clusters):
-            self.clusters[cid].tick(self.net.now)
+        for source in self._sources:
+            source.tick(self.net.now)
         self._sample_pending()
         self._arm_tick()
 
@@ -191,10 +194,11 @@ class Simulation:
         started = time.perf_counter()
         self.net.run_until_quiescent(self._instants())
         # Straggler flush: sources may refill each other through relays,
-        # so drain repeatedly until a full pass moves nothing.  A pass that
-        # ships nothing submits nothing, so the event queue stays empty.
-        nodes = [self.clusters[cid] for cid in sorted(self.clusters)]
-        while sum(node.final_drain(self.net.now) for node in nodes):
+        # so drain and deliver until no source holds a backlog.  A drain
+        # only submits batches, so nothing refills a source mid-pass.
+        while any(source.cache.total_pending_count for source in self._sources):
+            for source in self._sources:
+                source.final_drain(self.net.now)
             self.net.run_until_quiescent()
         elapsed = max(time.perf_counter() - started, 1e-9)
         rows = self.metrics.build_rows()
@@ -223,11 +227,10 @@ class Simulation:
         first = next(iter(nodes.values()))
         first_digest = first.digest()
         pending_peaks: dict[str, int] = {}
-        for node in self.clusters.values():
-            for source in node.sources.values():
-                for cid, peak in source.cache.peaks().items():
-                    if peak > pending_peaks.get(cid, 0):
-                        pending_peaks[cid] = peak
+        for source in self._sources:
+            for cid, peak in source.cache.peaks().items():
+                if peak > pending_peaks.get(cid, 0):
+                    pending_peaks[cid] = peak
         return {
             "scenario": self.scenario.name,
             "mode": self.scenario.mode,
@@ -237,10 +240,7 @@ class Simulation:
             "operations": self._client_ops,
             "workload_updates": self.scenario.workload.total_updates,
             "shipped_updates": sum(len(r.batch.updates) for r in self.batches),
-            "total_bytes": sum(r.bytes for r in rows),
-            "total_batches": sum(r.batches for r in rows),
-            "peak_window_bytes": max((r.bytes for r in rows), default=0),
-            "max_batch_bytes": max((r.max_batch_bytes for r in rows), default=0),
+            **run_totals(rows),
             "max_staleness_ms": max((r.staleness_max_ms for r in rows), default=0),
             "pending_max_per_container": pending_peaks,
             "digests": {cid: first_digest if node is first else node.digest(first, first_digest)

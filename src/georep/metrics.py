@@ -109,6 +109,16 @@ class MetricsCollector:
                 for (window, (src, dst)), r in sorted(self.ledger.items())]
 
 
+def run_totals(rows: list[Row]) -> dict[str, int]:
+    """A run's traffic totals, read off its rows, under the summary's keys."""
+    return {
+        "total_bytes": sum(r.bytes for r in rows),
+        "total_batches": sum(r.batches for r in rows),
+        "peak_window_bytes": max((r.bytes for r in rows), default=0),
+        "max_batch_bytes": max((r.max_batch_bytes for r in rows), default=0),
+    }
+
+
 def write_csv(path: str | Path, rows: list[Row]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -157,32 +167,27 @@ def write_summary(path: str | Path, summary: dict) -> None:
 
 @dataclass(frozen=True, slots=True)
 class Comparison:
-    """Peak, volume and batch-count relation of run B to run A."""
+    """Peak, volume and batch-count relation of run B to run A, whose
+    ``run_totals`` are ``b`` and ``a``; each ratio is B's over A's."""
 
-    peak_bytes_a: int
-    peak_bytes_b: int
-    total_bytes_a: int
-    total_bytes_b: int
-    batches_a: int
-    batches_b: int
-    max_batch_bytes_a: int
-    max_batch_bytes_b: int
+    a: dict[str, int]
+    b: dict[str, int]
 
     @property
     def peak_ratio(self) -> float:
-        return _ratio(self.peak_bytes_b, self.peak_bytes_a)
+        return self._ratio("peak_window_bytes")
 
     @property
     def total_ratio(self) -> float:
-        return _ratio(self.total_bytes_b, self.total_bytes_a)
+        return self._ratio("total_bytes")
 
     @property
     def batch_ratio(self) -> float:
-        return _ratio(self.batches_b, self.batches_a)
+        return self._ratio("total_batches")
 
-
-def _ratio(b: int, a: int) -> float:
-    return math.inf if a == 0 and b else (b / a if a else 1.0)
+    def _ratio(self, key: str) -> float:
+        a, b = self.a[key], self.b[key]
+        return math.inf if a == 0 and b else (b / a if a else 1.0)
 
 
 def compare_runs(csv_a: str | Path, csv_b: str | Path) -> Comparison:
@@ -208,29 +213,20 @@ def compare_runs(csv_a: str | Path, csv_b: str | Path) -> Comparison:
                 raise ScenarioError(
                     f"metric window mismatch: {path} has a window starting at "
                     f"{r.window_start_ms}ms, {other} uses {window}ms")
-    return Comparison(
-        peak_bytes_a=max((r.bytes for r in rows_a), default=0),
-        peak_bytes_b=max((r.bytes for r in rows_b), default=0),
-        total_bytes_a=sum(r.bytes for r in rows_a),
-        total_bytes_b=sum(r.bytes for r in rows_b),
-        batches_a=sum(r.batches for r in rows_a),
-        batches_b=sum(r.batches for r in rows_b),
-        max_batch_bytes_a=max((r.max_batch_bytes for r in rows_a), default=0),
-        max_batch_bytes_b=max((r.max_batch_bytes for r in rows_b), default=0),
-    )
+    return Comparison(run_totals(rows_a), run_totals(rows_b))
 
 
 def format_comparison(comp: Comparison) -> str:
-    lines = [
-        f"peak window bytes : A={comp.peak_bytes_a} B={comp.peak_bytes_b} "
+    a, b = comp.a, comp.b
+    return "\n".join([
+        f"peak window bytes : A={a['peak_window_bytes']} B={b['peak_window_bytes']} "
         f"ratio={comp.peak_ratio:.4f}",
-        f"total bytes       : A={comp.total_bytes_a} B={comp.total_bytes_b} "
+        f"total bytes       : A={a['total_bytes']} B={b['total_bytes']} "
         f"ratio={comp.total_ratio:.4f}",
-        f"batches           : A={comp.batches_a} B={comp.batches_b} "
+        f"batches           : A={a['total_batches']} B={b['total_batches']} "
         f"ratio={comp.batch_ratio:.4f}",
-        f"max batch bytes   : A={comp.max_batch_bytes_a} B={comp.max_batch_bytes_b}",
-    ]
-    return "\n".join(lines)
+        f"max batch bytes   : A={a['max_batch_bytes']} B={b['max_batch_bytes']}",
+    ])
 
 
 def _window_of(csv_path: str | Path) -> int | None:

@@ -52,10 +52,11 @@ Unknown sections or keys are rejected so typos fail loudly, and so are
 keys that would have no effect: under ``mode = plain`` every [bounds]
 key but ``mode`` and ``tick_ms``; with a [blocks] script every
 [workload] key but ``seed``, ``value_bytes`` and ``origins``;
-``zipf_constant`` under ``distribution = uniform``; and a
+``zipf_constant`` under ``distribution = uniform``; a
 per-container bound for a container the workload never writes (the
 [blocks] containers under a script, the [workload] ones otherwise;
-none if it writes nothing, and then ``bounds.default`` is rejected too).
+none if it writes nothing, and then ``bounds.default`` is rejected too);
+and a nonzero drift limit: values are random bytes, numbers only by chance.
 Percentage bounds resolve against the number of replicated updates the
 workload will produce (its writes), not its total operation count.
 """
@@ -65,23 +66,13 @@ from __future__ import annotations
 import configparser
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Callable
 
 from .blocks import BlockMode
 from .bounds import Bound, ContainerId, pending_from_percent
 from .errors import ScenarioError
 from .simnet import DEFAULT_MAX_EVENTS, LinkSpec
 from .workload import BlockScript, WorkloadSpec
-
-_KNOWN_KEYS = {
-    "topology": {"clusters", "links"},
-    "network": {"latency_ms", "partitions", "window_ms", "max_events"},
-    "bounds": {"mode", "default", "pending_percent", "tick_ms"},
-    "workload": {"operations", "write_fraction", "distribution", "zipf_constant",
-                 "keyspace", "value_bytes", "containers", "seed", "burst_ops",
-                 "burst_spacing_ms", "origins", "disjoint_keys"},
-    "blocks": {"count", "puts_per_block", "pattern", "containers", "spacing_ms"},
-}
-
 
 @dataclass(frozen=True, slots=True)
 class Scenario:
@@ -143,7 +134,7 @@ def load_scenario(path: str | Path, seed_override: int | None = None) -> Scenari
             raise ScenarioError(f"missing required section [{required}]")
 
     topo = parser["topology"]
-    clusters = tuple(_parse_int(tok, "topology.clusters") for tok in topo.get("clusters", "").split())
+    clusters = _each(_parse_int)(topo.get("clusters", ""), "topology.clusters")
     if not clusters:
         raise ScenarioError("topology.clusters must list at least one cluster id")
     if len(set(clusters)) != len(clusters):
@@ -218,58 +209,25 @@ def load_scenario(path: str | Path, seed_override: int | None = None) -> Scenari
 def _parse_workload(parser: configparser.ConfigParser,
                     clusters: tuple[int, ...]) -> WorkloadSpec:
     wl = parser["workload"]
-    containers = _parse_weighted_containers(wl.get("containers", "usertable:family"))
-    origins = tuple(_parse_int(tok, "workload.origins")
-                    for tok in wl.get("origins", "1").split())
-    for origin in origins:
-        if origin not in clusters:
-            raise ScenarioError(f"workload origin {origin} is not a declared cluster")
-
-    block_script = None
+    script_fields = {}
     if "blocks" in parser:
         _reject_keys(wl, "workload", {"seed", "value_bytes", "origins"},
                      "with a [blocks] script")
-        blk = parser["blocks"]
-        pattern = []
-        for tok in blk.get("pattern", "").split():
-            try:
-                pattern.append(BlockMode[tok.upper()])
-            except KeyError:
-                raise ScenarioError(f"unknown block mode {tok!r} (IMMEDIATE or ANY)") from None
-        block_containers = tuple(
-            _parse_container(tok) for tok in blk.get("containers", "").split())
-        block_script = BlockScript(
-            count=_parse_int(blk.get("count", "0"), "blocks.count"),
-            puts_per_block=_parse_int(blk.get("puts_per_block", "1"),
-                                      "blocks.puts_per_block"),
-            pattern=tuple(pattern),
-            containers=block_containers,
-            spacing_ms=_parse_int(blk.get("spacing_ms", "1"), "blocks.spacing_ms"),
-        )
-
+        script = BlockScript(**_fields(parser["blocks"], "blocks", _BLOCK_KEYS))
+        script_fields = {"operations": script.total_updates, "block_script": script}
     if wl.get("distribution") == "uniform" and "zipf_constant" in wl:
         raise ScenarioError("workload.zipf_constant has no effect under distribution = uniform")
-    operations = block_script.total_updates if block_script is not None \
-        else _parse_int(wl.get("operations", "50000"), "workload.operations")
-    return WorkloadSpec(
-        operations=operations,
-        write_fraction=_parse_float(wl.get("write_fraction", "0.5"),
-                                    "workload.write_fraction"),
-        distribution=wl.get("distribution", "zipfian"),
-        zipf_constant=_parse_float(wl.get("zipf_constant", "0.99"),
-                                   "workload.zipf_constant"),
-        keyspace=_parse_int(wl.get("keyspace", "10000"), "workload.keyspace"),
-        value_bytes=_parse_int(wl.get("value_bytes", "1000"), "workload.value_bytes"),
-        containers=containers,
-        seed=_parse_int(wl.get("seed", "42"), "workload.seed"),
-        burst_ops=_parse_int(wl.get("burst_ops", "1"), "workload.burst_ops"),
-        burst_spacing_ms=_parse_int(wl.get("burst_spacing_ms", "1"),
-                                    "workload.burst_spacing_ms"),
-        origins=origins,
-        disjoint_keys=_parse_bool(wl.get("disjoint_keys", "false"),
-                                  "workload.disjoint_keys"),
-        block_script=block_script,
-    )
+    workload = WorkloadSpec(**_fields(wl, "workload", _WORKLOAD_KEYS), **script_fields)
+    for origin in workload.origins:
+        if origin not in clusters:
+            raise ScenarioError(f"workload origin {origin} is not a declared cluster")
+    return workload
+
+
+def _fields(section, name: str, parsers: dict) -> dict:
+    """The keys ``section`` sets, parsed (``load_scenario`` has already
+    rejected unknown keys); an unset key keeps its field default."""
+    return {key: parsers[key](section.get(key), f"{name}.{key}") for key in section}
 
 
 def _reject_keys(section, name: str, read: set[str], where: str) -> None:
@@ -304,6 +262,9 @@ def _parse_bounds(section, workload: WorkloadSpec) -> tuple[Bound, dict[Containe
             raise ScenarioError(f"bounds.{cid}: the workload writes no such container")
     if not written and default_triple is not None:
         raise ScenarioError("bounds.default has no effect under a workload that writes nothing")
+    for where, bound in [("default", default_bound), *bounds.items()]:
+        if bound.drift:
+            raise ScenarioError(f"bounds.{where}: a drift limit has no effect on random bytes")
     return default_bound, bounds
 
 
@@ -317,15 +278,21 @@ def _parse_bound_triple(raw: str, where: str) -> Bound:
         raise ScenarioError(f"bad bound in {where}: {exc}") from exc
 
 
-def _parse_weighted_containers(raw: str) -> tuple[tuple[ContainerId, float], ...]:
-    entries = []
-    for tok in raw.split():
-        name, star, weight = tok.partition("*")
-        entries.append((_parse_container(name),
-                        _parse_float(weight, f"weight of {name}") if star else 1.0))
-    if not entries:
-        raise ScenarioError("workload.containers must list at least one container")
-    return tuple(entries)
+def _each(parse: Callable) -> Callable[[str, str], tuple]:
+    """A parser of a space-separated list, made from one of its items."""
+    return lambda raw, where: tuple(parse(tok, where) for tok in raw.split())
+
+
+def _parse_weighted_container(tok: str, where: str) -> tuple[ContainerId, float]:
+    name, star, weight = tok.partition("*")
+    return _parse_container(name), _parse_float(weight, f"weight of {name}") if star else 1.0
+
+
+def _parse_mode(tok: str, where: str) -> BlockMode:
+    try:
+        return BlockMode[tok.upper()]
+    except KeyError:
+        raise ScenarioError(f"unknown block mode {tok!r} (IMMEDIATE or ANY)") from None
 
 
 def _parse_container(text: str) -> ContainerId:
@@ -367,3 +334,36 @@ def _parse_bool(raw: str, where: str) -> bool:
     if lowered in ("false", "no", "off", "0"):
         return False
     raise ScenarioError(f"{where}: not a boolean: {raw!r}")
+
+
+# One parser per [workload] or [blocks] key: the WorkloadSpec or
+# BlockScript field of the same name, which holds the key's default.
+_WORKLOAD_KEYS = {
+    "operations": _parse_int,
+    "write_fraction": _parse_float,
+    "distribution": lambda raw, where: raw,
+    "zipf_constant": _parse_float,
+    "keyspace": _parse_int,
+    "value_bytes": _parse_int,
+    "containers": _each(_parse_weighted_container),
+    "seed": _parse_int,
+    "burst_ops": _parse_int,
+    "burst_spacing_ms": _parse_int,
+    "origins": _each(_parse_int),
+    "disjoint_keys": _parse_bool,
+}
+_BLOCK_KEYS = {
+    "count": _parse_int,
+    "puts_per_block": _parse_int,
+    "pattern": _each(_parse_mode),
+    "containers": _each(lambda tok, where: _parse_container(tok)),
+    "spacing_ms": _parse_int,
+}
+
+_KNOWN_KEYS = {
+    "topology": {"clusters", "links"},
+    "network": {"latency_ms", "partitions", "window_ms", "max_events"},
+    "bounds": {"mode", "default", "pending_percent", "tick_ms"},
+    "workload": _WORKLOAD_KEYS.keys(),
+    "blocks": _BLOCK_KEYS.keys(),
+}

@@ -60,12 +60,14 @@ TimedOp = tuple[int, int, Operation]
 
 @dataclass(frozen=True, slots=True)
 class BlockScript:
-    """Scripted stream of write groups replacing the plain op mix."""
+    """Scripted stream of write groups replacing the plain op mix.  Each
+    field is the [blocks] key of the same name and holds its default;
+    those of ``count``, ``pattern`` and ``containers`` fail validation."""
 
-    count: int
-    puts_per_block: int
-    pattern: tuple[BlockMode, ...]
-    containers: tuple[ContainerId, ...]
+    count: int = 0
+    puts_per_block: int = 1
+    pattern: tuple[BlockMode, ...] = ()
+    containers: tuple[ContainerId, ...] = ()
     spacing_ms: int = 1
 
     def __post_init__(self) -> None:
@@ -83,9 +85,11 @@ class BlockScript:
 
 @dataclass(frozen=True, slots=True)
 class WorkloadSpec:
-    """Everything needed to regenerate one operation stream."""
+    """Everything needed to regenerate one operation stream.  Each field
+    but ``block_script`` (the [blocks] section) is the [workload] key of
+    the same name and holds its default."""
 
-    operations: int
+    operations: int = 50_000
     write_fraction: float = 0.5
     distribution: str = "zipfian"
     zipf_constant: float = 0.99
@@ -115,7 +119,7 @@ class WorkloadSpec:
         if self.value_bytes <= 0:
             raise ScenarioError(f"value size must be positive: {self.value_bytes}")
         if not self.containers or not all(0 < w < math.inf for _, w in self.containers):
-            raise ScenarioError("container weights must be positive and finite")
+            raise ScenarioError("a workload needs containers; weights must be positive and finite")
         if self.burst_ops <= 0 or self.burst_spacing_ms <= 0:
             raise ScenarioError("burst pacing values must be positive")
         if not self.origins:

@@ -76,6 +76,18 @@ class TestValidate:
         assert main(["validate", str(path)]) == 2
         assert "drift limit must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bounds, key", [
+        ("default = 0 0 5", "default"),
+        ("default = 0 50 0\na:b = 0 5 2.5", "a:b"),
+    ], ids=["default", "container"])
+    def test_drift_limit_exits_two(self, tmp_path, capsys, bounds, key):
+        path = write(tmp_path, GOOD.replace("default = 0 50 0", bounds).replace(
+            "seed = 21", "seed = 21\ncontainers = usertable:family a:b"), "drift.ini")
+        assert main(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"bounds.{key}: a drift limit has no effect" in err
+
     @pytest.mark.parametrize("key", ["window_ms", "max_events"])
     def test_non_positive_network_setting_exits_two(self, tmp_path, capsys, key):
         path = write(tmp_path, GOOD + f"\n[network]\n{key} = 0\n", f"{key}.ini")

@@ -53,6 +53,32 @@ seed = 7
         assert len(by_trigger[Trigger.FINAL_DRAIN]) == 1
         assert len(by_trigger[Trigger.FINAL_DRAIN][0].updates) == 3
 
+    def test_straggler_flush_repeats_until_relays_drain(self, tmp_path):
+        # The first flush pass ships 1>2; only its delivery fills cluster
+        # 2's source for 3, so the flush must drain and deliver again.
+        scenario = write_and_load(tmp_path, """\
+[topology]
+clusters = 1 2 3
+links = 1>2 2>3
+
+[bounds]
+default = 0 1000 0
+
+[workload]
+operations = 10
+write_fraction = 1.0
+distribution = uniform
+keyspace = 100
+value_bytes = 20
+seed = 4
+""")
+        result = Simulation(scenario).run()
+        batches = [record.batch for record in result.batches]
+        assert [(b.source, b.destination) for b in batches] == [(1, 2), (2, 3)]
+        assert all(b.trigger is Trigger.FINAL_DRAIN and len(b.updates) == 10
+                   for b in batches)
+        assert len(set(result.summary["digests"].values())) == 1
+
     def test_plain_mode_batches_follow_the_poll_grid(self, tmp_path):
         # Steady 1 op/ms for 3 s, poll every 1000 ms: each update ships at
         # the first poll instant at or after its write time.

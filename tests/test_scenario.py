@@ -1,12 +1,15 @@
 """Scenario file parsing, validation and bound resolution."""
 
+import dataclasses
+
 import pytest
 
 from georep.blocks import BlockMode
 from georep.bounds import Bound, ContainerId
 from georep.cli import main
 from georep.errors import ScenarioError
-from georep.scenario import load_scenario
+from georep.scenario import _KNOWN_KEYS, _parse_bound_triple, load_scenario
+from georep.workload import BlockScript, WorkloadSpec
 
 from conftest import SCENARIO_DIR
 
@@ -108,9 +111,29 @@ def test_block_scenario_counts_scripted_puts(scenario_dir):
 def test_per_container_bound_triple(tmp_path):
     text = ORDERS.replace(
         "default = 0 100 0",
-        "default = 0 100 0\norders:acct = 1000 5 2.5")
+        "default = 0 100 0\norders:acct = 1000 5 0")
     sc = load_scenario(write_scenario(tmp_path, text))
-    assert sc.bounds[ContainerId("orders", "acct")] == Bound(1000, 5, 2.5)
+    assert sc.bounds[ContainerId("orders", "acct")] == Bound(1000, 5)
+    # The drift slot reads as a float, though a scenario may not set it.
+    assert _parse_bound_triple("1000 5 2.5", "orders:acct") == Bound(1000, 5, 2.5)
+
+
+def test_workload_and_block_keys_are_the_spec_fields():
+    workload_fields = {f.name for f in dataclasses.fields(WorkloadSpec)}
+    assert set(_KNOWN_KEYS["workload"]) == workload_fields - {"block_script"}
+    assert set(_KNOWN_KEYS["blocks"]) == {f.name for f in dataclasses.fields(BlockScript)}
+
+
+def test_unset_workload_keys_take_the_field_defaults(tmp_path):
+    text = MINIMAL.partition("[workload]")[0] + "[workload]\nseed = 7\n"
+    assert load_scenario(write_scenario(tmp_path, text)).workload == WorkloadSpec(seed=7)
+
+
+def test_unset_block_keys_take_the_field_defaults(tmp_path):
+    text = BLOCKS.replace("puts_per_block = 1\n", "")
+    script = load_scenario(write_scenario(tmp_path, text)).workload.block_script
+    assert script.puts_per_block == 1
+    assert script.spacing_ms == 1
 
 
 def test_pending_percent_sets_default_pending(tmp_path):
@@ -277,6 +300,16 @@ class TestRejections:
         self.reject(tmp_path, ORDERS.replace("default = 0 100 0",
                                              f"default = 0 100 0\norders:acct = 0 5 {drift}"),
                     "drift limit must be finite")
+
+    @pytest.mark.parametrize("triple, key", [
+        ("default = 0 0 5", "default"),
+        ("default = 0 100 0\norders:acct = 1000 5 2.5", "orders:acct"),
+    ], ids=["default", "container"])
+    def test_drift_limit_has_no_effect(self, tmp_path, triple, key):
+        # Workload values are random bytes: a drift limit would hold
+        # every update until the final drain, or trip on noise.
+        self.reject(tmp_path, ORDERS.replace("default = 0 100 0", triple),
+                    f"bounds.{key}: a drift limit has no effect")
 
     @pytest.mark.parametrize("weight", ["nan", "inf"])
     def test_non_finite_container_weight(self, tmp_path, weight):
