@@ -10,11 +10,13 @@ along three independent dimensions, each with its own limit:
 
 A limit of zero disables that dimension.  A bound with every dimension
 disabled means the container is replicated immediately, one update at a
-time.  ``ContainerState.should_ship`` is the one rule that evaluates the
-active dimensions on every arriving update (the shipping engine checks
-the lag dimension again on a periodic timer); any single dimension
-tripping causes the container's whole pending queue to be shipped as one
-batch, and the rule names the dimension that tripped.
+time.  A container's bound on a link lives in the ``ContainerState``
+that the link's shipping source builds for it.  ``should_ship`` there is
+the one rule that evaluates the active dimensions on every arriving
+update (the shipping engine checks the lag dimension again on a periodic
+timer); any single dimension tripping causes the container's whole
+pending queue to be shipped as one batch, and the rule names the
+dimension that tripped.
 
 The pending dimension keeps no counter of its own.  The updates a
 container holds back are the ones in its pending-cache queue, and the
@@ -229,7 +231,8 @@ def parse_numeric(value: bytes) -> float | None:
 
 @dataclass(slots=True)
 class ContainerState:
-    """What one container's bound remembers between shipments.
+    """One container's bound on one link, and what it remembers between
+    shipments; every method reads the bound from here.
 
     ``last_ship_ms`` is when the container last shipped, for the lag
     dimension.  ``shipped_value`` remembers, per key, the numeric payload
@@ -238,33 +241,33 @@ class ContainerState:
     here: the number of updates held back is read from the pending cache.
     """
 
+    bound: Bound
     last_ship_ms: int = 0
     shipped_value: dict[str, float] = field(default_factory=dict)
 
-    def lag_expired(self, bound: Bound, now: int) -> bool:
+    def lag_expired(self, now: int) -> bool:
         """True when the shipment lag limit is up.
 
         Inclusive at the boundary: trips exactly when the elapsed time
         reaches ``lag_ms``.  Does not mutate; the shipping path advances
         ``last_ship_ms``.  Callers ask only for containers holding updates.
         """
-        return bound.lag_ms > 0 and now - self.last_ship_ms >= bound.lag_ms
+        return self.bound.lag_ms > 0 and now - self.last_ship_ms >= self.bound.lag_ms
 
-    def drift_exceeded(self, bound: Bound, update: Update) -> bool:
+    def drift_exceeded(self, update: Update) -> bool:
         """True when a numeric payload moved at least ``drift`` away from
         the value last shipped for the same key.
 
         Non-numeric payloads and keys with no shipped history never trip.
         """
-        if bound.drift == 0.0 or update.numeric is None:
+        if self.bound.drift == 0.0 or update.numeric is None:
             return False
         last = self.shipped_value.get(update.key)
         if last is None:
             return False
-        return abs(update.numeric - last) >= bound.drift
+        return abs(update.numeric - last) >= self.bound.drift
 
-    def should_ship(self, bound: Bound, update: Update, now: int,
-                    held: int) -> Trigger | None:
+    def should_ship(self, update: Update, now: int, held: int) -> Trigger | None:
         """The bound rule: which active dimension trips for one arriving
         update, or None when the update may wait.
 
@@ -274,23 +277,24 @@ class ContainerState:
         When several dimensions trip at once, count beats time beats
         drift.  Does not mutate.
         """
+        bound = self.bound
         if bound.pending > 0:
             if held >= bound.pending:
                 return Trigger.COUNT
         elif bound.immediate:
             return Trigger.COUNT
-        if bound.lag_ms > 0 and self.lag_expired(bound, now):
+        if bound.lag_ms > 0 and self.lag_expired(now):
             return Trigger.TIME
-        if bound.drift > 0.0 and self.drift_exceeded(bound, update):
+        if bound.drift > 0.0 and self.drift_exceeded(update):
             return Trigger.DELTA
         return None
 
-    def mark_shipped(self, now: int, updates: list[Update], bound: Bound) -> None:
+    def mark_shipped(self, now: int, updates: list[Update]) -> None:
         """Restart the lag clock after this container shipped the given
         updates; under a drift limit, remember their numeric payloads."""
         if now > self.last_ship_ms:
             self.last_ship_ms = now
-        if bound.drift > 0.0:
+        if self.bound.drift > 0.0:
             for u in updates:
                 numeric = u.numeric
                 if numeric is not None:

@@ -8,11 +8,13 @@ and an instant's ops run before any other event at that instant; no
 event is held in memory for an instant the loop has not reached.
 
 The engine, not the clusters, ticks and flushes every replication
-source, in link order (by cluster, then by peer).  The timer for lag
+source, in link order (by cluster, then by peer).  Only sources whose
+``timed`` is true, those under the plain poll or holding a bound with a
+lag, are ticked and asked about timer work.  The timer for lag
 validation (or the plain-mode poll) is armed lazily: one pending tick
 event at a time, on a grid of multiples of the tick interval, and only
-while some source actually has timer-driven work.  That keeps idle
-stretches free of events without changing when anything ships.
+while some timed source actually has timer-driven work.  That keeps
+idle stretches free of events without changing when anything ships.
 
 Each link's shipping backlog is sampled for the ``pending_max`` column
 at event boundaries.  A backlog only changes when its own cluster acts,
@@ -49,6 +51,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import partial
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -100,11 +104,7 @@ class Simulation:
         self._sampled_window = -1
         self.batches: list[BatchRecord] = []
         self._tick_armed = False
-        # Timers only matter for the plain poll or an active lag bound;
-        # otherwise skip the per-arrival arming check entirely.
-        self._tick_possible = scenario.mode == "plain" \
-            or scenario.default_bound.lag_ms > 0 \
-            or any(b.lag_ms > 0 for b in scenario.bounds.values())
+        self._timed = [source for source in self._sources if source.timed]
         self._client_ops = 0
 
     # -- shipping and delivery -----------------------------------------
@@ -128,9 +128,9 @@ class Simulation:
     # -- timers ---------------------------------------------------------
 
     def _arm_tick(self) -> None:
-        if self._tick_armed or not self._tick_possible:
+        if self._tick_armed or not self._timed:
             return
-        if not any(source.has_timer_work() for source in self._sources):
+        if not any(source.has_timer_work() for source in self._timed):
             return
         next_tick = (self.net.now // self.scenario.tick_ms + 1) * self.scenario.tick_ms
         self.net.schedule(next_tick, self._tick_event)
@@ -138,7 +138,7 @@ class Simulation:
 
     def _tick_event(self) -> None:
         self._tick_armed = False
-        for source in self._sources:
+        for source in self._timed:
             source.tick(self.net.now)
         self._sample_pending()
         self._arm_tick()
@@ -208,17 +208,8 @@ class Simulation:
     def _instants(self) -> Iterator[tuple[int, Callable[[], None]]]:
         """The workload as events, one per arrival instant, generated
         only as the event loop reaches them."""
-        group: list[TimedOp] = []
-        at_ms = None
-        for timed in generate(self.scenario.workload):
-            if timed[0] != at_ms:
-                if group:
-                    yield at_ms, partial(self._apply_ops, group)
-                at_ms, group = timed[0], [timed]
-            else:
-                group.append(timed)
-        if group:
-            yield at_ms, partial(self._apply_ops, group)
+        for at_ms, group in groupby(generate(self.scenario.workload), key=itemgetter(0)):
+            yield at_ms, partial(self._apply_ops, list(group))
 
     def _summarize(self, rows: list[Row], ops_per_sec: float) -> dict:
         nodes = {str(cid): self.clusters[cid] for cid in sorted(self.clusters)}

@@ -140,16 +140,16 @@ def load_scenario(path: str | Path, seed_override: int | None = None) -> Scenari
     if len(set(clusters)) != len(clusters):
         raise ScenarioError("duplicate cluster ids in topology.clusters")
     if any(c <= 0 for c in clusters):
-        raise ScenarioError("cluster ids must be positive integers")
+        raise ScenarioError("topology.clusters: cluster ids must be positive integers")
 
-    link_pairs = [_parse_link(tok) for tok in topo.get("links", "").split()]
+    link_pairs = [_parse_link(tok, "topology.links") for tok in topo.get("links", "").split()]
     if len(set(link_pairs)) != len(link_pairs):
         raise ScenarioError("duplicate links in topology.links")
     for src, dst in link_pairs:
         if src not in clusters or dst not in clusters:
-            raise ScenarioError(f"link {src}>{dst} references an unknown cluster")
+            raise ScenarioError(f"topology.links: {src}>{dst} references an unknown cluster")
         if src == dst:
-            raise ScenarioError(f"link {src}>{dst} may not be a self-loop")
+            raise ScenarioError(f"topology.links: {src}>{dst} may not be a self-loop")
 
     net = parser["network"] if "network" in parser else {}
     default_latency = _parse_int(net.get("latency_ms", "10"), "network.latency_ms")
@@ -166,12 +166,11 @@ def load_scenario(path: str | Path, seed_override: int | None = None) -> Scenari
             continue
         parts = line.split()
         if len(parts) != 3:
-            raise ScenarioError(f"partition line must be 'src>dst start end': {line!r}")
-        link = _parse_link(parts[0])
+            raise ScenarioError(f"network.partitions: not 'src>dst start end': {line!r}")
+        link = _parse_link(parts[0], "network.partitions")
         if link not in link_pairs:
-            raise ScenarioError(f"partition on undeclared link {parts[0]}")
-        start = _parse_int(parts[1], "partition start")
-        end = _parse_int(parts[2], "partition end")
+            raise ScenarioError(f"network.partitions: undeclared link {parts[0]}")
+        start, end = (_parse_int(part, "network.partitions") for part in parts[1:])
         partitions.setdefault(link, []).append((start, end))
 
     latency_keys = {link: f"latency_ms.{link[0]}>{link[1]}" for link in link_pairs}
@@ -180,9 +179,12 @@ def load_scenario(path: str | Path, seed_override: int | None = None) -> Scenari
             raise ScenarioError(f"{key} does not name a declared link")
     links: dict[tuple[int, int], LinkSpec] = {}
     for link, latency_key in latency_keys.items():
-        latency = _parse_int(net[latency_key], latency_key) \
-            if latency_key in net else default_latency
-        links[link] = LinkSpec(latency, tuple(sorted(partitions.get(link, []))))
+        key = latency_key if latency_key in net else "latency_ms"
+        latency = _parse_int(net[key], f"network.{key}") if key in net else default_latency
+        if latency < 0:
+            raise ScenarioError(f"network.{key} must be non-negative: {latency}")
+        links[link] = _spec(LinkSpec, "network", latency_ms=latency,
+                            partitions=tuple(sorted(partitions.get(link, []))))
 
     workload = _parse_workload(parser, clusters)
     bounds_cfg = parser["bounds"]
@@ -213,14 +215,15 @@ def _parse_workload(parser: configparser.ConfigParser,
     if "blocks" in parser:
         _reject_keys(wl, "workload", {"seed", "value_bytes", "origins"},
                      "with a [blocks] script")
-        script = BlockScript(**_fields(parser["blocks"], "blocks", _BLOCK_KEYS))
+        script = _spec(BlockScript, "blocks", **_fields(parser["blocks"], "blocks", _BLOCK_KEYS))
         script_fields = {"operations": script.total_updates, "block_script": script}
     if wl.get("distribution") == "uniform" and "zipf_constant" in wl:
         raise ScenarioError("workload.zipf_constant has no effect under distribution = uniform")
-    workload = WorkloadSpec(**_fields(wl, "workload", _WORKLOAD_KEYS), **script_fields)
+    workload = _spec(WorkloadSpec, "workload", **_fields(wl, "workload", _WORKLOAD_KEYS),
+                     **script_fields)
     for origin in workload.origins:
         if origin not in clusters:
-            raise ScenarioError(f"workload origin {origin} is not a declared cluster")
+            raise ScenarioError(f"workload.origins: {origin} is not a declared cluster")
     return workload
 
 
@@ -228,6 +231,15 @@ def _fields(section, name: str, parsers: dict) -> dict:
     """The keys ``section`` sets, parsed (``load_scenario`` has already
     rejected unknown keys); an unset key keeps its field default."""
     return {key: parsers[key](section.get(key), f"{name}.{key}") for key in section}
+
+
+def _spec(cls, name: str, **fields):
+    """``cls(**fields)``, with a failed field check reported under its key,
+    ``name.field``: each check of ``cls`` starts its message with its field."""
+    try:
+        return cls(**fields)
+    except ScenarioError as exc:
+        raise ScenarioError(f"{name}.{exc}") from None
 
 
 def _reject_keys(section, name: str, read: set[str], where: str) -> None:
@@ -249,9 +261,9 @@ def _parse_bounds(section, workload: WorkloadSpec) -> tuple[Bound, dict[Containe
         try:
             pending = pending_from_percent(percent, workload.total_updates)
         except ValueError as exc:
-            raise ScenarioError(str(exc)) from exc
+            raise ScenarioError(f"bounds.pending_percent: {exc}") from exc
         default_bound = Bound(default_bound.lag_ms, pending, default_bound.drift)
-    bounds = {_parse_container(key): _parse_bound_triple(raw, key)
+    bounds = {_parse_container(key, f"bounds.{key}"): _parse_bound_triple(raw, f"bounds.{key}")
               for key, raw in section.items() if ":" in key}
     script = workload.block_script
     written = script.containers if script is not None else [c for c, _ in workload.containers]
@@ -285,28 +297,29 @@ def _each(parse: Callable) -> Callable[[str, str], tuple]:
 
 def _parse_weighted_container(tok: str, where: str) -> tuple[ContainerId, float]:
     name, star, weight = tok.partition("*")
-    return _parse_container(name), _parse_float(weight, f"weight of {name}") if star else 1.0
+    return (_parse_container(name, where),
+            _parse_float(weight, f"{where}: weight of {name}") if star else 1.0)
 
 
 def _parse_mode(tok: str, where: str) -> BlockMode:
     try:
         return BlockMode[tok.upper()]
     except KeyError:
-        raise ScenarioError(f"unknown block mode {tok!r} (IMMEDIATE or ANY)") from None
+        raise ScenarioError(f"{where}: unknown block mode {tok!r} (IMMEDIATE or ANY)") from None
 
 
-def _parse_container(text: str) -> ContainerId:
+def _parse_container(text: str, where: str) -> ContainerId:
     try:
         return ContainerId.parse(text)
     except ValueError as exc:
-        raise ScenarioError(str(exc)) from exc
+        raise ScenarioError(f"{where}: {exc}") from exc
 
 
-def _parse_link(token: str) -> tuple[int, int]:
+def _parse_link(token: str, where: str) -> tuple[int, int]:
     src, sep, dst = token.partition(">")
     if not sep:
-        raise ScenarioError(f"link must be written 'src>dst': {token!r}")
-    return _parse_int(src, f"link {token!r}"), _parse_int(dst, f"link {token!r}")
+        raise ScenarioError(f"{where}: a link must be written 'src>dst': {token!r}")
+    return _parse_int(src, f"{where}: link {token!r}"), _parse_int(dst, f"{where}: link {token!r}")
 
 
 def _parse_int(raw: str, where: str) -> int:
@@ -356,7 +369,7 @@ _BLOCK_KEYS = {
     "count": _parse_int,
     "puts_per_block": _parse_int,
     "pattern": _each(_parse_mode),
-    "containers": _each(lambda tok, where: _parse_container(tok)),
+    "containers": _each(_parse_container),
     "spacing_ms": _parse_int,
 }
 

@@ -45,8 +45,9 @@ class ReplicationSource:
 
     ``mode`` selects between bound-driven shipping ("bounded") and the
     baseline behavior of shipping everything accumulated on every poll
-    tick ("plain").  Bounds come from a per-container map; containers
-    not listed use ``default_bound``.
+    tick ("plain").  Each container's bound lives in its ``ContainerState``
+    in ``states``, built on first use from the per-container map
+    ``bounds``, or ``default_bound`` for containers it does not list.
 
     The source ships its own batches: ``_drain`` hands each batch it
     cuts to ``on_ship`` once, then returns it to the caller.
@@ -64,19 +65,20 @@ class ReplicationSource:
         self.bounds = dict(bounds or {})
         self.default_bound = default_bound
         self.mode = mode
+        # Whether a tick can ever ship anything from this source.
+        self.timed = mode == "plain" or any(
+            b.lag_ms > 0 for b in (default_bound, *self.bounds.values()))
         self.cache = PendingCache(source)
         self.shipped_position: dict[int, int] = {}
-        # Per-container (state, bound) pairs, resolved on first use.
         # offer() runs for every update, so a hit is one dict.get.
-        self._resolved: dict[ContainerId, tuple[ContainerState, Bound]] = {}
+        self.states: dict[ContainerId, ContainerState] = {}
 
-    def bound_for(self, cid: ContainerId) -> Bound:
-        return self.bounds.get(cid, self.default_bound)
-
-    def _state_and_bound(self, cid: ContainerId) -> tuple[ContainerState, Bound]:
-        """Resolve a container's pair on a ``_resolved`` miss."""
-        entry = self._resolved[cid] = (ContainerState(), self.bound_for(cid))
-        return entry
+    def _state(self, cid: ContainerId) -> ContainerState:
+        """Build a container's state, with its bound, on a ``states`` miss.
+        Under bounds, every container the cache holds has one: ``offer``
+        and ``offer_group`` build it, and ``_drain`` for ``ship_group_now``."""
+        state = self.states[cid] = ContainerState(self.bounds.get(cid, self.default_bound))
+        return state
 
     # -- ingestion ---------------------------------------------------
 
@@ -89,8 +91,7 @@ class ReplicationSource:
         if self.mode == "plain":
             return None
         cid = update.container
-        state, bound = self._resolved.get(cid) or self._state_and_bound(cid)
-        trigger = state.should_ship(bound, update, now, held)
+        trigger = (self.states.get(cid) or self._state(cid)).should_ship(update, now, held)
         if trigger is None:
             return None
         return self._drain([cid], now, trigger)
@@ -105,33 +106,30 @@ class ReplicationSource:
         container's bound, the involved containers drain immediately as
         one batch.
         """
-        accepted = [u for u in updates if u.origin != self.peer]
-        if not accepted:
+        accepted = self._accept(updates)
+        if not accepted or self.mode == "plain":
             return None
-        enqueue = self.cache.enqueue
-        held = [enqueue(u) for u in accepted]
-        if self.mode == "plain":
+        states = self.states
+        # A list, not a generator: every member is evaluated, also those
+        # after the first that trips.
+        if not any([(states.get(u.container) or self._state(u.container))
+                    .should_ship(u, now, held) is not None for u, held in accepted]):
             return None
-        tripped = False
-        resolved = self._resolved
-        for u, count in zip(accepted, held):
-            state, bound = resolved.get(u.container) or self._state_and_bound(u.container)
-            if state.should_ship(bound, u, now, count) is not None:
-                tripped = True
-        if not tripped:
-            return None
-        involved = sorted({u.container for u in accepted})
-        return self._drain(involved, now, Trigger.ANY_BLOCK)
+        return self._drain(sorted({u.container for u, _ in accepted}), now, Trigger.ANY_BLOCK)
 
     def ship_group_now(self, updates: list[Update], now: int) -> Batch | None:
         """Accept an atomic group that replicates immediately on close."""
-        accepted = [u for u in updates if u.origin != self.peer]
+        accepted = self._accept(updates)
         if not accepted:
             return None
-        for u in accepted:
-            self.cache.enqueue(u)
-        involved = sorted({u.container for u in accepted})
-        return self._drain(involved, now, Trigger.IMMEDIATE_BLOCK)
+        return self._drain(sorted({u.container for u, _ in accepted}), now,
+                           Trigger.IMMEDIATE_BLOCK)
+
+    def _accept(self, updates: list[Update]) -> list[tuple[Update, int]]:
+        """Enqueue the updates that did not originate at the peer; return
+        each with its container's held-back count once it arrived."""
+        enqueue = self.cache.enqueue
+        return [(u, enqueue(u)) for u in updates if u.origin != self.peer]
 
     # -- timer and flush paths ----------------------------------------
 
@@ -148,12 +146,7 @@ class ReplicationSource:
             # An earlier drain may have pulled this queue's block members.
             if self.cache.pending_count(cid) == 0:
                 continue
-            if self.mode == "plain":
-                due = True
-            else:
-                state, bound = self._resolved.get(cid) or self._state_and_bound(cid)
-                due = state.lag_expired(bound, now)
-            if due:
+            if self.mode == "plain" or self.states[cid].lag_expired(now):
                 batches.append(self._drain([cid], now, Trigger.TIME))
         return batches
 
@@ -172,7 +165,8 @@ class ReplicationSource:
             return False
         if self.mode == "plain":
             return True
-        return any(self.bound_for(cid).lag_ms > 0 for cid in self.cache.queues)
+        states = self.states
+        return any(states[cid].bound.lag_ms > 0 for cid in self.cache.queues)
 
     # -- batch construction and acknowledgment ------------------------
 
@@ -184,8 +178,7 @@ class ReplicationSource:
         for u in updates:
             by_container.setdefault(u.container, []).append(u)
         for cid, members in by_container.items():
-            state, bound = self._resolved.get(cid) or self._state_and_bound(cid)
-            state.mark_shipped(now, members, bound)
+            (self.states.get(cid) or self._state(cid)).mark_shipped(now, members)
         self.on_ship(batch)
         return batch
 

@@ -39,7 +39,8 @@ class LinkSpec:
     """One directed link: fixed latency plus scheduled outage windows.
 
     Outages are half-open [start, end) intervals, sorted and
-    non-overlapping.
+    non-overlapping.  Each validation message starts with the field
+    that failed.
     """
 
     latency_ms: int
@@ -47,13 +48,13 @@ class LinkSpec:
 
     def __post_init__(self) -> None:
         if self.latency_ms < 0:
-            raise ScenarioError(f"link latency must be non-negative: {self.latency_ms}")
+            raise ScenarioError(f"latency_ms must be non-negative: {self.latency_ms}")
         prev_end = None
         for start, end in self.partitions:
             if start >= end:
-                raise ScenarioError(f"empty partition interval [{start}, {end})")
+                raise ScenarioError(f"partitions: empty interval [{start}, {end})")
             if prev_end is not None and start < prev_end:
-                raise ScenarioError(f"overlapping partition intervals at {start}")
+                raise ScenarioError(f"partitions: overlapping intervals at {start}")
             prev_end = end
 
     def down_until(self, now: int) -> int | None:

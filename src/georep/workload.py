@@ -24,6 +24,7 @@ import bisect
 import math
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterator, NamedTuple, Union
 
 from .blocks import BlockMode
@@ -62,7 +63,8 @@ TimedOp = tuple[int, int, Operation]
 class BlockScript:
     """Scripted stream of write groups replacing the plain op mix.  Each
     field is the [blocks] key of the same name and holds its default;
-    those of ``count``, ``pattern`` and ``containers`` fail validation."""
+    those of ``count``, ``pattern`` and ``containers`` fail validation.
+    Each validation message starts with the field that failed."""
 
     count: int = 0
     puts_per_block: int = 1
@@ -71,12 +73,10 @@ class BlockScript:
     spacing_ms: int = 1
 
     def __post_init__(self) -> None:
-        if self.count <= 0 or self.puts_per_block <= 0:
-            raise ScenarioError("block count and puts per block must be positive")
-        if not self.pattern or not self.containers:
-            raise ScenarioError("block script needs a mode pattern and containers")
-        if self.spacing_ms <= 0:
-            raise ScenarioError("block spacing must be positive")
+        _require_positive(self, "count", "puts_per_block", "spacing_ms")
+        for name in ("pattern", "containers"):
+            if not getattr(self, name):
+                raise ScenarioError(f"{name} must not be empty")
 
     @property
     def total_updates(self) -> int:
@@ -87,7 +87,8 @@ class BlockScript:
 class WorkloadSpec:
     """Everything needed to regenerate one operation stream.  Each field
     but ``block_script`` (the [blocks] section) is the [workload] key of
-    the same name and holds its default."""
+    the same name and holds its default.  Each validation message starts
+    with the field that failed."""
 
     operations: int = 50_000
     write_fraction: float = 0.5
@@ -106,24 +107,19 @@ class WorkloadSpec:
     block_script: BlockScript | None = None
 
     def __post_init__(self) -> None:
-        if self.operations <= 0:
-            raise ScenarioError(f"operation count must be positive: {self.operations}")
+        _require_positive(self, "operations", "keyspace", "value_bytes", "burst_ops",
+                          "burst_spacing_ms")
         if not 0.0 <= self.write_fraction <= 1.0:
-            raise ScenarioError(f"write fraction must be in [0, 1]: {self.write_fraction}")
+            raise ScenarioError(f"write_fraction must be in [0, 1]: {self.write_fraction}")
         if self.distribution not in ("zipfian", "uniform"):
-            raise ScenarioError(f"unknown key distribution: {self.distribution!r}")
+            raise ScenarioError(f"distribution must be zipfian or uniform: {self.distribution!r}")
         if self.distribution == "zipfian" and not 0.0 < self.zipf_constant < 1.0:
-            raise ScenarioError(f"zipfian constant must be in (0, 1): {self.zipf_constant}")
-        if self.keyspace <= 0:
-            raise ScenarioError(f"keyspace must be positive: {self.keyspace}")
-        if self.value_bytes <= 0:
-            raise ScenarioError(f"value size must be positive: {self.value_bytes}")
+            raise ScenarioError(f"zipf_constant must be in (0, 1): {self.zipf_constant}")
         if not self.containers or not all(0 < w < math.inf for _, w in self.containers):
-            raise ScenarioError("a workload needs containers; weights must be positive and finite")
-        if self.burst_ops <= 0 or self.burst_spacing_ms <= 0:
-            raise ScenarioError("burst pacing values must be positive")
+            raise ScenarioError("containers: a workload needs containers; "
+                                "weights must be positive and finite")
         if not self.origins:
-            raise ScenarioError("at least one originating cluster is required")
+            raise ScenarioError("origins: at least one originating cluster is required")
 
     @property
     def total_updates(self) -> int:
@@ -138,6 +134,12 @@ class WorkloadSpec:
         return math.floor(self.operations * self.write_fraction)
 
 
+def _require_positive(spec, *names: str) -> None:
+    for name in names:
+        if getattr(spec, name) <= 0:
+            raise ScenarioError(f"{name} must be positive: {getattr(spec, name)}")
+
+
 class ZipfianSampler:
     """Exact-CDF sampler: rank r drawn proportional to 1 / (r+1)^s."""
 
@@ -148,11 +150,7 @@ class ZipfianSampler:
             raise ScenarioError(f"zipfian constant must be in (0, 1): {constant}")
         weights = [1.0 / math.pow(rank + 1, constant) for rank in range(keyspace)]
         total = math.fsum(weights)
-        cdf = []
-        acc = 0.0
-        for w in weights:
-            acc += w
-            cdf.append(acc / total)
+        cdf = [acc / total for acc in accumulate(weights)]
         cdf[-1] = 1.0
         self._cdf = cdf
 
@@ -176,12 +174,9 @@ def generate(spec: WorkloadSpec) -> Iterator[TimedOp]:
     cids = [cid for cid, _ in spec.containers]
     cum_weights = None
     if len(cids) > 1:
-        total = sum(w for _, w in spec.containers)
-        acc = 0.0
-        cum_weights = []
-        for _, w in spec.containers:
-            acc += w
-            cum_weights.append(acc / total)
+        weights = [w for _, w in spec.containers]
+        total = sum(weights)
+        cum_weights = [acc / total for acc in accumulate(weights)]
         cum_weights[-1] = 1.0
 
     burst_ops, spacing_ms = spec.burst_ops, spec.burst_spacing_ms

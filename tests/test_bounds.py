@@ -135,23 +135,22 @@ class TestArrivalCounter:
 
 class TestLagExpiry:
     def test_elapsed_past_bound_with_pending_fires(self):
-        state = ContainerState(last_ship_ms=0)
-        assert state.lag_expired(Bound(lag_ms=1000), now=1200)
+        state = ContainerState(Bound(lag_ms=1000), last_ship_ms=0)
+        assert state.lag_expired(now=1200)
 
     def test_below_bound_holds(self):
-        state = ContainerState(last_ship_ms=0)
-        assert not state.lag_expired(Bound(lag_ms=1000), now=500)
+        state = ContainerState(Bound(lag_ms=1000), last_ship_ms=0)
+        assert not state.lag_expired(now=500)
 
     def test_disabled_dimension_never_fires(self):
-        state = ContainerState(last_ship_ms=0)
-        assert not state.lag_expired(Bound(lag_ms=0), now=10**9)
+        state = ContainerState(Bound(lag_ms=0), last_ship_ms=0)
+        assert not state.lag_expired(now=10**9)
 
     def test_boundary_is_inclusive(self):
         # Flips from false to true exactly when elapsed == lag_ms.
-        state = ContainerState(last_ship_ms=100)
-        bound = Bound(lag_ms=1000)
-        assert not state.lag_expired(bound, now=1099)
-        assert state.lag_expired(bound, now=1100)
+        state = ContainerState(Bound(lag_ms=1000), last_ship_ms=100)
+        assert not state.lag_expired(now=1099)
+        assert state.lag_expired(now=1100)
 
     def test_nothing_pending_never_fires(self):
         # A tick long past the lag ships nothing once the queue is empty.
@@ -162,84 +161,82 @@ class TestLagExpiry:
 
 
 class TestDriftEvaluation:
-    def make_state(self, last):
-        return ContainerState(shipped_value={"k": last})
+    def make_state(self, last, drift=10):
+        return ContainerState(Bound(drift=drift), shipped_value={"k": last})
 
     def test_divergence_at_or_past_bound_fires(self):
         state = self.make_state(100.0)
-        assert state.drift_exceeded(Bound(drift=10), make_update(value=b"111"))
-        assert state.drift_exceeded(Bound(drift=10), make_update(value=b"110"))
+        assert state.drift_exceeded(make_update(value=b"111"))
+        assert state.drift_exceeded(make_update(value=b"110"))
 
     def test_divergence_below_bound_holds(self):
         state = self.make_state(100.0)
-        assert not state.drift_exceeded(Bound(drift=10), make_update(value=b"105"))
+        assert not state.drift_exceeded(make_update(value=b"105"))
 
     def test_no_shipped_history_never_fires(self):
-        state = ContainerState()
-        assert not state.drift_exceeded(Bound(drift=10), make_update(value=b"1e9"))
+        state = ContainerState(Bound(drift=10))
+        assert not state.drift_exceeded(make_update(value=b"1e9"))
 
     def test_non_numeric_payload_never_fires(self):
         state = self.make_state(100.0)
-        assert not state.drift_exceeded(Bound(drift=10), make_update(value=b"blob"))
+        assert not state.drift_exceeded(make_update(value=b"blob"))
 
     def test_disabled_dimension_never_fires(self):
-        state = self.make_state(0.0)
-        assert not state.drift_exceeded(Bound(drift=0.0), make_update(value=b"1e9"))
+        state = self.make_state(0.0, drift=0.0)
+        assert not state.drift_exceeded(make_update(value=b"1e9"))
 
     @given(last=st.floats(-1e6, 1e6), delta=st.floats(0, 99.999),
            bound=st.floats(100, 1e4))
     @settings(max_examples=60, deadline=None)
     def test_monotone_safety(self, last, delta, bound):
         # False at divergence d stays false for every smaller divergence.
-        state = ContainerState(shipped_value={"k": last})
+        state = ContainerState(Bound(drift=bound), shipped_value={"k": last})
         value = repr(last + delta).encode()
-        assert not state.drift_exceeded(Bound(drift=bound), make_update(value=value))
+        assert not state.drift_exceeded(make_update(value=value))
 
 
 class TestCombinedEvaluation:
     def test_any_tripped_dimension_ships(self):
-        state = ContainerState(last_ship_ms=0)
-        bound = Bound(lag_ms=10**6, pending=3)
-        assert state.should_ship(bound, make_update(), now=10, held=3) is Trigger.COUNT
+        state = ContainerState(Bound(lag_ms=10**6, pending=3), last_ship_ms=0)
+        assert state.should_ship(make_update(), now=10, held=3) is Trigger.COUNT
 
     def test_all_inactive_ships_every_arrival(self):
-        state = ContainerState()
+        state = ContainerState(IMMEDIATE)
         for _ in range(5):
-            assert state.should_ship(IMMEDIATE, make_update(), now=0, held=1) is Trigger.COUNT
+            assert state.should_ship(make_update(), now=0, held=1) is Trigger.COUNT
 
     def test_no_dimension_tripped_holds(self):
-        state = ContainerState(last_ship_ms=0)
-        bound = Bound(lag_ms=1000, pending=3, drift=10)
-        assert state.should_ship(bound, make_update(value=b"5"), now=500, held=2) is None
+        state = ContainerState(Bound(lag_ms=1000, pending=3, drift=10), last_ship_ms=0)
+        assert state.should_ship(make_update(value=b"5"), now=500, held=2) is None
 
     def test_should_ship_leaves_the_state_unchanged(self):
         # Whatever trips, the rule only reads: the held-back count lives
         # in the cache and the shipping path restarts the lag clock.
-        state = ContainerState(last_ship_ms=0, shipped_value={"k": 0.0})
         bound = Bound(lag_ms=10, pending=5, drift=1)
+        state = ContainerState(bound, last_ship_ms=0, shipped_value={"k": 0.0})
         for held, now, trigger in ((5, 20, Trigger.COUNT), (1, 20, Trigger.TIME),
                                    (1, 0, Trigger.DELTA)):
-            assert state.should_ship(bound, make_update(value=b"99"), now, held) is trigger
-        assert state == ContainerState(last_ship_ms=0, shipped_value={"k": 0.0})
+            assert state.should_ship(make_update(value=b"99"), now, held) is trigger
+        assert state == ContainerState(bound, last_ship_ms=0, shipped_value={"k": 0.0})
 
 
 class TestMarkShipped:
     def test_resets_counter_and_remembers_numerics(self):
         # The lag clock restarts at the shipment.
-        state = ContainerState(last_ship_ms=100)
+        state = ContainerState(Bound(drift=1), last_ship_ms=100)
         shipped = [make_update(key="a", value=b"7"), make_update(key="b", value=b"x")]
-        state.mark_shipped(now=250, updates=shipped, bound=Bound(drift=1))
+        state.mark_shipped(now=250, updates=shipped)
         assert state.last_ship_ms == 250
         assert state.shipped_value == {"a": 7.0}
         # Without a drift limit nothing reads shipped values, so none are kept.
-        plain = ContainerState()
-        plain.mark_shipped(now=250, updates=shipped, bound=Bound(pending=5))
+        plain = ContainerState(Bound(pending=5))
+        plain.mark_shipped(now=250, updates=shipped)
         assert plain.last_ship_ms == 250
         assert plain.shipped_value == {}
 
     def test_last_ship_time_is_monotone(self):
-        state = ContainerState(last_ship_ms=300)
-        state.mark_shipped(now=200, updates=[], bound=IMMEDIATE)
+        state = ContainerState(IMMEDIATE, last_ship_ms=300)
+        state.mark_shipped(now=200, updates=[])
         assert state.last_ship_ms == 300
 
 

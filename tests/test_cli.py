@@ -32,6 +32,16 @@ seed = 21
 
 BAD_ORIGIN = GOOD + "origins = 1 3\n"
 
+# GOOD's header with a [blocks] script whose containers line is left open.
+SCRIPTED = GOOD.partition("[workload]")[0] + """\
+[workload]
+seed = 21
+
+[blocks]
+count = 5
+pattern = ANY
+"""
+
 RUNAWAY = """\
 [topology]
 clusters = 1 2
@@ -132,6 +142,24 @@ class TestValidate:
     def test_missing_file_exits_two(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "absent.ini")]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, key", [
+        (GOOD.replace("operations = 200", "operations = 0"), "workload.operations"),
+        (GOOD.replace("write_fraction = 1.0", "write_fraction = 1.5"),
+         "workload.write_fraction"),
+        (GOOD + "containers = bad*2\n", "workload.containers"),
+        (SCRIPTED + "containers = bad\n", "blocks.containers"),
+        (SCRIPTED.replace("count = 5", "count = 0") + "containers = a:b\n", "blocks.count"),
+        (GOOD + "\n[network]\nlatency_ms.1>2 = -5\n", "network.latency_ms.1>2"),
+        (GOOD + "\n[network]\npartitions = 1>2 50 50\n", "network.partitions"),
+    ], ids=["operations", "write-fraction", "workload-container", "blocks-container",
+            "block-count", "latency-override", "empty-partition"])
+    def test_a_field_check_names_its_key(self, tmp_path, capsys, text, key):
+        path = write(tmp_path, text, "field.ini")
+        assert main(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert key in err
 
 
 class TestRun:

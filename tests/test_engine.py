@@ -1,6 +1,7 @@
 """End-to-end simulation runs: conservation, convergence, determinism."""
 
 import json
+from unittest import mock
 
 import pytest
 
@@ -250,3 +251,54 @@ seed = 3
     path.write_text(scenario_text, encoding="utf-8")
     with pytest.raises(LivelockError):
         Simulation(load_scenario(path)).run()
+
+
+TIMER_CASE = """\
+[topology]
+clusters = 1 2
+links = 1>2
+
+[bounds]
+default = {default}
+{bounds}
+
+[workload]
+operations = 50
+write_fraction = 1.0
+distribution = uniform
+keyspace = 100
+value_bytes = 10
+containers = usertable:family c:f
+seed = 9
+"""
+
+
+class TestTimerOwnership:
+    """Only timed sources arm the shipping timer."""
+
+    def simulate(self, tmp_path, default, bounds=""):
+        sim = Simulation(write_and_load(tmp_path, TIMER_CASE.format(default=default,
+                                                                    bounds=bounds)))
+        with mock.patch.object(Simulation, "_tick_event", autospec=True,
+                               side_effect=Simulation._tick_event) as tick:
+            result = sim.run()
+        return sim, result, tick.call_count
+
+    def test_no_timed_source_never_ticks(self, tmp_path):
+        # The pending bound holds the tail back for the final drain, yet
+        # no tick is ever scheduled for it.
+        sim, result, ticks = self.simulate(tmp_path, "0 7 0")
+        assert not any(source.timed for source in sim._sources)
+        assert ticks == 0
+        assert result.batches[-1].batch.trigger is Trigger.FINAL_DRAIN
+
+    def test_a_lag_on_one_container_alone_ships_from_a_tick(self, tmp_path):
+        # Writes end by t=49; c:f's held-back tail leaves on the t=300
+        # tick, the first grid point at or past its 300 ms lag.
+        sim, result, ticks = self.simulate(tmp_path, "0 0 0", "c:f = 300 0 0")
+        assert all(source.timed for source in sim._sources)
+        assert ticks > 0
+        timed = [r.batch for r in result.batches if r.batch.trigger is Trigger.TIME]
+        assert timed and all(b.created_ms == 300 for b in timed)
+        assert {u.container for b in timed for u in b.updates} == {"c:f"}
+        assert not any(r.batch.trigger is Trigger.FINAL_DRAIN for r in result.batches)

@@ -205,7 +205,7 @@ class TestGroups:
                                side_effect=ContainerState.should_ship) as rule:
             batch = src.offer_group(members, now=5)
         # A's member trips first; B's and C's are still evaluated.
-        assert [call.args[2].key for call in rule.call_args_list] == ["x", "y", "z"]
+        assert [call.args[1].key for call in rule.call_args_list] == ["x", "y", "z"]
         assert batch.trigger is Trigger.ANY_BLOCK
         assert len(batch.updates) == 4
 
@@ -348,6 +348,29 @@ class TestTimerWork:
 
     def test_empty_cache_never_needs_timer(self):
         assert not source_with(Bound(lag_ms=500)).has_timer_work()
+
+    @pytest.mark.parametrize("default, bounds, mode, timed", [
+        (Bound(), {}, "plain", True),
+        (Bound(lag_ms=500), {}, "bounded", True),
+        (Bound(pending=5), {A: Bound(lag_ms=300)}, "bounded", True),
+        (Bound(pending=5), {A: Bound(drift=2.0)}, "bounded", False),
+        (Bound(drift=1.0), {A: Bound(pending=3)}, "bounded", False),
+    ], ids=["plain", "default-lag", "container-lag", "pending-only", "drift-only"])
+    def test_only_a_plain_poll_or_a_lag_makes_a_source_timed(self, default, bounds, mode,
+                                                             timed):
+        src = ReplicationSource(source=1, peer=2, bounds=bounds, default_bound=default,
+                                mode=mode)
+        assert src.timed is timed
+
+    def test_a_container_lag_needs_the_timer_under_a_lagless_default(self):
+        src = ReplicationSource(source=1, peer=2, bounds={A: Bound(lag_ms=300)},
+                                default_bound=Bound(pending=5))
+        src.offer(make_update(container=B, key="k"), now=0)
+        assert not src.has_timer_work()
+        src.offer(make_update(container=A, key="k"), now=0)
+        assert src.has_timer_work()
+        assert [b.trigger for b in src.tick(300)] == [Trigger.TIME]
+        assert src.cache.pending_count(A) == 0 and src.cache.pending_count(B) == 1
 
 
 def test_unknown_mode_rejected():
