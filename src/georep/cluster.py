@@ -16,7 +16,9 @@ ties break toward the larger origin id, and one origin's writes within a
 millisecond keep their program order, so every replica resolves
 conflicts identically.  Updates applied from a remote batch are offered
 onward to the cluster's other peers with their original origin intact,
-so loops of any length stay echo-free.
+so loops of any length stay echo-free.  The onward hop is held by the
+relay's own bound for the container, and staleness still counts from
+the origin's ``wall_ms``.
 
 Redelivery is harmless: a ``SeqWindow`` remembers the ``(origin, seq)``
 of every update applied from a remote batch as one floor per origin

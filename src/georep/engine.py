@@ -19,15 +19,15 @@ idle stretches free of events without changing when anything ships.
 Each link's shipping backlog is sampled for the ``pending_max`` column
 at event boundaries.  A backlog only changes when its own cluster acts,
 so after a delivery only the destination's links are sampled, after a
-tick every link, and after a client op that can change a backlog (a put
-outside a block, a block end) the acting cluster's links.  The first
-sample in each metric window takes every link, so a backlog that sits
-unchanged across a window boundary is still recorded in the new window;
-that first sample may follow any client op.  A read, a block start and
-a put inside a block change no backlog, so once the window holds a
-sample they take none: every change since the window's first sample was
-followed by a sample of its link, so theirs would repeat a value the
-window already holds.
+tick every link, and after a put or a write group the acting cluster's
+links.  The first sample in each metric window takes every link, so a
+backlog that sits unchanged across a window boundary is still recorded
+in the new window; that first sample may follow any client action, and
+a write group that opens a window takes it before the group, then
+samples its cluster's links after the group closes.  A read changes no
+backlog, so once the window holds a sample it takes none: every change
+since the window's first sample was followed by a sample of its link,
+so its sample would repeat a value the window already holds.
 
 A replication source ships its own batches: each cluster hands the
 engine's ``_on_ship`` to every source it builds, and a source calls it
@@ -62,7 +62,7 @@ from .metrics import MetricsCollector, Row, run_totals, summary_path, write_csv,
 from .scenario import Scenario
 from .shipping import Batch
 from .simnet import SimNet
-from .workload import BlockStartOp, ReadOp, TimedOp, WriteOp, generate
+from .workload import ReadOp, TimedOp, WriteOp, generate
 
 
 @dataclass(slots=True)
@@ -146,8 +146,8 @@ class Simulation:
     # -- workload -------------------------------------------------------
 
     def _apply_ops(self, group: list[TimedOp]) -> None:
-        # Ops that change no backlog skip the sample once this window
-        # holds one (module docstring).  Every op of the group shares now.
+        # A read skips the sample once this window holds one (module
+        # docstring).  Every op of the group shares now.
         window = self.net.now // self.metrics.window_ms
         sessions = self.sessions
         client_ops = 0
@@ -157,19 +157,19 @@ class Simulation:
             if kind is WriteOp:
                 session.put(op.container, op.key, op.value)
                 client_ops += 1
-                if session.in_block and window == self._sampled_window:
-                    continue
             elif kind is ReadOp:
                 session.read(op.container, op.key)
                 client_ops += 1
                 if window == self._sampled_window:
                     continue
-            elif kind is BlockStartOp:
-                session.start_block(op.mode)
-                if window == self._sampled_window:
-                    continue
             else:
+                if window != self._sampled_window:
+                    self._sample_pending()
+                session.start_block(op.mode)
+                for cid, key, value in op.writes:
+                    session.put(cid, key, value)
                 session.end_block()
+                client_ops += len(op.writes)
             self._sample_pending((session.cluster,))
         self._client_ops += client_ops
         self._arm_tick()

@@ -146,9 +146,11 @@ def read_csv(path: str | Path) -> list[Row]:
 
 
 def _cell(text: str) -> int:
-    """A CSV cell as an integer of at most 64 bits; a larger one would
-    overflow the ratios."""
+    """A CSV cell as a non-negative integer of at most 64 bits: every
+    column is a count, and a larger one would overflow the ratios."""
     value = int(text)
+    if value < 0:
+        raise ValueError(f"negative cell: {text!r}")
     if value.bit_length() > 63:
         raise ValueError(f"not a 64-bit integer: {text!r}")
     return value
@@ -238,4 +240,5 @@ def _window_of(csv_path: str | Path) -> int | None:
     except (OSError, ValueError, RecursionError):
         return None
     window = summary.get("window_ms") if isinstance(summary, dict) else None
-    return window if isinstance(window, int) and window > 0 else None
+    # A JSON true loads as a bool, which is an int to isinstance.
+    return window if type(window) is int and window > 0 else None

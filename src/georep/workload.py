@@ -15,17 +15,18 @@ Operations are paced in bursts: ``burst_ops`` operations share each
 arrival instant and consecutive instants are ``burst_spacing_ms``
 apart.  The defaults (1 op per instant, 1 ms apart) give steady
 one-per-millisecond arrivals.  Scripted write groups replace the plain
-op stream when a block script is present.
+op stream when a block script is present; each group is one ``BlockOp``
+holding its puts.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterator, NamedTuple, Union
+from typing import Callable, Iterator, NamedTuple, Union
 
 from .blocks import BlockMode
 from .bounds import ContainerId
@@ -43,17 +44,17 @@ class WriteOp(NamedTuple):
     value: bytes
 
 
-class BlockStartOp(NamedTuple):
+class BlockOp(NamedTuple):
+    """One write group: its puts, in order, open and close as one client
+    action at one instant on one cluster."""
+
     mode: BlockMode
-
-
-class BlockEndOp(NamedTuple):
-    pass
+    writes: tuple[WriteOp, ...]
 
 
 # Ops are named tuples: immutable, yet built without the per-field
 # ``object.__setattr__`` a frozen dataclass pays.
-Operation = Union[ReadOp, WriteOp, BlockStartOp, BlockEndOp]
+Operation = Union[ReadOp, WriteOp, BlockOp]
 
 # One scheduled client action: (arrival instant, acting cluster, op).
 TimedOp = tuple[int, int, Operation]
@@ -140,22 +141,13 @@ def _require_positive(spec, *names: str) -> None:
             raise ScenarioError(f"{name} must be positive: {getattr(spec, name)}")
 
 
-class ZipfianSampler:
-    """Exact-CDF sampler: rank r drawn proportional to 1 / (r+1)^s."""
-
-    def __init__(self, keyspace: int, constant: float) -> None:
-        if keyspace < 1:
-            raise ScenarioError(f"keyspace must be at least 1: {keyspace}")
-        if not 0.0 < constant < 1.0:
-            raise ScenarioError(f"zipfian constant must be in (0, 1): {constant}")
-        weights = [1.0 / math.pow(rank + 1, constant) for rank in range(keyspace)]
-        total = math.fsum(weights)
-        cdf = [acc / total for acc in accumulate(weights)]
-        cdf[-1] = 1.0
-        self._cdf = cdf
-
-    def sample(self, rng: random.Random) -> int:
-        return bisect.bisect_right(self._cdf, rng.random())
+def _cdf(weights: list[float], total: Callable[[list[float]], float]) -> list[float]:
+    """Cumulative distribution of ``weights`` over ``total(weights)``, for
+    a draw by ``bisect_right(cdf, random())``; the last entry is exactly 1."""
+    whole = total(weights)
+    cdf = [acc / whole for acc in accumulate(weights)]
+    cdf[-1] = 1.0
+    return cdf
 
 
 def generate(spec: WorkloadSpec) -> Iterator[TimedOp]:
@@ -168,22 +160,17 @@ def generate(spec: WorkloadSpec) -> Iterator[TimedOp]:
         yield from _generate_blocks(spec, spec.block_script, rng)
         return
 
-    sampler = None
+    key_cdf = None
     if spec.distribution == "zipfian":
-        sampler = ZipfianSampler(spec.keyspace, spec.zipf_constant)
+        key_cdf = _cdf([1.0 / math.pow(rank + 1, spec.zipf_constant)
+                        for rank in range(spec.keyspace)], math.fsum)
     cids = [cid for cid, _ in spec.containers]
-    cum_weights = None
-    if len(cids) > 1:
-        weights = [w for _, w in spec.containers]
-        total = sum(weights)
-        cum_weights = [acc / total for acc in accumulate(weights)]
-        cum_weights[-1] = 1.0
+    cid_cdf = _cdf([w for _, w in spec.containers], sum) if len(cids) > 1 else None
 
     burst_ops, spacing_ms = spec.burst_ops, spec.burst_spacing_ms
     origins, n_origins = spec.origins, len(spec.origins)
     write_fraction, value_bytes = spec.write_fraction, spec.value_bytes
     keyspace, disjoint_keys = spec.keyspace, spec.disjoint_keys
-    sample = sampler.sample if sampler is not None else None
     random_, randrange, randbytes = rng.random, rng.randrange, rng.randbytes
     # The interleave test floor((k+1) * f) > floor(k * f) with a running
     # count: the writes so far equal floor(k * f), and for an integer w,
@@ -192,11 +179,8 @@ def generate(spec: WorkloadSpec) -> Iterator[TimedOp]:
     for k in range(spec.operations):
         at_ms = (k // burst_ops) * spacing_ms
         origin = origins[k % n_origins]
-        if cum_weights is None:
-            cid = cids[0]
-        else:
-            cid = cids[bisect.bisect_right(cum_weights, random_())]
-        idx = sample(rng) if sample is not None else randrange(keyspace)
+        cid = cids[0] if cid_cdf is None else cids[bisect_right(cid_cdf, random_())]
+        idx = randrange(keyspace) if key_cdf is None else bisect_right(key_cdf, random_())
         key = f"c{origin}-user{idx}" if disjoint_keys else f"user{idx}"
         if (k + 1) * write_fraction >= next_write:
             next_write += 1
@@ -207,13 +191,10 @@ def generate(spec: WorkloadSpec) -> Iterator[TimedOp]:
 
 def _generate_blocks(spec: WorkloadSpec, script: BlockScript,
                      rng: random.Random) -> Iterator[TimedOp]:
+    containers, randbytes, value_bytes = script.containers, rng.randbytes, spec.value_bytes
     for bi in range(script.count):
-        at_ms = bi * script.spacing_ms
-        origin = spec.origins[bi % len(spec.origins)]
-        mode = script.pattern[bi % len(script.pattern)]
-        yield at_ms, origin, BlockStartOp(mode)
-        for pi in range(script.puts_per_block):
-            cid = script.containers[pi % len(script.containers)]
-            key = f"b{bi}-p{pi}"
-            yield at_ms, origin, WriteOp(cid, key, rng.randbytes(spec.value_bytes))
-        yield at_ms, origin, BlockEndOp()
+        writes = tuple(WriteOp(containers[pi % len(containers)], f"b{bi}-p{pi}",
+                               randbytes(value_bytes))
+                       for pi in range(script.puts_per_block))
+        yield (bi * script.spacing_ms, spec.origins[bi % len(spec.origins)],
+               BlockOp(script.pattern[bi % len(script.pattern)], writes))

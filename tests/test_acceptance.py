@@ -235,16 +235,18 @@ def test_criterion_7_bounded_ingestion_keeps_pace(capsys, scenario_dir):
         plain = load_scenario(scenario_dir / "workload-a-plain.ini")
         bounded = load_scenario(scenario_dir / "workload-a-bounded05pct.ini")
         # Interleave the measurements so drift in host load hits both
-        # sides equally; a warmup pass absorbs import and allocator
-        # startup costs.
+        # sides equally, and alternate which side runs first in a pair so
+        # an order effect does too; a warmup pass absorbs import and
+        # allocator startup costs.
         Simulation(plain).run()
         Simulation(bounded).run()
         plain_rates, bounded_rates = [], []
+        sides = [(plain, plain_rates), (bounded, bounded_rates)]
         for _ in range(9):
-            gc.collect()
-            plain_rates.append(Simulation(plain).run().summary["ops_per_sec"])
-            gc.collect()
-            bounded_rates.append(Simulation(bounded).run().summary["ops_per_sec"])
+            for scenario, rates in sides:
+                gc.collect()
+                rates.append(Simulation(scenario).run().summary["ops_per_sec"])
+            sides.reverse()
         ratio = statistics.median(bounded_rates) / statistics.median(plain_rates)
         assert ratio >= 0.9
 

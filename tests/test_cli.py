@@ -252,7 +252,8 @@ class TestMalformedInput:
         (b"0,1,2,1e3,1,100,0,5\n", "at line 2: invalid literal for int()"),
         (b"0,1,2,\xff,1,100,0,5\n", "metrics CSV is not UTF-8"),
         (b"0,1,2,1" + b"0" * 400 + b",1,100,0,5\n", "at line 2: not a 64-bit integer"),
-    ], ids=["short-row", "non-integer-cell", "not-utf8", "huge-cell"])
+        (b"0,1,2,-500,-3,100,0,5\n", "at line 2: negative cell"),
+    ], ids=["short-row", "non-integer-cell", "not-utf8", "huge-cell", "negative-cell"])
     def test_malformed_csv(self, tmp_path, capsys, body, message):
         good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
         good.write_text(ONE_ROW, encoding="utf-8")
@@ -293,6 +294,15 @@ class TestMalformedInput:
         (tmp_path / "b.summary.json").write_text(summary, encoding="utf-8")
         assert main(["compare", str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]) == 0
         assert "ratio=1.0000" in capsys.readouterr().out
+
+    def test_boolean_window_means_no_window(self, tmp_path, capsys):
+        for name, window in (("a", "true"), ("b", "1000")):
+            (tmp_path / f"{name}.csv").write_text(ONE_ROW, encoding="utf-8")
+            (tmp_path / f"{name}.summary.json").write_text(f'{{"window_ms": {window}}}',
+                                                           encoding="utf-8")
+        assert main(["compare", str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]) == 0
+        out, err = capsys.readouterr()
+        assert "ratio=1.0000" in out and "True" not in out + err
 
 
 # Scenario text from the known sections and keys with arbitrary values;

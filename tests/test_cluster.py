@@ -293,6 +293,30 @@ class TestRelay:
         assert shipped[0].trigger is Trigger.ANY_BLOCK
 
 
+    def test_onward_hop_waits_under_the_relays_bound(self):
+        """Each write leaves cluster 1 alone under its immediate bound, but
+        cluster 2 holds ``c:f`` under pending=3, so the relayed updates
+        leave it as one batch of three.  Each keeps its origin's wall_ms,
+        from which staleness counts."""
+        cf = ContainerId("c", "f")
+        clock, shipped = [0], []
+        n1 = make_node(cluster_id=1, peers=[2], clock=clock, shipped=shipped,
+                       bounds={cf: Bound()})
+        n2 = make_node(cluster_id=2, peers=[3], clock=clock, shipped=shipped,
+                       bounds={cf: Bound(pending=3)})
+        for t in range(3):
+            clock[0] = t
+            n1.put(cf, f"k{t}", b"v")
+        assert [(b.source, b.destination, len(b.updates)) for b in shipped] == [(1, 2, 1)] * 3
+        clock[0] = 40
+        for batch in shipped[:]:
+            n2.apply_remote(batch)
+        onward = [b for b in shipped if b.source == 2]
+        assert len(onward) == 1
+        assert (onward[0].destination, onward[0].trigger) == (3, Trigger.COUNT)
+        assert [(u.origin, u.wall_ms) for u in onward[0].updates] == [(1, 0), (1, 1), (1, 2)]
+
+
 def test_block_ids_are_unique_per_cluster():
     node = make_node()
     ids = [node.next_block_id() for _ in range(10)]

@@ -7,9 +7,12 @@ from pathlib import Path
 
 import pytest
 
+from georep import engine
+from georep.blocks import BlockMode
+from georep.bounds import ContainerId
 from georep.engine import Simulation
 from georep.scenario import load_scenario
-from georep.workload import BlockStartOp, ReadOp, WriteOp
+from georep.workload import BlockOp, ReadOp, WriteOp
 
 from conftest import SCENARIO_DIR
 
@@ -17,7 +20,8 @@ BENCH_WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads"
 
 
 class EveryLinkSimulation(Simulation):
-    """The reference rule: every link after every op, delivery and tick."""
+    """The reference rule: every link after every op, delivery and tick,
+    and before every write group."""
 
     def _apply_ops(self, group):
         for _, origin, op in group:
@@ -28,10 +32,13 @@ class EveryLinkSimulation(Simulation):
             elif isinstance(op, ReadOp):
                 session.read(op.container, op.key)
                 self._client_ops += 1
-            elif isinstance(op, BlockStartOp):
-                session.start_block(op.mode)
             else:
+                self._sample_pending(None)
+                session.start_block(op.mode)
+                for write in op.writes:
+                    session.put(write.container, write.key, write.value)
                 session.end_block()
+                self._client_ops += len(op.writes)
             self._sample_pending(None)
         self._arm_tick()
 
@@ -110,6 +117,26 @@ value_bytes = 10
 """
 
 
+# A 1>2 link whose count bound never trips; the op stream is scripted
+# by the test.
+HELD = """\
+[topology]
+clusters = 1 2
+links = 1>2
+
+[network]
+latency_ms = 10
+window_ms = 1000
+
+[bounds]
+default = 0 100 0
+
+[workload]
+operations = 4
+write_fraction = 1.0
+"""
+
+
 def mesh(tmp_path):
     path = tmp_path / "mesh-partition.ini"
     path.write_text(MESH, encoding="utf-8")
@@ -128,7 +155,7 @@ def bench_workload(name, ops=3000):
         spec = dataclasses.replace(spec, operations=ops)
     else:
         script = spec.block_script
-        count = ops // (script.puts_per_block + 2)
+        count = ops // script.puts_per_block
         spec = dataclasses.replace(spec, block_script=dataclasses.replace(script, count=count))
     return dataclasses.replace(scenario, workload=spec)
 
@@ -170,3 +197,19 @@ def test_idle_backlog_across_a_window_boundary_needs_the_window_rule(tmp_path):
     # walk records: without that rule its rows come out different.
     scenario = mesh(tmp_path)
     assert rows(NoWindowRuleSimulation, scenario) != rows(EveryLinkSimulation, scenario)
+
+
+def test_a_group_that_opens_a_window_samples_the_backlog_before_it(tmp_path, monkeypatch):
+    # Three loose writes sit held in window 0.  An IMMEDIATE group on
+    # their container opens window 1000 and ships them with it, so only
+    # the sample taken before the group records them in that window.
+    cid = ContainerId("usertable", "family")
+    group = BlockOp(BlockMode.IMMEDIATE, (WriteOp(cid, "g", b"v"),))
+    stream = [(0, 1, WriteOp(cid, f"k{i}", b"v")) for i in range(3)] + [(1000, 1, group)]
+    monkeypatch.setattr(engine, "generate", lambda spec: iter(stream))
+    path = tmp_path / "held.ini"
+    path.write_text(HELD, encoding="utf-8")
+    scenario = load_scenario(path)
+    expected = rows(EveryLinkSimulation, scenario)
+    assert rows(Simulation, scenario) == expected
+    assert [(r.window_start_ms, r.pending_max) for r in expected] == [(0, 3), (1000, 3)]

@@ -12,16 +12,7 @@ from hypothesis import strategies as st
 from georep.blocks import BlockMode
 from georep.bounds import ContainerId
 from georep.errors import ScenarioError
-from georep.workload import (
-    BlockEndOp,
-    BlockScript,
-    BlockStartOp,
-    ReadOp,
-    WorkloadSpec,
-    WriteOp,
-    ZipfianSampler,
-    generate,
-)
+from georep.workload import BlockOp, BlockScript, ReadOp, WorkloadSpec, WriteOp, _cdf, generate
 
 CID = ContainerId("usertable", "family")
 
@@ -56,6 +47,20 @@ class TestMix:
         assert writes == math.floor(n * wf)
 
 
+def reference_zipf_cdf(keyspace, constant):
+    """The zipfian key CDF as first written: rank r drawn proportional
+    to 1 / (r+1)^s."""
+    weights = [1.0 / math.pow(rank + 1, constant) for rank in range(keyspace)]
+    total = math.fsum(weights)
+    acc = 0.0
+    cdf = []
+    for w in weights:
+        acc += w
+        cdf.append(acc / total)
+    cdf[-1] = 1.0
+    return cdf
+
+
 def reference_generate(spec):
     """The generator as first written, one frozen record per op: each op
     as (instant, origin, kind, fields)."""
@@ -65,16 +70,16 @@ def reference_generate(spec):
         for bi in range(script.count):
             at_ms = bi * script.spacing_ms
             origin = spec.origins[bi % len(spec.origins)]
-            yield at_ms, origin, "BlockStartOp", (script.pattern[bi % len(script.pattern)],)
+            writes = []
             for pi in range(script.puts_per_block):
                 cid = script.containers[pi % len(script.containers)]
-                yield at_ms, origin, "WriteOp", (cid, f"b{bi}-p{pi}",
-                                                 rng.randbytes(spec.value_bytes))
-            yield at_ms, origin, "BlockEndOp", ()
+                writes.append(WriteOp(cid, f"b{bi}-p{pi}", rng.randbytes(spec.value_bytes)))
+            yield at_ms, origin, "BlockOp", (script.pattern[bi % len(script.pattern)],
+                                             tuple(writes))
         return
-    sampler = None
+    key_cdf = None
     if spec.distribution == "zipfian":
-        sampler = ZipfianSampler(spec.keyspace, spec.zipf_constant)
+        key_cdf = reference_zipf_cdf(spec.keyspace, spec.zipf_constant)
     cids = [cid for cid, _ in spec.containers]
     cum_weights = None
     if len(cids) > 1:
@@ -92,7 +97,10 @@ def reference_generate(spec):
             cid = cids[0]
         else:
             cid = cids[bisect.bisect_right(cum_weights, rng.random())]
-        idx = sampler.sample(rng) if sampler is not None else rng.randrange(spec.keyspace)
+        if key_cdf is None:
+            idx = rng.randrange(spec.keyspace)
+        else:
+            idx = bisect.bisect_right(key_cdf, rng.random())
         key = f"c{origin}-user{idx}" if spec.disjoint_keys else f"user{idx}"
         wf = spec.write_fraction
         if math.floor((k + 1) * wf) > math.floor(k * wf):
@@ -180,16 +188,25 @@ class TestUniformDistribution:
             assert abs(count - expect) <= 5 * sigma
 
 
+def zipf_cdf(keyspace, constant):
+    """The key CDF ``generate`` draws zipfian ranks from."""
+    return _cdf([1.0 / math.pow(rank + 1, constant) for rank in range(keyspace)], math.fsum)
+
+
+def draw(cdf, rng):
+    return bisect.bisect_right(cdf, rng.random())
+
+
 class TestZipfianDistribution:
     def test_keyspace_of_one_always_hits_rank_zero(self):
-        sampler = ZipfianSampler(1, 0.5)
+        cdf = zipf_cdf(1, 0.5)
         rng = random.Random(3)
-        assert all(sampler.sample(rng) == 0 for _ in range(100))
+        assert all(draw(cdf, rng) == 0 for _ in range(100))
 
     def test_constant_outside_unit_interval_rejected(self):
         for c in (0.0, 1.0, -0.5, 2.0):
             with pytest.raises(ScenarioError):
-                ZipfianSampler(10, c)
+                spec(distribution="zipfian", zipf_constant=c)
         with pytest.raises(ScenarioError):
             spec(distribution="zipfian", zipf_constant=1.5)
 
@@ -202,26 +219,26 @@ class TestZipfianDistribution:
         """
         keyspace, constant, draws = 1000, 0.99, 3_000_000
         harmonic = math.fsum(1 / (k ** constant) for k in range(1, keyspace + 1))
-        sampler = ZipfianSampler(keyspace, constant)
+        cdf = zipf_cdf(keyspace, constant)
         rng = random.Random(99)
-        counts = Counter(sampler.sample(rng) for _ in range(draws))
+        counts = Counter(draw(cdf, rng) for _ in range(draws))
         for rank in range(10):
             expected = draws / ((rank + 1) ** constant * harmonic)
             assert abs(counts[rank] - expected) / expected < 0.01
 
     def test_small_constant_approaches_uniform(self):
         keyspace, draws = 50, 200_000
-        sampler = ZipfianSampler(keyspace, 0.01)
+        cdf = zipf_cdf(keyspace, 0.01)
         rng = random.Random(7)
-        counts = Counter(sampler.sample(rng) for _ in range(draws))
+        counts = Counter(draw(cdf, rng) for _ in range(draws))
         expect = draws / keyspace
         for rank in range(keyspace):
             assert abs(counts[rank] - expect) / expect < 0.15
 
     def test_cdf_covers_unit_interval(self):
-        sampler = ZipfianSampler(10, 0.99)
-        assert sampler._cdf[-1] == 1.0
-        assert all(0 < p <= 1 for p in sampler._cdf)
+        cdf = zipf_cdf(10, 0.99)
+        assert cdf[-1] == 1.0
+        assert all(0 < p <= 1 for p in cdf)
 
 
 class TestContainers:
@@ -250,23 +267,22 @@ class TestBlockScripts:
     def test_stream_shape(self):
         s = spec(operations=12, block_script=self.script())
         ops = list(generate(s))
-        # 4 blocks of start + 3 puts + end.
-        assert len(ops) == 4 * 5
-        for b in range(4):
-            chunk = [op for _, _, op in ops[b * 5:(b + 1) * 5]]
-            assert isinstance(chunk[0], BlockStartOp)
-            assert all(isinstance(op, WriteOp) for op in chunk[1:4])
-            assert isinstance(chunk[4], BlockEndOp)
+        # 4 blocks, each one op holding its 3 puts.
+        assert len(ops) == 4
+        for _, _, op in ops:
+            assert isinstance(op, BlockOp)
+            assert isinstance(op.writes, tuple) and len(op.writes) == 3
+            assert all(isinstance(write, WriteOp) for write in op.writes)
 
     def test_modes_cycle_across_blocks(self):
         s = spec(operations=12, block_script=self.script())
-        starts = [op for _, _, op in generate(s) if isinstance(op, BlockStartOp)]
-        assert [op.mode for op in starts] == [
+        blocks = [op for _, _, op in generate(s)]
+        assert [op.mode for op in blocks] == [
             BlockMode.IMMEDIATE, BlockMode.ANY, BlockMode.IMMEDIATE, BlockMode.ANY]
 
     def test_containers_cycle_within_a_block(self):
         s = spec(operations=12, block_script=self.script())
-        first_block_writes = [op for _, _, op in list(generate(s))[1:4]]
+        first_block_writes = next(generate(s))[2].writes
         names = [str(op.container) for op in first_block_writes]
         assert names == ["a:f", "b:f", "a:f"]
 
