@@ -11,16 +11,16 @@ along three independent dimensions, each with its own limit:
 A limit of zero disables that dimension.  A bound with every dimension
 disabled means the container is replicated immediately, one update at a
 time.  A container's bound on a link lives in the ``ContainerState``
-that the link's shipping source builds for it.  ``should_ship`` there is
+that the link's pending cache builds for it.  ``should_ship`` there is
 the one rule that evaluates the active dimensions on every arriving
 update (the shipping engine checks the lag dimension again on a periodic
 timer); any single dimension tripping causes the container's whole
 pending queue to be shipped as one batch, and the rule names the
 dimension that tripped.
 
-The pending dimension keeps no counter of its own.  The updates a
-container holds back are the ones in its pending-cache queue, and the
-rule is handed that queue's length.
+One state holds all three dimensions: the pending dimension reads the
+length of the queue the state holds, the updates the container holds
+back from the peer.
 
 Payloads are parsed as numbers lazily: only the drift dimension reads
 them, so an update's payload is parsed (through ``parse_numeric``) the
@@ -231,19 +231,23 @@ def parse_numeric(value: bytes) -> float | None:
 
 @dataclass(slots=True)
 class ContainerState:
-    """One container's bound on one link, and what it remembers between
-    shipments; every method reads the bound from here.
+    """One container on one link: its bound, the updates it holds back,
+    and what it remembers between shipments; every method reads the
+    bound from here.
 
-    ``last_ship_ms`` is when the container last shipped, for the lag
-    dimension.  ``shipped_value`` remembers, per key, the numeric payload
-    most recently shipped, for drift comparisons; it stays empty under a
-    bound without a drift limit.  The pending dimension keeps no state
-    here: the number of updates held back is read from the pending cache.
+    ``queue`` holds the updates awaiting shipment in arrival order, for
+    the pending dimension; ``peak`` is the longest the queue has been
+    when something left it.  ``last_ship_ms`` is when the container last
+    shipped, for the lag dimension.  ``shipped_value`` remembers, per
+    key, the numeric payload most recently shipped, for drift
+    comparisons; it stays empty under a bound without a drift limit.
     """
 
     bound: Bound
     last_ship_ms: int = 0
     shipped_value: dict[str, float] = field(default_factory=dict)
+    queue: list[Update] = field(default_factory=list)
+    peak: int = 0
 
     def lag_expired(self, now: int) -> bool:
         """True when the shipment lag limit is up.
@@ -267,19 +271,18 @@ class ContainerState:
             return False
         return abs(update.numeric - last) >= self.bound.drift
 
-    def should_ship(self, update: Update, now: int, held: int) -> Trigger | None:
+    def should_ship(self, update: Update, now: int) -> Trigger | None:
         """The bound rule: which active dimension trips for one arriving
-        update, or None when the update may wait.
+        update, already queued, or None when the update may wait.
 
-        ``held`` is the number of updates the container holds back once
-        this one has arrived; the pending dimension trips when it reaches
-        the limit.  An all-disabled bound replicates immediately (COUNT).
+        The pending dimension trips when the queue's length reaches the
+        limit.  An all-disabled bound replicates immediately (COUNT).
         When several dimensions trip at once, count beats time beats
         drift.  Does not mutate.
         """
         bound = self.bound
         if bound.pending > 0:
-            if held >= bound.pending:
+            if len(self.queue) >= bound.pending:
                 return Trigger.COUNT
         elif bound.immediate:
             return Trigger.COUNT

@@ -1,19 +1,22 @@
 """Per-peer cache of updates awaiting shipment.
 
-Updates queue per container in arrival order.  Draining a container
-takes its whole queue at once, and additionally pulls in every update
-belonging to any atomic group (block) that has a member in that queue,
-wherever those siblings live, so a group never ships partially split
-across batches.  Due-ness ordering across containers is the shipping
-layer's job: it drains a container the moment its bound trips, and the
-periodic timer visits overdue containers in ``table:family`` text order.
+The cache keeps one map of container states: each ``ContainerState``
+holds its container's queue, in arrival order, next to its bound.
+Draining a container takes its whole queue at once, and additionally
+pulls in every update belonging to any atomic group (block) that has a
+member in that queue, wherever those siblings live, so a group never
+ships partially split across batches.  A drain marks each container it
+takes from as shipped.  Due-ness ordering across containers is the
+shipping layer's job: it drains a container the moment its bound trips,
+and the periodic timer visits overdue containers in ``table:family``
+text order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .bounds import ContainerId, SeqWindow, Update
+from .bounds import IMMEDIATE, Bound, ContainerId, ContainerState, SeqWindow, Update
 from .errors import ProtocolError
 
 # Blocks are numbered per origin cluster, so the globally unique group
@@ -23,12 +26,12 @@ BlockKey = tuple[int, int]
 
 @dataclass(slots=True)
 class PendingCache:
-    """FIFO queues of pending updates, grouped by container, held by the
-    replication source of cluster ``origin`` for one peer.
-
-    ``pending_count`` is the number of updates a container holds back
-    from the peer, the count its pending limit is checked against: the
-    length of the container's queue.
+    """One ``ContainerState`` per container, each holding its FIFO queue
+    of pending updates, kept by the replication source of cluster
+    ``origin`` for one peer.  A state is built on its container's first
+    ``enqueue``, with the container's bound in ``bounds`` or else
+    ``default_bound``.  ``pending_count``, the count a pending limit is
+    checked against, is the length of the container's queue.
 
     Every update of the cache's own cluster is remembered by its seq in
     a ``SeqWindow``.  The source sees every seq its cluster writes, so
@@ -37,22 +40,22 @@ class PendingCache:
     cache only by relaying, which offers only the updates the cluster's
     remote apply saw for the first time.
 
-    A queue grows only in ``enqueue``, so its high-water mark is taken
-    when something leaves it: the length just before a drain takes from
-    it.  ``peaks`` adds the lengths of the queues still waiting.
+    A queue grows only in ``enqueue``, so a state notes its ``peak`` when
+    a drain takes from the queue; ``peaks`` adds the queues still waiting.
     """
 
     origin: int
-    queues: dict[ContainerId, list[Update]] = field(default_factory=dict)
+    bounds: dict[ContainerId, Bound] = field(default_factory=dict)
+    default_bound: Bound = IMMEDIATE
+    containers: dict[ContainerId, ContainerState] = field(default_factory=dict)
     # A block's containers in arrival order; a set's would follow the hash seed.
     block_index: dict[BlockKey, dict[ContainerId, None]] = field(default_factory=dict)
     total_pending_count: int = 0
-    _drained_peaks: dict[ContainerId, int] = field(default_factory=dict)
     _seen: SeqWindow = field(default_factory=SeqWindow)
 
-    def enqueue(self, update: Update) -> int:
-        """Append an update to its container queue and return the
-        container's ``pending_count``.
+    def enqueue(self, update: Update) -> ContainerState:
+        """Append an update to its container's queue and return the
+        container's state.
 
         Re-enqueueing one of the own cluster's seqs is a protocol
         violation, and so is an own seq below 1.
@@ -61,10 +64,10 @@ class PendingCache:
             raise ProtocolError(f"duplicate enqueue of update {(update.origin, update.seq)}")
 
         cid = update.container
-        queue = self.queues.get(cid)
-        if queue is None:
-            queue = self.queues[cid] = []
-        queue.append(update)
+        state = self.containers.get(cid)
+        if state is None:
+            state = self.containers[cid] = ContainerState(self.bounds.get(cid, self.default_bound))
+        state.queue.append(update)
         self.total_pending_count += 1
         if update.block is not None:
             bkey = (update.origin, update.block)
@@ -72,23 +75,21 @@ class PendingCache:
             if members is None:
                 members = self.block_index[bkey] = {}
             members[cid] = None
-        return len(queue)
+        return state
 
     def peaks(self) -> dict[ContainerId, int]:
         """The largest length each container's queue has reached."""
-        peaks = dict(self._drained_peaks)
-        for cid, queue in self.queues.items():
-            if len(queue) > peaks.get(cid, 0):
-                peaks[cid] = len(queue)
-        return peaks
+        return {cid: max(state.peak, len(state.queue))
+                for cid, state in self.containers.items()}
 
     def pending_count(self, cid: ContainerId) -> int:
         """How many updates the container holds back (class docstring)."""
-        return len(self.queues.get(cid, ()))
+        return len(self.containers[cid].queue) if cid in self.containers else 0
 
-    def drain(self, cids: list[ContainerId]) -> list[Update]:
+    def drain(self, cids: list[ContainerId], now: int) -> list[Update]:
         """Remove and return every update queued for the given containers,
-        plus the complete membership of any block touched by them.
+        plus the complete membership of any block touched by them, and
+        mark each container taken from as shipped at ``now``.
 
         Within each container the returned updates keep arrival order.
         Draining containers with nothing queued yields an empty list, and
@@ -97,7 +98,7 @@ class PendingCache:
         taken: list[Update] = []
         blocks: list[BlockKey] = []
         for cid in cids:
-            taken.extend(self._take_queue(cid, blocks))
+            taken.extend(self._take_queue(cid, now, blocks))
         if blocks:
             # Pull the sibling members of every touched block from the
             # containers not drained outright, each container's members
@@ -110,39 +111,36 @@ class PendingCache:
                     if cid not in cids:
                         siblings[cid] = None
             for cid in siblings:
-                taken.extend(self._take_block_members(cid, touched))
+                taken.extend(self._take_block_members(cid, now, touched))
         return taken
 
-    def _take_queue(self, cid: ContainerId, blocks: list[BlockKey]) -> list[Update]:
-        queue = self.queues.pop(cid, None)
-        if not queue:
+    def _take_queue(self, cid: ContainerId, now: int, blocks: list[BlockKey]) -> list[Update]:
+        state = self.containers.get(cid)
+        if state is None or not state.queue:
             return []
-        self._note_peak(cid, len(queue))
-        for u in queue:
+        for u in state.queue:
             if u.block is not None:
                 blocks.append((u.origin, u.block))
-        self.total_pending_count -= len(queue)
-        return queue
+        return self._take(state, now, state.queue, [])
 
-    def _take_block_members(self, cid: ContainerId,
+    def _take_block_members(self, cid: ContainerId, now: int,
                             bkeys: dict[BlockKey, None]) -> list[Update]:
+        state = self.containers[cid]
         members: list[Update] = []
         remaining: list[Update] = []
-        for u in self.queues.get(cid, ()):
+        for u in state.queue:
             if u.block is not None and (u.origin, u.block) in bkeys:
                 members.append(u)
             else:
                 remaining.append(u)
-        if not members:
-            return []
-        self._note_peak(cid, len(members) + len(remaining))
-        if remaining:
-            self.queues[cid] = remaining
-        else:
-            del self.queues[cid]
-        self.total_pending_count -= len(members)
-        return members
+        return self._take(state, now, members, remaining) if members else []
 
-    def _note_peak(self, cid: ContainerId, length: int) -> None:
-        if length > self._drained_peaks.get(cid, 0):
-            self._drained_peaks[cid] = length
+    def _take(self, state: ContainerState, now: int, taken: list[Update],
+              remaining: list[Update]) -> list[Update]:
+        """Leave ``remaining`` queued, noting the queue's peak first, and
+        mark ``taken`` as shipped."""
+        state.peak = max(state.peak, len(state.queue))
+        state.queue = remaining
+        self.total_pending_count -= len(taken)
+        state.mark_shipped(now, taken)
+        return taken

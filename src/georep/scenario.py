@@ -153,6 +153,8 @@ def load_scenario(path: str | Path, seed_override: int | None = None) -> Scenari
 
     net = parser["network"] if "network" in parser else {}
     default_latency = _parse_int(net.get("latency_ms", "10"), "network.latency_ms")
+    if default_latency < 0:
+        raise ScenarioError(f"network.latency_ms must be non-negative: {default_latency}")
     window_ms = _parse_int(net.get("window_ms", "1000"), "network.window_ms")
     max_events = _parse_int(net.get("max_events", str(DEFAULT_MAX_EVENTS)),
                             "network.max_events")
@@ -178,8 +180,7 @@ def load_scenario(path: str | Path, seed_override: int | None = None) -> Scenari
         if key.startswith("latency_ms.") and key not in latency_keys.values():
             raise ScenarioError(f"{key} does not name a declared link")
     links: dict[tuple[int, int], LinkSpec] = {}
-    for link, latency_key in latency_keys.items():
-        key = latency_key if latency_key in net else "latency_ms"
+    for link, key in latency_keys.items():
         latency = _parse_int(net[key], f"network.{key}") if key in net else default_latency
         if latency < 0:
             raise ScenarioError(f"network.{key} must be non-negative: {latency}")

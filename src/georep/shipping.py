@@ -45,9 +45,13 @@ class ReplicationSource:
 
     ``mode`` selects between bound-driven shipping ("bounded") and the
     baseline behavior of shipping everything accumulated on every poll
-    tick ("plain").  Each container's bound lives in its ``ContainerState``
-    in ``states``, built on first use from the per-container map
-    ``bounds``, or ``default_bound`` for containers it does not list.
+    tick ("plain").  Under plain, no bound is judged on arrival: loose
+    updates and ANY groups wait for the poll, while an IMMEDIATE group
+    still ships as one IMMEDIATE_BLOCK batch when it closes.
+
+    The source hands ``bounds`` and ``default_bound`` to its cache, which
+    keeps each container's queue, bound and shipped values in one
+    ``ContainerState``.
 
     The source ships its own batches: ``_drain`` hands each batch it
     cuts to ``on_ship`` once, then returns it to the caller.
@@ -62,23 +66,12 @@ class ReplicationSource:
         self.source = source
         self.peer = peer
         self.link = (source, peer)
-        self.bounds = dict(bounds or {})
-        self.default_bound = default_bound
         self.mode = mode
+        self.cache = PendingCache(source, dict(bounds or {}), default_bound)
         # Whether a tick can ever ship anything from this source.
         self.timed = mode == "plain" or any(
-            b.lag_ms > 0 for b in (default_bound, *self.bounds.values()))
-        self.cache = PendingCache(source)
+            b.lag_ms > 0 for b in (default_bound, *self.cache.bounds.values()))
         self.shipped_position: dict[int, int] = {}
-        # offer() runs for every update, so a hit is one dict.get.
-        self.states: dict[ContainerId, ContainerState] = {}
-
-    def _state(self, cid: ContainerId) -> ContainerState:
-        """Build a container's state, with its bound, on a ``states`` miss.
-        Under bounds, every container the cache holds has one: ``offer``
-        and ``offer_group`` build it, and ``_drain`` for ``ship_group_now``."""
-        state = self.states[cid] = ContainerState(self.bounds.get(cid, self.default_bound))
-        return state
 
     # -- ingestion ---------------------------------------------------
 
@@ -87,33 +80,31 @@ class ReplicationSource:
         bound trips.  Updates that originated at the peer are dropped."""
         if update.origin == self.peer:
             return None
-        held = self.cache.enqueue(update)
+        state = self.cache.enqueue(update)
         if self.mode == "plain":
             return None
-        cid = update.container
-        trigger = (self.states.get(cid) or self._state(cid)).should_ship(update, now, held)
+        trigger = state.should_ship(update, now)
         if trigger is None:
             return None
-        return self._drain([cid], now, trigger)
+        return self._drain([update.container], now, trigger)
 
     def offer_group(self, updates: list[Update], now: int) -> Batch | None:
         """Accept a completed atomic group in one step.
 
-        Every member is enqueued before any shipping decision, so the
-        group can only leave whole.  Each member is then evaluated
-        against its container's held-back count at its own arrival, the
-        length of the queue it was appended to.  If any member trips its
-        container's bound, the involved containers drain immediately as
-        one batch.
+        Every member is enqueued before any member is judged, so the
+        group can only leave whole, and each member is judged against its
+        container's queue with the whole group in.  The last member into
+        each container saw that length at its own arrival, so whether
+        the group ships does not depend on this choice.  If any member
+        trips its container's bound, the involved containers drain
+        immediately as one batch.
         """
         accepted = self._accept(updates)
         if not accepted or self.mode == "plain":
             return None
-        states = self.states
         # A list, not a generator: every member is evaluated, also those
         # after the first that trips.
-        if not any([(states.get(u.container) or self._state(u.container))
-                    .should_ship(u, now, held) is not None for u, held in accepted]):
+        if not any([state.should_ship(u, now) is not None for u, state in accepted]):
             return None
         return self._drain(sorted({u.container for u, _ in accepted}), now, Trigger.ANY_BLOCK)
 
@@ -125,9 +116,9 @@ class ReplicationSource:
         return self._drain(sorted({u.container for u, _ in accepted}), now,
                            Trigger.IMMEDIATE_BLOCK)
 
-    def _accept(self, updates: list[Update]) -> list[tuple[Update, int]]:
+    def _accept(self, updates: list[Update]) -> list[tuple[Update, ContainerState]]:
         """Enqueue the updates that did not originate at the peer; return
-        each with its container's held-back count once it arrived."""
+        each with its container's state."""
         enqueue = self.cache.enqueue
         return [(u, enqueue(u)) for u in updates if u.origin != self.peer]
 
@@ -141,23 +132,17 @@ class ReplicationSource:
         has elapsed.  Overdue containers are visited in ``table:family``
         text order, so multi-container ticks are deterministic.
         """
-        batches = []
-        for cid in sorted(self.cache.queues):
-            # An earlier drain may have pulled this queue's block members.
-            if self.cache.pending_count(cid) == 0:
-                continue
-            if self.mode == "plain" or self.states[cid].lag_expired(now):
-                batches.append(self._drain([cid], now, Trigger.TIME))
-        return batches
+        containers, plain = self.cache.containers, self.mode == "plain"
+        # An earlier drain may have pulled a queue's block members.
+        return [self._drain([cid], now, Trigger.TIME) for cid in sorted(containers)
+                if containers[cid].queue and (plain or containers[cid].lag_expired(now))]
 
     def final_drain(self, now: int) -> list[Batch]:
         """Flush every non-empty container regardless of bounds."""
-        batches = []
-        for cid in sorted(self.cache.queues):
-            # An earlier drain may have pulled this queue's block members.
-            if self.cache.pending_count(cid) > 0:
-                batches.append(self._drain([cid], now, Trigger.FINAL_DRAIN))
-        return batches
+        containers = self.cache.containers
+        # An earlier drain may have pulled a queue's block members.
+        return [self._drain([cid], now, Trigger.FINAL_DRAIN)
+                for cid in sorted(containers) if containers[cid].queue]
 
     def has_timer_work(self) -> bool:
         """True when a future tick could ship something already queued."""
@@ -165,20 +150,14 @@ class ReplicationSource:
             return False
         if self.mode == "plain":
             return True
-        states = self.states
-        return any(states[cid].bound.lag_ms > 0 for cid in self.cache.queues)
+        return any(state.queue and state.bound.lag_ms > 0
+                   for state in self.cache.containers.values())
 
     # -- batch construction and acknowledgment ------------------------
 
     def _drain(self, cids: list[ContainerId], now: int, trigger: Trigger) -> Batch:
         """Ship what ``cids`` hold back; every caller knows they hold some."""
-        updates = self.cache.drain(cids)
-        batch = Batch.build(updates, self.source, self.peer, now, trigger)
-        by_container: dict[ContainerId, list[Update]] = {}
-        for u in updates:
-            by_container.setdefault(u.container, []).append(u)
-        for cid, members in by_container.items():
-            (self.states.get(cid) or self._state(cid)).mark_shipped(now, members)
+        batch = Batch.build(self.cache.drain(cids, now), self.source, self.peer, now, trigger)
         self.on_ship(batch)
         return batch
 

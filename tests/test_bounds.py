@@ -195,29 +195,39 @@ class TestDriftEvaluation:
         assert not state.drift_exceeded(make_update(value=value))
 
 
+def queued(held):
+    """A container queue of ``held`` updates."""
+    return [make_update() for _ in range(held)]
+
+
 class TestCombinedEvaluation:
     def test_any_tripped_dimension_ships(self):
-        state = ContainerState(Bound(lag_ms=10**6, pending=3), last_ship_ms=0)
-        assert state.should_ship(make_update(), now=10, held=3) is Trigger.COUNT
+        state = ContainerState(Bound(lag_ms=10**6, pending=3), last_ship_ms=0,
+                               queue=queued(3))
+        assert state.should_ship(make_update(), now=10) is Trigger.COUNT
 
     def test_all_inactive_ships_every_arrival(self):
-        state = ContainerState(IMMEDIATE)
+        state = ContainerState(IMMEDIATE, queue=queued(1))
         for _ in range(5):
-            assert state.should_ship(make_update(), now=0, held=1) is Trigger.COUNT
+            assert state.should_ship(make_update(), now=0) is Trigger.COUNT
 
     def test_no_dimension_tripped_holds(self):
-        state = ContainerState(Bound(lag_ms=1000, pending=3, drift=10), last_ship_ms=0)
-        assert state.should_ship(make_update(value=b"5"), now=500, held=2) is None
+        state = ContainerState(Bound(lag_ms=1000, pending=3, drift=10), last_ship_ms=0,
+                               queue=queued(2))
+        assert state.should_ship(make_update(value=b"5"), now=500) is None
 
     def test_should_ship_leaves_the_state_unchanged(self):
-        # Whatever trips, the rule only reads: the held-back count lives
-        # in the cache and the shipping path restarts the lag clock.
+        # Whatever trips, the rule only reads: the cache fills the queue
+        # and a drain restarts the lag clock.
         bound = Bound(lag_ms=10, pending=5, drift=1)
-        state = ContainerState(bound, last_ship_ms=0, shipped_value={"k": 0.0})
         for held, now, trigger in ((5, 20, Trigger.COUNT), (1, 20, Trigger.TIME),
                                    (1, 0, Trigger.DELTA)):
-            assert state.should_ship(make_update(value=b"99"), now, held) is trigger
-        assert state == ContainerState(bound, last_ship_ms=0, shipped_value={"k": 0.0})
+            queue = queued(held)
+            state = ContainerState(bound, last_ship_ms=0, shipped_value={"k": 0.0},
+                                   queue=list(queue))
+            assert state.should_ship(make_update(value=b"99"), now) is trigger
+            assert state == ContainerState(bound, last_ship_ms=0, shipped_value={"k": 0.0},
+                                           queue=queue)
 
 
 class TestMarkShipped:

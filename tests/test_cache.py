@@ -18,7 +18,7 @@ def test_enqueue_tracks_bytes_and_length():
     cache = PendingCache(origin=1)
     u = make_update(key="key", value=b"x" * 83)  # 3 + 83 + 34 = 120
     cache.enqueue(u)
-    assert [q.size_bytes for q in cache.queues[u.container]] == [120]
+    assert [q.size_bytes for q in cache.containers[u.container].queue] == [120]
     assert cache.pending_count(u.container) == 1
     assert cache.total_pending_count == 1
 
@@ -30,7 +30,7 @@ def test_same_key_retained_in_arrival_order():
     second = make_update(key="k", value=b"new", container=A)
     cache.enqueue(first)
     cache.enqueue(second)
-    assert cache.drain([A]) == [first, second]
+    assert cache.drain([A], now=0) == [first, second]
 
 
 def test_block_membership_indexed():
@@ -52,7 +52,7 @@ def test_drain_takes_whole_queue():
     updates = [make_update(container=A, key=f"k{i}") for i in range(3)]
     for u in updates:
         cache.enqueue(u)
-    assert cache.drain([A]) == updates
+    assert cache.drain([A], now=0) == updates
     assert cache.pending_count(A) == 0
     assert cache.total_pending_count == 0
 
@@ -65,9 +65,9 @@ def test_drain_pulls_block_siblings_from_other_containers():
     loose = make_update(container=B, key="z", origin=2)
     for u in (in_a, in_b, loose):
         cache.enqueue(u)
-    drained = cache.drain([A])
+    drained = cache.drain([A], now=0)
     assert drained == [in_a, in_b]
-    assert cache.drain([B]) == [loose]
+    assert cache.drain([B], now=0) == [loose]
 
 
 def test_repeated_id_drains_like_a_single_one():
@@ -81,15 +81,15 @@ def test_repeated_id_drains_like_a_single_one():
         return cache
 
     once, twice = filled(), filled()
-    assert [u.key for u in twice.drain([A, A])] == [u.key for u in once.drain([A])] \
-        == ["x", "y", "z"]
-    assert twice.queues == once.queues
+    assert [u.key for u in twice.drain([A, A], now=0)] \
+        == [u.key for u in once.drain([A], now=0)] == ["x", "y", "z"]
+    assert twice.containers == once.containers
     assert twice.total_pending_count == once.total_pending_count == 1
 
 
 def test_drain_empty_container_is_noop():
     cache = PendingCache(origin=1)
-    assert cache.drain([A]) == []
+    assert cache.drain([A], now=0) == []
     assert cache.total_pending_count == 0
 
 
@@ -98,7 +98,7 @@ def test_pending_count_lifecycle():
     cache.enqueue(make_update(container=A, key="1"))
     cache.enqueue(make_update(container=A, key="2"))
     assert cache.pending_count(A) == 2
-    cache.drain([A])
+    cache.drain([A], now=0)
     assert cache.pending_count(A) == 0
     assert cache.pending_count(ContainerId("never", "seen")) == 0
 
@@ -107,7 +107,7 @@ def test_peak_pending_tracks_high_water_mark():
     cache = PendingCache(origin=1)
     for i in range(4):
         cache.enqueue(make_update(container=A, key=f"k{i}"))
-    cache.drain([A])
+    cache.drain([A], now=0)
     cache.enqueue(make_update(container=A, key="again"))
     assert cache.peaks()[A] == 4
 
@@ -131,9 +131,9 @@ def test_peaks_match_the_length_after_every_enqueue(script):
             cid = ContainerId(table, "fam")
             seq += 1
             cache.enqueue(make_update(container=cid, block=block, origin=1, seq=seq))
-            model[cid] = max(model.get(cid, 0), len(cache.queues[cid]))
+            model[cid] = max(model.get(cid, 0), len(cache.containers[cid].queue))
         else:
-            cache.drain([ContainerId(table, "fam") for table in step[1]])
+            cache.drain([ContainerId(table, "fam") for table in step[1]], now=0)
         assert cache.peaks() == model
 
 
@@ -149,7 +149,7 @@ def test_conservation_under_random_traffic(script):
     for table, do_drain in script:
         cid = ContainerId(table, "fam")
         if do_drain:
-            out = cache.drain([cid])
+            out = cache.drain([cid], now=0)
             drained += len(out)
             drained_bytes += sum(u.size_bytes for u in out)
         else:
@@ -159,7 +159,8 @@ def test_conservation_under_random_traffic(script):
             enqueued += 1
             enqueued_bytes += u.size_bytes
         assert cache.total_pending_count == enqueued - drained
-        pending_bytes = sum(u.size_bytes for q in cache.queues.values() for u in q)
+        pending_bytes = sum(u.size_bytes for state in cache.containers.values()
+                            for u in state.queue)
         assert pending_bytes == enqueued_bytes - drained_bytes
 
 
@@ -169,7 +170,7 @@ def test_order_preserved_within_container():
                for i in range(10)]
     for u in updates:
         cache.enqueue(u)
-    out = cache.drain([A])
+    out = cache.drain([A], now=0)
     assert [u.seq for u in out] == sorted(u.seq for u in out)
 
 
@@ -179,7 +180,7 @@ def test_no_partial_block_ever_drains():
                for i in range(6)]
     for u in members:
         cache.enqueue(u)
-    out = cache.drain([B])
+    out = cache.drain([B], now=0)
     assert len(out) == 6
     assert cache.total_pending_count == 0
     assert not cache.block_index
@@ -195,7 +196,7 @@ def test_members_pulled_from_one_container_keep_arrival_order():
               make_update(container=A, key="a1", block=1, origin=5, seq=4),
               make_update(container=A, key="a2", block=2, origin=5, seq=5)]:
         cache.enqueue(u)
-    out = cache.drain([A])
+    out = cache.drain([A], now=0)
     assert [u.key for u in out] == ["a1", "a2", "b2", "b1"]
-    assert [u.key for u in cache.queues[B]] == ["loose"]
+    assert [u.key for u in cache.containers[B].queue] == ["loose"]
     assert cache.total_pending_count == 1

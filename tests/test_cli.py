@@ -151,9 +151,11 @@ class TestValidate:
         (SCRIPTED + "containers = bad\n", "blocks.containers"),
         (SCRIPTED.replace("count = 5", "count = 0") + "containers = a:b\n", "blocks.count"),
         (GOOD + "\n[network]\nlatency_ms.1>2 = -5\n", "network.latency_ms.1>2"),
+        (GOOD + "\n[network]\nlatency_ms = -5\nlatency_ms.1>2 = 10\n", "network.latency_ms"),
         (GOOD + "\n[network]\npartitions = 1>2 50 50\n", "network.partitions"),
     ], ids=["operations", "write-fraction", "workload-container", "blocks-container",
-            "block-count", "latency-override", "empty-partition"])
+            "block-count", "latency-override", "overridden-default-latency",
+            "empty-partition"])
     def test_a_field_check_names_its_key(self, tmp_path, capsys, text, key):
         path = write(tmp_path, text, "field.ini")
         assert main(["validate", str(path)]) == 2

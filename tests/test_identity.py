@@ -103,7 +103,9 @@ def snapshot(node):
     return (
         {cid: dict(cells) for cid, cells in node.store.items()},
         dict(node._applied.floors), dict(node._applied.early),
-        {peer: ({cid: list(q) for cid, q in source.cache.queues.items()},
+        {peer: ({cid: (list(state.queue), state.peak, state.last_ship_ms,
+                       dict(state.shipped_value))
+                 for cid, state in source.cache.containers.items()},
                 source.cache.total_pending_count, dict(source.cache._seen.floors))
          for peer, source in node.sources.items()},
     )

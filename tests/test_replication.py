@@ -143,7 +143,7 @@ class TestTick:
         # loop reaches B, which must then ship nothing.
         src = source_with(Bound(), mode="plain")
         members = [make_update(container=cid, key=f"m{cid}", block=4) for cid in (A, B)]
-        src.offer_group(members, now=0)
+        assert src.offer_group(members, now=0) is None
         batches = src.tick(now=100)
         assert [[u.key for u in b.updates] for b in batches] == [[f"m{A}", f"m{B}"]]
 
@@ -271,11 +271,12 @@ class TestOnShip:
         (Bound(pending=2), "bounded", offer_each, Trigger.COUNT, 4),
         (Bound(pending=3), "bounded", offer_groups, Trigger.ANY_BLOCK, 1),
         (Bound(pending=10), "bounded", ship_groups_now, Trigger.IMMEDIATE_BLOCK, 2),
+        (Bound(), "plain", ship_groups_now, Trigger.IMMEDIATE_BLOCK, 2),
         (Bound(lag_ms=100), "bounded", tick_after, Trigger.TIME, 3),
         (Bound(), "plain", tick_after, Trigger.TIME, 3),
         (Bound(pending=10), "bounded", drain_after, Trigger.FINAL_DRAIN, 2),
-    ], ids=["offer", "offer_group", "ship_group_now", "tick-bounded", "tick-plain",
-            "final_drain"])
+    ], ids=["offer", "offer_group", "ship_group_now", "ship_group_now-plain",
+            "tick-bounded", "tick-plain", "final_drain"])
     def test_every_cut_batch_is_handed_over_once(self, bound, mode, cut, trigger, batches):
         shipped = []
         src = source_with(bound, mode=mode, on_ship=shipped.append)

@@ -254,6 +254,21 @@ class TestContainers:
         share = counts[heavy] / 20_000
         assert 0.70 < share < 0.80
 
+    def test_weight_total_is_the_plain_float_sum(self, monkeypatch):
+        # Weights 0.1, 0.2, 0.3 sum to 0.6000000000000001, which puts the
+        # second cut point at exactly 0.5, so a draw of 0.5 lands on the
+        # third container; an exact total (math.fsum, 0.6) would put the
+        # cut at 0.5000000000000001 and the draw on the second.
+        class Half(random.Random):
+            def random(self):
+                return 0.5
+
+        monkeypatch.setattr(random, "Random", Half)
+        a, b, c = (ContainerId(t, "f") for t in "abc")
+        s = spec(operations=30, write_fraction=1.0,
+                 containers=((a, 0.1), (b, 0.2), (c, 0.3)))
+        assert {op.container for _, _, op in generate(s)} == {c}
+
 
 class TestBlockScripts:
     def script(self, **kwargs):
