@@ -63,7 +63,8 @@ def main(argv: list[str] | None = None) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario, seed_override=args.seed)
-    result = run_scenario(scenario, args.out)
+    # Nothing here reads the batch records, so the run keeps none.
+    result = run_scenario(scenario, args.out, keep_batches=False)
     if not args.quiet:
         s = result.summary
         print(f"scenario {s['scenario']}: {s['operations']} ops, "

@@ -31,19 +31,26 @@ so its sample would repeat a value the window already holds.
 
 A replication source ships its own batches: each cluster hands the
 engine's ``_on_ship`` to every source it builds, and a source calls it
-once for every batch it cuts.  ``_on_ship`` records the batch and
-submits it to the network.  The record holds the whole ``Batch`` (its
-updates, trigger and creation time) plus its delivery time, which is
-what the structural tests inspect; the summary's ``shipped_updates`` is
-counted from the records.  A record lives as long as the run.
+once for every batch it cuts.  ``_on_ship`` adds the batch's updates to
+a running count, the one owner of the summary's ``shipped_updates``,
+and submits the batch to the network.  With ``keep_batches`` (the
+default) it also keeps a record of the whole ``Batch`` (its updates,
+trigger and creation time) plus its delivery time, which is what the
+structural tests and the benchmark's checks inspect; a record lives as
+long as the run.  ``georep run`` reads no record, so it keeps none, and
+``RunResult.batches`` is then None rather than an empty list.
 
-These records are the only state that grows with every update: a
-cluster numbers its writes from a counter and keeps no log, and the
-metric ledger grows with windows.  The exactly-once filter in remote
-apply keeps a floor per origin plus the seqs that arrived ahead of a
-gap, so in a run where every seq arrives it stays one entry per origin
-however long the run; a pending cache checks only its own cluster's
-seqs, which always end as one floor.
+Kept records grow with every update shipped; without them, a run's
+memory is its live state.  A cluster numbers its writes from a counter
+and keeps no log, and the metric ledger grows with windows.  The
+exactly-once filter in remote apply keeps a floor per origin plus the
+seqs that arrived ahead of a gap, so where every seq arrives it stays
+one entry per origin however long the run.  The exception is a relay
+path: an update the relay discards as stale is never offered onward,
+so a cluster reached only through that relay never sees its seq, the
+gap stays open, and every later seq of that origin stays in the window,
+which then grows with the run.  A pending cache checks only its own
+cluster's seqs, which always end as one floor.
 """
 
 from __future__ import annotations
@@ -77,15 +84,20 @@ class BatchRecord:
 class RunResult:
     rows: list[Row]
     summary: dict
-    batches: list[BatchRecord]
+    # None when the run kept no records (``keep_batches=False``).
+    batches: list[BatchRecord] | None
     csv_path: Path | None = None
     summary_path: Path | None = None
 
 
 class Simulation:
-    """One configured run; call run() exactly once."""
+    """One configured run; call run() exactly once.
 
-    def __init__(self, scenario: Scenario) -> None:
+    ``keep_batches`` keeps a ``BatchRecord`` of every shipped batch for
+    ``RunResult.batches``; without it the run's memory does not grow
+    with the updates it ships."""
+
+    def __init__(self, scenario: Scenario, keep_batches: bool = True) -> None:
         self.scenario = scenario
         self.net = SimNet(max_events=scenario.max_events)
         for (src, dst), spec in scenario.links.items():
@@ -102,7 +114,9 @@ class Simulation:
         self.metrics = MetricsCollector(scenario.window_ms)
         # Metric window of the latest backlog sample; see _sample_pending.
         self._sampled_window = -1
-        self.batches: list[BatchRecord] = []
+        self.batches: list[BatchRecord] | None = [] if keep_batches else None
+        self._shipped_updates = 0
+        self._ran = False
         self._tick_armed = False
         self._timed = [source for source in self._sources if source.timed]
         self._client_ops = 0
@@ -110,13 +124,17 @@ class Simulation:
     # -- shipping and delivery -----------------------------------------
 
     def _on_ship(self, batch: Batch) -> None:
-        record = BatchRecord(batch)
-        self.batches.append(record)
+        self._shipped_updates += len(batch.updates)
+        record = None
+        if self.batches is not None:
+            record = BatchRecord(batch)
+            self.batches.append(record)
         self.net.submit(batch, partial(self._deliver, record))
 
-    def _deliver(self, record: BatchRecord, batch: Batch) -> None:
+    def _deliver(self, record: BatchRecord | None, batch: Batch) -> None:
         now = self.net.now
-        record.delivered_ms = now
+        if record is not None:
+            record.delivered_ms = now
         src, dst = batch.source, batch.destination
         node = self.clusters[dst]
         node.apply_remote(batch)
@@ -191,6 +209,9 @@ class Simulation:
     # -- the run --------------------------------------------------------
 
     def run(self) -> RunResult:
+        if self._ran:
+            raise RuntimeError("a Simulation runs once")
+        self._ran = True
         started = time.perf_counter()
         self.net.run_until_quiescent(self._instants())
         # Straggler flush: sources may refill each other through relays,
@@ -230,7 +251,7 @@ class Simulation:
             "final_ms": self.net.now,
             "operations": self._client_ops,
             "workload_updates": self.scenario.workload.total_updates,
-            "shipped_updates": sum(len(r.batch.updates) for r in self.batches),
+            "shipped_updates": self._shipped_updates,
             **run_totals(rows),
             "max_staleness_ms": max((r.staleness_max_ms for r in rows), default=0),
             "pending_max_per_container": pending_peaks,
@@ -244,15 +265,17 @@ class Simulation:
         }
 
 
-def run_scenario(scenario: Scenario, out_dir: str | Path = ".") -> RunResult:
-    """Run a scenario and write its CSV and JSON summary into out_dir.
+def run_scenario(scenario: Scenario, out_dir: str | Path = ".",
+                 keep_batches: bool = True) -> RunResult:
+    """Run a scenario and write its CSV and JSON summary into out_dir;
+    ``keep_batches`` is passed to ``Simulation``.
 
     out_dir is made first, so an unusable one fails before the run, not
     after it.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    result = Simulation(scenario).run()
+    result = Simulation(scenario, keep_batches).run()
     result.csv_path = out / f"{scenario.name}.csv"
     result.summary_path = summary_path(result.csv_path)
     write_csv(result.csv_path, result.rows)

@@ -9,7 +9,9 @@ read, write, read, write rather than coin-flipping.
 Key popularity follows either a uniform draw over the keyspace or a
 zipfian draw where the key of rank r is chosen with probability
 proportional to 1 / (r+1)^constant, sampled from the exact cumulative
-distribution.
+distribution.  That distribution is held packed, as an ``array('d')``
+of 8 bytes per key rather than a list of float objects: the entries are
+the same doubles, so ``bisect_right`` draws bit-identical ranks.
 
 Operations are paced in bursts: ``burst_ops`` operations share each
 arrival instant and consecutive instants are ``burst_spacing_ms``
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
@@ -141,11 +144,15 @@ def _require_positive(spec, *names: str) -> None:
             raise ScenarioError(f"{name} must be positive: {getattr(spec, name)}")
 
 
-def _cdf(weights: list[float], total: Callable[[list[float]], float]) -> list[float]:
+def _cdf(weights: list[float], total: Callable[[list[float]], float]) -> array:
     """Cumulative distribution of ``weights`` over ``total(weights)``, for
-    a draw by ``bisect_right(cdf, random())``; the last entry is exactly 1."""
+    a draw by ``bisect_right(cdf, random())``; the last entry is exactly 1.
+
+    Packed as doubles, 8 bytes an entry.  Built from a transient list,
+    which sizes the array exactly and is faster than filling it from an
+    iterator."""
     whole = total(weights)
-    cdf = [acc / whole for acc in accumulate(weights)]
+    cdf = array("d", [acc / whole for acc in accumulate(weights)])
     cdf[-1] = 1.0
     return cdf
 

@@ -181,6 +181,16 @@ class TestRun:
         assert "updates shipped" in out
         assert "digest" in out
 
+    def test_shipped_count_matches_the_recorded_run(self, tmp_path, capsys, bundled,
+                                                    scenario_dir):
+        # The CLI keeps no batch records, so its count cannot come from them.
+        expected = bundled("ring-partition").summary["shipped_updates"]
+        assert main(["run", str(scenario_dir / "ring-partition.ini"),
+                     "--out", str(tmp_path)]) == 0
+        assert f", {expected} updates shipped in " in capsys.readouterr().out
+        summary = json.loads((tmp_path / "ring-partition.summary.json").read_text(encoding="utf-8"))
+        assert summary["shipped_updates"] == expected
+
     def test_seed_override_changes_digests(self, tmp_path):
         path = write(tmp_path, GOOD, "good.ini")
         for seed, out in (("21", "a"), ("99", "b")):

@@ -209,6 +209,27 @@ class TestDeterminism:
         assert bundled("staleness-lag").summary["digests"] != \
             Simulation(reseeded).run().summary["digests"]
 
+    def test_a_second_run_raises(self, tmp_path):
+        scenario = write_and_load(tmp_path, """\
+[topology]
+clusters = 1 2
+links = 1>2
+
+[bounds]
+default = 0 5 0
+
+[workload]
+operations = 20
+distribution = uniform
+""")
+        sim = Simulation(scenario)
+        first = sim.run()
+        final_ms = sim.net.now
+        with pytest.raises(RuntimeError, match="a Simulation runs once"):
+            sim.run()
+        assert sim.net.now == final_ms
+        assert len(sim.batches) == first.summary["total_batches"]
+
 
 class TestRunScenario:
     def test_writes_csv_and_summary(self, bundled):
