@@ -127,7 +127,10 @@ _UNPARSED = object()
 @dataclass(slots=True, init=False)
 class Update:
     """One edit as carried through caches, batches and the wire, and as
-    held in every replica's store once applied."""
+    held in every replica's store once applied.
+
+    An update keeps only its own fields: its accounted ``size_bytes`` is
+    derived from the key and value each time it is read, not stored."""
 
     container: ContainerId
     key: str
@@ -136,7 +139,6 @@ class Update:
     origin: int
     seq: int
     block: int | None
-    size_bytes: int
     _numeric: object = field(repr=False, compare=False)
 
     def __init__(self, container: ContainerId, key: str, value: bytes, wall_ms: int,
@@ -144,8 +146,11 @@ class Update:
         self.container, self.key, self.value = container, key, value
         self.wall_ms, self.origin, self.seq = wall_ms, origin, seq
         self.block, self._numeric = block, _UNPARSED
-        # The accounted size: UTF-8 key, value and the fixed overhead.
-        self.size_bytes = len(key.encode("utf-8")) + len(value) + UPDATE_OVERHEAD_BYTES
+
+    @property
+    def size_bytes(self) -> int:
+        """The accounted size: UTF-8 key, value and the fixed overhead."""
+        return len(self.key.encode("utf-8")) + len(self.value) + UPDATE_OVERHEAD_BYTES
 
     @property
     def numeric(self) -> float | None:

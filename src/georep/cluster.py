@@ -7,7 +7,10 @@ the node only offers it updates; the engine ticks and flushes every
 source itself.  No log of past writes is kept: nothing reads one back.
 A store cell is the ``Update`` that wrote it: a local write stores the
 update it creates, and a remote batch stores the delivered update
-objects, so a replica keeps no copy of its own.
+objects, so a replica keeps no copy of its own.  A local write that
+overwrites a cell takes the cell's key object for its update: where one
+origin writes a key, its cells' dict keys and all of its updates, at
+every replica, share one string object.
 
 Local writes apply unconditionally; remote batches apply under
 last-writer-wins on ``Update.version``, the triple
@@ -93,13 +96,16 @@ class ClusterNode:
         """Durably apply one local write; the caller decides when it is
         offered for replication (immediately, or on group close)."""
         self.last_seq += 1
+        cells = self.store.get(cid)
+        if cells is None:
+            cells = self.store[cid] = {}
+        cell = cells.get(key)
+        if cell is not None:
+            key = cell.key
         update = Update(
             container=cid, key=key, value=value, wall_ms=self.now_fn(),
             origin=self.cluster_id, seq=self.last_seq, block=block,
         )
-        cells = self.store.get(cid)
-        if cells is None:
-            cells = self.store[cid] = {}
         cells[key] = update
         return update
 

@@ -3,9 +3,10 @@
 Builds clusters, links and sessions from a scenario, streams the
 workload into the event loop, runs to quiescence, then drains
 stragglers until nothing moves anywhere.  The workload is not queued up
-front: the loop pulls one arrival instant at a time from ``generate``,
-and an instant's ops run before any other event at that instant; no
-event is held in memory for an instant the loop has not reached.
+front: the loop pulls an arrival instant from ``generate`` only after
+the previous instant has run, and the instant's ops are generated as
+they are applied, one at a time, before any other event at that
+instant.  No op is held in memory before it runs.
 
 The engine, not the clusters, ticks and flushes every replication
 source, in link order (by cluster, then by peer).  Only sources whose
@@ -99,7 +100,7 @@ class Simulation:
 
     def __init__(self, scenario: Scenario, keep_batches: bool = True) -> None:
         self.scenario = scenario
-        self.net = SimNet(max_events=scenario.max_events)
+        self.net = SimNet(max_events=scenario.event_budget)
         for (src, dst), spec in scenario.links.items():
             self.net.add_link(src, dst, spec)
         self.clusters: dict[int, ClusterNode] = {}
@@ -163,7 +164,7 @@ class Simulation:
 
     # -- workload -------------------------------------------------------
 
-    def _apply_ops(self, group: list[TimedOp]) -> None:
+    def _apply_ops(self, group: Iterable[TimedOp]) -> None:
         # A read skips the sample once this window holds one (module
         # docstring).  Every op of the group shares now.
         window = self.net.now // self.metrics.window_ms
@@ -227,10 +228,12 @@ class Simulation:
         return RunResult(rows=rows, summary=summary, batches=self.batches)
 
     def _instants(self) -> Iterator[tuple[int, Callable[[], None]]]:
-        """The workload as events, one per arrival instant, generated
-        only as the event loop reaches them."""
+        """The workload as events, one per arrival instant.  Each hands
+        ``_apply_ops`` its instant's lazy group, which generates the ops
+        as they are applied; the event loop pulls an instant only after
+        the one before it has run, so the group is never stale."""
         for at_ms, group in groupby(generate(self.scenario.workload), key=itemgetter(0)):
-            yield at_ms, partial(self._apply_ops, list(group))
+            yield at_ms, partial(self._apply_ops, group)
 
     def _summarize(self, rows: list[Row], ops_per_sec: float) -> dict:
         nodes = {str(cid): self.clusters[cid] for cid in sorted(self.clusters)}

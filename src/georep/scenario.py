@@ -14,7 +14,8 @@ default (``required`` if it must be set, optional otherwise):
     partitions =                e.g.: outage windows, one per line:
         1>2 5000 10000          link, start ms, end ms (half-open)
     window_ms = 1000            metric window for the CSV
-    max_events = 10000000       event budget before a livelock abort
+    max_events = 10000000       e.g.: event budget before a livelock abort;
+                                default 10000000 plus one per client action
 
 [bounds]
     mode = bounded              bounded | plain (poll-everything baseline)
@@ -86,8 +87,21 @@ class Scenario:
     bounds: dict[ContainerId, Bound]
     tick_ms: int
     window_ms: int
-    max_events: int
+    # The [network] max_events, or None when the file sets none.
+    max_events: int | None
     workload: WorkloadSpec
+
+    @property
+    def event_budget(self) -> int:
+        """Events the run may execute before it aborts as a livelock.
+
+        An explicit ``max_events`` is the total, fed events included.
+        The default leaves ``DEFAULT_MAX_EVENTS`` to the events the run
+        makes itself: it adds one event for each client action the
+        workload feeds, at least as many as the instants fed."""
+        if self.max_events is not None:
+            return self.max_events
+        return DEFAULT_MAX_EVENTS + self.workload.client_actions
 
 
 def load_scenario(path: str | Path, seed_override: int | None = None) -> Scenario:
@@ -156,10 +170,11 @@ def load_scenario(path: str | Path, seed_override: int | None = None) -> Scenari
     if default_latency < 0:
         raise ScenarioError(f"network.latency_ms must be non-negative: {default_latency}")
     window_ms = _parse_int(net.get("window_ms", "1000"), "network.window_ms")
-    max_events = _parse_int(net.get("max_events", str(DEFAULT_MAX_EVENTS)),
-                            "network.max_events")
+    max_events = None
+    if "max_events" in net:
+        max_events = _parse_int(net["max_events"], "network.max_events")
     for key, value in (("window_ms", window_ms), ("max_events", max_events)):
-        if value <= 0:
+        if value is not None and value <= 0:
             raise ScenarioError(f"network.{key} must be positive: {value}")
     partitions: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for line in net.get("partitions", "").splitlines():

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .bounds import Bound, ContainerId, ContainerState, Trigger, Update
+from .bounds import UPDATE_OVERHEAD_BYTES, Bound, ContainerId, ContainerState, Trigger, Update
 from .cache import PendingCache
 
 # Fixed batch header charged once per batch, one fixed-width field each:
@@ -36,7 +36,12 @@ class Batch:
     @classmethod
     def build(cls, updates: list[Update], source: int, destination: int,
               created_ms: int, trigger: Trigger) -> Batch:
-        total = BATCH_HEADER_BYTES + sum(u.size_bytes for u in updates)
+        # The header plus every update's ``size_bytes``, with the
+        # property inlined: this runs once per update shipped, and on
+        # ``mesh``'s batches it adds a tenth of what summing the
+        # property would over a stored size.
+        total = (BATCH_HEADER_BYTES + UPDATE_OVERHEAD_BYTES * len(updates)
+                 + sum([len(u.key.encode("utf-8")) + len(u.value) for u in updates]))
         return cls(tuple(updates), source, destination, created_ms, trigger, total)
 
 

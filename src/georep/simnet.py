@@ -3,7 +3,10 @@
 Events execute in (timestamp, insertion order); the clock never moves
 backward.  A long scripted event stream need not be queued up front: it
 can be fed to the loop lazily, one event at a time, and each fed event
-runs before every queued event at the same instant.
+runs before every queued event at the same instant.  The loop pulls the
+next fed event only after the current one has run, so a fed event may
+consume the state its feed shares with it (an instant's ops, generated
+as they are applied) and nothing later in the feed exists before then.
 
 Links have a fixed latency and a list of scheduled outage windows.  A
 batch submitted while its link is down is not lost: delivery is retried
@@ -113,20 +116,21 @@ class SimNet:
         final clock.
 
         ``feed`` yields (instant, callback) events in nondecreasing time
-        order.  They are pulled one at a time, and each runs before every
-        queued event at its instant.  Aborts with a diagnostic once the
-        cumulative event count, fed events included, passes the
-        configured budget, which catches self-perpetuating loops.
+        order.  They are pulled one at a time, each only after the fed
+        event before it has run, and each runs before every queued event
+        at its instant.  Aborts with a diagnostic once the cumulative
+        event count, fed events included, passes the configured budget,
+        which catches self-perpetuating loops.
         """
         queue = self._queue
         feed = iter(feed)
         head = next(feed, None)
         while True:
-            if head is not None and (not queue or head[0] <= queue[0][0]):
+            fed = head is not None and (not queue or head[0] <= queue[0][0])
+            if fed:
                 at_ms, fn = head
                 if at_ms < self.now:
                     raise ValueError(f"fed event at {at_ms}, clock is at {self.now}")
-                head = next(feed, None)
             elif queue:
                 at_ms, _, fn = heapq.heappop(queue)
             else:
@@ -138,3 +142,5 @@ class SimNet:
                     f"event budget of {self.max_events} exceeded at t={self.now}ms; "
                     f"{len(queue)} events still queued")
             fn()
+            if fed:
+                head = next(feed, None)

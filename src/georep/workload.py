@@ -137,6 +137,14 @@ class WorkloadSpec:
             return self.block_script.total_updates
         return math.floor(self.operations * self.write_fraction)
 
+    @property
+    def client_actions(self) -> int:
+        """Number of client actions the stream holds: one per op, or one
+        per scripted write group."""
+        if self.block_script is not None:
+            return self.block_script.count
+        return self.operations
+
 
 def _require_positive(spec, *names: str) -> None:
     for name in names:

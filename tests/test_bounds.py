@@ -102,6 +102,12 @@ class TestUpdate:
         # The key counts in UTF-8 bytes, not characters.
         assert make_update(key="é", value=b"").size_bytes == 2 + UPDATE_OVERHEAD_BYTES
 
+    def test_size_is_derived_not_stored(self):
+        assert "size_bytes" not in Update.__slots__
+        u = make_update(key="abc", value=b"x")
+        u.value = b"x" * 10
+        assert u.size_bytes == 3 + 10 + UPDATE_OVERHEAD_BYTES
+
     def test_numeric_payloads_parse(self):
         assert make_update(value=b"12.5").numeric == 12.5
         assert make_update(value=b"-3").numeric == -3.0

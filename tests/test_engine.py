@@ -5,11 +5,15 @@ from unittest import mock
 
 import pytest
 
+import georep.engine
+import georep.scenario
+from georep.cluster import ClusterNode
 from georep.engine import Simulation
 from georep.errors import LivelockError
 from georep.metrics import read_csv
 from georep.scenario import load_scenario
 from georep.shipping import BATCH_HEADER_BYTES, Trigger
+from georep.workload import generate
 
 
 def write_and_load(tmp_path, text, name="case.ini"):
@@ -272,6 +276,77 @@ seed = 3
     path.write_text(scenario_text, encoding="utf-8")
     with pytest.raises(LivelockError):
         Simulation(load_scenario(path)).run()
+
+
+ONE_INSTANT_OR_ONE_MS = """\
+[topology]
+clusters = 1 2
+links = 1>2
+
+[bounds]
+default = 0 {pending} 0
+
+[workload]
+operations = 2000
+write_fraction = 1.0
+distribution = uniform
+keyspace = 100
+value_bytes = 10
+burst_ops = {burst_ops}
+seed = 7
+"""
+
+
+class TestDefaultEventBudget:
+    """Without ``max_events`` the budget is the default plus one event
+    per client action, so fed ops never spend what the default leaves
+    for the run's own events."""
+
+    @pytest.fixture(autouse=True)
+    def small_default(self, monkeypatch):
+        monkeypatch.setattr(georep.scenario, "DEFAULT_MAX_EVENTS", 100)
+
+    def test_healthy_run_past_the_default_completes(self, tmp_path):
+        # 2000 fed instants and 40 deliveries: past 100, within 100 + 2000.
+        sim = Simulation(write_and_load(
+            tmp_path, ONE_INSTANT_OR_ONE_MS.format(pending=50, burst_ops=1)))
+        assert sim.net.max_events == 100 + 2000
+        assert sim.run().summary["operations"] == 2000
+
+    def test_the_runs_own_events_still_spend_the_default(self, tmp_path):
+        # One batch per write: 2000 deliveries against the 100 left.
+        scenario = write_and_load(tmp_path, ONE_INSTANT_OR_ONE_MS.format(pending=0, burst_ops=1))
+        with pytest.raises(LivelockError):
+            Simulation(scenario).run()
+
+
+def test_no_op_is_generated_before_it_runs(tmp_path, monkeypatch):
+    """An instant's ops are generated as they are applied: at each put,
+    at most the op being applied has been pulled beyond those applied."""
+    pulled = applied = 0
+    ahead = []
+
+    def counting_generate(spec):
+        nonlocal pulled
+        for item in generate(spec):
+            pulled += 1
+            yield item
+
+    original_put = ClusterNode.put
+
+    def counting_put(self, *args):
+        nonlocal applied
+        ahead.append(pulled - applied)
+        result = original_put(self, *args)
+        applied += 1
+        return result
+
+    monkeypatch.setattr(georep.engine, "generate", counting_generate)
+    monkeypatch.setattr(ClusterNode, "put", counting_put)
+    scenario = write_and_load(tmp_path, ONE_INSTANT_OR_ONE_MS.format(pending=50, burst_ops=2000))
+    assert Simulation(scenario).run().summary["final_ms"] == 10
+    assert len(ahead) == 2000
+    assert max(ahead) <= 1, max(ahead)
 
 
 TIMER_CASE = """\

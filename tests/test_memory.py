@@ -63,9 +63,32 @@ class TestRunLength:
         short, long = (traced_peak(tmp_path, ops, False) for ops in (N, 4 * N))
         assert long - short < 2 * 3 * N, (short, long)
 
-    def test_peak_grows_with_records_kept(self, tmp_path):
-        short, long = (traced_peak(tmp_path, ops, True) for ops in (N, 4 * N))
+    @pytest.fixture(scope="class")
+    def kept_peaks(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("kept")
+        return tuple(traced_peak(tmp_path, ops, True) for ops in (N, 4 * N))
+
+    def test_peak_grows_with_records_kept(self, kept_peaks):
+        short, long = kept_peaks
         assert long >= 3.5 * short, (short, long)
+
+    def test_a_kept_update_costs_its_own_fields_only(self, kept_peaks):
+        # Each extra op keeps its update, value, share of a batch and
+        # of a batch record; a second key string per update would push
+        # past this.
+        short, long = kept_peaks
+        assert (long - short) / (3 * N) <= 330, (short, long)
+
+
+def test_one_origin_keys_are_one_object_per_cell(tmp_path):
+    path = tmp_path / "one-link.ini"
+    path.write_text(ONE_LINK.format(operations=N), encoding="utf-8")
+    sim = Simulation(load_scenario(path), keep_batches=False)
+    sim.run()
+    for node in sim.clusters.values():
+        cells = [(key, cell) for by_key in node.store.values() for key, cell in by_key.items()]
+        assert len(cells) == 100
+        assert all(key is cell.key for key, cell in cells)
 
 
 @pytest.mark.parametrize("name", ["ring-partition", "blocks-mixed",

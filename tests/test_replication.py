@@ -90,7 +90,8 @@ class TestOffer:
 
     def test_batch_total_bytes_accounts_header(self):
         src = source_with(Bound(pending=2))
-        u1, u2 = make_update(key="k1"), make_update(key="k2")
+        # A non-ASCII key counts in UTF-8 bytes here as in size_bytes.
+        u1, u2 = make_update(key="k1"), make_update(key="ké", value=b"xyz")
         src.offer(u1, now=0)
         batch = src.offer(u2, now=1)
         assert batch.total_bytes == BATCH_HEADER_BYTES + u1.size_bytes + u2.size_bytes

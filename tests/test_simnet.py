@@ -133,6 +133,18 @@ class TestEventLoop:
         assert net.run_until_quiescent(feed()) == 12
         assert order == ["fed@5", "queued@5", "fed@7", "queued@7", "queued@10", "fed@12"]
 
+    def test_feed_is_pulled_only_after_the_fed_event_before_ran(self):
+        net = SimNet()
+        log = []
+
+        def feed():
+            for n, at_ms in enumerate((0, 0, 5), start=1):
+                log.append(f"pull {n}")
+                yield at_ms, lambda n=n: log.append(f"run {n}")
+
+        assert net.run_until_quiescent(feed()) == 5
+        assert log == ["pull 1", "run 1", "pull 2", "run 2", "pull 3", "run 3"]
+
     def test_fed_events_count_against_the_budget(self):
         net = SimNet(max_events=10)
         with pytest.raises(LivelockError):
