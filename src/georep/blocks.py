@@ -13,14 +13,16 @@ peers as one group when the block closes:
   close itself may cause.  If a member container replicates
   immediately (all-inactive bound), the group ships at close.
 
-Blocks do not nest and a session holds at most one open block.
+Blocks do not nest and a session holds at most one open block.  A block
+is one ``Group`` that all its members share; the close sets its
+``containers`` before any peer sees a member.
 """
 
 from __future__ import annotations
 
 import enum
 
-from .bounds import ContainerId, Update
+from .bounds import ContainerId, Group, Update
 from .cluster import ClusterNode
 from .errors import ProtocolError
 
@@ -37,20 +39,19 @@ class ClientSession:
 
     def __init__(self, cluster: ClusterNode) -> None:
         self.cluster = cluster
-        # The open block as (id, mode, members written so far), or None.
-        self._block: tuple[int, BlockMode, list[Update]] | None = None
+        # The open block as (group, mode, members written so far), or None.
+        self._block: tuple[Group, BlockMode, list[Update]] | None = None
 
     @property
     def in_block(self) -> bool:
         return self._block is not None
 
-    def start_block(self, mode: BlockMode) -> int:
-        """Open a write group; returns its id.  Groups do not nest."""
+    def start_block(self, mode: BlockMode) -> Group:
+        """Open a write group and return it.  Groups do not nest."""
         if self._block is not None:
-            raise ProtocolError(f"block {self._block[0]} already open on this session")
-        block_id = self.cluster.next_block_id()
-        self._block = (block_id, mode, [])
-        return block_id
+            raise ProtocolError("a block is already open on this session")
+        self._block = (Group(), mode, [])
+        return self._block[0]
 
     def put(self, cid: ContainerId, key: str, value: bytes) -> Update:
         """Write one cell.
@@ -69,9 +70,10 @@ class ClientSession:
         """Close the open group and hand it to replication whole."""
         if self._block is None:
             raise ProtocolError("no block open on this session")
-        _, mode, updates = self._block
+        group, mode, updates = self._block
         self._block = None
         if updates:
+            group.containers = tuple({u.container: None for u in updates})
             self.cluster.offer_group(updates, immediate=(mode is BlockMode.IMMEDIATE))
 
     def read(self, cid: ContainerId, key: str) -> bytes | None:

@@ -124,13 +124,27 @@ IMMEDIATE = Bound()
 _UNPARSED = object()
 
 
+class Group:
+    """One client write group: every member's ``block`` is this object,
+    at every replica and hop.  ``containers`` lists the containers the
+    members write, in first-write order, set when the group closes.
+    Groups hash by identity, that is by memory address, so they are kept
+    in insertion-ordered dicts, never in sets, or runs would differ."""
+
+    __slots__ = ("containers",)
+
+    def __init__(self, containers: tuple[ContainerId, ...] = ()) -> None:
+        self.containers = containers
+
+
 @dataclass(slots=True, init=False)
 class Update:
     """One edit as carried through caches, batches and the wire, and as
     held in every replica's store once applied.
 
     An update keeps only its own fields: its accounted ``size_bytes`` is
-    derived from the key and value each time it is read, not stored."""
+    derived from the key and value each time it is read, not stored.
+    ``block`` is the ``Group`` the update was written in, or None."""
 
     container: ContainerId
     key: str
@@ -138,11 +152,11 @@ class Update:
     wall_ms: int
     origin: int
     seq: int
-    block: int | None
+    block: Group | None
     _numeric: object = field(repr=False, compare=False)
 
     def __init__(self, container: ContainerId, key: str, value: bytes, wall_ms: int,
-                 origin: int, seq: int, block: int | None = None) -> None:
+                 origin: int, seq: int, block: Group | None = None) -> None:
         self.container, self.key, self.value = container, key, value
         self.wall_ms, self.origin, self.seq = wall_ms, origin, seq
         self.block, self._numeric = block, _UNPARSED

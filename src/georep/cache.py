@@ -4,24 +4,20 @@ The cache keeps one map of container states: each ``ContainerState``
 holds its container's queue, in arrival order, next to its bound.
 Draining a container takes its whole queue at once, and additionally
 pulls in every update belonging to any atomic group (block) that has a
-member in that queue, wherever those siblings live, so a group never
-ships partially split across batches.  A drain marks each container it
-takes from as shipped.  Due-ness ordering across containers is the
-shipping layer's job: it drains a container the moment its bound trips,
-and the periodic timer visits overdue containers in ``table:family``
-text order.
+member in that queue, so a group never ships partially split across
+batches; the ``Group`` a member names lists the only containers to look
+in.  A drain marks each container it takes from as shipped.  Due-ness
+ordering across containers is the shipping layer's job: it drains a
+container the moment its bound trips, and the periodic timer visits
+overdue containers in ``table:family`` text order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .bounds import IMMEDIATE, Bound, ContainerId, ContainerState, SeqWindow, Update
+from .bounds import IMMEDIATE, Bound, ContainerId, ContainerState, Group, SeqWindow, Update
 from .errors import ProtocolError
-
-# Blocks are numbered per origin cluster, so the globally unique group
-# key is the pair (origin, block).
-BlockKey = tuple[int, int]
 
 
 @dataclass(slots=True)
@@ -47,11 +43,9 @@ class PendingCache:
     origin: int
     bounds: dict[ContainerId, Bound] = field(default_factory=dict)
     default_bound: Bound = IMMEDIATE
-    containers: dict[ContainerId, ContainerState] = field(default_factory=dict)
-    # A block's containers in arrival order; a set's would follow the hash seed.
-    block_index: dict[BlockKey, dict[ContainerId, None]] = field(default_factory=dict)
-    total_pending_count: int = 0
-    _seen: SeqWindow = field(default_factory=SeqWindow)
+    containers: dict[ContainerId, ContainerState] = field(default_factory=dict, init=False)
+    total_pending_count: int = field(default=0, init=False)
+    _seen: SeqWindow = field(default_factory=SeqWindow, init=False)
 
     def enqueue(self, update: Update) -> ContainerState:
         """Append an update to its container's queue and return the
@@ -69,12 +63,6 @@ class PendingCache:
             state = self.containers[cid] = ContainerState(self.bounds.get(cid, self.default_bound))
         state.queue.append(update)
         self.total_pending_count += 1
-        if update.block is not None:
-            bkey = (update.origin, update.block)
-            members = self.block_index.get(bkey)
-            if members is None:
-                members = self.block_index[bkey] = {}
-            members[cid] = None
         return state
 
     def peaks(self) -> dict[ContainerId, int]:
@@ -88,7 +76,7 @@ class PendingCache:
 
     def drain(self, cids: list[ContainerId], now: int) -> list[Update]:
         """Remove and return every update queued for the given containers,
-        plus the complete membership of any block touched by them, and
+        plus the complete membership of any group touched by them, and
         mark each container taken from as shipped at ``now``.
 
         Within each container the returned updates keep arrival order.
@@ -96,40 +84,36 @@ class PendingCache:
         a repeated id adds nothing: its queue is already taken.
         """
         taken: list[Update] = []
-        blocks: list[BlockKey] = []
+        touched: dict[Group, None] = {}
         for cid in cids:
-            taken.extend(self._take_queue(cid, now, blocks))
-        if blocks:
-            # Pull the sibling members of every touched block from the
-            # containers not drained outright, each container's members
-            # in its arrival order.  Newly discovered blocks cannot
-            # appear: only members of already-listed blocks are removed.
-            touched = dict.fromkeys(blocks)
-            siblings: dict[ContainerId, None] = {}
-            for bkey in touched:
-                for cid in self.block_index.pop(bkey, ()):
-                    if cid not in cids:
-                        siblings[cid] = None
+            taken.extend(self._take_queue(cid, now, touched))
+        if touched:
+            # Pull the sibling members of every touched group from the
+            # containers it writes that were not drained outright, each
+            # container's members in its arrival order.  Newly touched
+            # groups cannot appear: only members of listed groups leave.
+            siblings = {cid: None for g in touched for cid in g.containers
+                        if cid not in cids and cid in self.containers}
             for cid in siblings:
                 taken.extend(self._take_block_members(cid, now, touched))
         return taken
 
-    def _take_queue(self, cid: ContainerId, now: int, blocks: list[BlockKey]) -> list[Update]:
+    def _take_queue(self, cid: ContainerId, now: int, touched: dict[Group, None]) -> list[Update]:
         state = self.containers.get(cid)
         if state is None or not state.queue:
             return []
         for u in state.queue:
             if u.block is not None:
-                blocks.append((u.origin, u.block))
+                touched[u.block] = None
         return self._take(state, now, state.queue, [])
 
     def _take_block_members(self, cid: ContainerId, now: int,
-                            bkeys: dict[BlockKey, None]) -> list[Update]:
+                            touched: dict[Group, None]) -> list[Update]:
         state = self.containers[cid]
         members: list[Update] = []
         remaining: list[Update] = []
         for u in state.queue:
-            if u.block is not None and (u.origin, u.block) in bkeys:
+            if u.block in touched:
                 members.append(u)
             else:
                 remaining.append(u)

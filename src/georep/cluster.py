@@ -19,9 +19,10 @@ ties break toward the larger origin id, and one origin's writes within a
 millisecond keep their program order, so every replica resolves
 conflicts identically.  Updates applied from a remote batch are offered
 onward to the cluster's other peers with their original origin intact,
-so loops of any length stay echo-free.  The onward hop is held by the
-relay's own bound for the container, and staleness still counts from
-the origin's ``wall_ms``.
+so loops of any length stay echo-free; fresh members that share a
+``Group`` go onward as one group.  The onward hop is held by the relay's
+own bound for the container; staleness counts from the origin's
+``wall_ms``.
 
 Redelivery is harmless: a ``SeqWindow`` remembers the ``(origin, seq)``
 of every update applied from a remote batch as one floor per origin
@@ -44,7 +45,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Callable
 
-from .bounds import Bound, ContainerId, SeqWindow, Update
+from .bounds import Bound, ContainerId, Group, SeqWindow, Update
 from .errors import ProtocolError
 from .shipping import Batch, ReplicationSource
 
@@ -85,14 +86,13 @@ class ClusterNode:
             for peer in sorted(peers)
         }
         self._applied = SeqWindow()
-        self._next_block = 0
         # Running sum of every apply_remote report.
         self.tally = ApplyReport()
 
     # -- local write path ----------------------------------------------
 
     def local_put(self, cid: ContainerId, key: str, value: bytes,
-                  block: int | None = None) -> Update:
+                  block: Group | None = None) -> Update:
         """Durably apply one local write; the caller decides when it is
         offered for replication (immediately, or on group close)."""
         self.last_seq += 1
@@ -128,10 +128,6 @@ class ClusterNode:
         for source in self.sources.values():
             offer = source.ship_group_now if immediate else source.offer_group
             offer(updates, now)
-
-    def next_block_id(self) -> int:
-        self._next_block += 1
-        return self._next_block
 
     # -- remote apply path ----------------------------------------------
 
@@ -187,12 +183,12 @@ class ClusterNode:
     def _relay(self, updates: list[Update], exclude_peer: int) -> None:
         now = self.now_fn()
         singles: list[Update] = []
-        groups: dict[tuple[int, int], list[Update]] = {}
+        groups: dict[Group, list[Update]] = {}
         for u in updates:
             if u.block is None:
                 singles.append(u)
             else:
-                groups.setdefault((u.origin, u.block), []).append(u)
+                groups.setdefault(u.block, []).append(u)
         for peer, source in self.sources.items():
             if peer == exclude_peer:
                 continue

@@ -113,6 +113,8 @@ class WorkloadSpec:
     def __post_init__(self) -> None:
         _require_positive(self, "operations", "keyspace", "value_bytes", "burst_ops",
                           "burst_spacing_ms")
+        if self.value_bytes > 2**32 - 1:
+            raise ScenarioError(f"value_bytes must fit the u32 value length: {self.value_bytes}")
         if not 0.0 <= self.write_fraction <= 1.0:
             raise ScenarioError(f"write_fraction must be in [0, 1]: {self.write_fraction}")
         if self.distribution not in ("zipfian", "uniform"):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from georep.bounds import ContainerId, Update
+from georep.bounds import ContainerId, Group, Update
 from georep.engine import run_scenario
 from georep.scenario import load_scenario
 
@@ -22,6 +22,12 @@ def make_update(key="k", value=b"v", wall_ms=0, origin=1, seq=None,
         seq = _counter[0]
     return Update(container=container, key=key, value=value, wall_ms=wall_ms,
                   origin=origin, seq=seq, block=block)
+
+
+def make_group(*containers):
+    """A closed write group over ``containers``, given in first-write
+    order; its members are the updates built with ``block=`` it."""
+    return Group(tuple(containers))
 
 
 @pytest.fixture

@@ -1,12 +1,19 @@
 """Client sessions and atomically replicated write groups."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from georep.blocks import BlockMode, ClientSession
-from georep.bounds import Bound, ContainerId
+from georep.bounds import Bound, ContainerId, Group
 from georep.cluster import ClusterNode
 from georep.errors import ProtocolError
 from georep.shipping import Trigger
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 ORDERS = ContainerId("orders", "acct")
 PAYMENTS = ContainerId("payments", "acct")
@@ -20,14 +27,17 @@ def session_with(bounds=None, default_bound=Bound(), shipped=None):
 
 class TestLifecycle:
     def test_start_returns_fresh_id_and_marks_open(self):
+        # A block's identity is its Group; it lists no containers until
+        # it closes.
         session, _ = session_with()
-        block_id = session.start_block(BlockMode.IMMEDIATE)
-        assert block_id >= 1
+        group = session.start_block(BlockMode.IMMEDIATE)
+        assert type(group) is Group and group.containers == ()
         assert session.in_block
 
     def test_any_mode_opens_too(self):
         session, _ = session_with()
-        assert session.start_block(BlockMode.ANY) >= 1
+        assert type(session.start_block(BlockMode.ANY)) is Group
+        assert session.in_block
 
     def test_nested_start_rejected(self):
         session, _ = session_with()
@@ -45,7 +55,31 @@ class TestLifecycle:
         first = session.start_block(BlockMode.ANY)
         session.end_block()
         second = session.start_block(BlockMode.ANY)
-        assert second != first
+        assert second is not first
+
+    def test_groups_are_distinct_across_a_clusters_sessions(self):
+        node = ClusterNode(1, [2])
+        sessions = [ClientSession(node), ClientSession(node)]
+        groups = []
+        for _ in range(5):
+            for session in sessions:
+                groups.append(session.start_block(BlockMode.ANY))
+                session.end_block()
+        assert len({id(g) for g in groups}) == 10
+
+    def test_close_sets_the_containers_before_any_peer_sees_a_member(self):
+        # The containers are listed once each, in first-write order.
+        seen = []
+        node = ClusterNode(1, [2], default_bound=Bound(),
+                           on_ship=lambda batch: seen.append(batch.updates[0].block.containers))
+        session = ClientSession(node)
+        group = session.start_block(BlockMode.IMMEDIATE)
+        for cid in (PAYMENTS, ORDERS, PAYMENTS):
+            session.put(cid, "k", b"v")
+        assert group.containers == () and seen == []
+        session.end_block()
+        assert seen == [(PAYMENTS, ORDERS)]
+        assert group.containers == (PAYMENTS, ORDERS)
 
 
 class TestPutSemantics:
@@ -67,9 +101,9 @@ class TestPutSemantics:
 
     def test_put_inside_block_carries_block_id(self):
         session, node = session_with(default_bound=Bound(pending=100))
-        block_id = session.start_block(BlockMode.ANY)
+        group = session.start_block(BlockMode.ANY)
         session.put(ORDERS, "k", b"v")
-        assert node.store[ORDERS]["k"].block == block_id
+        assert node.store[ORDERS]["k"].block is group
 
 
 class TestImmediateBlocks:
@@ -177,3 +211,61 @@ def test_writes_after_block_follow_the_plain_path():
     session.put(ORDERS, "later", b"2")
     assert len(shipped) == 1
     assert shipped[0].updates[0].block is None
+
+
+# A 1>2>3 chain whose groups write three containers under three kinds of
+# bound.  Cluster 2 relays the groups, and its ticks of the lag-bounded
+# c:f pull the members a group left in a:f and b:f.
+CHAIN = """\
+[topology]
+clusters = 1 2 3
+links = 1>2 2>3
+
+[network]
+latency_ms = 10
+
+[bounds]
+default = 0 0 0
+a:f = 0 100 0
+b:f = 0 100 0
+c:f = 20 0 0
+tick_ms = 10
+
+[workload]
+seed = 7
+value_bytes = 20
+
+[blocks]
+count = 300
+puts_per_block = 4
+pattern = IMMEDIATE ANY ANY
+containers = a:f b:f c:f
+"""
+
+# Prints one line per batch: link, trigger, times and its updates.
+PRINT_BATCHES = """\
+import sys
+from georep import Simulation, load_scenario
+for record in Simulation(load_scenario(sys.argv[1])).run().batches:
+    b = record.batch
+    print(b.source, b.destination, b.trigger.name, b.created_ms, record.delivered_ms,
+          b.total_bytes, [(u.origin, u.seq, u.container) for u in b.updates])
+"""
+
+
+def test_a_block_chain_ships_the_same_batches_in_two_processes(tmp_path):
+    # Groups hash by identity, which follows memory addresses; no run
+    # may depend on it, nor on the string hash seed.
+    path = tmp_path / "chain.ini"
+    path.write_text(CHAIN, encoding="utf-8")
+    runs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", PRINT_BATCHES, str(path)], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        runs.append(proc.stdout)
+    assert runs[0] == runs[1]
+    cuts = {tuple(line.split()[:3]) for line in runs[0].splitlines()}
+    assert cuts >= {("1", "2", "IMMEDIATE_BLOCK"), ("2", "3", "ANY_BLOCK"), ("2", "3", "TIME")}

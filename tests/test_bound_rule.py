@@ -11,7 +11,6 @@ counts must equal the cache's ``pending_count`` for each container
 under a pending limit.
 """
 
-from itertools import count
 from unittest import mock
 
 from hypothesis import given, settings
@@ -20,7 +19,7 @@ from hypothesis import strategies as st
 from georep.bounds import Bound, ContainerId, ContainerState
 from georep.shipping import ReplicationSource, Trigger
 
-from conftest import make_update
+from conftest import make_group, make_update
 
 A = ContainerId("a", "fam")
 B = ContainerId("b", "fam")
@@ -137,14 +136,13 @@ def test_offer_group_follows_the_model_and_counts_every_member(bound_a, bound_b,
     when any member trips, and every member is evaluated, also those
     after the first that trips."""
     src, model = source_and_model(bound_a, bound_b, default)
-    blocks = count(1)
     now = 0
     got, want = [], []
     with mock.patch.object(ContainerState, "should_ship", autospec=True,
                            side_effect=ContainerState.should_ship) as rule:
         for index, members in enumerate(ops):
             now += members[0][3]
-            block = next(blocks) if len(members) > 1 else None
+            block = make_group(*dict.fromkeys(m[0] for m in members)) if len(members) > 1 else None
             updates = [make_update(container=cid, key=key, value=value, block=block)
                        for cid, key, (value, _), _ in members]
             calls = rule.call_count
@@ -174,8 +172,9 @@ def test_pulling_group_members_leaves_the_loose_updates_counted():
     larger than its pending limit."""
     bound = Bound(pending=3)
     src = ReplicationSource(source=1, peer=2, bounds={A: bound, B: bound})
-    assert src.offer_group([make_update(container=A, block=1),
-                            make_update(container=B, block=1)], now=0) is None
+    group = make_group(A, B)
+    assert src.offer_group([make_update(container=A, block=group),
+                            make_update(container=B, block=group)], now=0) is None
     assert src.offer(make_update(container=B, key="loose1"), now=0) is None
     assert src.offer(make_update(container=A), now=0) is None
     tripped = src.offer(make_update(container=A), now=0)

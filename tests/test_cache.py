@@ -1,5 +1,7 @@
 """Pending-update cache: queuing, block closure, conservation."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,10 +10,11 @@ from georep.bounds import ContainerId
 from georep.cache import PendingCache
 from georep.errors import ProtocolError
 
-from conftest import make_update
+from conftest import make_group, make_update
 
 A = ContainerId("a", "fam")
 B = ContainerId("b", "fam")
+C = ContainerId("c", "fam")
 
 
 def test_enqueue_tracks_bytes_and_length():
@@ -33,11 +36,37 @@ def test_same_key_retained_in_arrival_order():
     assert cache.drain([A], now=0) == [first, second]
 
 
-def test_block_membership_indexed():
+def test_drain_visits_only_the_containers_its_groups_list():
+    # C holds a loose update and is no group's container: a drain of A
+    # pulls the group's member from B and never looks in C.
     cache = PendingCache(origin=1)
-    u = make_update(container=A, block=9)
-    cache.enqueue(u)
-    assert cache.block_index[(u.origin, 9)] == {A: None}
+    group = make_group(A, B)
+    for u in (make_update(container=A, key="x", block=group),
+              make_update(container=B, key="y", block=group),
+              make_update(container=C, key="z")):
+        cache.enqueue(u)
+    with mock.patch.object(PendingCache, "_take_block_members", autospec=True,
+                           side_effect=PendingCache._take_block_members) as pull:
+        assert [u.key for u in cache.drain([A], now=0)] == ["x", "y"]
+    assert [call.args[1] for call in pull.call_args_list] == [B]
+    assert [u.key for u in cache.containers[C].queue] == ["z"]
+
+
+def test_a_group_container_the_cache_never_saw_is_skipped():
+    # At a relay a group may list containers whose members were stale
+    # there and never enqueued.
+    cache = PendingCache(origin=2)
+    group = make_group(A, B, C)
+    member = make_update(container=A, block=group, origin=1)
+    cache.enqueue(member)
+    assert cache.drain([A], now=0) == [member]
+    assert list(cache.containers) == [A]
+
+
+@pytest.mark.parametrize("name", ["containers", "total_pending_count", "_seen"])
+def test_internal_state_is_not_a_constructor_option(name):
+    with pytest.raises(TypeError, match=name):
+        PendingCache(origin=1, **{name: None})
 
 
 def test_duplicate_identity_rejected():
@@ -60,8 +89,9 @@ def test_drain_takes_whole_queue():
 def test_drain_pulls_block_siblings_from_other_containers():
     # A group never splits: draining one member container takes the rest.
     cache = PendingCache(origin=1)
-    in_a = make_update(container=A, key="x", block=5, origin=2)
-    in_b = make_update(container=B, key="y", block=5, origin=2)
+    group = make_group(A, B)
+    in_a = make_update(container=A, key="x", block=group, origin=2)
+    in_b = make_update(container=B, key="y", block=group, origin=2)
     loose = make_update(container=B, key="z", origin=2)
     for u in (in_a, in_b, loose):
         cache.enqueue(u)
@@ -72,10 +102,10 @@ def test_drain_pulls_block_siblings_from_other_containers():
 
 def test_repeated_id_drains_like_a_single_one():
     def filled():
-        cache = PendingCache(origin=2)
+        cache, group = PendingCache(origin=2), make_group(A, B)
         for u in (make_update(container=A, key="x", origin=1, seq=1),
-                  make_update(container=A, key="y", block=5, origin=1, seq=2),
-                  make_update(container=B, key="z", block=5, origin=1, seq=3),
+                  make_update(container=A, key="y", block=group, origin=1, seq=2),
+                  make_update(container=B, key="z", block=group, origin=1, seq=3),
                   make_update(container=B, key="w", origin=1, seq=4)):
             cache.enqueue(u)
         return cache
@@ -123,6 +153,8 @@ def test_peaks_match_the_length_after_every_enqueue(script):
     length after every enqueue, with block-member pulls from containers
     not drained."""
     cache = PendingCache(origin=1)
+    # Each group may write any of the three containers, so it lists all.
+    groups = {b: make_group(*(ContainerId(t, "fam") for t in "abc")) for b in (1, 2, 3)}
     model: dict[ContainerId, int] = {}
     seq = 0
     for step in script:
@@ -130,7 +162,7 @@ def test_peaks_match_the_length_after_every_enqueue(script):
             _, table, block = step
             cid = ContainerId(table, "fam")
             seq += 1
-            cache.enqueue(make_update(container=cid, block=block, origin=1, seq=seq))
+            cache.enqueue(make_update(container=cid, block=groups.get(block), origin=1, seq=seq))
             model[cid] = max(model.get(cid, 0), len(cache.containers[cid].queue))
         else:
             cache.drain([ContainerId(table, "fam") for table in step[1]], now=0)
@@ -175,26 +207,27 @@ def test_order_preserved_within_container():
 
 
 def test_no_partial_block_ever_drains():
-    cache = PendingCache(origin=1)
-    members = [make_update(container=[A, B][i % 2], key=f"m{i}", block=7, origin=4)
+    cache, group = PendingCache(origin=1), make_group(A, B)
+    members = [make_update(container=[A, B][i % 2], key=f"m{i}", block=group, origin=4)
                for i in range(6)]
     for u in members:
         cache.enqueue(u)
     out = cache.drain([B], now=0)
     assert len(out) == 6
     assert cache.total_pending_count == 0
-    assert not cache.block_index
+    assert [state.queue for state in cache.containers.values()] == [[], []]
 
 
 def test_members_pulled_from_one_container_keep_arrival_order():
     # B holds members of blocks 1 and 2, block 2's first; draining A
     # touches block 1 before block 2, yet B's members leave in B's order.
     cache = PendingCache(origin=1)
-    for u in [make_update(container=B, key="b2", block=2, origin=5, seq=1),
-              make_update(container=B, key="b1", block=1, origin=5, seq=2),
+    first, second = make_group(B, A), make_group(B, A)
+    for u in [make_update(container=B, key="b2", block=second, origin=5, seq=1),
+              make_update(container=B, key="b1", block=first, origin=5, seq=2),
               make_update(container=B, key="loose", origin=5, seq=3),
-              make_update(container=A, key="a1", block=1, origin=5, seq=4),
-              make_update(container=A, key="a2", block=2, origin=5, seq=5)]:
+              make_update(container=A, key="a1", block=first, origin=5, seq=4),
+              make_update(container=A, key="a2", block=second, origin=5, seq=5)]:
         cache.enqueue(u)
     out = cache.drain([A], now=0)
     assert [u.key for u in out] == ["a1", "a2", "b2", "b1"]

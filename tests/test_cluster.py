@@ -11,6 +11,8 @@ from georep.cluster import EMPTY_DIGEST, ApplyReport, ClusterNode
 from georep.errors import ProtocolError
 from georep.shipping import Batch, Trigger
 
+from conftest import make_group
+
 CID = ContainerId("usertable", "family")
 OTHER = ContainerId("other", "fam")
 
@@ -41,7 +43,7 @@ class TestLocalWrites:
     def test_store_holds_the_wal_entry_itself(self):
         node = make_node()
         node.put(CID, "k", b"v")
-        update = node.local_put(CID, "k", b"w", block=node.next_block_id())
+        update = node.local_put(CID, "k", b"w", block=make_group(CID))
         assert node.store[CID]["k"] is update
 
     def test_later_local_write_wins(self):
@@ -55,8 +57,8 @@ class TestLocalWrites:
     def test_wal_sequences_are_contiguous_from_one(self):
         node = make_node()
         updates = [node.put(CID, f"k{i}", b"v") for i in range(3)]
-        updates += [node.local_put(CID, f"b{i}", b"v", block=node.next_block_id())
-                    for i in range(2)]
+        group = make_group(CID)
+        updates += [node.local_put(CID, f"b{i}", b"v", block=group) for i in range(2)]
         assert [u.seq for u in updates] == [1, 2, 3, 4, 5]
         assert node.last_seq == 5
 
@@ -281,16 +283,39 @@ class TestRelay:
         shipped = []
         node = make_node(cluster_id=2, peers=[3], shipped=shipped,
                          default_bound=Bound())
+        group = make_group(CID)
         members = [
             Update(container=CID, key="a", value=b"1", wall_ms=5, origin=1,
-                   seq=1, block=8),
+                   seq=1, block=group),
             Update(container=CID, key="b", value=b"2", wall_ms=5, origin=1,
-                   seq=2, block=8),
+                   seq=2, block=group),
         ]
         node.apply_remote(remote_batch(members, 1, 2))
         assert len(shipped) == 1
         assert len(shipped[0].updates) == 2
         assert shipped[0].trigger is Trigger.ANY_BLOCK
+
+    def test_groups_of_two_origins_relay_as_two_whole_groups(self):
+        """Origins 1 and 2 each wrote their first group, across both
+        containers; a per-origin number would call both block 1.  Cluster
+        3 relays them in one batch from 2, and each goes on to 4 whole
+        and alone."""
+        shipped = []
+        node = make_node(cluster_id=3, peers=[2, 4], shipped=shipped,
+                         default_bound=Bound())
+        first, second = make_group(CID, OTHER), make_group(OTHER, CID)
+        members = [
+            Update(CID, "a", b"1", 5, 1, 1, block=first),
+            Update(OTHER, "b", b"2", 6, 2, 1, block=second),
+            Update(OTHER, "c", b"3", 5, 1, 2, block=first),
+            Update(CID, "d", b"4", 6, 2, 2, block=second),
+        ]
+        node.apply_remote(remote_batch(members, 2, 3))
+        assert [(b.destination, b.trigger) for b in shipped] == [(4, Trigger.ANY_BLOCK)] * 2
+        # Groups go in arrival order; a group's batch takes its
+        # containers in text order.
+        assert [[u.key for u in b.updates] for b in shipped] == [["c", "a"], ["b", "d"]]
+        assert [{u.block for u in b.updates} for b in shipped] == [{first}, {second}]
 
 
     def test_onward_hop_waits_under_the_relays_bound(self):
@@ -315,12 +340,6 @@ class TestRelay:
         assert len(onward) == 1
         assert (onward[0].destination, onward[0].trigger) == (3, Trigger.COUNT)
         assert [(u.origin, u.wall_ms) for u in onward[0].updates] == [(1, 0), (1, 1), (1, 2)]
-
-
-def test_block_ids_are_unique_per_cluster():
-    node = make_node()
-    ids = [node.next_block_id() for _ in range(10)]
-    assert len(set(ids)) == 10
 
 
 def test_three_cluster_chain_converges():

@@ -7,7 +7,7 @@ import pytest
 from georep.bounds import Bound, ContainerId, ContainerState
 from georep.shipping import BATCH_HEADER_BYTES, ReplicationSource, Trigger
 
-from conftest import make_update
+from conftest import make_group, make_update
 
 A = ContainerId("a", "fam")
 B = ContainerId("b", "fam")
@@ -143,7 +143,8 @@ class TestTick:
         # Draining A pulls B's member and empties B's queue before the
         # loop reaches B, which must then ship nothing.
         src = source_with(Bound(), mode="plain")
-        members = [make_update(container=cid, key=f"m{cid}", block=4) for cid in (A, B)]
+        group = make_group(A, B)
+        members = [make_update(container=cid, key=f"m{cid}", block=group) for cid in (A, B)]
         assert src.offer_group(members, now=0) is None
         batches = src.tick(now=100)
         assert [[u.key for u in b.updates] for b in batches] == [[f"m{A}", f"m{B}"]]
@@ -165,7 +166,8 @@ class TestFinalDrain:
     def test_pending_group_ships_whole(self):
         # Draining A pulls B's members, so B ships no second, empty batch.
         src = source_with(Bound(pending=100))
-        members = [make_update(container=[A, B][i % 2], key=f"m{i}", block=4)
+        group = make_group(A, B)
+        members = [make_update(container=[A, B][i % 2], key=f"m{i}", block=group)
                    for i in range(4)]
         assert src.offer_group(members, now=0) is None
         batches = src.final_drain(now=10)
@@ -175,13 +177,15 @@ class TestFinalDrain:
 class TestGroups:
     def test_group_below_bounds_held(self):
         src = source_with(Bound(pending=10))
-        members = [make_update(container=A, key=f"m{i}", block=1) for i in range(3)]
+        group = make_group(A)
+        members = [make_update(container=A, key=f"m{i}", block=group) for i in range(3)]
         assert src.offer_group(members, now=0) is None
         assert src.cache.total_pending_count == 3
 
     def test_group_ships_when_a_member_trips(self):
         src = source_with(Bound(pending=3))
-        members = [make_update(container=A, key=f"m{i}", block=1) for i in range(3)]
+        group = make_group(A)
+        members = [make_update(container=A, key=f"m{i}", block=group) for i in range(3)]
         batch = src.offer_group(members, now=0)
         assert batch is not None
         assert len(batch.updates) == 3
@@ -191,7 +195,8 @@ class TestGroups:
         # Every member is enqueued and counted before any shipping choice,
         # so the batch holds the whole group even if an early member trips.
         src = source_with(Bound(pending=2))
-        members = [make_update(container=A, key=f"m{i}", block=1) for i in range(5)]
+        group = make_group(A)
+        members = [make_update(container=A, key=f"m{i}", block=group) for i in range(5)]
         batch = src.offer_group(members, now=0)
         assert batch is not None
         assert len(batch.updates) == 5
@@ -199,9 +204,10 @@ class TestGroups:
     def test_group_evaluates_members_after_the_first_trip(self):
         src = source_with(Bound(pending=2))
         src.offer(make_update(container=A, key="warm"), now=0)
-        members = [make_update(container=A, key="x", block=1),
-                   make_update(container=B, key="y", block=1),
-                   make_update(container=C, key="z", block=1)]
+        group = make_group(A, B, C)
+        members = [make_update(container=A, key="x", block=group),
+                   make_update(container=B, key="y", block=group),
+                   make_update(container=C, key="z", block=group)]
         with mock.patch.object(ContainerState, "should_ship", autospec=True,
                                side_effect=ContainerState.should_ship) as rule:
             batch = src.offer_group(members, now=5)
@@ -212,8 +218,9 @@ class TestGroups:
 
     def test_immediate_group_ships_at_once(self):
         src = source_with(Bound(pending=10**6))
-        members = [make_update(container=A, key="x", block=2),
-                   make_update(container=B, key="y", block=2)]
+        group = make_group(A, B)
+        members = [make_update(container=A, key="x", block=group),
+                   make_update(container=B, key="y", block=group)]
         batch = src.ship_group_now(members, now=5)
         assert batch is not None
         assert batch.trigger is Trigger.IMMEDIATE_BLOCK
@@ -222,15 +229,16 @@ class TestGroups:
     def test_group_shipment_resets_all_involved_counters(self):
         src = source_with(Bound(pending=10))
         src.offer(make_update(container=A, key="warm"), now=0)
-        members = [make_update(container=A, key="x", block=2),
-                   make_update(container=B, key="y", block=2)]
+        group = make_group(A, B)
+        members = [make_update(container=A, key="x", block=group),
+                   make_update(container=B, key="y", block=group)]
         src.ship_group_now(members, now=5)
         assert src.cache.pending_count(A) == 0
         assert src.cache.pending_count(B) == 0
 
     def test_group_from_peer_origin_fully_dropped(self):
         src = source_with(Bound(pending=1))
-        members = [make_update(container=A, key="x", block=3, origin=2)]
+        members = [make_update(container=A, key="x", block=make_group(A), origin=2)]
         assert src.offer_group(members, now=0) is None
         assert src.cache.total_pending_count == 0
 
@@ -242,14 +250,18 @@ def offer_each(src):
 
 
 def offer_groups(src):
-    return [b for block in (1, 2, 3)
-            if (b := src.offer_group([make_update(container=cid, key=f"g{block}{cid}",
-                                                  block=block) for cid in (A, B)], now=block))]
+    batches = []
+    for now in (1, 2, 3):
+        group = make_group(A, B)
+        members = [make_update(container=cid, key=f"g{now}{cid}", block=group) for cid in (A, B)]
+        if batch := src.offer_group(members, now=now):
+            batches.append(batch)
+    return batches
 
 
 def ship_groups_now(src):
-    return [src.ship_group_now([make_update(container=A, key=f"g{block}", block=block)],
-                               now=block) for block in (1, 2)]
+    return [src.ship_group_now([make_update(container=A, key=f"g{now}", block=make_group(A))],
+                               now=now) for now in (1, 2)]
 
 
 def tick_after(src):
@@ -293,7 +305,8 @@ class TestOnShip:
         src = source_with(Bound(pending=10), on_ship=shipped.append)
         src.offer(make_update(key="held"), now=0)
         src.offer(make_update(key="echo", origin=2), now=0)
-        src.offer_group([make_update(container=B, key="peer", block=5, origin=2)], now=0)
+        src.offer_group([make_update(container=B, key="peer", block=make_group(B), origin=2)],
+                        now=0)
         assert src.tick(now=10**6) == [] and shipped == []
 
 

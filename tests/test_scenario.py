@@ -228,6 +228,16 @@ class TestRejections:
         self.reject(tmp_path, BLOCKS.replace("seed = 3", f"seed = 3\n{key} = {value}"),
                     f"workload.{key} has no effect with a \\[blocks\\] script")
 
+    @pytest.mark.parametrize("text", [MINIMAL, BLOCKS], ids=["op-stream", "block-script"])
+    def test_value_bytes_above_the_u32_value_length(self, tmp_path, text):
+        # Only parsed here: a value this large is never generated.
+        self.reject(tmp_path, text.replace("value_bytes = 10", "value_bytes = 5000000000"),
+                    "workload.value_bytes must fit the u32 value length")
+
+    def test_largest_u32_value_bytes_loads(self, tmp_path):
+        text = MINIMAL.replace("value_bytes = 10", f"value_bytes = {2**32 - 1}")
+        assert load_scenario(write_scenario(tmp_path, text)).workload.value_bytes == 2**32 - 1
+
     def test_zipf_constant_under_uniform_keys(self, tmp_path):
         self.reject(tmp_path, MINIMAL.replace("seed = 3", "seed = 3\nzipf_constant = 5"),
                     "workload.zipf_constant has no effect under distribution = uniform")
