@@ -35,34 +35,39 @@ engine's ``_on_ship`` to every source it builds, and a source calls it
 once for every batch it cuts.  ``_on_ship`` adds the batch's updates to
 a running count, the one owner of the summary's ``shipped_updates``,
 and submits the batch to the network.  With ``keep_batches`` (the
-default) it also keeps a record of the whole ``Batch`` (its updates,
-trigger and creation time) plus its delivery time, which is what the
+default) it also keeps a ``BatchRecord``: the batch's header, its
+delivery time and each update's ``(origin, seq)``, which is what the
 structural tests and the benchmark's checks inspect; a record lives as
-long as the run.  ``georep run`` reads no record, so it keeps none, and
-``RunResult.batches`` is then None rather than an empty list.
+long as the run.  The network, remote apply, acknowledgment and the
+metric ledger get the ``Batch`` itself.  ``georep run`` reads no
+record, so it keeps none, and ``RunResult.batches`` is then None rather
+than an empty list.
 
-Kept records grow with every update shipped; without them, a run's
-memory is its live state.  A cluster numbers its writes from a counter
-and keeps no log, and the metric ledger grows with windows.  The
-exactly-once filter in remote apply keeps a floor per origin plus the
-seqs that arrived ahead of a gap, so where every seq arrives it stays
-one entry per origin however long the run.  The exception is a relay
-path: an update the relay discards as stale is never offered onward,
-so a cluster reached only through that relay never sees its seq, the
-gap stays open, and every later seq of that origin stays in the window,
-which then grows with the run.  A pending cache checks only its own
-cluster's seqs, which always end as one floor.
+Kept records grow by 16 bytes of identity with every update shipped,
+but hold no update, so a value lives only as long as a store or a queue
+holds it; without them, a run's memory is its live state.  A cluster
+numbers its writes from a counter and keeps no log, and the metric
+ledger grows with windows.  The exactly-once filter in remote apply
+keeps a floor per origin plus the seqs that arrived ahead of a gap, so
+where every seq arrives it stays one entry per origin however long the
+run.  The exception is a relay path: an update the relay discards as
+stale is never offered onward, so a cluster reached only through that
+relay never sees its seq, the gap stays open, and every later seq of
+that origin stays in the window, which then grows with the run.  A
+pending cache checks only its own cluster's seqs, which always end as
+one floor.
 """
 
 from __future__ import annotations
 
 import time
+from array import array
 from dataclasses import dataclass
 from functools import partial
 from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .blocks import ClientSession
 from .cluster import ClusterNode
@@ -73,12 +78,40 @@ from .simnet import SimNet
 from .workload import ReadOp, TimedOp, WriteOp, generate
 
 
-@dataclass(slots=True)
-class BatchRecord:
-    """Trace entry for one shipped batch."""
+class UpdateId(NamedTuple):
+    """The identity of one shipped update."""
 
-    batch: Batch
-    delivered_ms: int = -1
+    origin: int
+    seq: int
+
+
+class BatchRecord:
+    """Trace entry for one shipped batch: its header, its delivery time
+    (-1 until delivered) and each update's ``(origin, seq)``, packed two
+    ``q`` entries an update.  It holds no ``Update``, so it keeps no
+    value alive.
+
+    A record reads like the ``Batch`` it was cut from: ``record.batch``
+    is the record itself, whose header fields bear the batch's names and
+    whose ``updates`` builds the ``UpdateId`` pairs when read."""
+
+    __slots__ = ("source", "destination", "created_ms", "trigger", "total_bytes",
+                 "delivered_ms", "_ids")
+
+    def __init__(self, batch: Batch) -> None:
+        self.source, self.destination = batch.source, batch.destination
+        self.created_ms, self.trigger = batch.created_ms, batch.trigger
+        self.total_bytes, self.delivered_ms = batch.total_bytes, -1
+        self._ids = array("q", [i for u in batch.updates for i in (u.origin, u.seq)])
+
+    @property
+    def batch(self) -> BatchRecord:
+        return self
+
+    @property
+    def updates(self) -> tuple[UpdateId, ...]:
+        ids = iter(self._ids)
+        return tuple(map(UpdateId, ids, ids))
 
 
 @dataclass(slots=True)

@@ -30,6 +30,24 @@ def make_group(*containers):
     return Group(tuple(containers))
 
 
+def ship_log(sim, keep):
+    """Wrap the ``on_ship`` of every source in ``sim``; return the list
+    that ``keep(source, batch)`` is appended to for each batch cut, in
+    shipping order, which is the order of ``RunResult.batches``.
+
+    A kept record holds only its updates' ``(origin, seq)``; a test that
+    reads their keys, wall times or containers reads them here, from the
+    ``Batch`` itself.  ``keep`` runs before the batch is submitted."""
+    log = []
+    for node in sim.clusters.values():
+        for source in node.sources.values():
+            def ship_and_keep(batch, source=source, ship=source.on_ship):
+                log.append(keep(source, batch))
+                ship(batch)
+            source.on_ship = ship_and_keep
+    return log
+
+
 @pytest.fixture
 def scenario_dir():
     return SCENARIO_DIR

@@ -2,9 +2,10 @@
 
 Every test exercises a bundled scenario (or a purpose-built probe) and
 prints a single PASS/FAIL line so the gate can be read off the terminal
-without digging through pytest output.  Criteria 2, 3, 4, 6 and 8 read
+without digging through pytest output.  Criteria 2, 3, 6 and 8 read
 the session's shared run of each scenario (the ``bundled`` fixture);
-criteria 5 and 7 patch or time the engine, so they run their own.
+criteria 4 and 5 read each shipped batch's updates, which a kept record
+does not hold, and criterion 7 times the engine, so they run their own.
 """
 
 import gc
@@ -13,6 +14,7 @@ import statistics
 import time
 from contextlib import contextmanager
 
+from conftest import ship_log
 from georep.bounds import Bound, ContainerId, Update
 from georep.engine import Simulation, run_scenario
 from georep.scenario import load_scenario
@@ -133,15 +135,17 @@ def test_criterion_3_bounds_flatten_bandwidth_peaks(capsys, bundled):
             > max(r.max_batch_bytes for r in tight.rows)
 
 
-def test_criterion_4_time_bound_caps_staleness(capsys, bundled):
+def test_criterion_4_time_bound_caps_staleness(capsys, scenario_dir):
     """Every update is visible within lag bound + tick + link latency."""
     with criterion(capsys, 4, "staleness bound"):
-        result = bundled("staleness-lag")
+        sim = Simulation(load_scenario(scenario_dir / "staleness-lag.ini"))
+        wall_times = ship_log(sim, lambda source, batch: [u.wall_ms for u in batch.updates])
+        result = sim.run()
         limit = 1000 + 100 + 10
-        for record in result.batches:
+        for record, walls in zip(result.batches, wall_times, strict=True):
             assert record.delivered_ms >= 0
-            for update in record.batch.updates:
-                assert record.delivered_ms - update.wall_ms <= limit
+            for wall_ms in walls:
+                assert record.delivered_ms - wall_ms <= limit
         assert result.summary["shipped_updates"] == 10_000
 
 
@@ -149,22 +153,14 @@ def test_criterion_5_blocks_ship_atomically(capsys, scenario_dir):
     """1,000 mixed blocks each leave in exactly one batch, on time."""
     with criterion(capsys, 5, "block atomicity"):
         sim = Simulation(load_scenario(scenario_dir / "blocks-mixed.ini"))
-        # What each batch's containers hold back right after it is cut.
-        held_after = []
-
-        def watch(source):
-            ship = source.on_ship
-
-            def ship_and_record(batch):
-                held_after.append(sum(source.cache.pending_count(cid)
-                                      for cid in {u.container for u in batch.updates}))
-                ship(batch)
-            return ship_and_record
-
-        for node in sim.clusters.values():
-            for source in node.sources.values():
-                source.on_ship = watch(source)
+        block_of = lambda key: int(key.split("-")[0][1:])  # "b17-p3"
+        # Per batch: what its containers hold back right after it is
+        # cut, and the block of each update.
+        shipped = ship_log(sim, lambda source, batch: (
+            sum(source.cache.pending_count(cid) for cid in {u.container for u in batch.updates}),
+            [block_of(u.key) for u in batch.updates]))
         result = sim.run()
+        held_after = [held for held, _ in shipped]
 
         # Independent replay of the scenario's block schedule: four puts
         # per block alternating orders/payments, one block per ms,
@@ -198,11 +194,8 @@ def test_criterion_5_blocks_ship_atomically(capsys, scenario_dir):
             return batches, pending
 
         predicted, leftovers = predict()
-        block_of = lambda key: int(key.split("-")[0][1:])  # "b17-p3"
-        actual = [(r.batch.created_ms,
-                   frozenset(block_of(u.key) for u in r.batch.updates),
-                   r.batch.trigger)
-                  for r in result.batches]
+        actual = [(r.batch.created_ms, frozenset(blocks), r.batch.trigger)
+                  for r, (_, blocks) in zip(result.batches, shipped, strict=True)]
         # Exact sequence match: membership, shipment instant, trigger.
         # For ANY blocks the instant is the first bound trip that
         # involves one of their containers.
@@ -210,9 +203,8 @@ def test_criterion_5_blocks_ship_atomically(capsys, scenario_dir):
         assert actual[-1][1] == frozenset(leftovers)
         assert actual[-1][2] is Trigger.FINAL_DRAIN
         # Whole blocks only: four puts apiece, hence one batch apiece.
-        for record in result.batches:
-            blocks = {block_of(u.key) for u in record.batch.updates}
-            assert len(record.batch.updates) == 4 * len(blocks)
+        for record, (_, blocks) in zip(result.batches, shipped, strict=True):
+            assert len(record.batch.updates) == 4 * len(set(blocks))
         # Touched containers hold nothing back right after each cut.
         assert held_after == [0] * len(result.batches)
 

@@ -3,17 +3,22 @@
 import os
 import subprocess
 import sys
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
 
+from conftest import ship_log
 from georep.blocks import BlockMode, ClientSession
 from georep.bounds import Bound, ContainerId, Group
 from georep.cluster import ClusterNode
+from georep.engine import Simulation
 from georep.errors import ProtocolError
+from georep.scenario import load_scenario
 from georep.shipping import Trigger
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 
 ORDERS = ContainerId("orders", "acct")
 PAYMENTS = ContainerId("payments", "acct")
@@ -245,11 +250,15 @@ containers = a:f b:f c:f
 # Prints one line per batch: link, trigger, times and its updates.
 PRINT_BATCHES = """\
 import sys
+from conftest import ship_log
 from georep import Simulation, load_scenario
-for record in Simulation(load_scenario(sys.argv[1])).run().batches:
+sim = Simulation(load_scenario(sys.argv[1]))
+shipped = ship_log(sim, lambda source, batch: [(u.origin, u.seq, u.container)
+                                              for u in batch.updates])
+for record, updates in zip(sim.run().batches, shipped, strict=True):
     b = record.batch
     print(b.source, b.destination, b.trigger.name, b.created_ms, record.delivered_ms,
-          b.total_bytes, [(u.origin, u.seq, u.container) for u in b.updates])
+          b.total_bytes, updates)
 """
 
 
@@ -261,7 +270,7 @@ def test_a_block_chain_ships_the_same_batches_in_two_processes(tmp_path):
     runs = []
     for hash_seed in ("0", "1"):
         env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep.join(
-            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+            filter(None, [str(SRC), str(TESTS), os.environ.get("PYTHONPATH")])))
         proc = subprocess.run([sys.executable, "-c", PRINT_BATCHES, str(path)], env=env,
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
@@ -269,3 +278,19 @@ def test_a_block_chain_ships_the_same_batches_in_two_processes(tmp_path):
     assert runs[0] == runs[1]
     cuts = {tuple(line.split()[:3]) for line in runs[0].splitlines()}
     assert cuts >= {("1", "2", "IMMEDIATE_BLOCK"), ("2", "3", "ANY_BLOCK"), ("2", "3", "TIME")}
+
+
+def test_records_keep_the_header_and_ids_of_every_shipped_batch(tmp_path):
+    # Cluster 2 relays cluster 1's groups, so records of both links hold
+    # origin 1's ids.
+    path = tmp_path / "chain.ini"
+    path.write_text(CHAIN, encoding="utf-8")
+    sim = Simulation(load_scenario(path))
+    header = attrgetter("source", "destination", "created_ms", "trigger", "total_bytes")
+    shipped = ship_log(sim, lambda source, batch: (
+        header(batch), [(u.origin, u.seq) for u in batch.updates]))
+    result = sim.run()
+    assert [(header(r.batch), list(r.batch.updates)) for r in result.batches] == shipped
+    assert {r.batch.source for r in result.batches} == {1, 2}
+    assert sum(len(r.batch.updates) for r in result.batches) \
+        == result.summary["shipped_updates"]

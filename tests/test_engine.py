@@ -7,6 +7,7 @@ import pytest
 
 import georep.engine
 import georep.scenario
+from conftest import ship_log
 from georep.cluster import ClusterNode
 from georep.engine import Simulation
 from georep.errors import LivelockError
@@ -104,13 +105,15 @@ keyspace = 5000
 value_bytes = 20
 seed = 11
 """)
-        result = Simulation(scenario).run()
+        sim = Simulation(scenario)
+        wall_times = ship_log(sim, lambda source, batch: [u.wall_ms for u in batch.updates])
+        result = sim.run()
         assert all(r.batch.trigger is Trigger.TIME for r in result.batches)
         sizes = [len(r.batch.updates) for r in result.batches]
         assert sizes == [1001, 1000, 999]  # t=0..1000, 1001..2000, 2001..2999
-        for record in result.batches:
-            for u in record.batch.updates:
-                expected = max(1000, -(-u.wall_ms // 1000) * 1000)
+        for record, walls in zip(result.batches, wall_times, strict=True):
+            for wall_ms in walls:
+                expected = max(1000, -(-wall_ms // 1000) * 1000)
                 assert record.batch.created_ms == expected
 
 
@@ -373,17 +376,20 @@ class TestTimerOwnership:
     """Only timed sources arm the shipping timer."""
 
     def simulate(self, tmp_path, default, bounds=""):
+        """The simulation, its result, its tick count and the set of
+        containers in each batch shipped."""
         sim = Simulation(write_and_load(tmp_path, TIMER_CASE.format(default=default,
                                                                     bounds=bounds)))
+        containers = ship_log(sim, lambda source, batch: {u.container for u in batch.updates})
         with mock.patch.object(Simulation, "_tick_event", autospec=True,
                                side_effect=Simulation._tick_event) as tick:
             result = sim.run()
-        return sim, result, tick.call_count
+        return sim, result, tick.call_count, containers
 
     def test_no_timed_source_never_ticks(self, tmp_path):
         # The pending bound holds the tail back for the final drain, yet
         # no tick is ever scheduled for it.
-        sim, result, ticks = self.simulate(tmp_path, "0 7 0")
+        sim, result, ticks, _ = self.simulate(tmp_path, "0 7 0")
         assert not any(source.timed for source in sim._sources)
         assert ticks == 0
         assert result.batches[-1].batch.trigger is Trigger.FINAL_DRAIN
@@ -391,10 +397,11 @@ class TestTimerOwnership:
     def test_a_lag_on_one_container_alone_ships_from_a_tick(self, tmp_path):
         # Writes end by t=49; c:f's held-back tail leaves on the t=300
         # tick, the first grid point at or past its 300 ms lag.
-        sim, result, ticks = self.simulate(tmp_path, "0 0 0", "c:f = 300 0 0")
+        sim, result, ticks, containers = self.simulate(tmp_path, "0 0 0", "c:f = 300 0 0")
         assert all(source.timed for source in sim._sources)
         assert ticks > 0
-        timed = [r.batch for r in result.batches if r.batch.trigger is Trigger.TIME]
-        assert timed and all(b.created_ms == 300 for b in timed)
-        assert {u.container for b in timed for u in b.updates} == {"c:f"}
+        timed = [(r.batch, cids) for r, cids in zip(result.batches, containers, strict=True)
+                 if r.batch.trigger is Trigger.TIME]
+        assert timed and all(b.created_ms == 300 for b, _ in timed)
+        assert set().union(*(cids for _, cids in timed)) == {"c:f"}
         assert not any(r.batch.trigger is Trigger.FINAL_DRAIN for r in result.batches)

@@ -5,11 +5,13 @@ interpreter allocates and so gives the same figure on every run of the
 same code.
 """
 
+import gc
 import math
 import tracemalloc
 
 import pytest
 
+from georep.bounds import Update
 from georep.engine import Simulation, run_scenario
 from georep.scenario import load_scenario
 from georep.workload import _cdf
@@ -34,17 +36,24 @@ operations = {operations}
 write_fraction = 1.0
 distribution = uniform
 keyspace = 100
-value_bytes = 100
+value_bytes = {value_bytes}
 seed = 5
 """
 
 N = 4_000
 
 
-def traced_peak(tmp_path, operations, keep_batches):
+def one_link(tmp_path, operations, value_bytes=100):
+    """The path of ONE_LINK at ``operations`` ops of ``value_bytes``."""
+    path = tmp_path / f"one-link-{operations}-{value_bytes}.ini"
+    path.write_text(ONE_LINK.format(operations=operations, value_bytes=value_bytes),
+                    encoding="utf-8")
+    return path
+
+
+def traced_peak(tmp_path, operations, keep_batches, value_bytes=100):
     """Peak traced bytes while a set-up simulation of ONE_LINK runs."""
-    path = tmp_path / f"one-link-{operations}.ini"
-    path.write_text(ONE_LINK.format(operations=operations), encoding="utf-8")
+    path = one_link(tmp_path, operations, value_bytes)
     sim = Simulation(load_scenario(path), keep_batches=keep_batches)
     tracemalloc.start()
     try:
@@ -64,26 +73,52 @@ class TestRunLength:
         assert long - short < 2 * 3 * N, (short, long)
 
     @pytest.fixture(scope="class")
-    def kept_peaks(self, tmp_path_factory):
+    def kept_cost(self, tmp_path_factory):
+        """Traced bytes that a run keeping its records adds per extra op
+        (each op ships one update), by value size."""
         tmp_path = tmp_path_factory.mktemp("kept")
-        return tuple(traced_peak(tmp_path, ops, True) for ops in (N, 4 * N))
+        # A first run in a process can be charged one-time allocations
+        # of the interpreter (about 28 KB on 3.10), which would skew
+        # whichever cost it fell in.
+        traced_peak(tmp_path, N, True)
 
-    def test_peak_grows_with_records_kept(self, kept_peaks):
-        short, long = kept_peaks
-        assert long >= 3.5 * short, (short, long)
+        def cost(value_bytes):
+            short, long = (traced_peak(tmp_path, ops, True, value_bytes) for ops in (N, 4 * N))
+            return (long - short) / (3 * N)
+        return {value_bytes: cost(value_bytes) for value_bytes in (10, 100, 1000)}
 
-    def test_a_kept_update_costs_its_own_fields_only(self, kept_peaks):
-        # Each extra op keeps its update, value, share of a batch and
-        # of a batch record; a second key string per update would push
-        # past this.
-        short, long = kept_peaks
-        assert (long - short) / (3 * N) <= 330, (short, long)
+    def test_a_kept_record_costs_8_to_32_bytes_an_update(self, kept_cost):
+        # An update's (origin, seq) is 16 bytes in the record's array,
+        # plus its share of the record and its header.
+        assert all(8 <= kept_cost[size] <= 32 for size in (10, 1000)), kept_cost
+
+    def test_a_kept_records_cost_does_not_depend_on_the_value_size(self, kept_cost):
+        # A record that held an update would keep its value alive.
+        assert abs(kept_cost[10] - kept_cost[1000]) <= 2, kept_cost
+
+    def test_a_kept_update_costs_its_own_fields_only(self, kept_cost):
+        # Only the update's identity outlives its delivery; its value, or
+        # the update itself, would push past this.
+        assert kept_cost[100] <= 32, kept_cost
+
+
+def test_a_kept_run_holds_only_the_updates_in_its_stores(tmp_path):
+    sim = Simulation(load_scenario(one_link(tmp_path, N)))
+    earlier = [o for o in gc.get_objects() if type(o) is Update]
+    # ``earlier`` holds its updates, so no new one can reuse their ids.
+    held = {id(o) for o in earlier}
+    result = sim.run()
+    gc.collect()
+    live = {id(o) for o in gc.get_objects() if type(o) is Update and id(o) not in held}
+    cells = {id(cell) for node in sim.clusters.values()
+             for by_key in node.store.values() for cell in by_key.values()}
+    assert sum(len(r.batch.updates) for r in result.batches) == N
+    assert len(cells) == 100
+    assert live == cells
 
 
 def test_one_origin_keys_are_one_object_per_cell(tmp_path):
-    path = tmp_path / "one-link.ini"
-    path.write_text(ONE_LINK.format(operations=N), encoding="utf-8")
-    sim = Simulation(load_scenario(path), keep_batches=False)
+    sim = Simulation(load_scenario(one_link(tmp_path, N)), keep_batches=False)
     sim.run()
     for node in sim.clusters.values():
         cells = [(key, cell) for by_key in node.store.values() for key, cell in by_key.items()]
