@@ -23,7 +23,8 @@ it twice in this process for counters that do not depend on the host:
 * ``events``, ``batches``, ``shipped_updates`` and ``bytes``: events
   the event loop ran, and the run's batch traffic;
 * ``tracemalloc_peak_bytes``: the traced peak while the second run
-  goes, set-up excluded.
+  goes, set-up excluded; it can move by a few KB with what the process
+  ran and imported before.
 
 The file also holds the host (``nproc`` and platform), the
 Python version and ``git rev-parse HEAD`` of the checkout.  The
