@@ -74,10 +74,10 @@ def checkout(tmp_path):
     return root, env
 
 
-def record(checkout, out, *args):
+def record(checkout, out):
     root, env = checkout
-    return subprocess.run([sys.executable, str(TOOL), "--out", str(out), "--root", str(root),
-                           *args], env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, str(TOOL), "--out", str(out), "--root", str(root)],
+                          env=env, capture_output=True, text=True, timeout=120)
 
 
 def test_records_every_workload_and_trace_mode(checkout, tmp_path):
@@ -103,7 +103,7 @@ def test_records_every_workload_and_trace_mode(checkout, tmp_path):
 
 def test_counters_are_those_of_the_workload_at_seed_1(checkout, tmp_path):
     out = tmp_path / "BENCH_1.json"
-    proc = record(checkout, out, "--seconds", "1")
+    proc = record(checkout, out)
     assert proc.returncode == 0, proc.stderr
     snapshot = json.loads(out.read_text(encoding="utf-8"))
     root, _ = checkout
@@ -133,7 +133,7 @@ def test_a_failed_bench_run_writes_no_file(checkout, tmp_path):
         'import sys\nprint("benchmark failed: canned", file=sys.stderr)\nsys.exit(1)\n',
         encoding="utf-8")
     out = tmp_path / "BENCH_1.json"
-    proc = record(checkout, out, "--seconds", "1")
+    proc = record(checkout, out)
     assert proc.returncode == 1
     assert "benchmark failed: canned" in proc.stderr
     assert not out.exists()

@@ -1,11 +1,11 @@
 """Record one benchmark snapshot of a checkout as a ``BENCH_*.json`` file.
 
-    python3 tools/bench_record.py --out BENCH_<n>.json [--root DIR] [--seconds S]
+    python3 tools/bench_record.py --out BENCH_<n>.json [--root DIR]
 
 For every workload in ``bench/workloads`` and for ``--trace`` 0 and 1,
 this runs ``bench/run.py --workload W --seed 1 --trace T --seconds S``
-in the checkout at ``--root`` (by default the one holding this file;
-``--seconds`` defaults to ``run_seconds`` in its ``BENCHMARK.json``).
+in the checkout at ``--root`` (by default the one holding this file),
+where S is ``run_seconds`` in that checkout's ``BENCHMARK.json``.
 It stores the last line each run prints, its JSON result, verbatim,
 with the host-speed calibration line the run prints second.
 
@@ -122,14 +122,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", required=True, type=Path)
     parser.add_argument("--root", type=Path, default=ROOT,
                         help="checkout to measure (default: this one)")
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="bench/run.py --seconds (default: BENCHMARK.json run_seconds)")
     args = parser.parse_args(argv)
     root = args.root.resolve()
-    seconds = args.seconds
-    if seconds is None:
-        spec = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
-        seconds = float(spec["run_seconds"])
+    spec = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
+    seconds = float(spec["run_seconds"])
     try:
         snapshot = record(root, seconds)
     except RecordError as exc:
