@@ -26,7 +26,8 @@ Payloads are parsed as numbers lazily: only the drift dimension reads
 them, so an update's payload is parsed (through ``parse_numeric``) the
 first time a container with an active drift limit asks for it, and at
 most once however many peers ask.  Containers without a drift limit
-never parse a payload and keep no shipped values.
+never parse a payload and keep no shipped values.  An update carries no
+size: the wire format and its byte counts live in ``shipping``.
 """
 
 from __future__ import annotations
@@ -36,11 +37,6 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import ProtocolError
-
-# Fixed per-update overhead charged on top of the key and value bytes,
-# one fixed-width field each: u16 key length + u32 value length +
-# u64 wall_ms + u32 origin + u64 seq + u64 block id.
-UPDATE_OVERHEAD_BYTES = 34
 
 
 class Trigger(enum.IntEnum):
@@ -142,9 +138,8 @@ class Update:
     """One edit as carried through caches, batches and the wire, and as
     held in every replica's store once applied.
 
-    An update keeps only its own fields: its accounted ``size_bytes`` is
-    derived from the key and value each time it is read, not stored.
-    ``block`` is the ``Group`` the update was written in, or None."""
+    An update keeps only its own fields.  ``block`` is the ``Group`` the
+    update was written in, or None."""
 
     container: ContainerId
     key: str
@@ -160,11 +155,6 @@ class Update:
         self.container, self.key, self.value = container, key, value
         self.wall_ms, self.origin, self.seq = wall_ms, origin, seq
         self.block, self._numeric = block, _UNPARSED
-
-    @property
-    def size_bytes(self) -> int:
-        """The accounted size: UTF-8 key, value and the fixed overhead."""
-        return len(self.key.encode("utf-8")) + len(self.value) + UPDATE_OVERHEAD_BYTES
 
     @property
     def numeric(self) -> float | None:

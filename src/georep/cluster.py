@@ -20,9 +20,12 @@ millisecond keep their program order, so every replica resolves
 conflicts identically.  Updates applied from a remote batch are offered
 onward to the cluster's other peers with their original origin intact,
 so loops of any length stay echo-free; fresh members that share a
-``Group`` go onward as one group.  The onward hop is held by the relay's
-own bound for the container; staleness counts from the origin's
-``wall_ms``.
+``Group`` go onward as one group.  The onward hop waits under the
+relay's own bound for the container, so bounds compose per hop: over a
+k-hop path, the worst-case staleness, counted from the origin's
+``wall_ms``, is the sum of each hop's lag limit, tick and latency.  VFC
+(Santos, Veiga & Ferreira, Middleware 2007) and TACT (Yu & Vahdat, TOCS
+2002) bound a replica's divergence end to end instead.
 
 Redelivery is harmless: a ``SeqWindow`` remembers the ``(origin, seq)``
 of every update applied from a remote batch as one floor per origin
@@ -30,7 +33,9 @@ plus the seqs that arrived ahead of a gap, and a second copy counts as
 a duplicate.  In a full mesh every origin's seqs all reach every other
 cluster, so each window ends as one floor per origin.  Gaps stay open
 only for seqs that never arrive: on paths that reach a cluster only
-through a relay, updates the relay discarded as stale.
+through a relay, updates the relay discarded as stale.  The node's
+``tally`` is its one record of remote apply: ``apply_remote`` returns
+None and adds each batch's counts there.
 
 A store's digest is the XOR of one SHA-256 per cell.  Replicas that
 converged hold the very same update objects, so a digest can start from
@@ -58,9 +63,8 @@ Store = dict[ContainerId, dict[str, Update]]
 
 @dataclass(slots=True)
 class ApplyReport:
-    """Outcome counts of remote batch application: one batch's, or a
-    node's running tally.  An echo, an update back at its own origin,
-    also counts as stale."""
+    """A node's running outcome counts of remote batch application.
+    An echo, an update back at its own origin, also counts as stale."""
 
     applied: int = 0
     stale_discarded: int = 0
@@ -86,7 +90,6 @@ class ClusterNode:
             for peer in sorted(peers)
         }
         self._applied = SeqWindow()
-        # Running sum of every apply_remote report.
         self.tally = ApplyReport()
 
     # -- local write path ----------------------------------------------
@@ -131,7 +134,7 @@ class ClusterNode:
 
     # -- remote apply path ----------------------------------------------
 
-    def apply_remote(self, batch: Batch) -> ApplyReport:
+    def apply_remote(self, batch: Batch) -> None:
         """Apply a delivered batch in one atomic step.
 
         Last-writer-wins per cell; already-seen updates are skipped so
@@ -139,8 +142,8 @@ class ClusterNode:
         ProtocolError before anything is stored or remembered.  Freshly
         applied updates are relayed to every peer other than the batch's
         own sender.  The container's cell dict is looked up once per run
-        of same-container updates.  The batch's counts are returned and
-        added to ``tally``.
+        of same-container updates.  The batch's counts are added to
+        ``tally``.
         """
         if batch.destination != self.cluster_id:
             raise ProtocolError(
@@ -151,14 +154,13 @@ class ClusterNode:
                     f"update ({u.origin}, {u.seq}) has a sequence number below 1")
         store, first_sight = self.store, self._applied.add
         fresh: list[Update] = []
-        stale = duplicates = echoes = 0
-        me = self.cluster_id
+        tally, me = self.tally, self.cluster_id
         cid = cells = None
         for u in batch.updates:
             if u.origin == me:
-                echoes += 1
+                tally.echoes += 1
             if not first_sight(u.origin, u.seq):
-                duplicates += 1
+                tally.duplicates += 1
                 continue
             if u.container is not cid and u.container != cid:
                 cid = u.container
@@ -170,15 +172,10 @@ class ClusterNode:
                 cells[u.key] = u
                 fresh.append(u)
             else:
-                stale += 1
+                tally.stale_discarded += 1
         if fresh:
             self._relay(fresh, exclude_peer=batch.source)
-        tally = self.tally
         tally.applied += len(fresh)
-        tally.stale_discarded += stale
-        tally.duplicates += duplicates
-        tally.echoes += echoes
-        return ApplyReport(len(fresh), stale, duplicates, echoes)
 
     def _relay(self, updates: list[Update], exclude_peer: int) -> None:
         now = self.now_fn()

@@ -74,7 +74,7 @@ from .cluster import ClusterNode
 from .metrics import MetricsCollector, Row, run_totals, summary_path, write_csv, write_summary
 from .scenario import Scenario
 from .shipping import Batch
-from .simnet import SimNet
+from .simnet import DEFAULT_MAX_EVENTS, SimNet
 from .workload import ReadOp, TimedOp, WriteOp, generate
 
 
@@ -133,7 +133,9 @@ class Simulation:
 
     def __init__(self, scenario: Scenario, keep_batches: bool = True) -> None:
         self.scenario = scenario
-        self.net = SimNet(max_events=scenario.event_budget)
+        # One event per fed client action, at least one per fed instant,
+        # on top of DEFAULT_MAX_EVENTS for the events the run makes itself.
+        self.net = SimNet(max_events=DEFAULT_MAX_EVENTS + scenario.workload.client_actions)
         for (src, dst), spec in scenario.links.items():
             self.net.add_link(src, dst, spec)
         self.clusters: dict[int, ClusterNode] = {}

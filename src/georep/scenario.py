@@ -14,8 +14,6 @@ default (``required`` if it must be set, optional otherwise):
     partitions =                e.g.: outage windows, one per line:
         1>2 5000 10000          link, start ms, end ms (half-open)
     window_ms = 1000            metric window for the CSV
-    max_events = 10000000       e.g.: event budget before a livelock abort;
-                                default 10000000 plus one per client action
 
 [bounds]
     mode = bounded              bounded | plain (poll-everything baseline)
@@ -48,6 +46,8 @@ default (``required`` if it must be set, optional otherwise):
     spacing_ms = 1
 
 A run writes ``<scenario stem>.csv`` and ``<scenario stem>.summary.json``.
+Its event budget, past which it aborts as a livelock, has no key: the
+engine derives it from the workload (``engine.Simulation``).
 
 Unknown sections or keys are rejected so typos fail loudly, and so are
 keys that would have no effect: under ``mode = plain`` every [bounds]
@@ -72,7 +72,7 @@ from typing import Callable
 from .blocks import BlockMode
 from .bounds import Bound, ContainerId, pending_from_percent
 from .errors import ScenarioError
-from .simnet import DEFAULT_MAX_EVENTS, LinkSpec
+from .simnet import LinkSpec
 from .workload import BlockScript, WorkloadSpec
 
 @dataclass(frozen=True, slots=True)
@@ -87,21 +87,7 @@ class Scenario:
     bounds: dict[ContainerId, Bound]
     tick_ms: int
     window_ms: int
-    # The [network] max_events, or None when the file sets none.
-    max_events: int | None
     workload: WorkloadSpec
-
-    @property
-    def event_budget(self) -> int:
-        """Events the run may execute before it aborts as a livelock.
-
-        An explicit ``max_events`` is the total, fed events included.
-        The default leaves ``DEFAULT_MAX_EVENTS`` to the events the run
-        makes itself: it adds one event for each client action the
-        workload feeds, at least as many as the instants fed."""
-        if self.max_events is not None:
-            return self.max_events
-        return DEFAULT_MAX_EVENTS + self.workload.client_actions
 
 
 def load_scenario(path: str | Path, seed_override: int | None = None) -> Scenario:
@@ -170,12 +156,8 @@ def load_scenario(path: str | Path, seed_override: int | None = None) -> Scenari
     if default_latency < 0:
         raise ScenarioError(f"network.latency_ms must be non-negative: {default_latency}")
     window_ms = _parse_int(net.get("window_ms", "1000"), "network.window_ms")
-    max_events = None
-    if "max_events" in net:
-        max_events = _parse_int(net["max_events"], "network.max_events")
-    for key, value in (("window_ms", window_ms), ("max_events", max_events)):
-        if value is not None and value <= 0:
-            raise ScenarioError(f"network.{key} must be positive: {value}")
+    if window_ms <= 0:
+        raise ScenarioError(f"network.window_ms must be positive: {window_ms}")
     partitions: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for line in net.get("partitions", "").splitlines():
         line = line.strip()
@@ -220,7 +202,7 @@ def load_scenario(path: str | Path, seed_override: int | None = None) -> Scenari
     return Scenario(
         name=path.stem, clusters=clusters, links=links, mode=mode,
         default_bound=default_bound, bounds=bounds, tick_ms=tick_ms,
-        window_ms=window_ms, max_events=max_events, workload=workload,
+        window_ms=window_ms, workload=workload,
     )
 
 
@@ -391,7 +373,7 @@ _BLOCK_KEYS = {
 
 _KNOWN_KEYS = {
     "topology": {"clusters", "links"},
-    "network": {"latency_ms", "partitions", "window_ms", "max_events"},
+    "network": {"latency_ms", "partitions", "window_ms"},
     "bounds": {"mode", "default", "pending_percent", "tick_ms"},
     "workload": _WORKLOAD_KEYS.keys(),
     "blocks": _BLOCK_KEYS.keys(),

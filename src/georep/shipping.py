@@ -6,6 +6,9 @@ bound trips, at which point the whole container queue (closed over any
 atomic groups it touches) leaves as a single batch.  A source never
 accepts an update that originated at its own peer, which is what keeps
 bidirectional and cyclic topologies echo-free.
+
+The wire format lives here: ``Batch.build`` holds the one formula for
+the bytes a batch is charged, from the constants below.
 """
 
 from __future__ import annotations
@@ -13,13 +16,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .bounds import UPDATE_OVERHEAD_BYTES, Bound, ContainerId, ContainerState, Trigger, Update
+from .bounds import Bound, ContainerId, ContainerState, Trigger, Update
 from .cache import PendingCache
 
 # Fixed batch header charged once per batch, one fixed-width field each:
 # u32 source + u32 destination + u64 created_ms + u8 trigger +
 # u32 update count.
 BATCH_HEADER_BYTES = 21
+
+# Fixed per-update overhead charged on top of the key and value bytes,
+# one fixed-width field each: u16 key length + u32 value length +
+# u64 wall_ms + u32 origin + u64 seq + u64 block id.  The u32 value
+# length caps a value at MAX_VALUE_BYTES.
+UPDATE_OVERHEAD_BYTES = 34
+MAX_VALUE_BYTES = 2**32 - 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -36,10 +46,8 @@ class Batch:
     @classmethod
     def build(cls, updates: list[Update], source: int, destination: int,
               created_ms: int, trigger: Trigger) -> Batch:
-        # The header plus every update's ``size_bytes``, with the
-        # property inlined: this runs once per update shipped, and on
-        # ``mesh``'s batches it adds a tenth of what summing the
-        # property would over a stored size.
+        # The one size formula: the header, plus each update's UTF-8
+        # key, value and fixed overhead.
         total = (BATCH_HEADER_BYTES + UPDATE_OVERHEAD_BYTES * len(updates)
                  + sum([len(u.key.encode("utf-8")) + len(u.value) for u in updates]))
         return cls(tuple(updates), source, destination, created_ms, trigger, total)

@@ -34,6 +34,7 @@ from typing import Callable, Iterator, NamedTuple, Union
 from .blocks import BlockMode
 from .bounds import ContainerId
 from .errors import ScenarioError
+from .shipping import MAX_VALUE_BYTES
 
 
 class ReadOp(NamedTuple):
@@ -113,7 +114,7 @@ class WorkloadSpec:
     def __post_init__(self) -> None:
         _require_positive(self, "operations", "keyspace", "value_bytes", "burst_ops",
                           "burst_spacing_ms")
-        if self.value_bytes > 2**32 - 1:
+        if self.value_bytes > MAX_VALUE_BYTES:
             raise ScenarioError(f"value_bytes must fit the u32 value length: {self.value_bytes}")
         if not 0.0 <= self.write_fraction <= 1.0:
             raise ScenarioError(f"write_fraction must be in [0, 1]: {self.write_fraction}")

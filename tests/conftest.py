@@ -8,6 +8,7 @@ import pytest
 from georep.bounds import ContainerId, Group, Update
 from georep.engine import run_scenario
 from georep.scenario import load_scenario
+from georep.shipping import BATCH_HEADER_BYTES, Batch, Trigger
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -22,6 +23,12 @@ def make_update(key="k", value=b"v", wall_ms=0, origin=1, seq=None,
         seq = _counter[0]
     return Update(container=container, key=key, value=value, wall_ms=wall_ms,
                   origin=origin, seq=seq, block=block)
+
+
+def wire_bytes(updates):
+    """The bytes ``Batch.build`` charges for ``updates``, less the
+    batch header."""
+    return Batch.build(list(updates), 1, 2, 0, Trigger.COUNT).total_bytes - BATCH_HEADER_BYTES
 
 
 def make_group(*containers):

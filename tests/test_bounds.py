@@ -9,19 +9,17 @@ from hypothesis import strategies as st
 
 from georep.bounds import (
     IMMEDIATE,
-    UPDATE_OVERHEAD_BYTES,
     Bound,
     ContainerId,
     ContainerState,
     Trigger,
-    Update,
     parse_numeric,
     pending_from_percent,
 )
 
-from georep.shipping import ReplicationSource
+from georep.shipping import UPDATE_OVERHEAD_BYTES, ReplicationSource
 
-from conftest import CID, make_update
+from conftest import CID, make_update, wire_bytes
 
 # A non-empty container part: any text without a colon.
 PART = st.text(min_size=1, max_size=6).filter(lambda s: ":" not in s)
@@ -98,15 +96,9 @@ class TestBound:
 class TestUpdate:
     def test_size_is_key_plus_value_plus_overhead(self):
         u = make_update(key="abc", value=b"x" * 83)
-        assert u.size_bytes == 3 + 83 + UPDATE_OVERHEAD_BYTES
+        assert wire_bytes([u]) == 3 + 83 + UPDATE_OVERHEAD_BYTES
         # The key counts in UTF-8 bytes, not characters.
-        assert make_update(key="é", value=b"").size_bytes == 2 + UPDATE_OVERHEAD_BYTES
-
-    def test_size_is_derived_not_stored(self):
-        assert "size_bytes" not in Update.__slots__
-        u = make_update(key="abc", value=b"x")
-        u.value = b"x" * 10
-        assert u.size_bytes == 3 + 10 + UPDATE_OVERHEAD_BYTES
+        assert wire_bytes([make_update(key="é", value=b"")]) == 2 + UPDATE_OVERHEAD_BYTES
 
     def test_numeric_payloads_parse(self):
         assert make_update(value=b"12.5").numeric == 12.5

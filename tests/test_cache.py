@@ -10,7 +10,7 @@ from georep.bounds import ContainerId
 from georep.cache import PendingCache
 from georep.errors import ProtocolError
 
-from conftest import make_group, make_update
+from conftest import make_group, make_update, wire_bytes
 
 A = ContainerId("a", "fam")
 B = ContainerId("b", "fam")
@@ -21,7 +21,7 @@ def test_enqueue_tracks_bytes_and_length():
     cache = PendingCache(origin=1)
     u = make_update(key="key", value=b"x" * 83)  # 3 + 83 + 34 = 120
     cache.enqueue(u)
-    assert [q.size_bytes for q in cache.containers[u.container].queue] == [120]
+    assert wire_bytes(cache.containers[u.container].queue) == 120
     assert cache.pending_count(u.container) == 1
     assert cache.total_pending_count == 1
 
@@ -183,16 +183,16 @@ def test_conservation_under_random_traffic(script):
         if do_drain:
             out = cache.drain([cid], now=0)
             drained += len(out)
-            drained_bytes += sum(u.size_bytes for u in out)
+            drained_bytes += wire_bytes(out)
         else:
             seq += 1
             u = make_update(container=cid, key=f"k{seq % 5}", origin=9, seq=seq)
             cache.enqueue(u)
             enqueued += 1
-            enqueued_bytes += u.size_bytes
+            enqueued_bytes += wire_bytes([u])
         assert cache.total_pending_count == enqueued - drained
-        pending_bytes = sum(u.size_bytes for state in cache.containers.values()
-                            for u in state.queue)
+        pending_bytes = wire_bytes(u for state in cache.containers.values()
+                                   for u in state.queue)
         assert pending_bytes == enqueued_bytes - drained_bytes
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import georep.engine
 from georep.cli import main
 from georep.metrics import CSV_COLUMNS
 from georep.scenario import _KNOWN_KEYS
@@ -46,9 +47,6 @@ RUNAWAY = """\
 [topology]
 clusters = 1 2
 links = 1>2
-
-[network]
-max_events = 40
 
 [bounds]
 default = 0 5 0
@@ -98,7 +96,12 @@ class TestValidate:
         assert err.count("\n") == 1
         assert f"bounds.{key}: a drift limit has no effect" in err
 
-    @pytest.mark.parametrize("key", ["window_ms", "max_events"])
+    def test_event_budget_key_exits_two(self, tmp_path, capsys):
+        path = write(tmp_path, GOOD + "\n[network]\nmax_events = 40\n", "budget.ini")
+        assert main(["validate", str(path)]) == 2
+        assert "unknown key 'max_events'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["window_ms"])
     def test_non_positive_network_setting_exits_two(self, tmp_path, capsys, key):
         path = write(tmp_path, GOOD + f"\n[network]\n{key} = 0\n", f"{key}.ini")
         assert main(["validate", str(path)]) == 2
@@ -207,7 +210,9 @@ class TestRun:
         assert main(["run", str(path), "--out", str(taken), "--quiet"]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
-    def test_livelock_exits_three(self, tmp_path, capsys):
+    def test_livelock_exits_three(self, tmp_path, capsys, monkeypatch):
+        # 400 fed writes and 80 deliveries overrun 40 + 400 events.
+        monkeypatch.setattr(georep.engine, "DEFAULT_MAX_EVENTS", 40)
         path = write(tmp_path, RUNAWAY, "runaway.ini")
         assert main(["run", str(path), "--out", str(tmp_path / "o"),
                      "--quiet"]) == 3

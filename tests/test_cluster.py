@@ -70,15 +70,15 @@ class TestRemoteApply:
     def test_newer_timestamp_overwrites(self):
         node = make_node(cluster_id=3)
         node.apply_remote(remote_batch([foreign("k", b"vA", 5, 1, 1)], 1, 3))
-        report = node.apply_remote(remote_batch([foreign("k", b"vB", 7, 2, 1)], 2, 3))
-        assert report.applied == 1
+        node.apply_remote(remote_batch([foreign("k", b"vB", 7, 2, 1)], 2, 3))
+        assert node.tally == ApplyReport(applied=2)
         assert node.get(CID, "k") == b"vB"
 
     def test_older_timestamp_discarded_and_counted(self):
         node = make_node(cluster_id=3)
         node.apply_remote(remote_batch([foreign("k", b"vB", 7, 2, 1)], 2, 3))
-        report = node.apply_remote(remote_batch([foreign("k", b"vA", 5, 1, 1)], 1, 3))
-        assert report.stale_discarded == 1
+        node.apply_remote(remote_batch([foreign("k", b"vA", 5, 1, 1)], 1, 3))
+        assert node.tally == ApplyReport(applied=1, stale_discarded=1)
         assert node.get(CID, "k") == b"vB"
 
     def test_equal_timestamps_break_toward_larger_origin(self):
@@ -89,16 +89,16 @@ class TestRemoteApply:
         # And in the other arrival order the same value wins.
         other = make_node(cluster_id=3)
         other.apply_remote(remote_batch([foreign("k", b"from2", 5, 2, 1)], 2, 3))
-        report = other.apply_remote(remote_batch([foreign("k", b"from1", 5, 1, 1)], 1, 3))
-        assert report.stale_discarded == 1
+        other.apply_remote(remote_batch([foreign("k", b"from1", 5, 1, 1)], 1, 3))
+        assert other.tally == ApplyReport(applied=1, stale_discarded=1)
         assert other.get(CID, "k") == b"from2"
 
     def test_same_origin_same_millisecond_keeps_program_order(self):
         # Sequence numbers order one origin's writes within a millisecond.
         node = make_node(cluster_id=3)
         node.apply_remote(remote_batch([foreign("k", b"second", 5, 1, 2)], 1, 3))
-        report = node.apply_remote(remote_batch([foreign("k", b"first", 5, 1, 1)], 1, 3))
-        assert report.stale_discarded == 1
+        node.apply_remote(remote_batch([foreign("k", b"first", 5, 1, 1)], 1, 3))
+        assert node.tally == ApplyReport(applied=1, stale_discarded=1)
         assert node.get(CID, "k") == b"second"
 
     def test_redelivery_is_idempotent(self):
@@ -106,21 +106,18 @@ class TestRemoteApply:
         batch = remote_batch([foreign("k", b"v", 5, 1, 1)], 1, 3)
         node.apply_remote(batch)
         before = node.digest()
-        report = node.apply_remote(batch)
-        assert report.duplicates == 1
-        assert report.applied == 0
+        node.apply_remote(batch)
+        assert node.tally == ApplyReport(applied=1, duplicates=1)
         assert node.digest() == before
 
     def test_echo_counts_as_stale_and_the_tally_sums_reports(self):
         node = make_node(cluster_id=3)
         own = node.put(CID, "k", b"mine")
-        first = node.apply_remote(remote_batch([foreign("j", b"v", 5, 1, 1)], 1, 3))
-        echo = node.apply_remote(remote_batch([own, foreign("j", b"v", 5, 1, 1)], 1, 3))
-        assert (echo.applied, echo.stale_discarded, echo.duplicates, echo.echoes) == \
-            (0, 1, 1, 1)
+        node.apply_remote(remote_batch([foreign("j", b"v", 5, 1, 1)], 1, 3))
+        assert node.tally == ApplyReport(applied=1)
+        assert node.apply_remote(remote_batch([own, foreign("j", b"v", 5, 1, 1)], 1, 3)) is None
         assert node.get(CID, "k") == b"mine"
         assert node.tally == ApplyReport(1, 1, 1, 1)
-        assert (first.applied, first.echoes) == (1, 0)
 
     def test_wrong_destination_rejected(self):
         node = make_node(cluster_id=3)
@@ -153,7 +150,7 @@ class TestRemoteApply:
         ]
         node = make_node(cluster_id=3)
         node.apply_remote(remote_batch(earlier, 1, 3))
-        report = node.apply_remote(remote_batch(batch, 2, 3))
+        node.apply_remote(remote_batch(batch, 2, 3))
 
         # The per-update rule: skip seen identities, otherwise the
         # greater version takes the cell.
@@ -169,8 +166,8 @@ class TestRemoteApply:
                 tally["applied"] += 1
             else:
                 tally["stale"] += 1
-        assert (report.applied, report.stale_discarded, report.duplicates) == \
-            (tally["applied"] - len(earlier), tally["stale"], tally["dup"]) == (4, 2, 2)
+        assert (node.tally.applied, node.tally.stale_discarded, node.tally.duplicates) == \
+            (tally["applied"], tally["stale"], tally["dup"]) == (6, 2, 2)
         stored = {(cid, key): cell for cid, by_key in node.store.items()
                   for key, cell in by_key.items()}
         assert stored.keys() == cells.keys()

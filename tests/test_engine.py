@@ -6,7 +6,6 @@ from unittest import mock
 import pytest
 
 import georep.engine
-import georep.scenario
 from conftest import ship_log
 from georep.cluster import ClusterNode
 from georep.engine import Simulation
@@ -255,32 +254,6 @@ class TestRunScenario:
         assert result.summary["ops_per_sec"] > 0
 
 
-def test_event_budget_aborts_runaway_runs(tmp_path):
-    scenario_text = """\
-[topology]
-clusters = 1 2
-links = 1>2
-
-[network]
-max_events = 50
-
-[bounds]
-default = 0 10 0
-
-[workload]
-operations = 500
-write_fraction = 1.0
-distribution = uniform
-keyspace = 100
-value_bytes = 10
-seed = 3
-"""
-    path = tmp_path / "tiny-budget.ini"
-    path.write_text(scenario_text, encoding="utf-8")
-    with pytest.raises(LivelockError):
-        Simulation(load_scenario(path)).run()
-
-
 ONE_INSTANT_OR_ONE_MS = """\
 [topology]
 clusters = 1 2
@@ -301,13 +274,13 @@ seed = 7
 
 
 class TestDefaultEventBudget:
-    """Without ``max_events`` the budget is the default plus one event
-    per client action, so fed ops never spend what the default leaves
-    for the run's own events."""
+    """The budget is the default plus one event per client action, so
+    fed ops never spend what the default leaves for the run's own
+    events."""
 
     @pytest.fixture(autouse=True)
     def small_default(self, monkeypatch):
-        monkeypatch.setattr(georep.scenario, "DEFAULT_MAX_EVENTS", 100)
+        monkeypatch.setattr(georep.engine, "DEFAULT_MAX_EVENTS", 100)
 
     def test_healthy_run_past_the_default_completes(self, tmp_path):
         # 2000 fed instants and 40 deliveries: past 100, within 100 + 2000.

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from georep.bounds import Bound, ContainerId, SeqWindow, Update
 from georep.cache import PendingCache
-from georep.cluster import ClusterNode
+from georep.cluster import ApplyReport, ClusterNode
 from georep.engine import Simulation
 from georep.errors import ProtocolError
 from georep.scenario import load_scenario
@@ -246,7 +246,8 @@ def test_redelivery_above_a_gap_counts_as_duplicates():
     batch = Batch.build([make_update(key="a", origin=1, seq=2),
                          make_update(key="b", origin=1, seq=3)], 1, 2, 0, Trigger.COUNT)
     receiver = ClusterNode(2, [])
-    assert receiver.apply_remote(batch).applied == 2
+    receiver.apply_remote(batch)
+    assert receiver.tally == ApplyReport(applied=2)
     assert (receiver._applied.floors, receiver._applied.early) == ({}, {1: {2, 3}})
-    again = receiver.apply_remote(batch)
-    assert (again.applied, again.stale_discarded, again.duplicates) == (0, 0, 2)
+    receiver.apply_remote(batch)
+    assert receiver.tally == ApplyReport(applied=2, duplicates=2)

@@ -5,7 +5,7 @@ from unittest import mock
 import pytest
 
 from georep.bounds import Bound, ContainerId, ContainerState
-from georep.shipping import BATCH_HEADER_BYTES, ReplicationSource, Trigger
+from georep.shipping import BATCH_HEADER_BYTES, UPDATE_OVERHEAD_BYTES, ReplicationSource, Trigger
 
 from conftest import make_group, make_update
 
@@ -90,11 +90,12 @@ class TestOffer:
 
     def test_batch_total_bytes_accounts_header(self):
         src = source_with(Bound(pending=2))
-        # A non-ASCII key counts in UTF-8 bytes here as in size_bytes.
+        # A non-ASCII key counts in UTF-8 bytes: "ké" is 3.
         u1, u2 = make_update(key="k1"), make_update(key="ké", value=b"xyz")
         src.offer(u1, now=0)
         batch = src.offer(u2, now=1)
-        assert batch.total_bytes == BATCH_HEADER_BYTES + u1.size_bytes + u2.size_bytes
+        assert batch.total_bytes == \
+            BATCH_HEADER_BYTES + 2 * UPDATE_OVERHEAD_BYTES + (2 + 1) + (3 + 3)
 
 
 class TestTick:

@@ -181,6 +181,11 @@ class TestRejections:
     def test_unknown_key(self, tmp_path):
         self.reject(tmp_path, MINIMAL + "\n[network]\nlatencyms = 10\n", "unknown key")
 
+    def test_event_budget_key_is_unknown(self, tmp_path):
+        # The run derives its event budget from the workload.
+        self.reject(tmp_path, MINIMAL + "\n[network]\nmax_events = 50\n",
+                    r"unknown key 'max_events' in section \[network\]")
+
     def test_output_section_is_unknown(self, tmp_path):
         self.reject(tmp_path, MINIMAL + "\n[output]\ncsv = run.csv\n",
                     r"unknown section \[output\]")
@@ -333,11 +338,10 @@ class TestRejections:
             "seed = 3", "seed = 3\ncontainers = usertable:family*"),
                     "weight of usertable:family: not a number: ''")
 
-    @pytest.mark.parametrize("key", ["window_ms", "max_events"])
+    @pytest.mark.parametrize("key", ["window_ms"])
     @pytest.mark.parametrize("value", ["0", "-5"])
     def test_non_positive_network_setting(self, tmp_path, key, value):
-        # A zero window cannot bucket the CSV, and a zero event budget
-        # aborts the run as a livelock at t=0.
+        # A zero window cannot bucket the CSV.
         self.reject(tmp_path, MINIMAL + f"\n[network]\n{key} = {value}\n",
                     f"network.{key} must be positive")
 
