@@ -4,8 +4,9 @@ Divergence bounds in isolation
 
 One shipping pipeline, driven by hand.  Three containers each carry a
 single active bound dimension (pending count, shipment lag, numeric
-drift); printing what offer() and tick() hand back shows the exact
-moment each dimension releases traffic.
+drift); printing what the source hands its on_ship after each offer(),
+tick() and final_drain() shows the exact moment each dimension releases
+traffic.
 """
 
 from georep import Bound, ContainerId, ReplicationSource, Update
@@ -14,6 +15,7 @@ STOCK = ContainerId("inventory", "stock")
 FEED = ContainerId("prices", "feed")
 TEMP = ContainerId("sensors", "temp")
 
+shipped = []
 source = ReplicationSource(
     source=1, peer=2,
     bounds={
@@ -21,54 +23,55 @@ source = ReplicationSource(
         FEED: Bound(lag_ms=500),   # ship whatever is pending every 500 ms
         TEMP: Bound(drift=2.0),    # ship when a value moves by >= 2.0
     },
+    on_ship=shipped.append,
 )
 
 _seq = 0
 
 
-def put(cid, key, value, now):
+def put(cid, key, value, now, label=None):
     global _seq
     _seq += 1
     update = Update(container=cid, key=key, value=value,
                     wall_ms=now, origin=1, seq=_seq)
-    return source.offer(update, now)
+    source.offer(update, now)
+    report(f"write {label or key}")
 
 
-def show(label, batch):
-    if batch is None:
-        print(f"  {label}: held back")
-    else:
+def report(label, idle="held back"):
+    """Print each batch shipped since the last report, or ``idle``."""
+    if not shipped:
+        print(f"  {label}: {idle}")
+    for batch in shipped:
         keys = ", ".join(u.key for u in batch.updates)
         print(f"  {label}: shipped {len(batch.updates)} update(s) "
               f"[{batch.trigger.name}] -> {keys}")
+    shipped.clear()
 
 
 # A pending-count bound holds updates until the container's queue
 # reaches the limit, then the whole queue leaves as one batch.
 print("pending bound of 3 on inventory:stock")
-show("write sku-1", put(STOCK, "sku-1", b"12", now=0))
-show("write sku-2", put(STOCK, "sku-2", b"7", now=1))
-show("write sku-3", put(STOCK, "sku-3", b"90", now=2))
+put(STOCK, "sku-1", b"12", now=0)
+put(STOCK, "sku-2", b"7", now=1)
+put(STOCK, "sku-3", b"90", now=2)
 
 # A lag bound ships once the configured time has passed since the last
-# shipment: on the timer tick, or on an arrival that finds the lag
-# already up.  Here neither write finds it up, so the tick ships them.
+# shipment (since t=0 for a container that has never shipped): on the
+# timer tick, or on an arrival that finds the lag already up.  Here neither write finds it up, so the tick ships them.
 print("\nlag bound of 500 ms on prices:feed")
-show("write eurusd", put(FEED, "eurusd", b"1.0831", now=100))
-show("write gbpusd", put(FEED, "gbpusd", b"1.2544", now=250))
+put(FEED, "eurusd", b"1.0831", now=100)
+put(FEED, "gbpusd", b"1.2544", now=250)
 for now in (400, 600):
-    batches = source.tick(now)
-    if batches:
-        show(f"tick at t={now}", batches[0])
-    else:
-        print(f"  tick at t={now}: nothing due")
+    source.tick(now)
+    report(f"tick at t={now}", idle="nothing due")
 
 # A drift bound compares numeric payloads against the value last
 # shipped for the same key.  The first write has no shipped history,
 # so nothing can trip until some shipment anchors the comparison.
 print("\ndrift bound of 2.0 on sensors:temp")
-show("write probe=20.0", put(TEMP, "probe", b"20.0", now=700))
-drained = source.final_drain(now=800)
-show("end-of-run drain", drained[0])
-show("write probe=21.0", put(TEMP, "probe", b"21.0", now=900))
-show("write probe=23.5", put(TEMP, "probe", b"23.5", now=950))
+put(TEMP, "probe", b"20.0", now=700, label="probe=20.0")
+source.final_drain(now=800)
+report("end-of-run drain")
+put(TEMP, "probe", b"21.0", now=900, label="probe=21.0")
+put(TEMP, "probe", b"23.5", now=950, label="probe=23.5")

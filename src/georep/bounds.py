@@ -18,9 +18,13 @@ timer); any single dimension tripping causes the container's whole
 pending queue to be shipped as one batch, and the rule names the
 dimension that tripped.
 
-One state holds all three dimensions: the pending dimension reads the
-length of the queue the state holds, the updates the container holds
-back from the peer.
+The lag clock runs from the container's last shipment, or from t=0 if
+it has never shipped, so its first update at or after ``lag_ms`` ships
+at once, as any arrival after an idle gap of at least ``lag_ms`` does.
+A key with no shipped value never trips drift, so its first write waits
+for lag or pending; VFC's value dimension (Santos, Veiga & Ferreira,
+Middleware 2007) and TACT's numerical error (Yu & Vahdat, TOCS 2002)
+count every write not yet propagated instead.
 
 Payloads are parsed as numbers lazily: only the drift dimension reads
 them, so an update's payload is parsed (through ``parse_numeric``) the
@@ -261,9 +265,9 @@ class ContainerState:
     def lag_expired(self, now: int) -> bool:
         """True when the shipment lag limit is up.
 
-        Inclusive at the boundary: trips exactly when the elapsed time
-        reaches ``lag_ms``.  Does not mutate; the shipping path advances
-        ``last_ship_ms``.  Callers ask only for containers holding updates.
+        Inclusive at the boundary: trips exactly when the time since
+        ``last_ship_ms``, 0 before the first shipment, reaches ``lag_ms``.
+        Does not mutate.  Callers ask only for containers holding updates.
         """
         return self.bound.lag_ms > 0 and now - self.last_ship_ms >= self.bound.lag_ms
 

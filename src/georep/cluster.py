@@ -2,15 +2,15 @@
 
 Each cluster owns a key-value store keyed by container, a counter that
 numbers its local writes, and one replication source per peer, built
-with the node's ``on_ship``: a source ships the batches it cuts, and
-the node only offers it updates; the engine ticks and flushes every
-source itself.  No log of past writes is kept: nothing reads one back.
-A store cell is the ``Update`` that wrote it: a local write stores the
-update it creates, and a remote batch stores the delivered update
-objects, so a replica keeps no copy of its own.  A local write that
-overwrites a cell takes the cell's key object for its update: where one
-origin writes a key, its cells' dict keys and all of its updates, at
-every replica, share one string object.
+with the node's required ``on_ship``: a source hands it each batch it
+cuts, once, and returns nothing, so the node only offers it updates; the
+engine ticks and flushes every source itself.  No log of past writes is
+kept: nothing reads one back.  A store cell is the ``Update`` that wrote
+it: a local write stores the update it creates, and a remote batch
+stores the delivered update objects, so a replica keeps no copy of its
+own.  A local write that overwrites a cell takes the cell's key object
+for its update: where one origin writes a key, its cells' dict keys and
+all of its updates, at every replica, share one string object.
 
 Local writes apply unconditionally; remote batches apply under
 last-writer-wins on ``Update.version``, the triple
@@ -78,15 +78,15 @@ class ClusterNode:
     def __init__(self, cluster_id: int, peers: list[int],
                  bounds: dict[ContainerId, Bound] | None = None,
                  default_bound: Bound = Bound(), mode: str = "bounded",
-                 now_fn: Callable[[], int] = lambda: 0,
-                 on_ship: Callable[[Batch], None] | None = None) -> None:
+                 now_fn: Callable[[], int] = lambda: 0, *,
+                 on_ship: Callable[[Batch], None]) -> None:
         self.cluster_id = cluster_id
         self.now_fn = now_fn
         self.store: Store = {}
         # Seq of the latest local write; the next one gets last_seq + 1.
         self.last_seq = 0
         self.sources: dict[int, ReplicationSource] = {
-            peer: ReplicationSource(cluster_id, peer, bounds, default_bound, mode, on_ship)
+            peer: ReplicationSource(cluster_id, peer, bounds, default_bound, mode, on_ship=on_ship)
             for peer in sorted(peers)
         }
         self._applied = SeqWindow()

@@ -32,8 +32,9 @@ so its sample would repeat a value the window already holds.
 
 A replication source ships its own batches: each cluster hands the
 engine's ``_on_ship`` to every source it builds, and a source calls it
-once for every batch it cuts.  ``_on_ship`` adds the batch's updates to
-a running count, the one owner of the summary's ``shipped_updates``,
+once for every batch it cuts and returns none, so the tick and the
+final flush read nothing back.  ``_on_ship`` adds the batch's updates
+to a running count, the one owner of the summary's ``shipped_updates``,
 and submits the batch to the network.  With ``keep_batches`` (the
 default) it also keeps a ``BatchRecord``: the batch's header, its
 delivery time and each update's ``(origin, seq)``, which is what the
@@ -48,12 +49,8 @@ but hold no update, so a value lives only as long as a store or a queue
 holds it; without them, a run's memory is its live state.  A cluster
 numbers its writes from a counter and keeps no log, and the metric
 ledger grows with windows.  The exactly-once filter in remote apply
-keeps a floor per origin plus the seqs that arrived ahead of a gap, so
-where every seq arrives it stays one entry per origin however long the
-run.  The exception is a relay path: an update the relay discards as
-stale is never offered onward, so a cluster reached only through that
-relay never sees its seq, the gap stays open, and every later seq of
-that origin stays in the window, which then grows with the run.  A
+stays one floor per origin where every seq arrives; below a relay that
+discards stale updates it grows with the run (see ``cluster``).  A
 pending cache checks only its own cluster's seqs, which always end as
 one floor.
 """

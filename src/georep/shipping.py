@@ -3,8 +3,9 @@
 One ReplicationSource watches the updates a cluster wants to push to one
 peer.  Updates queue in a pending cache until a container's divergence
 bound trips, at which point the whole container queue (closed over any
-atomic groups it touches) leaves as a single batch.  A source never
-accepts an update that originated at its own peer, which is what keeps
+atomic groups it touches) leaves as a single batch, handed once to the
+source's ``on_ship``; no entry point returns it.  A source never accepts
+an update that originated at its own peer, which is what keeps
 bidirectional and cyclic topologies echo-free.
 
 The wire format lives here: ``Batch.build`` holds the one formula for
@@ -67,15 +68,15 @@ class ReplicationSource:
     ``ContainerState``.
 
     The source ships its own batches: ``_drain`` hands each batch it
-    cuts to ``on_ship`` once, then returns it to the caller.
+    cuts to the required ``on_ship`` once, and no entry point returns one.
     """
 
     def __init__(self, source: int, peer: int, bounds: dict[ContainerId, Bound] | None = None,
-                 default_bound: Bound = Bound(), mode: str = "bounded",
-                 on_ship: Callable[[Batch], None] | None = None) -> None:
+                 default_bound: Bound = Bound(), mode: str = "bounded", *,
+                 on_ship: Callable[[Batch], None]) -> None:
         if mode not in ("bounded", "plain"):
             raise ValueError(f"unknown shipping mode: {mode!r}")
-        self.on_ship = on_ship or (lambda batch: None)
+        self.on_ship = on_ship
         self.source = source
         self.peer = peer
         self.link = (source, peer)
@@ -88,20 +89,17 @@ class ReplicationSource:
 
     # -- ingestion ---------------------------------------------------
 
-    def offer(self, update: Update, now: int) -> Batch | None:
+    def offer(self, update: Update, now: int) -> None:
         """Accept one update due for the peer; ship its container if a
         bound trips.  Updates that originated at the peer are dropped."""
         if update.origin == self.peer:
-            return None
+            return
         state = self.cache.enqueue(update)
-        if self.mode == "plain":
-            return None
-        trigger = state.should_ship(update, now)
-        if trigger is None:
-            return None
-        return self._drain([update.container], now, trigger)
+        trigger = None if self.mode == "plain" else state.should_ship(update, now)
+        if trigger is not None:
+            self._drain([update.container], now, trigger)
 
-    def offer_group(self, updates: list[Update], now: int) -> Batch | None:
+    def offer_group(self, updates: list[Update], now: int) -> None:
         """Accept a completed atomic group in one step.
 
         Every member is enqueued before any member is judged, so the
@@ -114,20 +112,16 @@ class ReplicationSource:
         """
         accepted = self._accept(updates)
         if not accepted or self.mode == "plain":
-            return None
+            return
         # A list, not a generator: every member is evaluated, also those
         # after the first that trips.
-        if not any([state.should_ship(u, now) is not None for u, state in accepted]):
-            return None
-        return self._drain(sorted({u.container for u, _ in accepted}), now, Trigger.ANY_BLOCK)
+        if any([state.should_ship(u, now) is not None for u, state in accepted]):
+            self._drain(sorted({u.container for u, _ in accepted}), now, Trigger.ANY_BLOCK)
 
-    def ship_group_now(self, updates: list[Update], now: int) -> Batch | None:
+    def ship_group_now(self, updates: list[Update], now: int) -> None:
         """Accept an atomic group that replicates immediately on close."""
-        accepted = self._accept(updates)
-        if not accepted:
-            return None
-        return self._drain(sorted({u.container for u, _ in accepted}), now,
-                           Trigger.IMMEDIATE_BLOCK)
+        if accepted := self._accept(updates):
+            self._drain(sorted({u.container for u, _ in accepted}), now, Trigger.IMMEDIATE_BLOCK)
 
     def _accept(self, updates: list[Update]) -> list[tuple[Update, ContainerState]]:
         """Enqueue the updates that did not originate at the peer; return
@@ -137,7 +131,7 @@ class ReplicationSource:
 
     # -- timer and flush paths ----------------------------------------
 
-    def tick(self, now: int) -> list[Batch]:
+    def tick(self, now: int) -> None:
         """Periodic lag validation.
 
         In plain mode every non-empty container ships.  In bounded mode
@@ -146,16 +140,18 @@ class ReplicationSource:
         text order, so multi-container ticks are deterministic.
         """
         containers, plain = self.cache.containers, self.mode == "plain"
-        # An earlier drain may have pulled a queue's block members.
-        return [self._drain([cid], now, Trigger.TIME) for cid in sorted(containers)
-                if containers[cid].queue and (plain or containers[cid].lag_expired(now))]
+        for cid in sorted(containers):
+            # An earlier drain may have pulled this queue's block members.
+            if containers[cid].queue and (plain or containers[cid].lag_expired(now)):
+                self._drain([cid], now, Trigger.TIME)
 
-    def final_drain(self, now: int) -> list[Batch]:
+    def final_drain(self, now: int) -> None:
         """Flush every non-empty container regardless of bounds."""
         containers = self.cache.containers
-        # An earlier drain may have pulled a queue's block members.
-        return [self._drain([cid], now, Trigger.FINAL_DRAIN)
-                for cid in sorted(containers) if containers[cid].queue]
+        for cid in sorted(containers):
+            # An earlier drain may have pulled this queue's block members.
+            if containers[cid].queue:
+                self._drain([cid], now, Trigger.FINAL_DRAIN)
 
     def has_timer_work(self) -> bool:
         """True when a future tick could ship something already queued."""
@@ -168,11 +164,10 @@ class ReplicationSource:
 
     # -- batch construction and acknowledgment ------------------------
 
-    def _drain(self, cids: list[ContainerId], now: int, trigger: Trigger) -> Batch:
+    def _drain(self, cids: list[ContainerId], now: int, trigger: Trigger) -> None:
         """Ship what ``cids`` hold back; every caller knows they hold some."""
         batch = Batch.build(self.cache.drain(cids, now), self.source, self.peer, now, trigger)
         self.on_ship(batch)
-        return batch
 
     def acknowledge(self, batch: Batch) -> None:
         """Advance per-origin high-water marks once the peer applied it."""

@@ -37,12 +37,12 @@ def offer_stream(b, n):
     (offer index, trigger, size) of each batch cut, and the count the
     cache holds back afterwards."""
     cid = ContainerId("usertable", "family")
-    src = ReplicationSource(source=1, peer=2, default_bound=Bound(pending=b))
     fired = []
+    src = ReplicationSource(
+        source=1, peer=2, default_bound=Bound(pending=b),
+        on_ship=lambda batch: fired.append((i, batch.trigger, len(batch.updates))))
     for i in range(1, n + 1):
-        batch = src.offer(Update(cid, "k", b"v", 0, 1, i), 0)
-        if batch is not None:
-            fired.append((i, batch.trigger, len(batch.updates)))
+        src.offer(Update(cid, "k", b"v", 0, 1, i), 0)
     return fired, src.cache.pending_count(cid)
 
 

@@ -25,8 +25,9 @@ PAYMENTS = ContainerId("payments", "acct")
 
 
 def session_with(bounds=None, default_bound=Bound(), shipped=None):
+    shipped = [] if shipped is None else shipped
     node = ClusterNode(1, [2], bounds=bounds, default_bound=default_bound,
-                       on_ship=shipped.append if shipped is not None else None)
+                       on_ship=shipped.append)
     return ClientSession(node), node
 
 
@@ -63,7 +64,7 @@ class TestLifecycle:
         assert second is not first
 
     def test_groups_are_distinct_across_a_clusters_sessions(self):
-        node = ClusterNode(1, [2])
+        _, node = session_with()
         sessions = [ClientSession(node), ClientSession(node)]
         groups = []
         for _ in range(5):

@@ -92,9 +92,16 @@ arrivals = st.tuples(st.sampled_from([A, B, C]), st.sampled_from(["k1", "k2", "k
 
 
 def source_and_model(bound_a, bound_b, default):
+    """A source, the list its ``on_ship`` appends to, and the model."""
+    shipped = []
     src = ReplicationSource(source=1, peer=2, bounds={A: bound_a, B: bound_b},
-                            default_bound=default)
-    return src, Model({A: bound_a, B: bound_b, C: default})
+                            default_bound=default, on_ship=shipped.append)
+    return src, shipped, Model({A: bound_a, B: bound_b, C: default})
+
+
+def cut_by(index, batches):
+    """(index, trigger, size) of each batch, all cut by operation ``index``."""
+    return [(index, b.trigger, len(b.updates)) for b in batches]
 
 
 def held_counts(src, model):
@@ -109,14 +116,14 @@ def held_counts(src, model):
        stream=st.lists(arrivals, max_size=60))
 @settings(max_examples=300, deadline=None)
 def test_offer_follows_the_model(bound_a, bound_b, default, stream):
-    src, model = source_and_model(bound_a, bound_b, default)
+    src, shipped, model = source_and_model(bound_a, bound_b, default)
     now = 0
     got, want = [], []
     for index, (cid, key, (value, numeric), gap) in enumerate(stream):
         now += gap
-        batch = src.offer(make_update(container=cid, key=key, value=value), now)
-        if batch is not None:
-            got.append((index, batch.trigger, len(batch.updates)))
+        before = len(shipped)
+        src.offer(make_update(container=cid, key=key, value=value), now)
+        got += cut_by(index, shipped[before:])
         trigger = model.arrive(cid, key, numeric, now)
         if trigger is not None:
             want.append((index, trigger, model.ship({cid}, now)))
@@ -135,7 +142,7 @@ def test_offer_group_follows_the_model_and_counts_every_member(bound_a, bound_b,
     """Single offers mixed with groups; a group ships whole as ANY_BLOCK
     when any member trips, and every member is evaluated, also those
     after the first that trips."""
-    src, model = source_and_model(bound_a, bound_b, default)
+    src, shipped, model = source_and_model(bound_a, bound_b, default)
     now = 0
     got, want = [], []
     with mock.patch.object(ContainerState, "should_ship", autospec=True,
@@ -145,14 +152,13 @@ def test_offer_group_follows_the_model_and_counts_every_member(bound_a, bound_b,
             block = make_group(*dict.fromkeys(m[0] for m in members)) if len(members) > 1 else None
             updates = [make_update(container=cid, key=key, value=value, block=block)
                        for cid, key, (value, _), _ in members]
-            calls = rule.call_count
+            calls, before = rule.call_count, len(shipped)
             if block is None:
-                batch = src.offer(updates[0], now)
+                src.offer(updates[0], now)
             else:
-                batch = src.offer_group(updates, now)
+                src.offer_group(updates, now)
             assert rule.call_count - calls == len(members)
-            if batch is not None:
-                got.append((index, batch.trigger, len(batch.updates)))
+            got += cut_by(index, shipped[before:])
             tripped = [model.arrive(cid, key, numeric, now, block)
                        for cid, key, (_, numeric), _ in members]
             if block is None and tripped[0] is not None:
@@ -171,19 +177,25 @@ def test_pulling_group_members_leaves_the_loose_updates_counted():
     the loose updates it still holds, so its next COUNT batch is no
     larger than its pending limit."""
     bound = Bound(pending=3)
-    src = ReplicationSource(source=1, peer=2, bounds={A: bound, B: bound})
+    shipped = []
+    src = ReplicationSource(source=1, peer=2, bounds={A: bound, B: bound},
+                            on_ship=shipped.append)
     group = make_group(A, B)
-    assert src.offer_group([make_update(container=A, block=group),
-                            make_update(container=B, block=group)], now=0) is None
-    assert src.offer(make_update(container=B, key="loose1"), now=0) is None
-    assert src.offer(make_update(container=A), now=0) is None
-    tripped = src.offer(make_update(container=A), now=0)
+    src.offer_group([make_update(container=A, block=group),
+                     make_update(container=B, block=group)], now=0)
+    src.offer(make_update(container=B, key="loose1"), now=0)
+    src.offer(make_update(container=A), now=0)
+    assert shipped == []
+    src.offer(make_update(container=A), now=0)
+    [tripped] = shipped
     assert tripped.trigger is Trigger.COUNT
     assert {u.container for u in tripped.updates} == {A, B}
     assert src.cache.pending_count(B) == 1
-    batches = [src.offer(make_update(container=B, key=f"m{i}"), now=0) for i in range(3)]
-    assert batches[0] is None and batches[2] is None
-    assert batches[1].trigger is Trigger.COUNT
-    assert [u.key for u in batches[1].updates] == ["loose1", "m0", "m1"]
+    for i in range(3):
+        src.offer(make_update(container=B, key=f"m{i}"), now=0)
+        # m1 is B's third loose update, so it alone trips the count.
+        assert len(shipped) == 1 + (i >= 1)
+    assert shipped[1].trigger is Trigger.COUNT
+    assert [u.key for u in shipped[1].updates] == ["loose1", "m0", "m1"]
     assert src.cache.pending_count(B) == 1
 

@@ -120,14 +120,15 @@ class TestArrivalCounter:
     def test_counter_equals_arrivals_mod_bound(self, b, n):
         # Offer k ships exactly when b divides k, taking the b updates
         # held back; the cache ends holding n mod b.
-        src = ReplicationSource(source=1, peer=2, default_bound=Bound(pending=b))
+        shipped = []
+        src = ReplicationSource(source=1, peer=2, default_bound=Bound(pending=b),
+                                on_ship=shipped.append)
         for k in range(1, n + 1):
-            batch = src.offer(make_update(key=f"k{k}"), now=0)
+            src.offer(make_update(key=f"k{k}"), now=0)
+            assert len(shipped) == k // b
             if k % b == 0:
-                assert batch.trigger is Trigger.COUNT
-                assert len(batch.updates) == b
-            else:
-                assert batch is None
+                assert shipped[-1].trigger is Trigger.COUNT
+                assert len(shipped[-1].updates) == b
         assert src.cache.pending_count(CID) == n % b
 
 
@@ -152,10 +153,15 @@ class TestLagExpiry:
 
     def test_nothing_pending_never_fires(self):
         # A tick long past the lag ships nothing once the queue is empty.
-        src = ReplicationSource(source=1, peer=2, default_bound=Bound(lag_ms=1000))
-        assert src.offer(make_update(), now=0) is None
-        assert [b.trigger for b in src.tick(1000)] == [Trigger.TIME]
-        assert src.tick(5000) == []
+        shipped = []
+        src = ReplicationSource(source=1, peer=2, default_bound=Bound(lag_ms=1000),
+                                on_ship=shipped.append)
+        src.offer(make_update(), now=0)
+        assert shipped == []
+        src.tick(1000)
+        assert [b.trigger for b in shipped] == [Trigger.TIME]
+        src.tick(5000)
+        assert len(shipped) == 1
 
 
 class TestDriftEvaluation:

@@ -19,8 +19,8 @@ OTHER = ContainerId("other", "fam")
 
 def make_node(cluster_id=1, peers=(), clock=None, shipped=None, **kwargs):
     fn = (lambda: clock[0]) if clock is not None else (lambda: 0)
-    on_ship = shipped.append if shipped is not None else None
-    return ClusterNode(cluster_id, list(peers), now_fn=fn, on_ship=on_ship, **kwargs)
+    shipped = [] if shipped is None else shipped
+    return ClusterNode(cluster_id, list(peers), now_fn=fn, on_ship=shipped.append, **kwargs)
 
 
 def remote_batch(updates, source, destination, created_ms=0):
@@ -30,6 +30,11 @@ def remote_batch(updates, source, destination, created_ms=0):
 def foreign(key, value, wall_ms, origin, seq, container=CID):
     return Update(container=container, key=key, value=value, wall_ms=wall_ms,
                   origin=origin, seq=seq)
+
+
+def test_a_node_needs_an_on_ship():
+    with pytest.raises(TypeError, match="on_ship"):
+        ClusterNode(1, [2])
 
 
 class TestLocalWrites:

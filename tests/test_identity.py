@@ -91,7 +91,7 @@ def test_seq_below_one_raises_in_enqueue(seq):
 
 @pytest.mark.parametrize("seq", [0, -3])
 def test_seq_below_one_raises_in_apply_remote(seq):
-    node = ClusterNode(2, [])
+    node = ClusterNode(2, [], on_ship=[].append)
     batch = Batch.build([make_update(origin=1, seq=seq)], 1, 2, 0, Trigger.COUNT)
     with pytest.raises(ProtocolError, match="below 1"):
         node.apply_remote(batch)
@@ -114,7 +114,7 @@ def snapshot(node):
 def test_a_batch_with_a_seq_below_one_changes_nothing():
     # Cluster 2 relays to 3, has applied (1, 1) and holds its own write
     # pending for 3; a batch [(1, 2), (1, 0)] must leave all of it as is.
-    node = ClusterNode(2, [1, 3], default_bound=Bound(pending=100))
+    node = ClusterNode(2, [1, 3], default_bound=Bound(pending=100), on_ship=[].append)
     node.apply_remote(Batch.build([make_update(key="a", origin=1, seq=1)], 1, 2, 0,
                                   Trigger.COUNT))
     node.put(CID, "mine", b"v")
@@ -245,7 +245,7 @@ def test_redelivery_above_a_gap_counts_as_duplicates():
     # Seq 1 never arrives, as when a relay discarded it as stale.
     batch = Batch.build([make_update(key="a", origin=1, seq=2),
                          make_update(key="b", origin=1, seq=3)], 1, 2, 0, Trigger.COUNT)
-    receiver = ClusterNode(2, [])
+    receiver = ClusterNode(2, [], on_ship=[].append)
     receiver.apply_remote(batch)
     assert receiver.tally == ApplyReport(applied=2)
     assert (receiver._applied.floors, receiver._applied.early) == ({}, {1: {2, 3}})

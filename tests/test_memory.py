@@ -138,6 +138,40 @@ def test_records_do_not_change_the_outputs(name, bundled, scenario_dir, tmp_path
     assert unkept.csv_path.read_bytes() == kept.csv_path.read_bytes()
 
 
+# Clusters 1 and 2 write; cluster 3 hears origin 1 only through the
+# relay at cluster 2, which discards the updates it finds stale.
+RELAY = """\
+[topology]
+clusters = 1 2 3
+links = 1>2 2>3
+
+[bounds]
+default = 0 50 0
+
+[workload]
+operations = 400
+write_fraction = 1.0
+distribution = uniform
+keyspace = 50
+value_bytes = 10
+origins = 1 2
+seed = 42
+"""
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "a relay never offers on the updates it discards as stale, so cluster 3 never sees "
+    "those seqs of origin 1, and its apply window keeps every later seq of origin 1 "
+    "as early, a set that grows with the run"))
+def test_the_window_below_a_discarding_relay_ends_as_one_floor_per_origin(tmp_path):
+    path = tmp_path / "relay.ini"
+    path.write_text(RELAY, encoding="utf-8")
+    sim = Simulation(load_scenario(path), keep_batches=False)
+    sim.run()
+    window = sim.clusters[3]._applied
+    assert (window.floors, window.early) == ({1: 200, 2: 200}, {})
+
+
 class TestKeyCdf:
     KEYS = 100_000
 
