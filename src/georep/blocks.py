@@ -1,10 +1,10 @@
 """Client sessions and atomically replicated write groups.
 
-A session targets one cluster.  Writes outside a group follow the
-normal per-container bound evaluation.  Between start_block and
-end_block, writes apply locally right away (local visibility is never
-deferred) but are withheld from replication and then offered to the
-peers as one group when the block closes:
+A session targets one cluster and serves its write groups; a write
+outside one follows the normal per-container bound evaluation.  Between
+start_block and end_block, writes apply locally right away (local
+visibility is never deferred) but are withheld from replication and
+then offered to the peers as one group when the block closes:
 
 * IMMEDIATE blocks ship as a single batch at close, together with
   everything else the involved containers hold back.
@@ -42,10 +42,6 @@ class ClientSession:
         # The open block as (group, mode, members written so far), or None.
         self._block: tuple[Group, BlockMode, list[Update]] | None = None
 
-    @property
-    def in_block(self) -> bool:
-        return self._block is not None
-
     def start_block(self, mode: BlockMode) -> Group:
         """Open a write group and return it.  Groups do not nest."""
         if self._block is not None:
@@ -75,6 +71,3 @@ class ClientSession:
         if updates:
             group.containers = tuple({u.container: None for u in updates})
             self.cluster.offer_group(updates, immediate=(mode is BlockMode.IMMEDIATE))
-
-    def read(self, cid: ContainerId, key: str) -> bytes | None:
-        return self.cluster.get(cid, key)

@@ -26,8 +26,7 @@ class PendingCache:
     of pending updates, kept by the replication source of cluster
     ``origin`` for one peer.  A state is built on its container's first
     ``enqueue``, with the container's bound in ``bounds`` or else
-    ``default_bound``.  ``pending_count``, the count a pending limit is
-    checked against, is the length of the container's queue.
+    ``default_bound``.
 
     Every update of the cache's own cluster is remembered by its seq in
     a ``SeqWindow``.  The source sees every seq its cluster writes, so
@@ -70,10 +69,6 @@ class PendingCache:
         return {cid: max(state.peak, len(state.queue))
                 for cid, state in self.containers.items()}
 
-    def pending_count(self, cid: ContainerId) -> int:
-        """How many updates the container holds back (class docstring)."""
-        return len(self.containers[cid].queue) if cid in self.containers else 0
-
     def drain(self, cids: list[ContainerId], now: int) -> list[Update]:
         """Remove and return every update queued for the given containers,
         plus the complete membership of any group touched by them, and
@@ -83,41 +78,30 @@ class PendingCache:
         Draining containers with nothing queued yields an empty list, and
         a repeated id adds nothing: its queue is already taken.
         """
+        containers = self.containers
         taken: list[Update] = []
         touched: dict[Group, None] = {}
         for cid in cids:
-            taken.extend(self._take_queue(cid, now, touched))
+            state = containers.get(cid)
+            if state is not None and state.queue:
+                for u in state.queue:
+                    if u.block is not None:
+                        touched[u.block] = None
+                taken += self._take(state, now, state.queue, [])
         if touched:
             # Pull the sibling members of every touched group from the
             # containers it writes that were not drained outright, each
             # container's members in its arrival order.  Newly touched
             # groups cannot appear: only members of listed groups leave.
             siblings = {cid: None for g in touched for cid in g.containers
-                        if cid not in cids and cid in self.containers}
+                        if cid not in cids and cid in containers}
             for cid in siblings:
-                taken.extend(self._take_block_members(cid, now, touched))
+                state = containers[cid]
+                members = [u for u in state.queue if u.block in touched]
+                if members:
+                    remaining = [u for u in state.queue if u.block not in touched]
+                    taken += self._take(state, now, members, remaining)
         return taken
-
-    def _take_queue(self, cid: ContainerId, now: int, touched: dict[Group, None]) -> list[Update]:
-        state = self.containers.get(cid)
-        if state is None or not state.queue:
-            return []
-        for u in state.queue:
-            if u.block is not None:
-                touched[u.block] = None
-        return self._take(state, now, state.queue, [])
-
-    def _take_block_members(self, cid: ContainerId, now: int,
-                            touched: dict[Group, None]) -> list[Update]:
-        state = self.containers[cid]
-        members: list[Update] = []
-        remaining: list[Update] = []
-        for u in state.queue:
-            if u.block in touched:
-                members.append(u)
-            else:
-                remaining.append(u)
-        return self._take(state, now, members, remaining) if members else []
 
     def _take(self, state: ContainerState, now: int, taken: list[Update],
               remaining: list[Update]) -> list[Update]:

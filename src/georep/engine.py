@@ -6,7 +6,8 @@ stragglers until nothing moves anywhere.  The workload is not queued up
 front: the loop pulls an arrival instant from ``generate`` only after
 the previous instant has run, and the instant's ops are generated as
 they are applied, one at a time, before any other event at that
-instant.  No op is held in memory before it runs.
+instant.  No op is held in memory before it runs.  Loose reads and
+writes go straight to their cluster; sessions serve write groups only.
 
 The engine, not the clusters, ticks and flushes every replication
 source, in link order (by cluster, then by peer).  Only sources whose
@@ -39,10 +40,9 @@ and submits the batch to the network.  With ``keep_batches`` (the
 default) it also keeps a ``BatchRecord``: the batch's header, its
 delivery time and each update's ``(origin, seq)``, which is what the
 structural tests and the benchmark's checks inspect; a record lives as
-long as the run.  The network, remote apply, acknowledgment and the
-metric ledger get the ``Batch`` itself.  ``georep run`` reads no
-record, so it keeps none, and ``RunResult.batches`` is then None rather
-than an empty list.
+long as the run.  The network, remote apply and the metric ledger
+get the ``Batch`` itself.  ``georep run`` reads no record, so it keeps
+none, and ``RunResult.batches`` is then None rather than an empty list.
 
 Kept records grow by 16 bytes of identity with every update shipped,
 but hold no update, so a value lives only as long as a store or a queue
@@ -171,7 +171,6 @@ class Simulation:
         src, dst = batch.source, batch.destination
         node = self.clusters[dst]
         node.apply_remote(batch)
-        self.clusters[src].sources[dst].acknowledge(batch)
         self.metrics.note_delivery((src, dst), batch, now)
         self._sample_pending((node,))
         self._arm_tick()
@@ -200,28 +199,28 @@ class Simulation:
         # A read skips the sample once this window holds one (module
         # docstring).  Every op of the group shares now.
         window = self.net.now // self.metrics.window_ms
-        sessions = self.sessions
         client_ops = 0
         for _, origin, op in group:
-            session = sessions[origin]
+            node = self.clusters[origin]
             kind = type(op)
             if kind is WriteOp:
-                session.put(op.container, op.key, op.value)
+                node.put(op.container, op.key, op.value)
                 client_ops += 1
             elif kind is ReadOp:
-                session.read(op.container, op.key)
+                node.get(op.container, op.key)
                 client_ops += 1
                 if window == self._sampled_window:
                     continue
             else:
                 if window != self._sampled_window:
                     self._sample_pending()
+                session = self.sessions[origin]
                 session.start_block(op.mode)
                 for cid, key, value in op.writes:
                     session.put(cid, key, value)
                 session.end_block()
                 client_ops += len(op.writes)
-            self._sample_pending((session.cluster,))
+            self._sample_pending((node,))
         self._client_ops += client_ops
         self._arm_tick()
 

@@ -85,7 +85,6 @@ class ReplicationSource:
         # Whether a tick can ever ship anything from this source.
         self.timed = mode == "plain" or any(
             b.lag_ms > 0 for b in (default_bound, *self.cache.bounds.values()))
-        self.shipped_position: dict[int, int] = {}
 
     # -- ingestion ---------------------------------------------------
 
@@ -162,7 +161,7 @@ class ReplicationSource:
         return any(state.queue and state.bound.lag_ms > 0
                    for state in self.cache.containers.values())
 
-    # -- batch construction and acknowledgment ------------------------
+    # -- batch construction -------------------------------------------
 
     def _drain(self, cids: list[ContainerId], now: int, trigger: Trigger) -> None:
         """Ship what ``cids`` hold back; every caller knows they hold some."""
@@ -170,7 +169,6 @@ class ReplicationSource:
         self.on_ship(batch)
 
     def acknowledge(self, batch: Batch) -> None:
-        """Advance per-origin high-water marks once the peer applied it."""
-        for u in batch.updates:
-            if u.seq > self.shipped_position.get(u.origin, 0):
-                self.shipped_position[u.origin] = u.seq
+        """Does nothing and is not called: it stays because the benchmark's
+        span table patches it by name, and ROADMAP item 6 (a bounded
+        in-flight window per link) will give an acknowledgment a reader."""

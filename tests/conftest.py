@@ -31,6 +31,13 @@ def wire_bytes(updates):
     return Batch.build(list(updates), 1, 2, 0, Trigger.COUNT).total_bytes - BATCH_HEADER_BYTES
 
 
+def held_back(cache, cid):
+    """How many updates ``cache`` holds back for ``cid``: its queue's
+    length, 0 for a container the cache never saw."""
+    state = cache.containers.get(cid)
+    return len(state.queue) if state is not None else 0
+
+
 def make_group(*containers):
     """A closed write group over ``containers``, given in first-write
     order; its members are the updates built with ``block=`` it."""

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import ship_log
+from conftest import held_back, ship_log
 from georep.blocks import BlockMode, ClientSession
 from georep.bounds import Bound, ContainerId, Group
 from georep.cluster import ClusterNode
@@ -38,12 +38,14 @@ class TestLifecycle:
         session, _ = session_with()
         group = session.start_block(BlockMode.IMMEDIATE)
         assert type(group) is Group and group.containers == ()
-        assert session.in_block
+        with pytest.raises(ProtocolError, match="already open"):
+            session.start_block(BlockMode.ANY)
 
     def test_any_mode_opens_too(self):
         session, _ = session_with()
         assert type(session.start_block(BlockMode.ANY)) is Group
-        assert session.in_block
+        with pytest.raises(ProtocolError, match="already open"):
+            session.start_block(BlockMode.ANY)
 
     def test_nested_start_rejected(self):
         session, _ = session_with()
@@ -99,10 +101,10 @@ class TestPutSemantics:
     def test_put_inside_block_is_locally_visible_before_close(self):
         # Blocks defer replication, never local visibility.
         shipped = []
-        session, _ = session_with(default_bound=Bound(), shipped=shipped)
+        session, node = session_with(default_bound=Bound(), shipped=shipped)
         session.start_block(BlockMode.IMMEDIATE)
         session.put(ORDERS, "k", b"v")
-        assert session.read(ORDERS, "k") == b"v"
+        assert node.get(ORDERS, "k") == b"v"
         assert shipped == []
 
     def test_put_inside_block_carries_block_id(self):
@@ -137,8 +139,8 @@ class TestImmediateBlocks:
         session.put(PAYMENTS, "b", b"2")
         session.end_block()
         source = node.sources[2]
-        assert source.cache.pending_count(ORDERS) == 0
-        assert source.cache.pending_count(PAYMENTS) == 0
+        assert held_back(source.cache, ORDERS) == 0
+        assert held_back(source.cache, PAYMENTS) == 0
 
 
 class TestAnyBlocks:
@@ -204,7 +206,8 @@ class TestAnyBlocks:
         session.start_block(BlockMode.IMMEDIATE)
         session.end_block()
         assert shipped == []
-        assert not session.in_block
+        with pytest.raises(ProtocolError, match="no block open"):
+            session.end_block()
 
 
 def test_writes_after_block_follow_the_plain_path():

@@ -7,7 +7,7 @@ shipment takes the whole queue of every involved container plus the
 siblings of any group it touches, and sets the count of every container
 it took from to the number of updates that container still holds (zero
 unless it gave up only group members).  After every stream the model's
-counts must equal the cache's ``pending_count`` for each container
+counts must equal the length of the cache's queue for each container
 under a pending limit.
 """
 
@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from georep.bounds import Bound, ContainerId, ContainerState
 from georep.shipping import ReplicationSource, Trigger
 
-from conftest import make_group, make_update
+from conftest import held_back, make_group, make_update
 
 A = ContainerId("a", "fam")
 B = ContainerId("b", "fam")
@@ -108,7 +108,7 @@ def held_counts(src, model):
     """(cache, model) held-back counts of the containers under a pending
     limit; the model counts only there."""
     limited = [cid for cid, bound in model.bounds.items() if bound.pending]
-    return ({cid: src.cache.pending_count(cid) for cid in limited},
+    return ({cid: held_back(src.cache, cid) for cid in limited},
             {cid: model.arrivals[cid] for cid in limited})
 
 
@@ -190,12 +190,12 @@ def test_pulling_group_members_leaves_the_loose_updates_counted():
     [tripped] = shipped
     assert tripped.trigger is Trigger.COUNT
     assert {u.container for u in tripped.updates} == {A, B}
-    assert src.cache.pending_count(B) == 1
+    assert held_back(src.cache, B) == 1
     for i in range(3):
         src.offer(make_update(container=B, key=f"m{i}"), now=0)
         # m1 is B's third loose update, so it alone trips the count.
         assert len(shipped) == 1 + (i >= 1)
     assert shipped[1].trigger is Trigger.COUNT
     assert [u.key for u in shipped[1].updates] == ["loose1", "m0", "m1"]
-    assert src.cache.pending_count(B) == 1
+    assert held_back(src.cache, B) == 1
 

@@ -19,7 +19,7 @@ from georep.bounds import (
 
 from georep.shipping import UPDATE_OVERHEAD_BYTES, ReplicationSource
 
-from conftest import CID, make_update, wire_bytes
+from conftest import CID, held_back, make_update, wire_bytes
 
 # A non-empty container part: any text without a colon.
 PART = st.text(min_size=1, max_size=6).filter(lambda s: ":" not in s)
@@ -129,7 +129,7 @@ class TestArrivalCounter:
             if k % b == 0:
                 assert shipped[-1].trigger is Trigger.COUNT
                 assert len(shipped[-1].updates) == b
-        assert src.cache.pending_count(CID) == n % b
+        assert held_back(src.cache, CID) == n % b
 
 
 class TestLagExpiry:

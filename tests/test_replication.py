@@ -7,7 +7,7 @@ import pytest
 from georep.bounds import Bound, ContainerId, ContainerState
 from georep.shipping import BATCH_HEADER_BYTES, UPDATE_OVERHEAD_BYTES, ReplicationSource, Trigger
 
-from conftest import make_group, make_update
+from conftest import held_back, make_group, make_update
 
 A = ContainerId("a", "fam")
 B = ContainerId("b", "fam")
@@ -85,7 +85,7 @@ class TestOffer:
         src, _ = source_with(Bound(pending=3))
         for i in range(7):
             src.offer(make_update(container=A, key=f"k{i}"), now=i)
-        assert src.cache.pending_count(A) == 7 % 3
+        assert held_back(src.cache, A) == 7 % 3
 
     def test_plain_mode_never_ships_on_offer(self):
         src, shipped = source_with(Bound(), mode="plain")
@@ -249,8 +249,8 @@ class TestGroups:
         members = [make_update(container=A, key="x", block=group),
                    make_update(container=B, key="y", block=group)]
         src.ship_group_now(members, now=5)
-        assert src.cache.pending_count(A) == 0
-        assert src.cache.pending_count(B) == 0
+        assert held_back(src.cache, A) == 0
+        assert held_back(src.cache, B) == 0
 
     def test_group_from_peer_origin_fully_dropped(self):
         src, shipped = source_with(Bound(pending=1))
@@ -368,24 +368,6 @@ class TestLagClock:
         assert [b.created_ms for b in shipped] == [1000, 2000, 3000]
 
 
-class TestAcknowledge:
-    def test_high_water_marks_advance(self):
-        src, shipped = source_with(Bound(pending=2))
-        src.offer(make_update(key="k1", origin=1, seq=11), now=0)
-        src.offer(make_update(key="k2", origin=1, seq=12), now=1)
-        src.acknowledge(shipped[0])
-        assert src.shipped_position[1] == 12
-
-    def test_marks_never_regress(self):
-        src, shipped = source_with(Bound())
-        src.offer(make_update(key="a", origin=1, seq=20), now=0)
-        src.offer(make_update(key="b", origin=1, seq=21), now=1)
-        first, second = shipped
-        src.acknowledge(second)
-        src.acknowledge(first)
-        assert src.shipped_position[1] == 21
-
-
 class TestBatchSizeInvariant:
     def test_count_batches_are_exact_with_final_remainder(self):
         # 1003 arrivals against a bound of 100: ten full batches, then
@@ -441,7 +423,7 @@ class TestTimerWork:
         assert src.has_timer_work()
         src.tick(300)
         assert [b.trigger for b in shipped] == [Trigger.TIME]
-        assert src.cache.pending_count(A) == 0 and src.cache.pending_count(B) == 1
+        assert held_back(src.cache, A) == 0 and held_back(src.cache, B) == 1
 
 
 def test_unknown_mode_rejected():

@@ -25,15 +25,16 @@ class EveryLinkSimulation(Simulation):
 
     def _apply_ops(self, group):
         for _, origin, op in group:
-            session = self.sessions[origin]
+            node = self.clusters[origin]
             if isinstance(op, WriteOp):
-                session.put(op.container, op.key, op.value)
+                node.put(op.container, op.key, op.value)
                 self._client_ops += 1
             elif isinstance(op, ReadOp):
-                session.read(op.container, op.key)
+                node.get(op.container, op.key)
                 self._client_ops += 1
             else:
                 self._sample_pending(None)
+                session = self.sessions[origin]
                 session.start_block(op.mode)
                 for write in op.writes:
                     session.put(write.container, write.key, write.value)
