@@ -105,17 +105,14 @@ class ClusterNode:
         cell = cells.get(key)
         if cell is not None:
             key = cell.key
-        update = Update(
-            container=cid, key=key, value=value, wall_ms=self.now_fn(),
-            origin=self.cluster_id, seq=self.last_seq, block=block,
-        )
+        update = Update(cid, key, value, self.now_fn(), self.cluster_id, self.last_seq, block)
         cells[key] = update
         return update
 
     def put(self, cid: ContainerId, key: str, value: bytes) -> Update:
         """Write locally and offer the update to every peer in one step."""
         update = self.local_put(cid, key, value)
-        now = self.now_fn()
+        now = update.wall_ms
         for source in self.sources.values():
             source.offer(update, now)
         return update
@@ -168,7 +165,9 @@ class ClusterNode:
                 if cells is None:
                     cells = store[cid] = {}
             cell = cells.get(u.key)
-            if cell is None or u.version > cell.version:
+            # Update.version, compared inline.
+            if cell is None or (u.wall_ms, u.origin, u.seq) > (
+                    cell.wall_ms, cell.origin, cell.seq):
                 cells[u.key] = u
                 fresh.append(u)
             else:
@@ -178,6 +177,8 @@ class ClusterNode:
         tally.applied += len(fresh)
 
     def _relay(self, updates: list[Update], exclude_peer: int) -> None:
+        if not self.sources.keys() - {exclude_peer}:
+            return  # no peer but the sender
         now = self.now_fn()
         singles: list[Update] = []
         groups: dict[Group, list[Update]] = {}
@@ -207,18 +208,23 @@ class ClusterNode:
         current store, only the cells that are not the identical object
         under the same key in both stores are hashed, from both sides,
         and XORed into ``base_digest``; the shared cells would cancel.
+        When every cell here has its twin in ``base`` and both stores
+        hold the same containers at the same sizes, ``base`` holds no
+        other cell, so its side is not walked.
         """
         if base is None:
-            return f"{_xor_cells(self.store, {}):064x}"
-        acc = int(base_digest, 16) ^ _xor_cells(self.store, base.store) \
-            ^ _xor_cells(base.store, self.store)
-        return f"{acc:064x}"
+            return f"{_xor_cells(self.store, {})[0]:064x}"
+        acc, hashed = _xor_cells(self.store, base.store)
+        if hashed or not _same_shape(self.store, base.store):
+            acc ^= _xor_cells(base.store, self.store)[0]
+        return f"{int(base_digest, 16) ^ acc:064x}"
 
 
-def _xor_cells(store: Store, other: Store) -> int:
+def _xor_cells(store: Store, other: Store) -> tuple[int, int]:
     """XOR of the cell hashes of ``store``, skipping each cell that is
-    the identical object under the same key in ``other``."""
-    acc = 0
+    the identical object under the same key in ``other``, and the number
+    of cells hashed."""
+    acc = hashed = 0
     sha256 = hashlib.sha256
     for cid, cells in store.items():
         label = cid.encode("utf-8")
@@ -228,4 +234,12 @@ def _xor_cells(store: Store, other: Store) -> int:
                 record = b"%b|%b|%d|%d|%b" % (
                     label, key.encode("utf-8"), cell.wall_ms, cell.origin, cell.value)
                 acc ^= int.from_bytes(sha256(record).digest(), "big")
-    return acc
+                hashed += 1
+    return acc, hashed
+
+
+def _same_shape(store: Store, other: Store) -> bool:
+    """Whether both stores hold the same containers, each of the same
+    size in both."""
+    return store.keys() == other.keys() and all(
+        len(cells) == len(other[cid]) for cid, cells in store.items())

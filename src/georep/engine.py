@@ -1,35 +1,52 @@
 """The simulation driver.
 
-Builds clusters, links and sessions from a scenario, streams the
-workload into the event loop, runs to quiescence, then drains
-stragglers until nothing moves anywhere.  The workload is not queued up
-front: the loop pulls an arrival instant from ``generate`` only after
-the previous instant has run, and the instant's ops are generated as
-they are applied, one at a time, before any other event at that
-instant.  No op is held in memory before it runs.  Loose reads and
-writes go straight to their cluster; sessions serve write groups only.
+Builds clusters, links and sessions from a scenario, then drives the
+workload stream itself: it iterates ``generate``, and each time the
+arrival instant changes it closes the instant before (below) and calls
+``SimNet.advance``, which runs every event queued before the new
+instant and stops the clock on it.  The instant's ops are then applied
+as they are generated, one at a time, before any other event at that
+instant; no op is held in memory before it runs.  After the stream the
+run goes to quiescence, then drains stragglers until nothing moves
+anywhere.  Loose reads and writes go straight to their cluster;
+sessions serve write groups only.
 
 The engine, not the clusters, ticks and flushes every replication
 source, in link order (by cluster, then by peer).  Only sources whose
 ``timed`` is true, those under the plain poll or holding a bound with a
 lag, are ticked and asked about timer work.  The timer for lag
-validation (or the plain-mode poll) is armed lazily: one pending tick
-event at a time, on a grid of multiples of the tick interval, and only
-while some timed source actually has timer-driven work.  That keeps
-idle stretches free of events without changing when anything ships.
+validation (or the plain-mode poll) is armed lazily, when an instant
+closes and after each delivery and tick: one pending tick event at a
+time, on a grid of multiples of the tick interval, and only while some
+timed source actually has timer-driven work.  That keeps idle stretches
+free of events without changing when anything ships.
 
 Each link's shipping backlog is sampled for the ``pending_max`` column
 at event boundaries.  A backlog only changes when its own cluster acts,
 so after a delivery only the destination's links are sampled, after a
-tick every link, and after a put or a write group the acting cluster's
-links.  The first sample in each metric window takes every link, so a
-backlog that sits unchanged across a window boundary is still recorded
-in the new window; that first sample may follow any client action, and
-a write group that opens a window takes it before the group, then
-samples its cluster's links after the group closes.  A read changes no
-backlog, so once the window holds a sample it takes none: every change
-since the window's first sample was followed by a sample of its link,
-so its sample would repeat a value the window already holds.
+tick every link, and after a write or a write group the acting
+cluster's links.  The first sample in each metric window takes every
+link, so a backlog that sits unchanged across a window boundary is
+still recorded in the new window; that first sample may follow any
+client action, and a write group that opens a window takes it before
+the group, then samples its cluster's links after the group closes.  A
+read changes no backlog, so once the window holds a sample it takes
+none: every change since the window's first sample was followed by a
+sample of its link, so its sample would repeat a value the window
+already holds.  A loose write in a window that already holds a sample
+is sampled once per instant: each of the acting cluster's links keeps a
+running maximum (a high-water mark) of its backlog, and closing the
+instant samples each link whose mark is nonzero.  Every sample taken at
+one instant lands on the same (window, link) record, which keeps only
+its maximum, and an empty backlog adds no row, so the rows are those of
+a sample after every write.
+
+A run pauses the cyclic garbage collector and restores its previous
+state when it ends, also when it fails.  A run makes no reference
+cycle: reference counting frees everything it drops, and a collection
+after a paused run finds nothing.  Left on, the collector would walk
+the growing store dozens of times a run (about 70 passes on a
+50,000-write burst) to find nothing.
 
 A replication source ships its own batches: each cluster hands the
 engine's ``_on_ship`` to every source it builds, and a source calls it
@@ -57,21 +74,20 @@ one floor.
 
 from __future__ import annotations
 
+import gc
 import time
 from array import array
 from dataclasses import dataclass
 from functools import partial
-from itertools import groupby
-from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .blocks import ClientSession
 from .cluster import ClusterNode
 from .metrics import MetricsCollector, Row, run_totals, summary_path, write_csv, write_summary
 from .scenario import Scenario
 from .shipping import Batch
-from .simnet import DEFAULT_MAX_EVENTS, SimNet
+from .simnet import DEFAULT_MAX_EVENTS, Link, SimNet
 from .workload import ReadOp, TimedOp, WriteOp, generate
 
 
@@ -130,7 +146,7 @@ class Simulation:
 
     def __init__(self, scenario: Scenario, keep_batches: bool = True) -> None:
         self.scenario = scenario
-        # One event per fed client action, at least one per fed instant,
+        # One event per advanced instant, at most one per client action,
         # on top of DEFAULT_MAX_EVENTS for the events the run makes itself.
         self.net = SimNet(max_events=DEFAULT_MAX_EVENTS + scenario.workload.client_actions)
         for (src, dst), spec in scenario.links.items():
@@ -195,17 +211,32 @@ class Simulation:
 
     # -- workload -------------------------------------------------------
 
-    def _apply_ops(self, group: Iterable[TimedOp]) -> None:
-        # A read skips the sample once this window holds one (module
-        # docstring).  Every op of the group shares now.
-        window = self.net.now // self.metrics.window_ms
+    def _play(self, ops: Iterable[TimedOp]) -> None:
+        """Apply the op stream, advancing the network to each new
+        instant after closing the one before.  A read skips the sample,
+        and a loose write only raises its links' high-water marks, once
+        this window holds a sample (module docstring)."""
+        net, clusters, window_ms = self.net, self.clusters, self.metrics.window_ms
+        highs: dict[Link, int] = {}
+        at = window = None
         client_ops = 0
-        for _, origin, op in group:
-            node = self.clusters[origin]
+        for at_ms, origin, op in ops:
+            if at_ms != at:
+                if at is not None:
+                    self._close_instant(highs)
+                net.advance(at_ms)
+                at, window = at_ms, at_ms // window_ms
+            node = clusters[origin]
             kind = type(op)
             if kind is WriteOp:
                 node.put(op.container, op.key, op.value)
                 client_ops += 1
+                if window == self._sampled_window:
+                    for source in node.sources.values():
+                        count = source.cache.total_pending_count
+                        if count > highs.get(source.link, 0):
+                            highs[source.link] = count
+                    continue
             elif kind is ReadOp:
                 node.get(op.container, op.key)
                 client_ops += 1
@@ -221,7 +252,18 @@ class Simulation:
                 session.end_block()
                 client_ops += len(op.writes)
             self._sample_pending((node,))
+        if at is not None:
+            self._close_instant(highs)
         self._client_ops += client_ops
+
+    def _close_instant(self, highs: dict[Link, int]) -> None:
+        """Sample each link's high-water mark of the instant, once, and
+        forget the marks; then arm the timer."""
+        if highs:
+            now, sample = self.net.now, self.metrics.sample_pending
+            for link, high in highs.items():
+                sample(link, high, now)
+            highs.clear()
         self._arm_tick()
 
     def _sample_pending(self, changed: Iterable[ClusterNode] | None = None) -> None:
@@ -244,27 +286,27 @@ class Simulation:
         if self._ran:
             raise RuntimeError("a Simulation runs once")
         self._ran = True
-        started = time.perf_counter()
-        self.net.run_until_quiescent(self._instants())
-        # Straggler flush: sources may refill each other through relays,
-        # so drain and deliver until no source holds a backlog.  A drain
-        # only submits batches, so nothing refills a source mid-pass.
-        while any(source.cache.total_pending_count for source in self._sources):
-            for source in self._sources:
-                source.final_drain(self.net.now)
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            started = time.perf_counter()
+            self._play(generate(self.scenario.workload))
             self.net.run_until_quiescent()
-        elapsed = max(time.perf_counter() - started, 1e-9)
-        rows = self.metrics.build_rows()
-        summary = self._summarize(rows, self._client_ops / elapsed)
+            # Straggler flush: sources may refill each other through
+            # relays, so drain and deliver until no source holds a
+            # backlog.  A drain only submits batches, so nothing refills
+            # a source mid-pass.
+            while any(source.cache.total_pending_count for source in self._sources):
+                for source in self._sources:
+                    source.final_drain(self.net.now)
+                self.net.run_until_quiescent()
+            elapsed = max(time.perf_counter() - started, 1e-9)
+            rows = self.metrics.build_rows()
+            summary = self._summarize(rows, self._client_ops / elapsed)
+        finally:
+            if collecting:
+                gc.enable()
         return RunResult(rows=rows, summary=summary, batches=self.batches)
-
-    def _instants(self) -> Iterator[tuple[int, Callable[[], None]]]:
-        """The workload as events, one per arrival instant.  Each hands
-        ``_apply_ops`` its instant's lazy group, which generates the ops
-        as they are applied; the event loop pulls an instant only after
-        the one before it has run, so the group is never stale."""
-        for at_ms, group in groupby(generate(self.scenario.workload), key=itemgetter(0)):
-            yield at_ms, partial(self._apply_ops, group)
 
     def _summarize(self, rows: list[Row], ops_per_sec: float) -> dict:
         nodes = {str(cid): self.clusters[cid] for cid in sorted(self.clusters)}

@@ -27,6 +27,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -34,6 +35,8 @@ from .errors import ScenarioError
 from .shipping import Batch
 
 Link = tuple[int, int]
+
+_wall_ms = attrgetter("wall_ms")
 
 
 class Row(NamedTuple):
@@ -85,12 +88,10 @@ class MetricsCollector:
         record.batches += 1
         if size > record.max_batch_bytes:
             record.max_batch_bytes = size
-        worst = record.staleness_max_ms
-        for u in batch.updates:
-            age = now - u.wall_ms
-            if age > worst:
-                worst = age
-        record.staleness_max_ms = worst
+        if batch.updates:
+            age = now - min(map(_wall_ms, batch.updates))
+            if age > record.staleness_max_ms:
+                record.staleness_max_ms = age
 
     def sample_pending(self, link: Link, count: int, now: int) -> None:
         if count <= 0:

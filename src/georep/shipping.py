@@ -15,6 +15,7 @@ the bytes a batch is charged, from the constants below.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable
 
 from .bounds import Bound, ContainerId, ContainerState, Trigger, Update
@@ -32,6 +33,8 @@ BATCH_HEADER_BYTES = 21
 UPDATE_OVERHEAD_BYTES = 34
 MAX_VALUE_BYTES = 2**32 - 1
 
+_key, _value = attrgetter("key"), attrgetter("value")
+
 
 @dataclass(frozen=True, slots=True)
 class Batch:
@@ -48,9 +51,11 @@ class Batch:
     def build(cls, updates: list[Update], source: int, destination: int,
               created_ms: int, trigger: Trigger) -> Batch:
         # The one size formula: the header, plus each update's UTF-8
-        # key, value and fixed overhead.
+        # key, value and fixed overhead.  UTF-8 encodes a concatenation
+        # piecewise, so the joined keys encode to the keys' total length.
         total = (BATCH_HEADER_BYTES + UPDATE_OVERHEAD_BYTES * len(updates)
-                 + sum([len(u.key.encode("utf-8")) + len(u.value) for u in updates]))
+                 + len("".join(map(_key, updates)).encode("utf-8"))
+                 + sum(map(len, map(_value, updates))))
         return cls(tuple(updates), source, destination, created_ms, trigger, total)
 
 

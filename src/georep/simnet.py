@@ -1,12 +1,12 @@
 """Deterministic discrete-event clock and network.
 
 Events execute in (timestamp, insertion order); the clock never moves
-backward.  A long scripted event stream need not be queued up front: it
-can be fed to the loop lazily, one event at a time, and each fed event
-runs before every queued event at the same instant.  The loop pulls the
-next fed event only after the current one has run, so a fed event may
-consume the state its feed shares with it (an instant's ops, generated
-as they are applied) and nothing later in the feed exists before then.
+backward.  A long scripted stream need not be queued up front: its
+driver calls ``advance(at_ms)``, which runs every queued event before
+``at_ms`` and then stops the clock at ``at_ms``, so the driver acts at
+that instant before every event queued for it, and nothing later in the
+stream exists before then.  Each advance counts as one event against
+the budget.
 
 Links have a fixed latency and a list of scheduled outage windows.  A
 batch submitted while its link is down is not lost: delivery is retried
@@ -23,16 +23,17 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable
+from typing import Callable
 
 from .errors import LivelockError, ScenarioError
 from .shipping import Batch
 
 Link = tuple[int, int]
 
-# Default event budget for run_until_quiescent; generous for any bundled
+# Default event budget, advances included; generous for any bundled
 # scenario, small enough to abort a runaway loop in seconds.
 DEFAULT_MAX_EVENTS = 10_000_000
 
@@ -111,36 +112,37 @@ class SimNet:
         else:
             self.schedule(self.now + spec.latency_ms, partial(deliver, batch))
 
-    def run_until_quiescent(self, feed: Iterable[tuple[int, Callable[[], None]]] = ()) -> int:
-        """Run events until the queue and ``feed`` are empty; returns the
-        final clock.
+    def advance(self, at_ms: int) -> None:
+        """Run every queued event before ``at_ms``, then set the clock to
+        ``at_ms``; the caller then acts before every event queued for
+        that instant.  Counts as one event against the budget."""
+        if at_ms < self.now:
+            raise ValueError(f"cannot advance to {at_ms}, clock is at {self.now}")
+        self._run_before(at_ms)
+        self.now = at_ms
+        self._events_run += 1
+        if self._events_run > self.max_events:
+            self._overrun()
 
-        ``feed`` yields (instant, callback) events in nondecreasing time
-        order.  They are pulled one at a time, each only after the fed
-        event before it has run, and each runs before every queued event
-        at its instant.  Aborts with a diagnostic once the cumulative
-        event count, fed events included, passes the configured budget,
-        which catches self-perpetuating loops.
-        """
+    def run_until_quiescent(self) -> int:
+        """Run events until the queue is empty; returns the final clock."""
+        self._run_before(math.inf)
+        return self.now
+
+    def _run_before(self, limit: float) -> None:
+        """Run queued events earlier than ``limit`` in order.  Aborts with
+        a diagnostic once the cumulative event count, advances included,
+        passes the configured budget, which catches self-perpetuating
+        loops."""
         queue = self._queue
-        feed = iter(feed)
-        head = next(feed, None)
-        while True:
-            fed = head is not None and (not queue or head[0] <= queue[0][0])
-            if fed:
-                at_ms, fn = head
-                if at_ms < self.now:
-                    raise ValueError(f"fed event at {at_ms}, clock is at {self.now}")
-            elif queue:
-                at_ms, _, fn = heapq.heappop(queue)
-            else:
-                return self.now
-            self.now = at_ms
+        while queue and queue[0][0] < limit:
+            self.now, _, fn = heapq.heappop(queue)
             self._events_run += 1
             if self._events_run > self.max_events:
-                raise LivelockError(
-                    f"event budget of {self.max_events} exceeded at t={self.now}ms; "
-                    f"{len(queue)} events still queued")
+                self._overrun()
             fn()
-            if fed:
-                head = next(feed, None)
+
+    def _overrun(self) -> None:
+        raise LivelockError(
+            f"event budget of {self.max_events} exceeded at t={self.now}ms; "
+            f"{len(self._queue)} events still queued")

@@ -11,7 +11,11 @@ zipfian draw where the key of rank r is chosen with probability
 proportional to 1 / (r+1)^constant, sampled from the exact cumulative
 distribution.  That distribution is held packed, as an ``array('d')``
 of 8 bytes per key rather than a list of float objects: the entries are
-the same doubles, so ``bisect_right`` draws bit-identical ranks.
+the same doubles, so ``bisect_right`` draws bit-identical ranks.  A
+uniform key and every value are drawn with the generator's
+``getrandbits`` exactly as ``randrange`` and ``randbytes`` draw them on
+CPython 3.10 to 3.12, without their per-call checks, so the stream is
+the one those calls give.
 
 Operations are paced in bursts: ``burst_ops`` operations share each
 arrival instant and consecutive instants are ``burst_spacing_ms``
@@ -189,7 +193,8 @@ def generate(spec: WorkloadSpec) -> Iterator[TimedOp]:
     origins, n_origins = spec.origins, len(spec.origins)
     write_fraction, value_bytes = spec.write_fraction, spec.value_bytes
     keyspace, disjoint_keys = spec.keyspace, spec.disjoint_keys
-    random_, randrange, randbytes = rng.random, rng.randrange, rng.randbytes
+    random_, getrandbits = rng.random, rng.getrandbits
+    key_bits, value_bits = keyspace.bit_length(), 8 * value_bytes
     # The interleave test floor((k+1) * f) > floor(k * f) with a running
     # count: the writes so far equal floor(k * f), and for an integer w,
     # floor(x) > w exactly when x >= w + 1.
@@ -198,21 +203,31 @@ def generate(spec: WorkloadSpec) -> Iterator[TimedOp]:
         at_ms = (k // burst_ops) * spacing_ms
         origin = origins[k % n_origins]
         cid = cids[0] if cid_cdf is None else cids[bisect_right(cid_cdf, random_())]
-        idx = randrange(keyspace) if key_cdf is None else bisect_right(key_cdf, random_())
+        if key_cdf is None:
+            # rng.randrange(keyspace), drawn as CPython draws it.
+            idx = getrandbits(key_bits)
+            while idx >= keyspace:
+                idx = getrandbits(key_bits)
+        else:
+            idx = bisect_right(key_cdf, random_())
         key = f"c{origin}-user{idx}" if disjoint_keys else f"user{idx}"
         if (k + 1) * write_fraction >= next_write:
             next_write += 1
-            yield at_ms, origin, WriteOp(cid, key, randbytes(value_bytes))
+            # rng.randbytes(value_bytes), drawn as CPython draws it.
+            value = getrandbits(value_bits).to_bytes(value_bytes, "little")
+            yield at_ms, origin, WriteOp(cid, key, value)
         else:
             yield at_ms, origin, ReadOp(cid, key)
 
 
 def _generate_blocks(spec: WorkloadSpec, script: BlockScript,
                      rng: random.Random) -> Iterator[TimedOp]:
-    containers, randbytes, value_bytes = script.containers, rng.randbytes, spec.value_bytes
+    containers, getrandbits, value_bytes = script.containers, rng.getrandbits, spec.value_bytes
+    value_bits = 8 * value_bytes
     for bi in range(script.count):
+        # Each value is rng.randbytes(value_bytes), drawn as CPython draws it.
         writes = tuple(WriteOp(containers[pi % len(containers)], f"b{bi}-p{pi}",
-                               randbytes(value_bytes))
+                               getrandbits(value_bits).to_bytes(value_bytes, "little"))
                        for pi in range(script.puts_per_block))
         yield (bi * script.spacing_ms, spec.origins[bi % len(spec.origins)],
                BlockOp(script.pattern[bi % len(script.pattern)], writes))

@@ -11,6 +11,7 @@ from georep.scenario import load_scenario
 from georep.shipping import BATCH_HEADER_BYTES, Batch, Trigger
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+BENCH_WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads"
 
 CID = ContainerId("usertable", "family")
 

@@ -211,7 +211,7 @@ class TestRun:
         assert capsys.readouterr().err.startswith("error:")
 
     def test_livelock_exits_three(self, tmp_path, capsys, monkeypatch):
-        # 400 fed writes and 80 deliveries overrun 40 + 400 events.
+        # 400 one-write instants and 80 deliveries overrun 40 + 400 events.
         monkeypatch.setattr(georep.engine, "DEFAULT_MAX_EVENTS", 40)
         path = write(tmp_path, RUNAWAY, "runaway.ini")
         assert main(["run", str(path), "--out", str(tmp_path / "o"),

@@ -234,6 +234,32 @@ class TestDigest:
         assert x.digest(y, y.digest()) == x.digest()
 
 
+class TestConvergedDigest:
+    class Unwalked(dict):
+        """A store whose cells must not be walked."""
+
+        def items(self):
+            raise AssertionError("walked the base store")
+
+    def pair(self):
+        x, y = make_node(cluster_id=1), make_node(cluster_id=2)
+        for seq, (cid, key) in enumerate([(CID, "a"), (CID, "b"), (OTHER, "c")], start=1):
+            cell = foreign(key, b"v", seq, 1, seq, container=cid)
+            x.store.setdefault(cid, {})[key] = y.store.setdefault(cid, {})[key] = cell
+        return x, y
+
+    def test_a_converged_replica_walks_only_its_own_store(self):
+        x, y = self.pair()
+        x_digest = x.digest()
+        x.store = self.Unwalked(x.store)
+        assert y.digest(x, x_digest) == x_digest == reference_digest(y.store)
+
+    def test_an_extra_base_cell_is_walked_and_counted(self):
+        x, y = self.pair()
+        x.store[OTHER]["d"] = foreign("d", b"w", 9, 1, 9, container=OTHER)
+        assert y.digest(x, x.digest()) == y.digest() == reference_digest(y.store)
+
+
 def reference_digest(store):
     """The digest formula, written out independently of the cluster code."""
     acc = 0

@@ -1,12 +1,13 @@
 """End-to-end simulation runs: conservation, convergence, determinism."""
 
+import gc
 import json
 from unittest import mock
 
 import pytest
 
 import georep.engine
-from conftest import ship_log
+from conftest import BENCH_WORKLOADS, SCENARIO_DIR, ship_log
 from georep.cluster import ClusterNode
 from georep.engine import Simulation
 from georep.errors import LivelockError
@@ -275,15 +276,15 @@ seed = 7
 
 class TestDefaultEventBudget:
     """The budget is the default plus one event per client action, so
-    fed ops never spend what the default leaves for the run's own
-    events."""
+    the stream's instants never spend what the default leaves for the
+    run's own events."""
 
     @pytest.fixture(autouse=True)
     def small_default(self, monkeypatch):
         monkeypatch.setattr(georep.engine, "DEFAULT_MAX_EVENTS", 100)
 
     def test_healthy_run_past_the_default_completes(self, tmp_path):
-        # 2000 fed instants and 40 deliveries: past 100, within 100 + 2000.
+        # 2000 instants and 40 deliveries: past 100, within 100 + 2000.
         sim = Simulation(write_and_load(
             tmp_path, ONE_INSTANT_OR_ONE_MS.format(pending=50, burst_ops=1)))
         assert sim.net.max_events == 100 + 2000
@@ -378,3 +379,45 @@ class TestTimerOwnership:
         assert timed and all(b.created_ms == 300 for b, _ in timed)
         assert set().union(*(cids for _, cids in timed)) == {"c:f"}
         assert not any(r.batch.trigger is Trigger.FINAL_DRAIN for r in result.batches)
+
+
+class TestCollectorPause:
+    """A run pauses the cyclic garbage collector, which is safe because
+    a run makes no reference cycles, and restores its state after."""
+
+    @pytest.fixture
+    def collector(self):
+        """Restore the collector's state the test found."""
+        collecting = gc.isenabled()
+        yield
+        (gc.enable if collecting else gc.disable)()
+
+    @pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.ini"))
+                             + sorted(BENCH_WORKLOADS.glob("*.ini")),
+                             ids=lambda path: f"{path.parent.name}/{path.stem}")
+    def test_a_paused_run_leaves_no_cyclic_garbage(self, collector, path):
+        sim = Simulation(load_scenario(path))
+        gc.collect()
+        # Paused throughout, so no automatic pass can hide a cycle.
+        gc.disable()
+        sim.run()
+        assert gc.collect() == 0
+
+    def test_the_collector_is_back_on_after_a_run(self, collector, tmp_path):
+        gc.enable()
+        Simulation(write_and_load(tmp_path, TIMER_CASE.format(default="0 7 0", bounds=""))).run()
+        assert gc.isenabled()
+
+    def test_the_collector_is_back_on_after_a_livelock(self, collector, tmp_path, monkeypatch):
+        monkeypatch.setattr(georep.engine, "DEFAULT_MAX_EVENTS", 10)
+        sim = Simulation(write_and_load(
+            tmp_path, ONE_INSTANT_OR_ONE_MS.format(pending=0, burst_ops=1)))
+        gc.enable()
+        with pytest.raises(LivelockError):
+            sim.run()
+        assert gc.isenabled()
+
+    def test_a_collector_paused_by_the_caller_stays_paused(self, collector, tmp_path):
+        gc.disable()
+        Simulation(write_and_load(tmp_path, TIMER_CASE.format(default="0 7 0", bounds=""))).run()
+        assert not gc.isenabled()

@@ -3,7 +3,7 @@ the same pending_max rows as sampling every link after every client op,
 delivery and tick."""
 
 import dataclasses
-from pathlib import Path
+from collections import Counter
 
 import pytest
 
@@ -11,20 +11,25 @@ from georep import engine
 from georep.blocks import BlockMode
 from georep.bounds import ContainerId
 from georep.engine import Simulation
+from georep.metrics import MetricsCollector
 from georep.scenario import load_scenario
-from georep.workload import BlockOp, ReadOp, WriteOp
+from georep.workload import BlockOp, ReadOp, WriteOp, generate
 
-from conftest import SCENARIO_DIR
-
-BENCH_WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads"
+from conftest import BENCH_WORKLOADS, SCENARIO_DIR
 
 
 class EveryLinkSimulation(Simulation):
     """The reference rule: every link after every op, delivery and tick,
     and before every write group."""
 
-    def _apply_ops(self, group):
-        for _, origin, op in group:
+    def _play(self, ops):
+        at = None
+        for at_ms, origin, op in ops:
+            if at_ms != at:
+                if at is not None:
+                    self._arm_tick()
+                self.net.advance(at_ms)
+                at = at_ms
             node = self.clusters[origin]
             if isinstance(op, WriteOp):
                 node.put(op.container, op.key, op.value)
@@ -41,7 +46,8 @@ class EveryLinkSimulation(Simulation):
                 session.end_block()
                 self._client_ops += len(op.writes)
             self._sample_pending(None)
-        self._arm_tick()
+        if at is not None:
+            self._arm_tick()
 
     def _sample_pending(self, changed=None):
         super()._sample_pending(None)
@@ -159,6 +165,34 @@ def bench_workload(name, ops=3000):
         count = ops // script.puts_per_block
         spec = dataclasses.replace(spec, block_script=dataclasses.replace(script, count=count))
     return dataclasses.replace(scenario, workload=spec)
+
+
+def sample_calls(simulation_class, scenario, monkeypatch):
+    """The run's ``sample_pending`` calls, counted by instant."""
+    calls = Counter()
+    sample = MetricsCollector.sample_pending
+
+    def counted(metrics, link, count, now):
+        calls[now] += 1
+        sample(metrics, link, count, now)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(MetricsCollector, "sample_pending", counted)
+        simulation_class(scenario).run()
+    return calls
+
+
+def test_the_reference_samples_every_write_and_the_engine_every_instant(monkeypatch):
+    # 3,000 writes on 1>2 at t=0; nothing else happens at t=0.  The
+    # reference samples after each write; the engine takes the window's
+    # first sample after the first write, then one per link the instant
+    # touched, when the instant closes.
+    scenario = bench_workload("burst")
+    assert {at for at, _, _ in generate(scenario.workload)} == {0}
+    reference = sample_calls(EveryLinkSimulation, scenario, monkeypatch)
+    engine_calls = sample_calls(Simulation, scenario, monkeypatch)
+    assert reference[0] >= scenario.workload.total_updates == 3000
+    assert engine_calls[0] == 1 + 1
 
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in SCENARIO_DIR.glob("*.ini")))

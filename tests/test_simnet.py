@@ -117,40 +117,62 @@ class TestEventLoop:
         with pytest.raises(LivelockError):
             net.run_until_quiescent()
 
-    def test_fed_events_run_before_queued_events_at_their_instant(self):
+    def test_an_advanced_instant_runs_before_the_events_queued_at_it(self):
         net = SimNet()
         order = []
         net.schedule(5, lambda: order.append("queued@5"))
         net.schedule(10, lambda: order.append("queued@10"))
+        net.advance(5)
+        order.append("advanced@5")
+        # Queued for t=7 before the advance to 7, yet runs after it.
+        net.schedule(7, lambda: order.append("queued@7"))
+        net.advance(7)
+        order.append("advanced@7")
+        net.advance(12)
+        order.append("advanced@12")
+        assert net.run_until_quiescent() == 12
+        assert order == ["advanced@5", "queued@5", "advanced@7", "queued@7", "queued@10",
+                         "advanced@12"]
 
-        def feed():
-            yield 5, lambda: order.append("fed@5")
-            # Queued for t=7 before fed@7 is pulled, yet runs after it.
-            net.schedule(7, lambda: order.append("queued@7"))
-            yield 7, lambda: order.append("fed@7")
-            yield 12, lambda: order.append("fed@12")
-
-        assert net.run_until_quiescent(feed()) == 12
-        assert order == ["fed@5", "queued@5", "fed@7", "queued@7", "queued@10", "fed@12"]
-
-    def test_feed_is_pulled_only_after_the_fed_event_before_ran(self):
+    def test_advance_runs_every_earlier_event_first(self):
         net = SimNet()
         log = []
+        net.schedule(3, lambda: net.schedule(4, lambda: log.append(("chained", net.now))))
+        net.schedule(5, lambda: log.append(("queued", net.now)))
+        net.advance(5)
+        assert net.now == 5
+        # The event queued at 3 ran, and so did the one it queued at 4;
+        # the one at 5 waits for the caller.
+        assert log == [("chained", 4)]
+        net.advance(5)
+        assert log == [("chained", 4)]
+        assert net.run_until_quiescent() == 5
+        assert log == [("chained", 4), ("queued", 5)]
 
-        def feed():
-            for n, at_ms in enumerate((0, 0, 5), start=1):
-                log.append(f"pull {n}")
-                yield at_ms, lambda n=n: log.append(f"run {n}")
-
-        assert net.run_until_quiescent(feed()) == 5
-        assert log == ["pull 1", "run 1", "pull 2", "run 2", "pull 3", "run 3"]
-
-    def test_fed_events_count_against_the_budget(self):
+    def test_advances_count_against_the_budget(self):
         net = SimNet(max_events=10)
+        for t in range(10):
+            net.advance(t)
         with pytest.raises(LivelockError):
-            net.run_until_quiescent((t, lambda: None) for t in range(11))
+            net.advance(10)
 
-    def test_feeding_into_the_past_rejected(self):
+    def test_advances_and_queued_events_share_the_budget(self):
+        # What a run of 400 one-write instants whose writes make 80
+        # deliveries spends: 480 events, which overrun 40 + 400.
+        def spend(budget):
+            net = SimNet(max_events=budget)
+            for t in range(80):
+                net.schedule(t, lambda: None)
+            for t in range(400):
+                net.advance(t)
+            net.run_until_quiescent()
+
+        spend(480)
+        with pytest.raises(LivelockError):
+            spend(40 + 400)
+
+    def test_advancing_into_the_past_rejected(self):
         net = SimNet()
+        net.advance(5)
         with pytest.raises(ValueError):
-            net.run_until_quiescent([(5, lambda: None), (3, lambda: None)])
+            net.advance(3)
