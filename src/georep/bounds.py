@@ -186,7 +186,9 @@ class SeqWindow:
     and so on, so a window that sees all of an origin's seqs ends with
     one floor for it and no early seqs, however long the run.  Seqs that
     never arrive leave their gap open, and every seq seen above the gap
-    stays early.
+    stays early.  A seq run that follows on from its origin's floor, as
+    an in-order link delivers it, is checked and recorded as a range by
+    ``add_run``, at the cost of one seq.
     """
 
     __slots__ = ("floors", "early")
@@ -231,6 +233,24 @@ class SeqWindow:
             return False
         else:
             waiting.add(seq)
+        return True
+
+    def add_run(self, origin: int, first: int, count: int) -> bool:
+        """Record ``origin``'s seqs ``first`` to ``first + count - 1`` in
+        one step when they follow on from its floor and it holds no early
+        seqs: the floor moves once, and True is returned.  Otherwise
+        nothing is recorded and False is returned; the caller then adds
+        the seqs one at a time, which sorts out duplicates and gaps.
+
+        A run starting below 1 raises ProtocolError before anything is
+        recorded; its other seqs are greater, so one check covers all.
+        """
+        if first < 1:
+            raise ProtocolError(f"update ({origin}, {first}) has a sequence number below 1")
+        floors = self.floors
+        if first - floors.get(origin, 0) != 1 or origin in self.early:
+            return False
+        floors[origin] = first + count - 1
         return True
 
 

@@ -33,9 +33,12 @@ plus the seqs that arrived ahead of a gap, and a second copy counts as
 a duplicate.  In a full mesh every origin's seqs all reach every other
 cluster, so each window ends as one floor per origin.  Gaps stay open
 only for seqs that never arrive: on paths that reach a cluster only
-through a relay, updates the relay discarded as stale.  The node's
-``tally`` is its one record of remote apply: ``apply_remote`` returns
-None and adds each batch's counts there.
+through a relay, updates the relay discarded as stale.  A batch that is
+a seq run (``Batch.run``), as an in-order link ships one, is checked
+against the window as a range: when it follows on from its origin's
+floor, it costs one seq check and one floor move, not one of each per
+update.  The node's ``tally`` is its one record of remote apply:
+``apply_remote`` returns None and adds each batch's counts there.
 
 A store's digest is the XOR of one SHA-256 per cell.  Replicas that
 converged hold the very same update objects, so a digest can start from
@@ -48,6 +51,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable
 
 from .bounds import Bound, ContainerId, Group, SeqWindow, Update
@@ -56,6 +60,10 @@ from .shipping import Batch, ReplicationSource
 
 # Digest of a store with no cells.
 EMPTY_DIGEST = "0" * 64
+
+# Cells hashed per chunk of a digest: enough to fold their hashes in a
+# few big-int steps, few enough that no chunk approaches a store's size.
+DIGEST_CHUNK = 256
 
 # Cells by container, then by key; a cell is the update that wrote it.
 Store = dict[ContainerId, dict[str, Update]]
@@ -136,29 +144,40 @@ class ClusterNode:
 
         Last-writer-wins per cell; already-seen updates are skipped so
         redelivery is harmless.  A batch holding a seq below 1 raises
-        ProtocolError before anything is stored or remembered.  Freshly
-        applied updates are relayed to every peer other than the batch's
-        own sender.  The container's cell dict is looked up once per run
-        of same-container updates.  The batch's counts are added to
+        ProtocolError before anything is stored or remembered.  A seq
+        run (``Batch.run``) from another origin that follows on from the
+        window's floor for that origin, while the origin holds no early
+        seqs, is checked and recorded in one step: one seq check and one
+        floor move, and every update in it is new.  Any other batch is
+        checked and recorded one update at a time.  Freshly applied
+        updates are relayed to every peer other than the batch's own
+        sender.  The container's cell dict is looked up once per run of
+        same-container updates.  The batch's counts are added to
         ``tally``.
         """
         if batch.destination != self.cluster_id:
             raise ProtocolError(
                 f"batch for cluster {batch.destination} delivered to {self.cluster_id}")
-        for u in batch.updates:
-            if u.seq < 1:
-                raise ProtocolError(
-                    f"update ({u.origin}, {u.seq}) has a sequence number below 1")
-        store, first_sight = self.store, self._applied.add
+        updates, run, me = batch.updates, batch.run, self.cluster_id
+        tally = self.tally
+        if run is not None and run[0] != me and self._applied.add_run(*run, len(updates)):
+            first_sight = None  # every update is new and none is an echo
+        else:
+            for u in updates:
+                if u.seq < 1:
+                    raise ProtocolError(
+                        f"update ({u.origin}, {u.seq}) has a sequence number below 1")
+            first_sight = self._applied.add
+        store = self.store
         fresh: list[Update] = []
-        tally, me = self.tally, self.cluster_id
         cid = cells = None
-        for u in batch.updates:
-            if u.origin == me:
-                tally.echoes += 1
-            if not first_sight(u.origin, u.seq):
-                tally.duplicates += 1
-                continue
+        for u in updates:
+            if first_sight is not None:
+                if u.origin == me:
+                    tally.echoes += 1
+                if not first_sight(u.origin, u.seq):
+                    tally.duplicates += 1
+                    continue
             if u.container is not cid and u.container != cid:
                 cid = u.container
                 cells = store.get(cid)
@@ -223,19 +242,38 @@ class ClusterNode:
 def _xor_cells(store: Store, other: Store) -> tuple[int, int]:
     """XOR of the cell hashes of ``store``, skipping each cell that is
     the identical object under the same key in ``other``, and the number
-    of cells hashed."""
+    of cells hashed.
+
+    Cells are taken from the live dicts ``DIGEST_CHUNK`` at a time, never
+    listed whole; a chunk's hashes are joined and folded into one word
+    (``_fold``)."""
     acc = hashed = 0
     sha256 = hashlib.sha256
     for cid, cells in store.items():
         label = cid.encode("utf-8")
         twins = other.get(cid, {})
-        for key, cell in cells.items():
-            if twins.get(key) is not cell:
-                record = b"%b|%b|%d|%d|%b" % (
-                    label, key.encode("utf-8"), cell.wall_ms, cell.origin, cell.value)
-                acc ^= int.from_bytes(sha256(record).digest(), "big")
-                hashed += 1
+        items = iter(cells.items())
+        for _ in range(0, len(cells), DIGEST_CHUNK):
+            words = b"".join([
+                sha256(b"%b|%b|%d|%d|%b" % (label, key.encode("utf-8"), cell.wall_ms,
+                                           cell.origin, cell.value)).digest()
+                for key, cell in islice(items, DIGEST_CHUNK) if twins.get(key) is not cell])
+            if words:
+                acc ^= _fold(words)
+                hashed += len(words) // 32
     return acc, hashed
+
+
+def _fold(words: bytes) -> int:
+    """XOR of the 32-byte big-endian words joined in ``words``: the
+    whole string is read as one big int, whose high half is XORed onto
+    its low half until one word is left, a few C-level steps in all."""
+    acc, n = int.from_bytes(words, "big"), len(words) // 32
+    while n > 1:
+        low = n - n // 2
+        acc = (acc >> (256 * low)) ^ (acc & ((1 << (256 * low)) - 1))
+        n = low
+    return acc
 
 
 def _same_shape(store: Store, other: Store) -> bool:

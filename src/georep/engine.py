@@ -46,7 +46,10 @@ state when it ends, also when it fails.  A run makes no reference
 cycle: reference counting frees everything it drops, and a collection
 after a paused run finds nothing.  Left on, the collector would walk
 the growing store dozens of times a run (about 70 passes on a
-50,000-write burst) to find nothing.
+50,000-write burst) to find nothing.  Nor is a simulation a cycle: its
+clusters read the clock through ``partial(getattr, net, "now")``, and
+their sources reach ``_on_ship`` through a weak reference, so a
+simulation that is dropped, run or not, is freed at once.
 
 A replication source ships its own batches: each cluster hands the
 engine's ``_on_ship`` to every source it builds, and a source calls it
@@ -61,24 +64,28 @@ long as the run.  The network, remote apply and the metric ledger
 get the ``Batch`` itself.  ``georep run`` reads no record, so it keeps
 none, and ``RunResult.batches`` is then None rather than an empty list.
 
-Kept records grow by 16 bytes of identity with every update shipped,
-but hold no update, so a value lives only as long as a store or a queue
-holds it; without them, a run's memory is its live state.  A cluster
-numbers its writes from a counter and keeps no log, and the metric
-ledger grows with windows.  The exactly-once filter in remote apply
-stays one floor per origin where every seq arrives; below a relay that
-discards stale updates it grows with the run (see ``cluster``).  A
-pending cache checks only its own cluster's seqs, which always end as
-one floor.
+Kept records hold no update, so a value lives only as long as a store
+or a queue holds it.  A record keeps a seq run, as an in-order link
+ships it, as one ``(origin, first_seq, count)`` triple, so on such a
+link records grow per batch; any other batch costs 16 bytes of
+identity per update.  Without records, a run's memory is its live
+state.  A cluster numbers its writes from a counter and keeps no log,
+and the metric ledger grows with windows.  The exactly-once filter in
+remote apply stays one floor per origin where every seq arrives; below
+a relay that discards stale updates it grows with the run (see
+``cluster``).  A pending cache checks only its own cluster's seqs,
+which always end as one floor.
 """
 
 from __future__ import annotations
 
 import gc
 import time
+import weakref
 from array import array
 from dataclasses import dataclass
 from functools import partial
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
@@ -100,8 +107,10 @@ class UpdateId(NamedTuple):
 
 class BatchRecord:
     """Trace entry for one shipped batch: its header, its delivery time
-    (-1 until delivered) and each update's ``(origin, seq)``, packed two
-    ``q`` entries an update.  It holds no ``Update``, so it keeps no
+    (-1 until delivered) and its updates' identities.  A seq run
+    (``Batch.run``) keeps them as one ``(origin, first_seq, count)``
+    triple; any other batch keeps each update's ``(origin, seq)``, packed
+    two ``q`` entries an update.  It holds no ``Update``, so it keeps no
     value alive.
 
     A record reads like the ``Batch`` it was cut from: ``record.batch``
@@ -115,7 +124,10 @@ class BatchRecord:
         self.source, self.destination = batch.source, batch.destination
         self.created_ms, self.trigger = batch.created_ms, batch.trigger
         self.total_bytes, self.delivered_ms = batch.total_bytes, -1
-        self._ids = array("q", [i for u in batch.updates for i in (u.origin, u.seq)])
+        if batch.run is not None:
+            self._ids = (*batch.run, len(batch.updates))
+        else:
+            self._ids = array("q", [i for u in batch.updates for i in (u.origin, u.seq)])
 
     @property
     def batch(self) -> BatchRecord:
@@ -123,6 +135,9 @@ class BatchRecord:
 
     @property
     def updates(self) -> tuple[UpdateId, ...]:
+        if type(self._ids) is tuple:
+            origin, first, count = self._ids
+            return tuple(map(UpdateId, repeat(origin, count), range(first, first + count)))
         ids = iter(self._ids)
         return tuple(map(UpdateId, ids, ids))
 
@@ -152,11 +167,13 @@ class Simulation:
         for (src, dst), spec in scenario.links.items():
             self.net.add_link(src, dst, spec)
         self.clusters: dict[int, ClusterNode] = {}
+        # Neither handle refers back to the simulation (module docstring).
+        on_ship = partial(_ship_via, weakref.ref(self))
         for cid in scenario.clusters:
             peers = [dst for (src, dst) in scenario.links if src == cid]
             self.clusters[cid] = ClusterNode(
-                cid, peers, scenario.bounds, scenario.default_bound,
-                mode=scenario.mode, now_fn=lambda: self.net.now, on_ship=self._on_ship)
+                cid, peers, scenario.bounds, scenario.default_bound, mode=scenario.mode,
+                now_fn=partial(getattr, self.net, "now"), on_ship=on_ship)
         self.sessions = {cid: ClientSession(node) for cid, node in self.clusters.items()}
         self._sources = [source for cid in sorted(self.clusters)
                          for source in self.clusters[cid].sources.values()]
@@ -220,9 +237,11 @@ class Simulation:
         highs: dict[Link, int] = {}
         at = window = None
         client_ops = 0
+        # Without timed sources, an instant with no mark has nothing to close.
+        timed = bool(self._timed)
         for at_ms, origin, op in ops:
             if at_ms != at:
-                if at is not None:
+                if at is not None and (highs or timed):
                     self._close_instant(highs)
                 net.advance(at_ms)
                 at, window = at_ms, at_ms // window_ms
@@ -339,6 +358,11 @@ class Simulation:
             "echoes": {cid: node.tally.echoes for cid, node in nodes.items()},
             "ops_per_sec": round(ops_per_sec, 2),
         }
+
+
+def _ship_via(sim: weakref.ref[Simulation], batch: Batch) -> None:
+    """Hand ``batch`` to the simulation that ``sim`` refers to weakly."""
+    sim()._on_ship(batch)
 
 
 def run_scenario(scenario: Scenario, out_dir: str | Path = ".",

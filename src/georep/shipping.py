@@ -9,14 +9,16 @@ an update that originated at its own peer, which is what keeps
 bidirectional and cyclic topologies echo-free.
 
 The wire format lives here: ``Batch.build`` holds the one formula for
-the bytes a batch is charged, from the constants below.
+the bytes a batch is charged, from the constants below.  It also notes
+whether a batch is a seq run, one origin's consecutive seqs in order, as
+a source on an in-order link ships them: a receiver checks and records a
+run's identities in one step, as a range (see ``Batch.run``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import attrgetter
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .bounds import Bound, ContainerId, ContainerState, Trigger, Update
 from .cache import PendingCache
@@ -36,9 +38,13 @@ MAX_VALUE_BYTES = 2**32 - 1
 _key, _value = attrgetter("key"), attrgetter("value")
 
 
-@dataclass(frozen=True, slots=True)
-class Batch:
-    """An atomically delivered group of updates bound for one peer."""
+class Batch(NamedTuple):
+    """An atomically delivered group of updates bound for one peer.
+
+    ``run`` is ``(origin, first_seq)`` when the updates are one origin's
+    consecutive seqs in order, ``first_seq`` first, and None otherwise
+    (also for a batch built without ``build``).  It is derived from
+    ``updates`` and charged no bytes."""
 
     updates: tuple[Update, ...]
     source: int
@@ -46,6 +52,7 @@ class Batch:
     created_ms: int
     trigger: Trigger
     total_bytes: int
+    run: tuple[int, int] | None = None
 
     @classmethod
     def build(cls, updates: list[Update], source: int, destination: int,
@@ -56,7 +63,20 @@ class Batch:
         total = (BATCH_HEADER_BYTES + UPDATE_OVERHEAD_BYTES * len(updates)
                  + len("".join(map(_key, updates)).encode("utf-8"))
                  + sum(map(len, map(_value, updates))))
-        return cls(tuple(updates), source, destination, created_ms, trigger, total)
+        run = None
+        if updates:
+            # A plain loop: on CPython 3.11 it checks a 250-update run in
+            # less than half the time that comparing ``map(attrgetter)``
+            # columns with a range and a set takes.
+            origin, first = updates[0].origin, updates[0].seq
+            for seq, u in enumerate(updates, first):
+                if u.seq != seq or u.origin != origin:
+                    break
+            else:
+                run = (origin, first)
+        # tuple.__new__ skips the Python-level __new__ of a named tuple.
+        return tuple.__new__(cls, (tuple(updates), source, destination, created_ms,
+                                   trigger, total, run))
 
 
 class ReplicationSource:

@@ -115,10 +115,13 @@ class SimNet:
     def advance(self, at_ms: int) -> None:
         """Run every queued event before ``at_ms``, then set the clock to
         ``at_ms``; the caller then acts before every event queued for
-        that instant.  Counts as one event against the budget."""
+        that instant.  Counts as one event against the budget.  With no
+        event due before ``at_ms``, only the clock moves."""
         if at_ms < self.now:
             raise ValueError(f"cannot advance to {at_ms}, clock is at {self.now}")
-        self._run_before(at_ms)
+        queue = self._queue
+        if queue and queue[0][0] < at_ms:
+            self._run_before(at_ms)
         self.now = at_ms
         self._events_run += 1
         if self._events_run > self.max_events:

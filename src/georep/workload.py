@@ -32,7 +32,8 @@ import random
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, repeat
+from operator import truediv
 from typing import Callable, Iterator, NamedTuple, Union
 
 from .blocks import BlockMode
@@ -61,7 +62,8 @@ class BlockOp(NamedTuple):
 
 
 # Ops are named tuples: immutable, yet built without the per-field
-# ``object.__setattr__`` a frozen dataclass pays.
+# ``object.__setattr__`` a frozen dataclass pays.  The generators build
+# them with ``tuple.__new__``, skipping the Python-level ``__new__``.
 Operation = Union[ReadOp, WriteOp, BlockOp]
 
 # One scheduled client action: (arrival instant, acting cluster, op).
@@ -165,11 +167,20 @@ def _cdf(weights: list[float], total: Callable[[list[float]], float]) -> array:
 
     Packed as doubles, 8 bytes an entry.  Built from a transient list,
     which sizes the array exactly and is faster than filling it from an
-    iterator."""
+    iterator; the list is filled by C-level iteration, with the same
+    float operations in the same order as a loop would make."""
     whole = total(weights)
-    cdf = array("d", [acc / whole for acc in accumulate(weights)])
+    cdf = array("d", list(map(truediv, accumulate(weights), repeat(whole))))
     cdf[-1] = 1.0
     return cdf
+
+
+def _zipf_cdf(keyspace: int, constant: float) -> array:
+    """``_cdf`` of the zipfian weights 1 / r^constant of the ranks r = 1
+    to ``keyspace``, over their ``math.fsum``."""
+    weights = list(map(truediv, repeat(1.0),
+                       map(math.pow, range(1, keyspace + 1), repeat(constant))))
+    return _cdf(weights, math.fsum)
 
 
 def generate(spec: WorkloadSpec) -> Iterator[TimedOp]:
@@ -184,8 +195,7 @@ def generate(spec: WorkloadSpec) -> Iterator[TimedOp]:
 
     key_cdf = None
     if spec.distribution == "zipfian":
-        key_cdf = _cdf([1.0 / math.pow(rank + 1, spec.zipf_constant)
-                        for rank in range(spec.keyspace)], math.fsum)
+        key_cdf = _zipf_cdf(spec.keyspace, spec.zipf_constant)
     cids = [cid for cid, _ in spec.containers]
     cid_cdf = _cdf([w for _, w in spec.containers], sum) if len(cids) > 1 else None
 
@@ -194,6 +204,7 @@ def generate(spec: WorkloadSpec) -> Iterator[TimedOp]:
     write_fraction, value_bytes = spec.write_fraction, spec.value_bytes
     keyspace, disjoint_keys = spec.keyspace, spec.disjoint_keys
     random_, getrandbits = rng.random, rng.getrandbits
+    new_op = tuple.__new__
     key_bits, value_bits = keyspace.bit_length(), 8 * value_bytes
     # The interleave test floor((k+1) * f) > floor(k * f) with a running
     # count: the writes so far equal floor(k * f), and for an integer w,
@@ -215,19 +226,19 @@ def generate(spec: WorkloadSpec) -> Iterator[TimedOp]:
             next_write += 1
             # rng.randbytes(value_bytes), drawn as CPython draws it.
             value = getrandbits(value_bits).to_bytes(value_bytes, "little")
-            yield at_ms, origin, WriteOp(cid, key, value)
+            yield at_ms, origin, new_op(WriteOp, (cid, key, value))
         else:
-            yield at_ms, origin, ReadOp(cid, key)
+            yield at_ms, origin, new_op(ReadOp, (cid, key))
 
 
 def _generate_blocks(spec: WorkloadSpec, script: BlockScript,
                      rng: random.Random) -> Iterator[TimedOp]:
     containers, getrandbits, value_bytes = script.containers, rng.getrandbits, spec.value_bytes
-    value_bits = 8 * value_bytes
+    value_bits, new_op = 8 * value_bytes, tuple.__new__
     for bi in range(script.count):
         # Each value is rng.randbytes(value_bytes), drawn as CPython draws it.
-        writes = tuple(WriteOp(containers[pi % len(containers)], f"b{bi}-p{pi}",
-                               getrandbits(value_bits).to_bytes(value_bytes, "little"))
+        writes = tuple(new_op(WriteOp, (containers[pi % len(containers)], f"b{bi}-p{pi}",
+                                        getrandbits(value_bits).to_bytes(value_bytes, "little")))
                        for pi in range(script.puts_per_block))
         yield (bi * script.spacing_ms, spec.origins[bi % len(spec.origins)],
                BlockOp(script.pattern[bi % len(script.pattern)], writes))

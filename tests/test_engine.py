@@ -2,6 +2,7 @@
 
 import gc
 import json
+import weakref
 from unittest import mock
 
 import pytest
@@ -401,6 +402,22 @@ class TestCollectorPause:
         # Paused throughout, so no automatic pass can hide a cycle.
         gc.disable()
         sim.run()
+        assert gc.collect() == 0
+
+    @pytest.mark.parametrize("path", sorted(BENCH_WORKLOADS.glob("*.ini")),
+                             ids=lambda path: path.stem)
+    def test_a_dropped_simulation_is_freed_by_reference_counting(self, collector, path):
+        scenario = load_scenario(path)
+        gc.collect()
+        gc.disable()
+        sim = Simulation(scenario)
+        freed = weakref.ref(sim)
+        del sim
+        assert freed() is None
+        assert gc.collect() == 0
+        # The sources' weak ship handle still reaches a live simulation.
+        summary = Simulation(scenario).run().summary
+        assert summary["shipped_updates"] > 0
         assert gc.collect() == 0
 
     def test_the_collector_is_back_on_after_a_run(self, collector, tmp_path):

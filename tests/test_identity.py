@@ -3,7 +3,9 @@
 ``SeqWindow`` is checked against a plain set of ``(origin, seq)`` pairs,
 then in place: in the pending caches, in remote apply, and across whole
 runs, where every window must end as one floor per origin whatever the
-run length.
+run length.  Seq runs, batches of one origin's consecutive seqs, are
+checked and recorded as ranges, and must leave what the per-update path
+leaves.
 """
 
 import pytest
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 from georep.bounds import Bound, ContainerId, SeqWindow, Update
 from georep.cache import PendingCache
 from georep.cluster import ApplyReport, ClusterNode
-from georep.engine import Simulation
+from georep.engine import BatchRecord, Simulation, UpdateId
 from georep.errors import ProtocolError
 from georep.scenario import load_scenario
 from georep.shipping import Batch, ReplicationSource, Trigger
@@ -251,3 +253,155 @@ def test_redelivery_above_a_gap_counts_as_duplicates():
     assert (receiver._applied.floors, receiver._applied.early) == ({}, {1: {2, 3}})
     receiver.apply_remote(batch)
     assert receiver.tally == ApplyReport(applied=2, duplicates=2)
+
+
+# -- seq runs: one origin's consecutive seqs, checked as a range --------
+
+
+def run_batch(origin, first, count, source=1, destination=2):
+    return Batch.build([make_update(key=f"k{seq}", origin=origin, seq=seq)
+                        for seq in range(first, first + count)], source, destination, 0,
+                       Trigger.COUNT)
+
+
+@pytest.mark.parametrize("idents, run", [
+    ([(1, 4), (1, 5), (1, 6)], (1, 4)),
+    ([(3, 9)], (3, 9)),
+    ([], None),
+    ([(1, 4), (1, 6)], None),
+    ([(1, 5), (1, 4)], None),
+    ([(1, 4), (1, 4)], None),
+    ([(1, 4), (2, 5)], None),
+], ids=["run", "single", "empty", "gap", "descending", "repeat", "two-origins"])
+def test_build_marks_one_origins_consecutive_seqs_as_a_run(idents, run):
+    updates = [make_update(origin=origin, seq=seq) for origin, seq in idents]
+    assert Batch.build(updates, 1, 2, 0, Trigger.COUNT).run == run
+
+
+def test_a_run_extends_the_floor():
+    window = SeqWindow()
+    assert window.add_run(1, 1, 5)
+    assert window.add_run(1, 6, 3)
+    assert window.add_run(2, 1, 1)
+    assert (window.floors, window.early) == ({1: 8, 2: 1}, {})
+
+
+def test_a_run_after_a_gap_falls_back_to_per_seq_adds():
+    window = SeqWindow()
+    window.add(1, 1)
+    assert not window.add_run(1, 3, 2)
+    assert (window.floors, window.early) == ({1: 1}, {})
+    node = ClusterNode(2, [], on_ship=[].append)
+    node.apply_remote(run_batch(1, 1, 1))
+    node.apply_remote(run_batch(1, 3, 2))
+    assert (node._applied.floors, node._applied.early) == ({1: 1}, {1: {3, 4}})
+    assert node.tally == ApplyReport(applied=3)
+
+
+def test_a_run_for_an_origin_holding_early_seqs_falls_back_to_per_seq_adds():
+    window = SeqWindow()
+    window.add(1, 1)
+    window.add(1, 5)
+    assert not window.add_run(1, 2, 3)
+    assert (window.floors, window.early) == ({1: 1}, {1: {5}})
+    node = ClusterNode(2, [], on_ship=[].append)
+    for first, count in ((1, 1), (5, 1), (2, 3)):
+        node.apply_remote(run_batch(1, first, count))
+    # The per-seq adds take in the early seq the run reached.
+    assert (node._applied.floors, node._applied.early) == ({1: 5}, {})
+    assert node.tally == ApplyReport(applied=5)
+
+
+def test_a_repeated_run_counts_every_update_as_a_duplicate():
+    node = ClusterNode(2, [], on_ship=[].append)
+    batch = run_batch(1, 1, 4)
+    node.apply_remote(batch)
+    node.apply_remote(batch)
+    assert node.tally == ApplyReport(applied=4, duplicates=4)
+    assert (node._applied.floors, node._applied.early) == ({1: 4}, {})
+
+
+def test_a_run_of_the_nodes_own_seqs_counts_each_echo():
+    node = ClusterNode(2, [], on_ship=[].append)
+    node.apply_remote(run_batch(2, 1, 3, source=1))
+    assert node.tally == ApplyReport(applied=3, echoes=3)
+    assert (node._applied.floors, node._applied.early) == ({2: 3}, {})
+
+
+@pytest.mark.parametrize("first", [0, -2])
+def test_a_run_holding_a_seq_below_one_raises_before_anything_is_stored(first):
+    window = SeqWindow()
+    with pytest.raises(ProtocolError, match="below 1"):
+        window.add_run(1, first, 4)
+    assert (window.floors, window.early) == ({}, {})
+    node = ClusterNode(2, [3], on_ship=[].append)
+    batch = run_batch(1, first, 4)
+    assert batch.run == (1, first)
+    with pytest.raises(ProtocolError, match=rf"update \(1, {first}\) has a sequence"):
+        node.apply_remote(batch)
+    assert snapshot(node) == ({}, {}, {}, {3: ({}, 0, {})})
+    assert node.tally == ApplyReport()
+
+
+@pytest.mark.parametrize("idents", [
+    [(1, 7), (1, 8), (1, 9)],
+    [(1, 7), (1, 9), (2, 9), (1, 7)],
+    [],
+], ids=["run", "pairs", "empty"])
+def test_a_record_gives_back_the_ids_of_its_batch(idents):
+    batch = Batch.build([make_update(origin=o, seq=s) for o, s in idents], 1, 2, 0,
+                        Trigger.COUNT)
+    record = BatchRecord(batch)
+    assert record.updates == tuple(UpdateId(o, s) for o, s in idents)
+    assert all(type(ident) is UpdateId for ident in record.updates)
+    # A run is kept as one triple, any other batch as its pairs.
+    assert (type(record._ids) is tuple) == (batch.run is not None)
+
+
+OTHER = ContainerId("other", "fam")
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_runs_apply_as_the_per_update_path_does(data):
+    # Cluster 2 hears origins 1 and 3 (and its own echoes) from senders 1
+    # and 3, and relays each fresh update to the other peer at once.  One
+    # node applies every batch as built; the other the same batch with
+    # its run cleared, so always by the per-update path.
+    made: dict[tuple[int, int], Update] = {}
+
+    def update(origin, seq):
+        if (origin, seq) not in made:
+            made[origin, seq] = Update(
+                data.draw(st.sampled_from([CID, OTHER])), data.draw(st.sampled_from("abc")),
+                b"v%d" % seq, data.draw(st.integers(0, 6)), origin, seq)
+        return made[origin, seq]
+
+    shipped = {"run": [], "per-update": []}
+    nodes = {name: ClusterNode(2, [1, 3], on_ship=log.append) for name, log in shipped.items()}
+    seqs = st.integers(1, 30)
+    for _ in range(data.draw(st.integers(1, 8))):
+        origin = data.draw(st.sampled_from([1, 3, 2]))
+        kind = data.draw(st.sampled_from(["next", "run", "mixed"]))
+        if kind == "mixed":
+            idents = data.draw(st.lists(st.tuples(st.sampled_from([origin, 1, 3]), seqs),
+                                        max_size=12))
+        else:
+            first = (nodes["run"]._applied.floors.get(origin, 0) + 1 if kind == "next"
+                     else data.draw(seqs))
+            idents = [(origin, seq) for seq in range(first, first + data.draw(st.integers(1, 8)))]
+        sender = data.draw(st.sampled_from([1, 3]))
+        batch = Batch.build([update(*ident) for ident in idents], sender, 2, 0, Trigger.COUNT)
+        nodes["run"].apply_remote(batch)
+        nodes["per-update"].apply_remote(batch._replace(run=None))
+    by_run, by_update = nodes["run"], nodes["per-update"]
+    assert by_run.tally == by_update.tally
+    assert by_run.store.keys() == by_update.store.keys()
+    for cid, cells in by_run.store.items():
+        assert cells.keys() == by_update.store[cid].keys()
+        assert all(cell is by_update.store[cid][key] for key, cell in cells.items())
+    assert (by_run._applied.floors, by_run._applied.early) == (
+        by_update._applied.floors, by_update._applied.early)
+    relayed = {name: [(b.destination, [id(u) for u in b.updates]) for b in log]
+               for name, log in shipped.items()}
+    assert relayed["run"] == relayed["per-update"]

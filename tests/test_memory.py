@@ -29,7 +29,7 @@ links = 1>2
 window_ms = 100000
 
 [bounds]
-default = 0 50 0
+default = 0 {pending} 0
 
 [workload]
 operations = {operations}
@@ -41,19 +41,22 @@ seed = 5
 """
 
 N = 4_000
+# Updates per batch on ONE_LINK unless a test says otherwise.
+PENDING = 50
 
 
-def one_link(tmp_path, operations, value_bytes=100):
-    """The path of ONE_LINK at ``operations`` ops of ``value_bytes``."""
-    path = tmp_path / f"one-link-{operations}-{value_bytes}.ini"
-    path.write_text(ONE_LINK.format(operations=operations, value_bytes=value_bytes),
-                    encoding="utf-8")
+def one_link(tmp_path, operations, value_bytes=100, pending=PENDING):
+    """The path of ONE_LINK at ``operations`` ops of ``value_bytes``,
+    shipped ``pending`` updates a batch."""
+    path = tmp_path / f"one-link-{operations}-{value_bytes}-{pending}.ini"
+    path.write_text(ONE_LINK.format(operations=operations, value_bytes=value_bytes,
+                                    pending=pending), encoding="utf-8")
     return path
 
 
-def traced_peak(tmp_path, operations, keep_batches, value_bytes=100):
+def traced_peak(tmp_path, operations, keep_batches, value_bytes=100, pending=PENDING):
     """Peak traced bytes while a set-up simulation of ONE_LINK runs."""
-    path = one_link(tmp_path, operations, value_bytes)
+    path = one_link(tmp_path, operations, value_bytes, pending)
     sim = Simulation(load_scenario(path), keep_batches=keep_batches)
     tracemalloc.start()
     try:
@@ -77,28 +80,40 @@ class TestRunLength:
     @pytest.fixture(scope="class")
     def kept_cost(self, tmp_path_factory):
         """Traced bytes that a run keeping its records adds per extra op
-        (each op ships one update), by value size."""
+        (each op ships one update), by value size and by updates per
+        batch."""
         tmp_path = tmp_path_factory.mktemp("kept")
         # A first run in a process can be charged one-time allocations
         # of the interpreter (about 28 KB on 3.10), which would skew
         # whichever cost it fell in.
         traced_peak(tmp_path, N, True)
 
-        def cost(value_bytes):
-            short, long = (traced_peak(tmp_path, ops, True, value_bytes) for ops in (N, 4 * N))
+        def cost(value_bytes, pending):
+            short, long = (traced_peak(tmp_path, ops, True, value_bytes, pending)
+                           for ops in (N, 4 * N))
             return (long - short) / (3 * N)
-        return {value_bytes: cost(value_bytes) for value_bytes in (10, 100, 1000)}
+        return {(value_bytes, pending): cost(value_bytes, pending)
+                for value_bytes, pending in ((10, PENDING), (100, PENDING), (1000, PENDING),
+                                             (100, 4 * PENDING))}
 
     def test_a_kept_update_costs_its_own_fields_only(self, kept_cost):
-        # Only the update's identity outlives its delivery: its (origin,
-        # seq) is 16 bytes in the record's array, plus its share of the
-        # record and its header.  Its value, or the update itself, would
-        # push past 32.
-        assert all(8 <= cost <= 32 for cost in kept_cost.values()), kept_cost
+        # Only the update's identity outlives its delivery, plus its
+        # share of the record and its header.  Its value, or the update
+        # itself, would push past 32.
+        assert all(cost <= 32 for cost in kept_cost.values()), kept_cost
+
+    def test_an_in_order_record_costs_per_batch_not_per_update(self, kept_cost):
+        # ONE_LINK ships one origin's seqs in order, so every batch is a
+        # seq run, kept as one triple: a batch four times as long costs
+        # the same.  An (origin, seq) pair per update would add 16 bytes
+        # for each of its 150 extra updates.
+        per_batch = {pending: kept_cost[100, pending] * pending
+                     for pending in (PENDING, 4 * PENDING)}
+        assert abs(per_batch[4 * PENDING] - per_batch[PENDING]) < 16 * PENDING, per_batch
 
     def test_a_kept_records_cost_does_not_depend_on_the_value_size(self, kept_cost):
         # A record that held an update would keep its value alive.
-        assert abs(kept_cost[10] - kept_cost[1000]) <= 2, kept_cost
+        assert abs(kept_cost[10, PENDING] - kept_cost[1000, PENDING]) <= 2, kept_cost
 
 
 def test_a_kept_run_holds_only_the_updates_in_its_stores(tmp_path):

@@ -156,6 +156,19 @@ class TestEventLoop:
         with pytest.raises(LivelockError):
             net.advance(10)
 
+    def test_an_advance_with_nothing_due_counts_one_event(self):
+        # Nothing queued, then only an event after the instant: each
+        # advance only moves the clock, and still spends one event.
+        net = SimNet(max_events=3)
+        ran = []
+        net.advance(1)
+        net.schedule(100, lambda: ran.append(net.now))
+        net.advance(2)
+        net.advance(3)
+        with pytest.raises(LivelockError):
+            net.advance(4)
+        assert ran == []
+
     def test_advances_and_queued_events_share_the_budget(self):
         # What a run of 400 one-write instants whose writes make 80
         # deliveries spends: 480 events, which overrun 40 + 400.

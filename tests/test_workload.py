@@ -3,7 +3,9 @@
 import bisect
 import math
 import random
+from array import array
 from collections import Counter
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,8 @@ from hypothesis import strategies as st
 from georep.blocks import BlockMode
 from georep.bounds import ContainerId
 from georep.errors import ScenarioError
-from georep.workload import BlockOp, BlockScript, ReadOp, WorkloadSpec, WriteOp, _cdf, generate
+from georep.workload import (BlockOp, BlockScript, ReadOp, WorkloadSpec, WriteOp, _zipf_cdf,
+                             generate)
 
 CID = ContainerId("usertable", "family")
 
@@ -188,9 +191,14 @@ class TestUniformDistribution:
             assert abs(count - expect) <= 5 * sigma
 
 
-def zipf_cdf(keyspace, constant):
-    """The key CDF ``generate`` draws zipfian ranks from."""
-    return _cdf([1.0 / math.pow(rank + 1, constant) for rank in range(keyspace)], math.fsum)
+@pytest.mark.parametrize("keyspace, constant", [
+    (1, 0.5), (2, 0.99), (1000, 0.01), (10_000, 0.5), (100_000, 0.99)])
+def test_zipf_cdf_is_bit_identical_to_the_listcomp_formula(keyspace, constant):
+    weights = [1.0 / math.pow(rank + 1, constant) for rank in range(keyspace)]
+    whole = math.fsum(weights)
+    listed = array("d", [acc / whole for acc in accumulate(weights)])
+    listed[-1] = 1.0
+    assert _zipf_cdf(keyspace, constant).tobytes() == listed.tobytes()
 
 
 def draw(cdf, rng):
@@ -199,7 +207,7 @@ def draw(cdf, rng):
 
 class TestZipfianDistribution:
     def test_keyspace_of_one_always_hits_rank_zero(self):
-        cdf = zipf_cdf(1, 0.5)
+        cdf = _zipf_cdf(1, 0.5)
         rng = random.Random(3)
         assert all(draw(cdf, rng) == 0 for _ in range(100))
 
@@ -219,7 +227,7 @@ class TestZipfianDistribution:
         """
         keyspace, constant, draws = 1000, 0.99, 3_000_000
         harmonic = math.fsum(1 / (k ** constant) for k in range(1, keyspace + 1))
-        cdf = zipf_cdf(keyspace, constant)
+        cdf = _zipf_cdf(keyspace, constant)
         rng = random.Random(99)
         counts = Counter(draw(cdf, rng) for _ in range(draws))
         for rank in range(10):
@@ -228,7 +236,7 @@ class TestZipfianDistribution:
 
     def test_small_constant_approaches_uniform(self):
         keyspace, draws = 50, 200_000
-        cdf = zipf_cdf(keyspace, 0.01)
+        cdf = _zipf_cdf(keyspace, 0.01)
         rng = random.Random(7)
         counts = Counter(draw(cdf, rng) for _ in range(draws))
         expect = draws / keyspace
@@ -236,7 +244,7 @@ class TestZipfianDistribution:
             assert abs(counts[rank] - expect) / expect < 0.15
 
     def test_cdf_covers_unit_interval(self):
-        cdf = zipf_cdf(10, 0.99)
+        cdf = _zipf_cdf(10, 0.99)
         assert cdf[-1] == 1.0
         assert all(0 < p <= 1 for p in cdf)
 
