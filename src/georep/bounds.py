@@ -128,13 +128,14 @@ class Group:
     """One client write group: every member's ``block`` is this object,
     at every replica and hop.  ``containers`` lists the containers the
     members write, in first-write order, set when the group closes.
+    ``immediate`` marks an IMMEDIATE group, which ships at every hop at once.
     Groups hash by identity, that is by memory address, so they are kept
     in insertion-ordered dicts, never in sets, or runs would differ."""
 
-    __slots__ = ("containers",)
+    __slots__ = ("containers", "immediate")
 
-    def __init__(self, containers: tuple[ContainerId, ...] = ()) -> None:
-        self.containers = containers
+    def __init__(self, containers: tuple[ContainerId, ...] = (), immediate: bool = False) -> None:
+        self.containers, self.immediate = containers, immediate
 
 
 @dataclass(slots=True, init=False)

@@ -23,9 +23,11 @@ so loops of any length stay echo-free; fresh members that share a
 ``Group`` go onward as one group.  The onward hop waits under the
 relay's own bound for the container, so bounds compose per hop: over a
 k-hop path, the worst-case staleness, counted from the origin's
-``wall_ms``, is the sum of each hop's lag limit, tick and latency.  VFC
-(Santos, Veiga & Ferreira, Middleware 2007) and TACT (Yu & Vahdat, TOCS
-2002) bound a replica's divergence end to end instead.
+``wall_ms``, is the sum of each hop's lag limit, tick and latency.  An
+IMMEDIATE group waits at no hop, so its worst case is the sum of the k
+latencies, plus any outage.  VFC (Santos, Veiga & Ferreira, Middleware
+2007) and TACT (Yu & Vahdat, TOCS 2002) bound a replica's divergence
+end to end instead.
 
 Redelivery is harmless: a ``SeqWindow`` remembers the ``(origin, seq)``
 of every update applied from a remote batch as one floor per origin
@@ -130,12 +132,11 @@ class ClusterNode:
         cell = None if cells is None else cells.get(key)
         return None if cell is None else cell.value
 
-    def offer_group(self, updates: list[Update], immediate: bool) -> None:
+    def offer_group(self, updates: list[Update]) -> None:
         """Offer a closed atomic group of local updates to every peer."""
         now = self.now_fn()
         for source in self.sources.values():
-            offer = source.ship_group_now if immediate else source.offer_group
-            offer(updates, now)
+            source.offer_group(updates, now)
 
     # -- remote apply path ----------------------------------------------
 

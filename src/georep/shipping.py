@@ -17,7 +17,6 @@ run's identities in one step, as a range (see ``Batch.run``).
 
 from __future__ import annotations
 
-from operator import attrgetter
 from typing import Callable, NamedTuple
 
 from .bounds import Bound, ContainerId, ContainerState, Trigger, Update
@@ -34,8 +33,6 @@ BATCH_HEADER_BYTES = 21
 # length caps a value at MAX_VALUE_BYTES.
 UPDATE_OVERHEAD_BYTES = 34
 MAX_VALUE_BYTES = 2**32 - 1
-
-_key, _value = attrgetter("key"), attrgetter("value")
 
 
 class Batch(NamedTuple):
@@ -61,8 +58,8 @@ class Batch(NamedTuple):
         # key, value and fixed overhead.  UTF-8 encodes a concatenation
         # piecewise, so the joined keys encode to the keys' total length.
         total = (BATCH_HEADER_BYTES + UPDATE_OVERHEAD_BYTES * len(updates)
-                 + len("".join(map(_key, updates)).encode("utf-8"))
-                 + sum(map(len, map(_value, updates))))
+                 + len("".join([u.key for u in updates]).encode("utf-8"))
+                 + sum([len(u.value) for u in updates]))
         run = None
         if updates:
             # A plain loop: on CPython 3.11 it checks a 250-update run in
@@ -86,14 +83,11 @@ class ReplicationSource:
     baseline behavior of shipping everything accumulated on every poll
     tick ("plain").  Under plain, no bound is judged on arrival: loose
     updates and ANY groups wait for the poll, while an IMMEDIATE group
-    still ships as one IMMEDIATE_BLOCK batch when it closes.
+    still ships as one IMMEDIATE_BLOCK batch when it is offered.
 
     The source hands ``bounds`` and ``default_bound`` to its cache, which
     keeps each container's queue, bound and shipped values in one
     ``ContainerState``.
-
-    The source ships its own batches: ``_drain`` hands each batch it
-    cuts to the required ``on_ship`` once, and no entry point returns one.
     """
 
     def __init__(self, source: int, peer: int, bounds: dict[ContainerId, Bound] | None = None,
@@ -124,26 +118,27 @@ class ReplicationSource:
             self._drain([update.container], now, trigger)
 
     def offer_group(self, updates: list[Update], now: int) -> None:
-        """Accept a completed atomic group in one step.
+        """Accept a completed atomic group in one step, at its origin or
+        at a relay: an IMMEDIATE group goes to ``ship_group_now`` unjudged.
 
-        Every member is enqueued before any member is judged, so the
-        group can only leave whole, and each member is judged against its
-        container's queue with the whole group in.  The last member into
-        each container saw that length at its own arrival, so whether
-        the group ships does not depend on this choice.  If any member
-        trips its container's bound, the involved containers drain
+        Of any other group, every member is enqueued before any member is
+        judged, so the group can only leave whole, and each member is judged
+        against its container's queue with the whole group in.  The last
+        member into each container saw that length at its own arrival, so
+        whether the group ships does not depend on this choice.  If any
+        member trips its container's bound, the involved containers drain
         immediately as one batch.
         """
-        accepted = self._accept(updates)
-        if not accepted or self.mode == "plain":
-            return
-        # A list, not a generator: every member is evaluated, also those
-        # after the first that trips.
-        if any([state.should_ship(u, now) is not None for u, state in accepted]):
-            self._drain(sorted({u.container for u, _ in accepted}), now, Trigger.ANY_BLOCK)
+        if updates and updates[0].block.immediate:
+            self.ship_group_now(updates, now)
+        elif (accepted := self._accept(updates)) and self.mode != "plain":
+            # A list, not a generator: every member is evaluated, also
+            # those after the first that trips.
+            if any([state.should_ship(u, now) is not None for u, state in accepted]):
+                self._drain(sorted({u.container for u, _ in accepted}), now, Trigger.ANY_BLOCK)
 
     def ship_group_now(self, updates: list[Update], now: int) -> None:
-        """Accept an atomic group that replicates immediately on close."""
+        """Accept an atomic group and ship it at once as one batch."""
         if accepted := self._accept(updates):
             self._drain(sorted({u.container for u, _ in accepted}), now, Trigger.IMMEDIATE_BLOCK)
 

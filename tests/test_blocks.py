@@ -298,3 +298,79 @@ def test_records_keep_the_header_and_ids_of_every_shipped_batch(tmp_path):
     assert {r.batch.source for r in result.batches} == {1, 2}
     assert sum(len(r.batch.updates) for r in result.batches) \
         == result.summary["shipped_updates"]
+
+
+# 20 two-put groups of one mode on a 1>2>3 chain, one group per ms.
+RELAYED = """\
+[topology]
+clusters = 1 2 3
+links = 1>2 2>3
+
+[network]
+latency_ms = 10
+
+[bounds]
+{bounds}
+
+[workload]
+seed = 3
+value_bytes = 20
+
+[blocks]
+count = 20
+puts_per_block = 2
+pattern = {pattern}
+containers = a:f b:f
+"""
+
+LAGGED = "default = 5000 0 0"
+BOUNDS = pytest.mark.parametrize("bounds", [LAGGED, "mode = plain"], ids=["lag", "plain"])
+
+
+def relayed_batches(tmp_path, pattern, bounds=LAGGED):
+    """Each batch RELAYED ships, in shipping order, as ``(destination,
+    trigger, created_ms, delivered_ms, members)``; ``members`` holds
+    each update's ``(key, block)``."""
+    path = tmp_path / "relayed.ini"
+    path.write_text(RELAYED.format(bounds=bounds, pattern=pattern), encoding="utf-8")
+    sim = Simulation(load_scenario(path))
+    members = ship_log(sim, lambda source, batch: tuple((u.key, u.block) for u in batch.updates))
+    return [(r.batch.destination, r.batch.trigger, r.batch.created_ms, r.delivered_ms, m)
+            for r, m in zip(sim.run().batches, members, strict=True)]
+
+
+class TestRelayedGroups:
+    """A group ships by its origin's rule at every hop, and whole."""
+
+    @BOUNDS
+    def test_an_immediate_group_ships_on_arrival_at_a_relay(self, tmp_path, bounds):
+        # Each group reaches cluster 3 alone, in a batch cut the instant
+        # it reached cluster 2; no relay bound or poll holds it.
+        batches = relayed_batches(tmp_path, "IMMEDIATE", bounds)
+        reached_2 = {m: delivered for dst, _, _, delivered, m in batches if dst == 2}
+        at_3 = [(trigger, created, m) for dst, trigger, created, _, m in batches if dst == 3]
+        assert len(reached_2) == len(at_3) == 20
+        assert all(trigger is Trigger.IMMEDIATE_BLOCK and created == reached_2[m]
+                   for trigger, created, m in at_3)
+
+    def test_an_any_group_waits_under_each_relays_bound(self, tmp_path):
+        # All 20 groups reach cluster 2 in one TIME batch.  The first one
+        # offered onward finds cluster 2's lag clock, running from t=0,
+        # expired and ships at once; that restarts the clock, so the
+        # other 19 wait for the first tick after 10,010 ms.
+        batches = relayed_batches(tmp_path, "ANY")
+        assert [(dst, trigger, created, len(m)) for dst, trigger, created, _, m in batches] == [
+            (2, Trigger.TIME, 5000, 40), (3, Trigger.ANY_BLOCK, 5010, 2),
+            (3, Trigger.TIME, 10100, 38)]
+
+    @BOUNDS
+    @pytest.mark.parametrize("pattern", ["IMMEDIATE", "ANY"])
+    def test_every_group_reaches_the_last_hop_in_one_batch(self, tmp_path, pattern, bounds):
+        carried: dict[Group, list[tuple[int, str]]] = {}
+        for index, (dst, _, _, _, members) in enumerate(relayed_batches(tmp_path, pattern,
+                                                                        bounds)):
+            if dst == 3:
+                for key, block in members:
+                    carried.setdefault(block, []).append((index, key))
+        assert len(carried) == 20
+        assert all(len(rows) == 2 and rows[0][0] == rows[1][0] for rows in carried.values())

@@ -330,6 +330,7 @@ class TestOnShip:
         src.offer(make_update(key="echo", origin=2), now=0)
         src.offer_group([make_update(container=B, key="peer", block=make_group(B), origin=2)],
                         now=0)
+        src.offer_group([], now=0)
         src.tick(now=10**6)
         assert shipped == []
 
