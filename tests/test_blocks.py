@@ -366,11 +366,13 @@ class TestRelayedGroups:
     @BOUNDS
     @pytest.mark.parametrize("pattern", ["IMMEDIATE", "ANY"])
     def test_every_group_reaches_the_last_hop_in_one_batch(self, tmp_path, pattern, bounds):
-        carried: dict[Group, list[tuple[int, str]]] = {}
+        # The index of the batch that carries each member to cluster 3.
+        carried: dict[Group, list[int]] = {}
         for index, (dst, _, _, _, members) in enumerate(relayed_batches(tmp_path, pattern,
                                                                         bounds)):
             if dst == 3:
-                for key, block in members:
-                    carried.setdefault(block, []).append((index, key))
+                for _, block in members:
+                    carried.setdefault(block, []).append(index)
         assert len(carried) == 20
-        assert all(len(rows) == 2 and rows[0][0] == rows[1][0] for rows in carried.values())
+        assert all(len(batches) == 2 and batches[0] == batches[1]
+                   for batches in carried.values())
