@@ -15,7 +15,8 @@ then offered to the peers as one group when the block closes:
 
 Blocks do not nest and a session holds at most one open block.  A block
 is one ``Group``, shared by all its members and carrying its mode; the
-close sets its ``containers`` before any peer sees a member.
+close sets its ``containers`` before any peer sees a member.  A relay
+offers the groups of a delivered batch as one, IMMEDIATE if any is.
 """
 
 from __future__ import annotations
@@ -70,4 +71,4 @@ class ClientSession:
         self._block = None
         if updates:
             group.containers = tuple({u.container: None for u in updates})
-            self.cluster.offer_group(updates)
+            self.cluster.offer(updates)

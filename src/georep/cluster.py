@@ -19,15 +19,15 @@ ties break toward the larger origin id, and one origin's writes within a
 millisecond keep their program order, so every replica resolves
 conflicts identically.  Updates applied from a remote batch are offered
 onward to the cluster's other peers with their original origin intact,
-so loops of any length stay echo-free; fresh members that share a
-``Group`` go onward as one group.  The onward hop waits under the
-relay's own bound for the container, so bounds compose per hop: over a
-k-hop path, the worst-case staleness, counted from the origin's
-``wall_ms``, is the sum of each hop's lag limit, tick and latency.  An
-IMMEDIATE group waits at no hop, so its worst case is the sum of the k
-latencies, plus any outage.  VFC (Santos, Veiga & Ferreira, Middleware
-2007) and TACT (Yu & Vahdat, TOCS 2002) bound a replica's divergence
-end to end instead.
+so loops of any length stay echo-free; a batch's groups go onward in
+one group offer, each with its stale members, which are not applied, so
+no hop sees half a group.  The onward hop waits under the relay's own
+bound for the container, so bounds compose per hop: over a k-hop path,
+the worst-case staleness, counted from the origin's ``wall_ms``, is the
+sum of each hop's lag limit, tick and latency.  An IMMEDIATE group waits
+at no hop, so its worst case is the sum of the k latencies, plus any
+outage.  VFC (Santos, Veiga & Ferreira, Middleware 2007) and TACT (Yu &
+Vahdat, TOCS 2002) bound a replica's divergence end to end instead.
 
 Redelivery is harmless: a ``SeqWindow`` remembers the ``(origin, seq)``
 of every update applied from a remote batch as one floor per origin
@@ -35,8 +35,8 @@ plus the seqs that arrived ahead of a gap, and a second copy counts as
 a duplicate.  In a full mesh every origin's seqs all reach every other
 cluster, so each window ends as one floor per origin.  Gaps stay open
 only for seqs that never arrive: on paths that reach a cluster only
-through a relay, updates the relay discarded as stale.  A batch that is
-a seq run (``Batch.run``), as an in-order link ships one, is checked
+through a relay, stale updates the relay did not pass on.  A batch that
+is a seq run (``Batch.run``), as an in-order link ships one, is checked
 against the window as a range: when it follows on from its origin's
 floor, it costs one seq check and one floor move, not one of each per
 update.  The node's ``tally`` is its one record of remote apply:
@@ -132,11 +132,20 @@ class ClusterNode:
         cell = None if cells is None else cells.get(key)
         return None if cell is None else cell.value
 
-    def offer_group(self, updates: list[Update]) -> None:
-        """Offer a closed atomic group of local updates to every peer."""
+    def offer(self, updates: list[Update], sender: int | None = None) -> None:
+        """Offer updates to every peer but ``sender``: each loose update
+        alone, then all grouped ones in one group offer."""
+        sources = [source for peer, source in self.sources.items() if peer != sender]
+        if not sources:
+            return
         now = self.now_fn()
-        for source in self.sources.values():
-            source.offer_group(updates, now)
+        loose = [u for u in updates if u.block is None]
+        grouped = [u for u in updates if u.block is not None]
+        for source in sources:
+            for u in loose:
+                source.offer(u, now)
+            if grouped:
+                source.offer_group(grouped, now)
 
     # -- remote apply path ----------------------------------------------
 
@@ -151,10 +160,10 @@ class ClusterNode:
         seqs, is checked and recorded in one step: one seq check and one
         floor move, and every update in it is new.  Any other batch is
         checked and recorded one update at a time.  Freshly applied
-        updates are relayed to every peer other than the batch's own
-        sender.  The container's cell dict is looked up once per run of
-        same-container updates.  The batch's counts are added to
-        ``tally``.
+        updates, then the stale members of their groups, are offered to
+        every peer other than the batch's own sender.  The container's
+        cell dict is looked up once per run of same-container updates.
+        The batch's counts are added to ``tally``.
         """
         if batch.destination != self.cluster_id:
             raise ProtocolError(
@@ -171,6 +180,7 @@ class ClusterNode:
             first_sight = self._applied.add
         store = self.store
         fresh: list[Update] = []
+        stale_members: list[Update] = []
         cid = cells = None
         for u in updates:
             if first_sight is not None:
@@ -192,28 +202,13 @@ class ClusterNode:
                 fresh.append(u)
             else:
                 tally.stale_discarded += 1
+                if u.block is not None:
+                    stale_members.append(u)
         if fresh:
-            self._relay(fresh, exclude_peer=batch.source)
+            # A set of groups is only probed for membership, never iterated.
+            blocks = {u.block for u in fresh} if stale_members else ()
+            self.offer(fresh + [u for u in stale_members if u.block in blocks], batch.source)
         tally.applied += len(fresh)
-
-    def _relay(self, updates: list[Update], exclude_peer: int) -> None:
-        if not self.sources.keys() - {exclude_peer}:
-            return  # no peer but the sender
-        now = self.now_fn()
-        singles: list[Update] = []
-        groups: dict[Group, list[Update]] = {}
-        for u in updates:
-            if u.block is None:
-                singles.append(u)
-            else:
-                groups.setdefault(u.block, []).append(u)
-        for peer, source in self.sources.items():
-            if peer == exclude_peer:
-                continue
-            for u in singles:
-                source.offer(u, now)
-            for members in groups.values():
-                source.offer_group(members, now)
 
     # -- inspection ----------------------------------------------------
 

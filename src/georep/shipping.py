@@ -118,18 +118,19 @@ class ReplicationSource:
             self._drain([update.container], now, trigger)
 
     def offer_group(self, updates: list[Update], now: int) -> None:
-        """Accept a completed atomic group in one step, at its origin or
-        at a relay: an IMMEDIATE group goes to ``ship_group_now`` unjudged.
+        """Accept the members of one or more closed atomic groups in one
+        step, at their origin or at a relay.  If any member's group is
+        IMMEDIATE, all of them go to ``ship_group_now`` unjudged.
 
-        Of any other group, every member is enqueued before any member is
-        judged, so the group can only leave whole, and each member is judged
-        against its container's queue with the whole group in.  The last
+        Otherwise every member is enqueued before any member is judged,
+        so the groups can only leave whole, and each member is judged
+        against its container's queue with every member in.  The last
         member into each container saw that length at its own arrival, so
-        whether the group ships does not depend on this choice.  If any
+        whether the groups ship does not depend on this choice.  If any
         member trips its container's bound, the involved containers drain
-        immediately as one batch.
+        immediately as one ANY_BLOCK batch.
         """
-        if updates and updates[0].block.immediate:
+        if any([u.block.immediate for u in updates]):
             self.ship_group_now(updates, now)
         elif (accepted := self._accept(updates)) and self.mode != "plain":
             # A list, not a generator: every member is evaluated, also
@@ -138,7 +139,7 @@ class ReplicationSource:
                 self._drain(sorted({u.container for u, _ in accepted}), now, Trigger.ANY_BLOCK)
 
     def ship_group_now(self, updates: list[Update], now: int) -> None:
-        """Accept an atomic group and ship it at once as one batch."""
+        """Accept closed atomic groups and ship them at once as one batch."""
         if accepted := self._accept(updates):
             self._drain(sorted({u.container for u, _ in accepted}), now, Trigger.IMMEDIATE_BLOCK)
 

@@ -132,38 +132,47 @@ def test_offer_follows_the_model(bound_a, bound_b, default, stream):
     assert cache_counts == model_counts
 
 
-@given(bound_a=bounds, bound_b=bounds, default=bounds,
-       ops=st.lists(st.one_of(arrivals.map(lambda a: [a]),
-                              st.lists(arrivals, min_size=2, max_size=4)),
-                    max_size=30))
+# One operation, as the groups it offers in one call: a loose update
+# (one member, no group), one group, or two groups in one group offer.
+offers = st.one_of(arrivals.map(lambda a: [[a]]),
+                   st.lists(arrivals, min_size=2, max_size=4).map(lambda g: [g]),
+                   st.lists(st.lists(arrivals, min_size=1, max_size=3), min_size=2, max_size=2))
+
+
+@given(bound_a=bounds, bound_b=bounds, default=bounds, ops=st.lists(offers, max_size=30))
 @settings(max_examples=300, deadline=None)
 def test_offer_group_follows_the_model_and_counts_every_member(bound_a, bound_b,
                                                                default, ops):
-    """Single offers mixed with groups; a group ships whole as ANY_BLOCK
-    when any member trips, and every member is evaluated, also those
-    after the first that trips."""
+    """Single offers mixed with groups, one or two to a call; the
+    members of a call ship whole, as one ANY_BLOCK batch, when any
+    member trips, and every member is evaluated, also those after the
+    first that trips."""
     src, shipped, model = source_and_model(bound_a, bound_b, default)
     now = 0
     got, want = [], []
     with mock.patch.object(ContainerState, "should_ship", autospec=True,
                            side_effect=ContainerState.should_ship) as rule:
-        for index, members in enumerate(ops):
+        for index, groups in enumerate(ops):
+            members = [m for group in groups for m in group]
+            loose = len(members) == 1
             now += members[0][3]
-            block = make_group(*dict.fromkeys(m[0] for m in members)) if len(members) > 1 else None
+            blocks = [None if loose else make_group(*dict.fromkeys(m[0] for m in group))
+                      for group in groups]
             updates = [make_update(container=cid, key=key, value=value, block=block)
-                       for cid, key, (value, _), _ in members]
+                       for group, block in zip(groups, blocks)
+                       for cid, key, (value, _), _ in group]
             calls, before = rule.call_count, len(shipped)
-            if block is None:
+            if loose:
                 src.offer(updates[0], now)
             else:
                 src.offer_group(updates, now)
             assert rule.call_count - calls == len(members)
             got += cut_by(index, shipped[before:])
-            tripped = [model.arrive(cid, key, numeric, now, block)
-                       for cid, key, (_, numeric), _ in members]
-            if block is None and tripped[0] is not None:
+            tripped = [model.arrive(cid, key, numeric, now, u.block)
+                       for (cid, key, (_, numeric), _), u in zip(members, updates)]
+            if loose and tripped[0] is not None:
                 want.append((index, tripped[0], model.ship({members[0][0]}, now)))
-            elif block is not None and any(t is not None for t in tripped):
+            elif not loose and any(t is not None for t in tripped):
                 involved = {m[0] for m in members}
                 want.append((index, Trigger.ANY_BLOCK, model.ship(involved, now)))
     assert got == want

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from georep.bounds import Bound, ContainerId, Update
+from georep.blocks import BlockMode, ClientSession
+from georep.bounds import Bound, ContainerId, Group, Update
 from georep.cluster import EMPTY_DIGEST, ApplyReport, ClusterNode
 from georep.errors import ProtocolError
 from georep.shipping import Batch, Trigger
@@ -323,11 +324,11 @@ class TestRelay:
         assert len(shipped[0].updates) == 2
         assert shipped[0].trigger is Trigger.ANY_BLOCK
 
-    def test_groups_of_two_origins_relay_as_two_whole_groups(self):
+    def test_groups_of_two_origins_relay_whole_in_one_batch(self):
         """Origins 1 and 2 each wrote their first group, across both
         containers; a per-origin number would call both block 1.  Cluster
-        3 relays them in one batch from 2, and each goes on to 4 whole
-        and alone."""
+        3 relays them in one batch from 2, and both go on to 4 whole, in
+        one group offer and one batch."""
         shipped = []
         node = make_node(cluster_id=3, peers=[2, 4], shipped=shipped,
                          default_bound=Bound())
@@ -339,11 +340,61 @@ class TestRelay:
             Update(CID, "d", b"4", 6, 2, 2, block=second),
         ]
         node.apply_remote(remote_batch(members, 2, 3))
-        assert [(b.destination, b.trigger) for b in shipped] == [(4, Trigger.ANY_BLOCK)] * 2
-        # Groups go in arrival order; a group's batch takes its
-        # containers in text order.
-        assert [[u.key for u in b.updates] for b in shipped] == [["c", "a"], ["b", "d"]]
-        assert [{u.block for u in b.updates} for b in shipped] == [{first}, {second}]
+        [onward] = shipped
+        assert (onward.destination, onward.trigger) == (4, Trigger.ANY_BLOCK)
+        # The batch takes its containers in text order, and each
+        # container's members in arrival order.
+        assert [u.key for u in onward.updates] == ["b", "c", "a", "d"]
+        assert [u.block for u in onward.updates] == [second, first, first, second]
+
+
+    def test_an_immediate_group_takes_an_any_group_of_its_batch_along(self):
+        """One delivered batch holds an ANY group in lag-bounded ``CID``
+        and an IMMEDIATE group in ``OTHER``.  The relay offers both in
+        one group offer, so the ANY group does not wait out ``CID``'s lag:
+        both leave at once, in one IMMEDIATE_BLOCK batch."""
+        clock, shipped = [10], []
+        node = make_node(cluster_id=2, peers=[3], clock=clock, shipped=shipped,
+                         bounds={CID: Bound(lag_ms=5000), OTHER: Bound(lag_ms=5000)})
+        lazy, urgent = Group((CID,)), Group((OTHER,), immediate=True)
+        node.apply_remote(remote_batch([Update(CID, "a", b"1", 0, 1, 1, block=lazy),
+                                        Update(OTHER, "b", b"2", 0, 1, 2, block=urgent)], 1, 2))
+        [onward] = shipped
+        assert (onward.destination, onward.trigger, onward.created_ms) == (
+            3, Trigger.IMMEDIATE_BLOCK, 10)
+        assert [(u.key, u.block) for u in onward.updates] == [("b", urgent), ("a", lazy)]
+
+    def test_a_relay_sends_a_groups_stale_members_on_with_it(self):
+        """On a 1>2>3 chain, cluster 1 commits the IMMEDIATE block
+        {a:x/k, b:y/l} at t=0, and cluster 2 writes a:x/k at t=5, which
+        waits under a:x's lag.  At cluster 2 the block's k is stale: it
+        is not applied, but it goes on to 3 with l, so cluster 3 never
+        holds l without a k of at least the block's version."""
+        ax, by = ContainerId("a", "x"), ContainerId("b", "y")
+        clock, shipped = [0], []
+        bounds = {ax: Bound(lag_ms=5000), by: Bound()}
+        n1, n2, n3 = (make_node(cluster_id=c, peers=p, clock=clock, shipped=shipped,
+                                bounds=bounds) for c, p in ((1, [2]), (2, [3]), (3, [])))
+        session = ClientSession(n1)
+        session.start_block(BlockMode.IMMEDIATE)
+        session.put(ax, "k", b"1")
+        session.put(by, "l", b"1")
+        session.end_block()
+        clock[0] = 5
+        n2.put(ax, "k", b"2")
+        clock[0] = 10
+        [block] = shipped
+        n2.apply_remote(block)
+        assert (n2.tally.applied, n2.tally.stale_discarded) == (1, 1)
+        [onward] = shipped[1:]
+        assert onward.trigger is Trigger.IMMEDIATE_BLOCK
+        assert [(u.key, u.origin, u.wall_ms) for u in onward.updates] == [
+            ("k", 2, 5), ("k", 1, 0), ("l", 1, 0)]
+        clock[0] = 20
+        n3.apply_remote(onward)
+        assert {key: cell.origin for cells in n3.store.values()
+                for key, cell in cells.items()} == {"k": 2, "l": 1}
+        assert n3.store[ax]["k"] is n2.store[ax]["k"]
 
 
     def test_onward_hop_waits_under_the_relays_bound(self):
