@@ -16,46 +16,28 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .bounds import IMMEDIATE, Bound, ContainerId, ContainerState, Group, SeqWindow, Update
-from .errors import ProtocolError
+from .bounds import IMMEDIATE, Bound, ContainerId, ContainerState, Group, Update
 
 
 @dataclass(slots=True)
 class PendingCache:
     """One ``ContainerState`` per container, each holding its FIFO queue
-    of pending updates, kept by the replication source of cluster
-    ``origin`` for one peer.  A state is built on its container's first
-    ``enqueue``, with the container's bound in ``bounds`` or else
-    ``default_bound``.
-
-    Every update of the cache's own cluster is remembered by its seq in
-    a ``SeqWindow``.  The source sees every seq its cluster writes, so
-    the window ends as one floor (a group's members fill their gap when
-    the group closes).  Foreign updates are not tracked: they reach a
-    cache only by relaying, which offers only the updates the cluster's
-    remote apply saw for the first time.
+    of pending updates, kept by a replication source for one peer.  A
+    state is built on its container's first ``enqueue``, with the
+    container's bound in ``bounds`` or else ``default_bound``.
 
     A queue grows only in ``enqueue``, so a state notes its ``peak`` when
     a drain takes from the queue; ``peaks`` adds the queues still waiting.
     """
 
-    origin: int
     bounds: dict[ContainerId, Bound] = field(default_factory=dict)
     default_bound: Bound = IMMEDIATE
     containers: dict[ContainerId, ContainerState] = field(default_factory=dict, init=False)
     total_pending_count: int = field(default=0, init=False)
-    _seen: SeqWindow = field(default_factory=SeqWindow, init=False)
 
     def enqueue(self, update: Update) -> ContainerState:
         """Append an update to its container's queue and return the
-        container's state.
-
-        Re-enqueueing one of the own cluster's seqs is a protocol
-        violation, and so is an own seq below 1.
-        """
-        if update.origin == self.origin and not self._seen.add(update.origin, update.seq):
-            raise ProtocolError(f"duplicate enqueue of update {(update.origin, update.seq)}")
-
+        container's state."""
         cid = update.container
         state = self.containers.get(cid)
         if state is None:

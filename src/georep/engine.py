@@ -73,8 +73,7 @@ state.  A cluster numbers its writes from a counter and keeps no log,
 and the metric ledger grows with windows.  The exactly-once filter in
 remote apply stays one floor per origin where every seq arrives; below
 a relay that discards stale updates it grows with the run (see
-``cluster``).  A pending cache checks only its own cluster's seqs,
-which always end as one floor.
+``cluster``).
 """
 
 from __future__ import annotations

@@ -6,8 +6,8 @@ class GeorepError(Exception):
 
 
 class ProtocolError(GeorepError):
-    """A caller violated an API contract (duplicate enqueue, misaddressed
-    batch, block misuse)."""
+    """A caller violated an API contract (misaddressed batch, block
+    misuse)."""
 
 
 class ScenarioError(GeorepError):

@@ -33,8 +33,7 @@ from typing import NamedTuple
 
 from .errors import ScenarioError
 from .shipping import Batch
-
-Link = tuple[int, int]
+from .simnet import Link
 
 _wall_ms = attrgetter("wall_ms")
 

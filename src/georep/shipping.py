@@ -88,6 +88,11 @@ class ReplicationSource:
     The source hands ``bounds`` and ``default_bound`` to its cache, which
     keeps each container's queue, bound and shipped values in one
     ``ContainerState``.
+
+    A source trusts its caller to offer each update once: it ships what
+    it is offered, a repeat or a seq below 1 included.  Exactly-once is
+    enforced where updates are applied, by the receiver's window (see
+    ``cluster``).
     """
 
     def __init__(self, source: int, peer: int, bounds: dict[ContainerId, Bound] | None = None,
@@ -100,7 +105,7 @@ class ReplicationSource:
         self.peer = peer
         self.link = (source, peer)
         self.mode = mode
-        self.cache = PendingCache(source, dict(bounds or {}), default_bound)
+        self.cache = PendingCache(dict(bounds or {}), default_bound)
         # Whether a tick can ever ship anything from this source.
         self.timed = mode == "plain" or any(
             b.lag_ms > 0 for b in (default_bound, *self.cache.bounds.values()))

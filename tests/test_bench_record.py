@@ -74,10 +74,10 @@ def checkout(tmp_path):
     return root, env
 
 
-def record(checkout, out):
-    root, env = checkout
+def record(checkout, out, **env):
+    root, base = checkout
     return subprocess.run([sys.executable, str(TOOL), "--out", str(out), "--root", str(root)],
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=dict(base, **env), capture_output=True, text=True, timeout=120)
 
 
 def test_records_every_workload_and_trace_mode(checkout, tmp_path):
@@ -125,6 +125,20 @@ def test_counters_are_those_of_the_workload_at_seed_1(checkout, tmp_path):
     a, b = (snapshot["workloads"][name]["counters"] for name in ("a", "b"))
     assert (a["shipped_updates"], b["shipped_updates"]) == (200, 300)
     assert a["calls"] < b["calls"]
+
+
+def test_instruction_counts_hold_across_processes_and_hash_seeds(checkout, tmp_path):
+    counts = []
+    for seed in ("0", "1"):
+        out = tmp_path / f"BENCH_{seed}.json"
+        proc = record(checkout, out, PYTHONHASHSEED=seed)
+        assert proc.returncode == 0, proc.stderr
+        workloads = json.loads(out.read_text(encoding="utf-8"))["workloads"]
+        counts.append({name: entry["counters"]["instructions"]
+                       for name, entry in workloads.items()})
+    assert counts[0] == counts[1]
+    # More ops run more bytecode.
+    assert 0 < counts[0]["a"] < counts[0]["b"]
 
 
 def test_a_failed_bench_run_writes_no_file(checkout, tmp_path):

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from georep.bounds import ContainerId
 from georep.cache import PendingCache
-from georep.errors import ProtocolError
 
 from conftest import make_group, make_update, wire_bytes
 
@@ -16,7 +15,7 @@ C = ContainerId("c", "fam")
 
 
 def test_enqueue_tracks_bytes_and_length():
-    cache = PendingCache(origin=1)
+    cache = PendingCache()
     u = make_update(key="key", value=b"x" * 83)  # 3 + 83 + 34 = 120
     cache.enqueue(u)
     assert wire_bytes(cache.containers[u.container].queue) == 120
@@ -26,7 +25,7 @@ def test_enqueue_tracks_bytes_and_length():
 
 def test_same_key_retained_in_arrival_order():
     # Every write to a key stays queued: batch sizes equal arrival counts.
-    cache = PendingCache(origin=1)
+    cache = PendingCache()
     first = make_update(key="k", value=b"old", container=A)
     second = make_update(key="k", value=b"new", container=A)
     cache.enqueue(first)
@@ -47,7 +46,7 @@ class Unreadable:
 def test_drain_visits_only_the_containers_its_groups_list():
     # C is no group's container: a drain of A pulls the group's member
     # from B and never reads an item queued in C.
-    cache = PendingCache(origin=1)
+    cache = PendingCache()
     group = make_group(A, B)
     watched = Unreadable()
     for u in (make_update(container=A, key="x", block=group),
@@ -63,7 +62,7 @@ def test_drain_visits_only_the_containers_its_groups_list():
 def test_a_group_container_the_cache_never_saw_is_skipped():
     # At a relay a group may list containers whose members were stale
     # there and never enqueued.
-    cache = PendingCache(origin=2)
+    cache = PendingCache()
     group = make_group(A, B, C)
     member = make_update(container=A, block=group, origin=1)
     cache.enqueue(member)
@@ -71,21 +70,14 @@ def test_a_group_container_the_cache_never_saw_is_skipped():
     assert list(cache.containers) == [A]
 
 
-@pytest.mark.parametrize("name", ["containers", "total_pending_count", "_seen"])
+@pytest.mark.parametrize("name", ["containers", "total_pending_count"])
 def test_internal_state_is_not_a_constructor_option(name):
     with pytest.raises(TypeError, match=name):
-        PendingCache(origin=1, **{name: None})
-
-
-def test_duplicate_identity_rejected():
-    cache = PendingCache(origin=1)
-    cache.enqueue(make_update(origin=1, seq=100))
-    with pytest.raises(ProtocolError, match=r"duplicate enqueue of update \(1, 100\)"):
-        cache.enqueue(make_update(origin=1, seq=100))
+        PendingCache(**{name: None})
 
 
 def test_drain_takes_whole_queue():
-    cache = PendingCache(origin=1)
+    cache = PendingCache()
     updates = [make_update(container=A, key=f"k{i}") for i in range(3)]
     for u in updates:
         cache.enqueue(u)
@@ -96,7 +88,7 @@ def test_drain_takes_whole_queue():
 
 def test_drain_pulls_block_siblings_from_other_containers():
     # A group never splits: draining one member container takes the rest.
-    cache = PendingCache(origin=1)
+    cache = PendingCache()
     group = make_group(A, B)
     in_a = make_update(container=A, key="x", block=group, origin=2)
     in_b = make_update(container=B, key="y", block=group, origin=2)
@@ -110,7 +102,7 @@ def test_drain_pulls_block_siblings_from_other_containers():
 
 def test_repeated_id_drains_like_a_single_one():
     def filled():
-        cache, group = PendingCache(origin=2), make_group(A, B)
+        cache, group = PendingCache(), make_group(A, B)
         for u in (make_update(container=A, key="x", origin=1, seq=1),
                   make_update(container=A, key="y", block=group, origin=1, seq=2),
                   make_update(container=B, key="z", block=group, origin=1, seq=3),
@@ -126,13 +118,13 @@ def test_repeated_id_drains_like_a_single_one():
 
 
 def test_drain_empty_container_is_noop():
-    cache = PendingCache(origin=1)
+    cache = PendingCache()
     assert cache.drain([A], now=0) == []
     assert cache.total_pending_count == 0
 
 
 def test_pending_count_lifecycle():
-    cache = PendingCache(origin=1)
+    cache = PendingCache()
     cache.enqueue(make_update(container=A, key="1"))
     cache.enqueue(make_update(container=A, key="2"))
     assert len(cache.containers[A].queue) == 2
@@ -142,7 +134,7 @@ def test_pending_count_lifecycle():
 
 
 def test_peak_pending_tracks_high_water_mark():
-    cache = PendingCache(origin=1)
+    cache = PendingCache()
     for i in range(4):
         cache.enqueue(make_update(container=A, key=f"k{i}"))
     cache.drain([A], now=0)
@@ -160,7 +152,7 @@ def test_peaks_match_the_length_after_every_enqueue(script):
     """Peaks taken at drain time equal a model that records each queue's
     length after every enqueue, with block-member pulls from containers
     not drained."""
-    cache = PendingCache(origin=1)
+    cache = PendingCache()
     # Each group may write any of the three containers, so it lists all.
     groups = {b: make_group(*(ContainerId(t, "fam") for t in "abc")) for b in (1, 2, 3)}
     model: dict[ContainerId, int] = {}
@@ -216,7 +208,7 @@ drain_calls = st.tuples(st.just("drain"),
 def test_drain_matches_a_naive_model(lists, script):
     """Every drain returns exactly the model's list, and afterwards every
     queue holds exactly what the model still holds, in arrival order."""
-    cache = PendingCache(origin=1)
+    cache = PendingCache()
     groups = [make_group(*cids) for cids in lists]
     log, held = [], set()
     for step in script:
@@ -244,7 +236,7 @@ def test_drain_matches_a_naive_model(lists, script):
 @settings(max_examples=50, deadline=None)
 def test_conservation_under_random_traffic(script):
     """enqueued == drained + pending, by count and by bytes."""
-    cache = PendingCache(origin=1)
+    cache = PendingCache()
     seq = 0
     enqueued = drained = 0
     enqueued_bytes = drained_bytes = 0
@@ -267,7 +259,7 @@ def test_conservation_under_random_traffic(script):
 
 
 def test_order_preserved_within_container():
-    cache = PendingCache(origin=1)
+    cache = PendingCache()
     updates = [make_update(container=A, key=f"k{i}", origin=3, seq=i + 1)
                for i in range(10)]
     for u in updates:
@@ -277,7 +269,7 @@ def test_order_preserved_within_container():
 
 
 def test_no_partial_block_ever_drains():
-    cache, group = PendingCache(origin=1), make_group(A, B)
+    cache, group = PendingCache(), make_group(A, B)
     members = [make_update(container=[A, B][i % 2], key=f"m{i}", block=group, origin=4)
                for i in range(6)]
     for u in members:
@@ -291,7 +283,7 @@ def test_no_partial_block_ever_drains():
 def test_members_pulled_from_one_container_keep_arrival_order():
     # B holds members of blocks 1 and 2, block 2's first; draining A
     # touches block 1 before block 2, yet B's members leave in B's order.
-    cache = PendingCache(origin=1)
+    cache = PendingCache()
     first, second = make_group(B, A), make_group(B, A)
     for u in [make_update(container=B, key="b2", block=second, origin=5, seq=1),
               make_update(container=B, key="b1", block=first, origin=5, seq=2),

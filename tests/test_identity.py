@@ -1,11 +1,13 @@
 """Exactly-once by sequence windows: per-origin floors plus early seqs.
 
 ``SeqWindow`` is checked against a plain set of ``(origin, seq)`` pairs,
-then in place: in the pending caches, in remote apply, and across whole
-runs, where every window must end as one floor per origin whatever the
-run length.  Seq runs, batches of one origin's consecutive seqs, are
-checked and recorded as ranges, and must leave what the per-update path
-leaves.
+then in place: in remote apply, and across whole runs, where every
+apply window must end as one floor per origin whatever the run length
+and no replication source is ever offered one update twice.  A source
+offered an update twice ships it twice, and the receiver's window
+catches the repeat.  Seq runs, batches of one origin's consecutive seqs,
+are checked and recorded as ranges, and must leave what the per-update
+path leaves.
 """
 
 import pytest
@@ -13,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from georep.bounds import Bound, ContainerId, SeqWindow, Update
-from georep.cache import PendingCache
 from georep.cluster import ApplyReport, ClusterNode
 from georep.engine import BatchRecord, Simulation, UpdateId
 from georep.errors import ProtocolError
@@ -84,14 +85,6 @@ def test_seq_below_one_raises_in_the_window(seq):
 
 
 @pytest.mark.parametrize("seq", [0, -3])
-def test_seq_below_one_raises_in_enqueue(seq):
-    cache = PendingCache(origin=1)
-    with pytest.raises(ProtocolError, match="below 1"):
-        cache.enqueue(make_update(origin=1, seq=seq))
-    assert cache.total_pending_count == 0
-
-
-@pytest.mark.parametrize("seq", [0, -3])
 def test_seq_below_one_raises_in_apply_remote(seq):
     node = ClusterNode(2, [], on_ship=[].append)
     batch = Batch.build([make_update(origin=1, seq=seq)], 1, 2, 0, Trigger.COUNT)
@@ -108,7 +101,7 @@ def snapshot(node):
         {peer: ({cid: (list(state.queue), state.peak, state.last_ship_ms,
                        dict(state.shipped_value))
                  for cid, state in source.cache.containers.items()},
-                source.cache.total_pending_count, dict(source.cache._seen.floors))
+                source.cache.total_pending_count)
          for peer, source in node.sources.items()},
     )
 
@@ -126,6 +119,37 @@ def test_a_batch_with_a_seq_below_one_changes_nothing():
     with pytest.raises(ProtocolError, match=r"update \(1, 0\) has a sequence number below 1"):
         node.apply_remote(bad)
     assert snapshot(node) == before
+
+
+# -- a source trusts its caller; the receiver enforces exactly-once ----
+
+
+def test_an_update_offered_twice_ships_twice_and_is_stored_once():
+    shipped = []
+    source = ReplicationSource(1, 2, on_ship=shipped.append)
+    update = make_update(key="a", origin=1, seq=1)
+    source.offer(update, 0)
+    source.offer(update, 0)
+    assert [batch.updates for batch in shipped] == [(update,), (update,)]
+    node = ClusterNode(2, [], on_ship=[].append)
+    for batch in shipped:
+        node.apply_remote(batch)
+    assert node.tally == ApplyReport(applied=1, duplicates=1)
+    assert node.store == {CID: {"a": update}}
+
+
+@pytest.mark.parametrize("seq", [0, -3])
+def test_a_seq_below_one_is_shipped_and_rejected_at_the_receiver(seq):
+    shipped = []
+    source = ReplicationSource(1, 2, on_ship=shipped.append)
+    bad = make_update(origin=1, seq=seq)
+    source.offer(bad, 0)
+    assert [batch.updates for batch in shipped] == [(bad,)]
+    node = ClusterNode(2, [3], on_ship=[].append)
+    with pytest.raises(ProtocolError, match="below 1"):
+        node.apply_remote(shipped[0])
+    assert snapshot(node) == ({}, {}, {}, {3: ({}, 0)})
+    assert node.tally == ApplyReport()
 
 
 # -- whole runs: windows stay one floor per origin ---------------------
@@ -184,6 +208,38 @@ origins = 1 2 3
 """
 
 
+# A chain of scripted write groups, one IMMEDIATE then two ANY: both
+# kinds of group batch leave cluster 1 and are relayed by cluster 2.
+BLOCKS = """\
+[topology]
+clusters = 1 2 3
+links = 1>2 2>3
+
+[network]
+latency_ms = 10
+window_ms = 1000
+
+[bounds]
+default = 0 0 0
+orders:acct = 0 2 0
+payments:acct = 0 40 0
+ledger:acct = 150 0 0
+tick_ms = 50
+
+[workload]
+seed = 3
+value_bytes = 20
+origins = 1
+
+[blocks]
+count = {ops}
+puts_per_block = 4
+pattern = IMMEDIATE ANY ANY
+containers = orders:acct payments:acct ledger:acct
+spacing_ms = 1
+"""
+
+
 def run(tmp_path, text, ops, name="run"):
     path = tmp_path / f"{name}-{ops}.ini"
     path.write_text(text.format(ops=ops), encoding="utf-8")
@@ -207,27 +263,28 @@ def test_windows_end_as_one_floor_per_origin_at_any_length(tmp_path, text, write
         for cid, node in sim.clusters.items():
             assert node._applied.floors == {o: writes[o] for o in upstream[cid]}
             assert node._applied.early == {}
-            # A source sees every seq of its own cluster's writes and
-            # tracks no foreign origin, relaying or not.
-            own = {cid: writes[cid]} if writes[cid] else {}
-            for source in node.sources.values():
-                assert source.cache._seen.floors == own
-                assert source.cache._seen.early == {}
 
 
-@pytest.mark.parametrize("text", [CHAIN, MESH], ids=["chain", "mesh"])
-def test_no_source_is_offered_a_foreign_update_twice(tmp_path, monkeypatch, text):
-    # Why the caches need not track foreign seqs: a foreign update
-    # reaches a source only by relaying, once, when remote apply first
-    # sees it.
+@pytest.mark.parametrize("text", [CHAIN, MESH, BLOCKS], ids=["chain", "mesh", "blocks"])
+def test_no_source_is_offered_an_update_twice(tmp_path, monkeypatch, text):
+    # Where exactly-once holds before apply: every update, the source's
+    # own cluster's or relayed, reaches a source once.  Only the
+    # outermost offer counts, as ``offer_group`` hands an IMMEDIATE
+    # group on to ``ship_group_now``.
     offered: dict[int, list[tuple[int, int]]] = {}
+    inside: set[int] = set()
 
     def recording(method):
         def record(source, updates, *args):
-            foreign = [updates] if isinstance(updates, Update) else updates
-            offered.setdefault(id(source), []).extend(
-                (u.origin, u.seq) for u in foreign if u.origin != source.source)
-            return method(source, updates, *args)
+            if id(source) in inside:
+                return method(source, updates, *args)
+            members = [updates] if isinstance(updates, Update) else updates
+            offered.setdefault(id(source), []).extend((u.origin, u.seq) for u in members)
+            inside.add(id(source))
+            try:
+                return method(source, updates, *args)
+            finally:
+                inside.discard(id(source))
         return record
 
     for name in ("offer", "offer_group", "ship_group_now"):
@@ -339,7 +396,7 @@ def test_a_run_holding_a_seq_below_one_raises_before_anything_is_stored(first):
     assert batch.run == (1, first)
     with pytest.raises(ProtocolError, match=rf"update \(1, {first}\) has a sequence"):
         node.apply_remote(batch)
-    assert snapshot(node) == ({}, {}, {}, {3: ({}, 0, {})})
+    assert snapshot(node) == ({}, {}, {}, {3: ({}, 0)})
     assert node.tally == ApplyReport()
 
 

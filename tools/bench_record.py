@@ -11,7 +11,8 @@ with the host-speed calibration line the run prints second.
 
 Then, for each workload at seed 1, it sets up the simulation as
 ``bench/worker.py`` does, ``Simulation(load_scenario(...))``, and runs
-it twice in this process for counters that do not depend on the host:
+it three times in this process for counters that do not depend on the
+host:
 
 * ``calls``: function calls inside ``Simulation.run()`` under cProfile,
   Python and built-in alike, summed over the profiler's own entries.
@@ -20,9 +21,17 @@ it twice in this process for counters that do not depend on the host:
   merged ones, so its total shifts with what else the process imported.
   This sum is the same in every process and under every string-hash
   seed;
+* ``instructions``: bytecode instructions executed inside one more
+  ``Simulation.run()``, counted by a ``sys.settrace`` hook that sets
+  ``frame.f_trace_opcodes``.  It tells dispatch from work: a formula
+  that moves work from bytecode into C lowers it, where cProfile's
+  ``calls`` can rise, since they count a builtin called from bytecode
+  but miss one called from C.  Work done in C counts nothing.  Like
+  ``calls``, it is the same in every process and under every
+  string-hash seed, for one Python version;
 * ``events``, ``batches``, ``shipped_updates`` and ``bytes``: events
   the event loop ran, and the run's batch traffic;
-* ``tracemalloc_peak_bytes``: the traced peak while the second run
+* ``tracemalloc_peak_bytes``: the traced peak while the third run
   goes, set-up excluded; it can move by a few KB with what the process
   ran and imported before.
 
@@ -45,6 +54,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from typing import Callable
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 1
@@ -75,6 +85,26 @@ def git_head(root: Path) -> str:
     return proc.stdout.strip()
 
 
+def count_instructions(run: Callable[[], object]) -> int:
+    """The bytecode instructions executed inside ``run()``."""
+    count = 0
+
+    def trace(frame, event, arg):
+        nonlocal count
+        if event == "opcode":
+            count += 1
+        elif event == "call":
+            frame.f_trace_lines, frame.f_trace_opcodes = False, True
+        return trace
+
+    sys.settrace(trace)
+    try:
+        run()
+    finally:
+        sys.settrace(None)
+    return count
+
+
 def counters(scenario_path: Path) -> dict:
     """The host-independent counters of one workload at ``SEED``."""
     from georep import Simulation, load_scenario
@@ -86,6 +116,7 @@ def counters(scenario_path: Path) -> dict:
     profile = cProfile.Profile()
     summary = profile.runcall(sim.run).summary
     calls = sum(entry.callcount for entry in profile.getstats())
+    instructions = count_instructions(build().run)
     sim = build()
     tracemalloc.start()
     try:
@@ -93,7 +124,7 @@ def counters(scenario_path: Path) -> dict:
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return {"calls": calls, "events": sim.net._events_run,
+    return {"calls": calls, "instructions": instructions, "events": sim.net._events_run,
             "batches": summary["total_batches"],
             "shipped_updates": summary["shipped_updates"],
             "bytes": summary["total_bytes"], "tracemalloc_peak_bytes": peak}
