@@ -21,25 +21,15 @@ time, on a grid of multiples of the tick interval, and only while some
 timed source actually has timer-driven work.  That keeps idle stretches
 free of events without changing when anything ships.
 
-Each link's shipping backlog is sampled for the ``pending_max`` column
-at event boundaries.  A backlog only changes when its own cluster acts,
-so after a delivery only the destination's links are sampled, after a
-tick every link, and after a write or a write group the acting
-cluster's links.  The first sample in each metric window takes every
-link, so a backlog that sits unchanged across a window boundary is
-still recorded in the new window; that first sample may follow any
-client action, and a write group that opens a window takes it before
-the group, then samples its cluster's links after the group closes.  A
-read changes no backlog, so once the window holds a sample it takes
-none: every change since the window's first sample was followed by a
-sample of its link, so its sample would repeat a value the window
-already holds.  A loose write in a window that already holds a sample
-is sampled once per instant: each of the acting cluster's links keeps a
-running maximum (a high-water mark) of its backlog, and closing the
-instant samples each link whose mark is nonzero.  Every sample taken at
-one instant lands on the same (window, link) record, which keeps only
-its maximum, and an empty backlog adds no row, so the rows are those of
-a sample after every write.
+Each link's shipping backlog feeds the ``pending_max`` column: the
+engine keeps each link's running maximum for the open metric window and
+writes it to the ledger once, when the window closes (at the first note
+in a later window, or at the end of the run).  Every link is noted after
+each delivery and tick, and at a window's first client op (before a
+write group that opens it), so a backlog idle across a boundary still
+counts in the new window.  Later in the window a write or a group raises
+only its cluster's links and a read none: a backlog grows only during an
+event of its own cluster, and ticks and drains only shrink it.
 
 A run pauses the cyclic garbage collector and restores its previous
 state when it ends, also when it fails.  A run makes no reference
@@ -177,8 +167,10 @@ class Simulation:
         self._sources = [source for cid in sorted(self.clusters)
                          for source in self.clusters[cid].sources.values()]
         self.metrics = MetricsCollector(scenario.window_ms)
-        # Metric window of the latest backlog sample; see _sample_pending.
-        self._sampled_window = -1
+        # Each link's largest backlog noted in the open metric window,
+        # and that window's index; see _note_backlogs.
+        self._highs: dict[Link, int] = {}
+        self._window = 0
         self.batches: list[BatchRecord] | None = [] if keep_batches else None
         self._shipped_updates = 0
         self._ran = False
@@ -204,7 +196,7 @@ class Simulation:
         node = self.clusters[dst]
         node.apply_remote(batch)
         self.metrics.note_delivery((src, dst), batch, now)
-        self._sample_pending((node,))
+        self._note_backlogs()
         self._arm_tick()
 
     # -- timers ---------------------------------------------------------
@@ -222,26 +214,27 @@ class Simulation:
         self._tick_armed = False
         for source in self._timed:
             source.tick(self.net.now)
-        self._sample_pending()
+        self._note_backlogs()
         self._arm_tick()
 
     # -- workload -------------------------------------------------------
 
     def _play(self, ops: Iterable[TimedOp]) -> None:
         """Apply the op stream, advancing the network to each new
-        instant after closing the one before.  A read skips the sample,
-        and a loose write only raises its links' high-water marks, once
-        this window holds a sample (module docstring)."""
+        instant after arming the timer as the one before closes.  An op
+        that opens a metric window notes every backlog; later in the
+        window a write raises its cluster's links inline, and a read
+        raises none (module docstring)."""
         net, clusters, window_ms = self.net, self.clusters, self.metrics.window_ms
-        highs: dict[Link, int] = {}
+        highs = self._highs
         at = window = None
         client_ops = 0
-        # Without timed sources, an instant with no mark has nothing to close.
+        # Without timed sources, closing an instant has no timer to arm.
         timed = bool(self._timed)
         for at_ms, origin, op in ops:
             if at_ms != at:
-                if at is not None and (highs or timed):
-                    self._close_instant(highs)
+                if at is not None and timed:
+                    self._arm_tick()
                 net.advance(at_ms)
                 at, window = at_ms, at_ms // window_ms
             node = clusters[origin]
@@ -249,54 +242,49 @@ class Simulation:
             if kind is WriteOp:
                 node.put(op.container, op.key, op.value)
                 client_ops += 1
-                if window == self._sampled_window:
-                    for source in node.sources.values():
-                        count = source.cache.total_pending_count
-                        if count > highs.get(source.link, 0):
-                            highs[source.link] = count
-                    continue
             elif kind is ReadOp:
                 node.get(op.container, op.key)
                 client_ops += 1
-                if window == self._sampled_window:
+                if window == self._window:
                     continue
             else:
-                if window != self._sampled_window:
-                    self._sample_pending()
+                if window != self._window:
+                    self._note_backlogs()
                 session = self.sessions[origin]
                 session.start_block(op.mode)
                 for cid, key, value in op.writes:
                     session.put(cid, key, value)
                 session.end_block()
                 client_ops += len(op.writes)
-            self._sample_pending((node,))
+            if window != self._window:
+                self._note_backlogs()
+                continue
+            for source in node.sources.values():
+                count = source.cache.total_pending_count
+                if count > highs.get(source.link, 0):
+                    highs[source.link] = count
         if at is not None:
-            self._close_instant(highs)
+            self._arm_tick()
         self._client_ops += client_ops
 
-    def _close_instant(self, highs: dict[Link, int]) -> None:
-        """Sample each link's high-water mark of the instant, once, and
-        forget the marks; then arm the timer."""
-        if highs:
-            now, sample = self.net.now, self.metrics.sample_pending
-            for link, high in highs.items():
-                sample(link, high, now)
-            highs.clear()
-        self._arm_tick()
+    def _note_backlogs(self) -> None:
+        """Raise every link's running maximum to its backlog, first
+        writing out the maxima of a window the clock has left."""
+        if self.net.now // self.metrics.window_ms != self._window:
+            self._close_window()
+        highs = self._highs
+        for source in self._sources:
+            count = source.cache.total_pending_count
+            if count > highs.get(source.link, 0):
+                highs[source.link] = count
 
-    def _sample_pending(self, changed: Iterable[ClusterNode] | None = None) -> None:
-        """Sample the backlog of every link out of the ``changed``
-        clusters (all of them when None, or when this is the first
-        sample in a new metric window)."""
-        now = self.net.now
-        window = now // self.metrics.window_ms
-        if changed is None or window != self._sampled_window:
-            self._sampled_window = window
-            changed = self.clusters.values()
-        sample = self.metrics.sample_pending
-        for node in changed:
-            for source in node.sources.values():
-                sample(source.link, source.cache.total_pending_count, now)
+    def _close_window(self) -> None:
+        """Write each link's maximum in the open window to the ledger,
+        once, and open the window the clock is in."""
+        for link, high in self._highs.items():
+            self.metrics.sample_pending(link, high, self._window * self.metrics.window_ms)
+        self._highs.clear()
+        self._window = self.net.now // self.metrics.window_ms
 
     # -- the run --------------------------------------------------------
 
@@ -318,6 +306,7 @@ class Simulation:
                 for source in self._sources:
                     source.final_drain(self.net.now)
                 self.net.run_until_quiescent()
+            self._close_window()
             elapsed = max(time.perf_counter() - started, 1e-9)
             rows = self.metrics.build_rows()
             summary = self._summarize(rows, self._client_ops / elapsed)

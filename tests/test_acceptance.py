@@ -244,7 +244,7 @@ def test_criterion_7_bounded_ingestion_keeps_pace(capsys, scenario_dir):
             plain_rate, bounded_rate = rates if sides[0] is plain else rates[::-1]
             ratios.append(bounded_rate / plain_rate)
             sides.reverse()
-        assert statistics.median(ratios) >= 0.9
+        assert statistics.median(ratios) >= 0.9, ratios
 
 
 def test_criterion_8_reruns_are_byte_identical(capsys, scenario_dir, bundled, tmp_path):

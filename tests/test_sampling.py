@@ -1,26 +1,32 @@
-"""Backlog sampling: sampling only where a backlog can have changed gives
-the same pending_max rows as sampling every link after every client op,
-delivery and tick."""
+"""Backlog notes: a running maximum per link, written to the ledger once
+when its window closes, gives the same pending_max rows as writing every
+link's backlog straight to the ledger after every client op, delivery
+and tick."""
 
 import dataclasses
+import itertools
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from georep import engine
 from georep.blocks import BlockMode
-from georep.bounds import ContainerId
+from georep.bounds import Bound, ContainerId
 from georep.engine import Simulation
 from georep.metrics import MetricsCollector
-from georep.scenario import load_scenario
-from georep.workload import BlockOp, ReadOp, WriteOp, generate
+from georep.scenario import Scenario, load_scenario
+from georep.simnet import LinkSpec
+from georep.workload import BlockOp, BlockScript, ReadOp, WorkloadSpec, WriteOp, generate
 
 from conftest import BENCH_WORKLOADS, SCENARIO_DIR
 
 
 class EveryLinkSimulation(Simulation):
-    """The reference rule: every link after every op, delivery and tick,
-    and before every write group."""
+    """The reference rule: every link's backlog goes straight to the
+    ledger after every op, delivery and tick, and before every write
+    group; no running maximum is kept."""
 
     def _play(self, ops):
         at = None
@@ -38,36 +44,42 @@ class EveryLinkSimulation(Simulation):
                 node.get(op.container, op.key)
                 self._client_ops += 1
             else:
-                self._sample_pending(None)
+                self._note_backlogs()
                 session = self.sessions[origin]
                 session.start_block(op.mode)
                 for write in op.writes:
                     session.put(write.container, write.key, write.value)
                 session.end_block()
                 self._client_ops += len(op.writes)
-            self._sample_pending(None)
+            self._note_backlogs()
         if at is not None:
             self._arm_tick()
 
-    def _sample_pending(self, changed=None):
-        super()._sample_pending(None)
+    def _note_backlogs(self):
+        now = self.net.now
+        for node in self.clusters.values():
+            for source in node.sources.values():
+                self.metrics.sample_pending(source.link, source.cache.total_pending_count, now)
 
 
 class NoWindowRuleSimulation(Simulation):
-    """Only the acting cluster's links, even on a new window's first
-    sample; misses a backlog that sits idle across a window boundary."""
+    """Skips the walk at a window's first note, so it misses a backlog
+    that sits idle across a window boundary."""
 
-    def _sample_pending(self, changed=None):
-        self._sampled_window = self.net.now // self.metrics.window_ms
-        super()._sample_pending(changed)
+    def _note_backlogs(self):
+        if self.net.now // self.metrics.window_ms != self._window:
+            self._close_window()
+        else:
+            super()._note_backlogs()
 
 
 # Three clusters in a full mesh, every one an origin; the workload ends
 # before t=1000.  1<->2 is cut until t=4000, so its batches retry then.
 # ``idle:c`` never trips its count bound, so every link carries a backlog
 # of it until the final drain.  The slow links into cluster 3 keep it
-# idle in windows where clusters 1 and 2 act (t=4000 is one), so only a
-# new window's full walk records cluster 3's backlog there.
+# idle in windows where clusters 1 and 2 act (t=4000 is one), and its
+# backlog still counts there: every delivery notes every link, so here
+# even a window's first note need not walk them all.
 MESH = """\
 [topology]
 clusters = 1 2 3
@@ -155,9 +167,12 @@ def rows(simulation_class, scenario):
 
 
 def bench_workload(name, ops=3000):
-    """A benchmark workload cut to about ``ops`` client ops."""
+    """A benchmark workload cut to about ``ops`` client ops, or at full
+    length when ``ops`` is None."""
     scenario = load_scenario(BENCH_WORKLOADS / f"{name}.ini")
     spec = scenario.workload
+    if ops is None:
+        return scenario
     if spec.block_script is None:
         spec = dataclasses.replace(spec, operations=ops)
     else:
@@ -168,12 +183,12 @@ def bench_workload(name, ops=3000):
 
 
 def sample_calls(simulation_class, scenario, monkeypatch):
-    """The run's ``sample_pending`` calls, counted by instant."""
+    """The run's ``sample_pending`` calls, counted by (window, link)."""
     calls = Counter()
     sample = MetricsCollector.sample_pending
 
     def counted(metrics, link, count, now):
-        calls[now] += 1
+        calls[now // metrics.window_ms, link] += 1
         sample(metrics, link, count, now)
 
     with monkeypatch.context() as patch:
@@ -182,17 +197,18 @@ def sample_calls(simulation_class, scenario, monkeypatch):
     return calls
 
 
-def test_the_reference_samples_every_write_and_the_engine_every_instant(monkeypatch):
+def test_the_reference_samples_every_write_and_the_engine_each_window_and_link_once(
+        monkeypatch):
     # 3,000 writes on 1>2 at t=0; nothing else happens at t=0.  The
-    # reference samples after each write; the engine takes the window's
-    # first sample after the first write, then one per link the instant
-    # touched, when the instant closes.
+    # reference samples after each write; the engine writes the link's
+    # maximum in window 0 once, and holds no backlog after it.
     scenario = bench_workload("burst")
     assert {at for at, _, _ in generate(scenario.workload)} == {0}
     reference = sample_calls(EveryLinkSimulation, scenario, monkeypatch)
-    engine_calls = sample_calls(Simulation, scenario, monkeypatch)
-    assert reference[0] >= scenario.workload.total_updates == 3000
-    assert engine_calls[0] == 1 + 1
+    assert reference[0, (1, 2)] >= scenario.workload.total_updates == 3000
+    assert sample_calls(Simulation, scenario, monkeypatch) == {(0, (1, 2)): 1}
+    # Over many windows and links, still one sample each.
+    assert set(sample_calls(Simulation, bench_workload("mesh"), monkeypatch).values()) == {1}
 
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in SCENARIO_DIR.glob("*.ini")))
@@ -201,9 +217,11 @@ def test_bundled_scenarios_match_every_link_sampling(scenario_dir, bundled, name
     assert bundled(name).rows == rows(EveryLinkSimulation, scenario)
 
 
-@pytest.mark.parametrize("name", ["steady", "burst", "mesh", "blocks"])
-def test_bench_workloads_match_every_link_sampling(name):
-    scenario = bench_workload(name)
+@pytest.mark.parametrize("name, ops", [
+    pytest.param(name, ops, id=name if ops else f"{name}-full")
+    for ops in (3000, None) for name in ("steady", "burst", "mesh", "blocks")])
+def test_bench_workloads_match_every_link_sampling(name, ops):
+    scenario = bench_workload(name, ops)
     expected = rows(EveryLinkSimulation, scenario)
     assert rows(Simulation, scenario) == expected
     assert any(r.pending_max > 0 for r in expected)
@@ -228,10 +246,13 @@ def test_read_only_windows_match_every_link_sampling(tmp_path):
 
 
 def test_idle_backlog_across_a_window_boundary_needs_the_window_rule(tmp_path):
-    # The mesh case really has a backlog that only a new window's full
-    # walk records: without that rule its rows come out different.
-    scenario = mesh(tmp_path)
-    assert rows(NoWindowRuleSimulation, scenario) != rows(EveryLinkSimulation, scenario)
+    # The read-only windows carry a backlog that only a new window's full
+    # walk records: without that rule they keep no row.
+    path = tmp_path / "reads.ini"
+    path.write_text(READS, encoding="utf-8")
+    scenario = load_scenario(path)
+    assert len(rows(NoWindowRuleSimulation, scenario)) == 21
+    assert len(rows(EveryLinkSimulation, scenario)) == 40
 
 
 def test_a_group_that_opens_a_window_samples_the_backlog_before_it(tmp_path, monkeypatch):
@@ -248,3 +269,56 @@ def test_a_group_that_opens_a_window_samples_the_backlog_before_it(tmp_path, mon
     expected = rows(EveryLinkSimulation, scenario)
     assert rows(Simulation, scenario) == expected
     assert [(r.window_start_ms, r.pending_max) for r in expected] == [(0, 3), (1000, 3)]
+
+
+CONTAINERS = (ContainerId("a", "f"), ContainerId("b", "f"))
+BOUNDS = st.builds(Bound, st.sampled_from([0, 5, 20, 50]), st.sampled_from([0, 1, 3, 10]))
+
+
+@st.composite
+def scenarios(draw):
+    """A small scenario: 2 or 3 clusters, any non-empty set of directed
+    links with at most one outage each, random windows and ticks, and
+    either a few loose ops over a few keys or a short [blocks] script."""
+    # Three clusters, and each link with even odds, make relays common.
+    clusters = tuple(range(1, draw(st.sampled_from([2, 3, 3])) + 1))
+    pairs = [(src, dst) for src in clusters for dst in clusters if src != dst]
+    present = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)).filter(any))
+    links = {}
+    for link in itertools.compress(pairs, present):
+        outages = draw(st.lists(st.tuples(st.integers(0, 200), st.integers(1, 200)), max_size=1))
+        links[link] = LinkSpec(draw(st.integers(0, 30)),
+                               tuple((start, start + length) for start, length in outages))
+    mode = draw(st.sampled_from(["bounded", "plain"]))
+    default, bounds = Bound(), {}
+    if mode == "bounded":
+        default = draw(BOUNDS)
+        bounds = draw(st.dictionaries(st.just(CONTAINERS[0]), BOUNDS, max_size=1))
+    origins = tuple(draw(st.lists(st.sampled_from(clusters), min_size=1, max_size=3)))
+    seed = draw(st.integers(0, 2**16))
+    if draw(st.booleans()):
+        workload = WorkloadSpec(
+            operations=draw(st.integers(1, 60)), write_fraction=draw(st.floats(0, 1)),
+            distribution="uniform", keyspace=draw(st.integers(1, 5)), value_bytes=8,
+            containers=tuple((cid, 1.0) for cid in CONTAINERS), seed=seed,
+            burst_ops=draw(st.integers(1, 5)), burst_spacing_ms=draw(st.integers(1, 10)),
+            origins=origins)
+    else:
+        script = BlockScript(
+            count=draw(st.integers(1, 12)), puts_per_block=draw(st.integers(1, 4)),
+            pattern=tuple(draw(st.lists(st.sampled_from(BlockMode), min_size=1, max_size=2))),
+            containers=tuple(draw(st.lists(st.sampled_from(CONTAINERS), min_size=1,
+                                           max_size=2, unique=True))),
+            spacing_ms=draw(st.integers(1, 10)))
+        workload = WorkloadSpec(operations=script.total_updates, value_bytes=8, seed=seed,
+                                origins=origins, block_script=script)
+    return Scenario(name="drawn", clusters=clusters, links=links, mode=mode,
+                    default_bound=default, bounds=bounds,
+                    tick_ms=draw(st.sampled_from([1, 7, 25])),
+                    window_ms=draw(st.sampled_from([1, 3, 10, 50])), workload=workload)
+
+
+@given(scenarios())
+@settings(max_examples=400, deadline=None)
+def test_random_scenarios_match_every_link_sampling(scenario):
+    assert rows(Simulation, scenario) == rows(EveryLinkSimulation, scenario)
