@@ -40,8 +40,6 @@ import enum
 import math
 from dataclasses import dataclass, field
 
-from .errors import ProtocolError
-
 
 class Trigger(enum.IntEnum):
     """What caused a batch to be cut.
@@ -175,84 +173,6 @@ class Update:
         between one origin's writes in the same millisecond, restoring
         the program order in which they applied locally."""
         return self.wall_ms, self.origin, self.seq
-
-
-class SeqWindow:
-    """The ``(origin, seq)`` identities seen so far, kept per origin as
-    a floor plus the seqs above it that arrived early.
-
-    Every seq from 1 up to ``floors[origin]`` has been seen;
-    ``early[origin]`` holds the seen seqs above ``floor + 1`` and exists
-    only while it is non-empty.  An origin numbers its updates 1, 2, 3
-    and so on, so a window that sees all of an origin's seqs ends with
-    one floor for it and no early seqs, however long the run.  Seqs that
-    never arrive leave their gap open, and every seq seen above the gap
-    stays early.  A seq run that follows on from its origin's floor, as
-    an in-order link delivers it, is checked and recorded as a range by
-    ``add_run``, at the cost of one seq.
-    """
-
-    __slots__ = ("floors", "early")
-
-    def __init__(self) -> None:
-        self.floors: dict[int, int] = {}
-        self.early: dict[int, set[int]] = {}
-
-    def add(self, origin: int, seq: int) -> bool:
-        """Record one identity; False when it was already seen.
-
-        A seq below 1 is no origin's and raises ProtocolError.  The
-        in-order case, the next seq after the floor while no origin has
-        early seqs, costs one dict lookup and one compare.
-        """
-        floors = self.floors
-        floor = floors.get(origin, 0)
-        # The difference 1 is a cached small int; ``floor + 1`` would be
-        # a new int object once seqs pass 256.
-        if seq - floor == 1:
-            floors[origin] = seq
-            early = self.early
-            if early:
-                waiting = early.get(origin)
-                if waiting is not None and seq + 1 in waiting:
-                    # The floor takes in the early seqs that now follow on.
-                    while seq + 1 in waiting:
-                        seq += 1
-                        waiting.remove(seq)
-                    floors[origin] = seq
-                    if not waiting:
-                        del early[origin]
-            return True
-        if seq <= floor:
-            if seq < 1:
-                raise ProtocolError(f"update ({origin}, {seq}) has a sequence number below 1")
-            return False
-        waiting = self.early.get(origin)
-        if waiting is None:
-            self.early[origin] = {seq}
-        elif seq in waiting:
-            return False
-        else:
-            waiting.add(seq)
-        return True
-
-    def add_run(self, origin: int, first: int, count: int) -> bool:
-        """Record ``origin``'s seqs ``first`` to ``first + count - 1`` in
-        one step when they follow on from its floor and it holds no early
-        seqs: the floor moves once, and True is returned.  Otherwise
-        nothing is recorded and False is returned; the caller then adds
-        the seqs one at a time, which sorts out duplicates and gaps.
-
-        A run starting below 1 raises ProtocolError before anything is
-        recorded; its other seqs are greater, so one check covers all.
-        """
-        if first < 1:
-            raise ProtocolError(f"update ({origin}, {first}) has a sequence number below 1")
-        floors = self.floors
-        if first - floors.get(origin, 0) != 1 or origin in self.early:
-            return False
-        floors[origin] = first + count - 1
-        return True
 
 
 def parse_numeric(value: bytes) -> float | None:

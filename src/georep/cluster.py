@@ -29,18 +29,13 @@ at no hop, so its worst case is the sum of the k latencies, plus any
 outage.  VFC (Santos, Veiga & Ferreira, Middleware 2007) and TACT (Yu &
 Vahdat, TOCS 2002) bound a replica's divergence end to end instead.
 
-Redelivery is harmless: a ``SeqWindow`` remembers the ``(origin, seq)``
-of every update applied from a remote batch as one floor per origin
-plus the seqs that arrived ahead of a gap, and a second copy counts as
-a duplicate.  In a full mesh every origin's seqs all reach every other
-cluster, so each window ends as one floor per origin.  Gaps stay open
-only for seqs that never arrive: on paths that reach a cluster only
-through a relay, stale updates the relay did not pass on.  A batch that
-is a seq run (``Batch.run``), as an in-order link ships one, is checked
-against the window as a range: when it follows on from its origin's
-floor, it costs one seq check and one floor move, not one of each per
-update.  The node's ``tally`` is its one record of remote apply:
-``apply_remote`` returns None and adds each batch's counts there.
+Exactly-once needs no record of past identities: remote apply sorts
+each copy by its version against the cell's.  A newer copy is applied;
+a copy with the cell's own ``(origin, seq)`` is a duplicate; an older
+one is stale.  Cells only grow, so a copy seen before, whether it was
+stored or found stale then, never beats its cell again.  The node's
+``tally`` is its one record of remote apply: ``apply_remote`` returns
+None and adds each batch's counts there.
 
 A store's digest is the XOR of one SHA-256 per cell.  Replicas that
 converged hold the very same update objects, so a digest can start from
@@ -54,9 +49,10 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from itertools import islice
+from operator import attrgetter, countOf
 from typing import Callable
 
-from .bounds import Bound, ContainerId, Group, SeqWindow, Update
+from .bounds import Bound, ContainerId, Group, Update
 from .errors import ProtocolError
 from .shipping import Batch, ReplicationSource
 
@@ -70,11 +66,18 @@ DIGEST_CHUNK = 256
 # Cells by container, then by key; a cell is the update that wrote it.
 Store = dict[ContainerId, dict[str, Update]]
 
+# Columns of a batch's updates, read per batch at C speed.
+_seq, _origin = attrgetter("seq"), attrgetter("origin")
+
 
 @dataclass(slots=True)
 class ApplyReport:
     """A node's running outcome counts of remote batch application.
-    An echo, an update back at its own origin, also counts as stale."""
+
+    ``duplicates`` counts copies of the very update a cell holds, and
+    ``stale_discarded`` copies older than the cell, a repeat of an
+    update since overwritten included.  ``echoes`` counts copies back
+    at their own origin, each also classified like any other copy."""
 
     applied: int = 0
     stale_discarded: int = 0
@@ -99,7 +102,6 @@ class ClusterNode:
             peer: ReplicationSource(cluster_id, peer, bounds, default_bound, mode, on_ship=on_ship)
             for peer in sorted(peers)
         }
-        self._applied = SeqWindow()
         self.tally = ApplyReport()
 
     # -- local write path ----------------------------------------------
@@ -152,43 +154,37 @@ class ClusterNode:
     def apply_remote(self, batch: Batch) -> None:
         """Apply a delivered batch in one atomic step.
 
-        Last-writer-wins per cell; already-seen updates are skipped so
-        redelivery is harmless.  A batch holding a seq below 1 raises
-        ProtocolError before anything is stored or remembered.  A seq
-        run (``Batch.run``) from another origin that follows on from the
-        window's floor for that origin, while the origin holds no early
-        seqs, is checked and recorded in one step: one seq check and one
-        floor move, and every update in it is new.  Any other batch is
-        checked and recorded one update at a time.  Freshly applied
-        updates, then the stale members of their groups, are offered to
-        every peer other than the batch's own sender.  The container's
-        cell dict is looked up once per run of same-container updates.
-        The batch's counts are added to ``tally``.
+        Each copy is compared with its cell under last-writer-wins: a
+        newer one is stored, one with the cell's ``(origin, seq)`` is a
+        duplicate, and an older one is stale, so redelivery is harmless.
+        A batch holding a seq below 1 raises ProtocolError before
+        anything is stored or counted; a seq run (``Batch.run``) is
+        checked by its first seq.  Freshly applied updates, then the
+        stale members of their groups, are offered to every peer other
+        than the batch's own sender.  The container's cell dict is
+        looked up once per run of same-container updates.  The batch's
+        counts are added to ``tally``.
         """
         if batch.destination != self.cluster_id:
             raise ProtocolError(
                 f"batch for cluster {batch.destination} delivered to {self.cluster_id}")
         updates, run, me = batch.updates, batch.run, self.cluster_id
+        lowest = run[1] if run is not None else min(map(_seq, updates), default=1)
+        if lowest < 1:
+            bad = next(u for u in updates if u.seq < 1)
+            raise ProtocolError(
+                f"update ({bad.origin}, {bad.seq}) has a sequence number below 1")
         tally = self.tally
-        if run is not None and run[0] != me and self._applied.add_run(*run, len(updates)):
-            first_sight = None  # every update is new and none is an echo
+        if run is not None:
+            if run[0] == me:
+                tally.echoes += len(updates)
         else:
-            for u in updates:
-                if u.seq < 1:
-                    raise ProtocolError(
-                        f"update ({u.origin}, {u.seq}) has a sequence number below 1")
-            first_sight = self._applied.add
+            tally.echoes += countOf(map(_origin, updates), me)
         store = self.store
         fresh: list[Update] = []
         stale_members: list[Update] = []
         cid = cells = None
         for u in updates:
-            if first_sight is not None:
-                if u.origin == me:
-                    tally.echoes += 1
-                if not first_sight(u.origin, u.seq):
-                    tally.duplicates += 1
-                    continue
             if u.container is not cid and u.container != cid:
                 cid = u.container
                 cells = store.get(cid)
@@ -200,6 +196,8 @@ class ClusterNode:
                     cell.wall_ms, cell.origin, cell.seq):
                 cells[u.key] = u
                 fresh.append(u)
+            elif u.seq == cell.seq and u.origin == cell.origin:
+                tally.duplicates += 1
             else:
                 tally.stale_discarded += 1
                 if u.block is not None:

@@ -60,10 +60,7 @@ ships it, as one ``(origin, first_seq, count)`` triple, so on such a
 link records grow per batch; any other batch costs 16 bytes of
 identity per update.  Without records, a run's memory is its live
 state.  A cluster numbers its writes from a counter and keeps no log,
-and the metric ledger grows with windows.  The exactly-once filter in
-remote apply stays one floor per origin where every seq arrives; below
-a relay that discards stale updates it grows with the run (see
-``cluster``).
+and the metric ledger grows with windows.
 """
 
 from __future__ import annotations

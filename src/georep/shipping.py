@@ -11,8 +11,7 @@ bidirectional and cyclic topologies echo-free.
 The wire format lives here: ``Batch.build`` holds the one formula for
 the bytes a batch is charged, from the constants below.  It also notes
 whether a batch is a seq run, one origin's consecutive seqs in order, as
-a source on an in-order link ships them: a receiver checks and records a
-run's identities in one step, as a range (see ``Batch.run``).
+a source on an in-order link ships them (see ``Batch.run``).
 """
 
 from __future__ import annotations
@@ -91,8 +90,8 @@ class ReplicationSource:
 
     A source trusts its caller to offer each update once: it ships what
     it is offered, a repeat or a seq below 1 included.  Exactly-once is
-    enforced where updates are applied, by the receiver's window (see
-    ``cluster``).
+    enforced where updates are applied, by last-writer-wins at the
+    receiver (see ``cluster``).
     """
 
     def __init__(self, source: int, peer: int, bounds: dict[ContainerId, Bound] | None = None,

@@ -9,11 +9,12 @@ stream exists before then.  Each advance counts as one event against
 the budget.
 
 Links have a fixed latency and a list of scheduled outage windows.  A
-batch submitted while its link is down is not lost: delivery is retried
-the moment the outage window closes.  The network keeps no accounting of
-its own: it calls the sender's ``deliver`` at the arrival instant, and
-the engine's handler charges the batch to the metric window of that
-instant (``metrics.MetricsCollector``).
+batch submitted while its link is down is not lost: it leaves the moment
+the link is up again, after any back-to-back outages, and arrives one
+latency later.  The network keeps no accounting of its own: it calls the
+sender's ``deliver`` at the arrival instant, and the engine's handler
+charges the batch to the metric window of that instant
+(``metrics.MetricsCollector``).
 
 Link capacity is not modeled: there is no queuing delay, so traffic
 peaks are measured rather than shaped.
@@ -95,22 +96,18 @@ class SimNet:
     def submit(self, batch: Batch, deliver: Callable[[Batch], None]) -> None:
         """Hand a batch to the network for delivery to its destination.
 
-        Up link: delivered after the link latency.  Down link: retried
-        when the current outage window ends (at-least-once from the
-        sender's view; receivers apply idempotently).
+        Up link: delivered after the link latency.  Down link: sent
+        when the link is next up, past any outages that follow on
+        back to back, and delivered one latency after that.  The
+        arrival is decided here and scheduled once.
         """
         spec = self.links.get((batch.source, batch.destination))
         if spec is None:
             raise ScenarioError(f"no link from cluster {batch.source} to {batch.destination}")
-        self._try_send(spec, batch, deliver)
-
-    def _try_send(self, spec: LinkSpec, batch: Batch,
-                  deliver: Callable[[Batch], None]) -> None:
-        retry_at = spec.down_until(self.now)
-        if retry_at is not None:
-            self.schedule(retry_at, partial(self._try_send, spec, batch, deliver))
-        else:
-            self.schedule(self.now + spec.latency_ms, partial(deliver, batch))
+        sent = self.now
+        while (up := spec.down_until(sent)) is not None:
+            sent = up
+        self.schedule(sent + spec.latency_ms, partial(deliver, batch))
 
     def advance(self, at_ms: int) -> None:
         """Run every queued event before ``at_ms``, then set the clock to

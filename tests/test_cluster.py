@@ -116,14 +116,16 @@ class TestRemoteApply:
         assert node.tally == ApplyReport(applied=1, duplicates=1)
         assert node.digest() == before
 
-    def test_echo_counts_as_stale_and_the_tally_sums_reports(self):
+    def test_an_echo_is_classified_like_any_copy_and_the_tally_sums_reports(self):
+        # The echo is the update its cell holds, so it is a duplicate,
+        # as the redelivered copy of (1, 1) is.
         node = make_node(cluster_id=3)
         own = node.put(CID, "k", b"mine")
         node.apply_remote(remote_batch([foreign("j", b"v", 5, 1, 1)], 1, 3))
         assert node.tally == ApplyReport(applied=1)
         assert node.apply_remote(remote_batch([own, foreign("j", b"v", 5, 1, 1)], 1, 3)) is None
         assert node.get(CID, "k") == b"mine"
-        assert node.tally == ApplyReport(1, 1, 1, 1)
+        assert node.tally == ApplyReport(applied=1, stale_discarded=0, duplicates=2, echoes=1)
 
     def test_wrong_destination_rejected(self):
         node = make_node(cluster_id=3)
@@ -149,7 +151,8 @@ class TestRemoteApply:
             foreign("n", b"first", 1, 2, 2),          # fresh: empty cell
             foreign("x", b"older", 3, 2, 4, OTHER),   # stale: loses to (5, 1, 2)
             foreign("y", b"fresh", 3, 2, 5, OTHER),   # fresh: empty cell
-            foreign("k", b"old", 5, 1, 1),            # duplicate of earlier
+            foreign("k", b"old", 5, 1, 1),            # stale: a repeat of earlier,
+                                                      # loses to (7, 2, 1)
             repeated,                                 # fresh: beats (1, 2, 2)
             foreign("k", b"lost", 6, 4, 1),           # stale: loses to (7, 2, 1)
             repeated,                                 # duplicate within the batch
@@ -158,22 +161,20 @@ class TestRemoteApply:
         node.apply_remote(remote_batch(earlier, 1, 3))
         node.apply_remote(remote_batch(batch, 2, 3))
 
-        # The per-update rule: skip seen identities, otherwise the
-        # greater version takes the cell.
-        cells, seen, tally = {}, set(), {"applied": 0, "stale": 0, "dup": 0}
+        # The per-update rule: the greater version takes the cell, the
+        # cell's own identity is a duplicate, and anything older is stale.
+        cells, tally = {}, {"applied": 0, "stale": 0, "dup": 0}
         for u in earlier + batch:
-            if (u.origin, u.seq) in seen:
-                tally["dup"] += 1
-                continue
-            seen.add((u.origin, u.seq))
             cell = cells.get((u.container, u.key))
             if cell is None or u.version > cell.version:
                 cells[(u.container, u.key)] = u
                 tally["applied"] += 1
+            elif (u.origin, u.seq) == (cell.origin, cell.seq):
+                tally["dup"] += 1
             else:
                 tally["stale"] += 1
         assert (node.tally.applied, node.tally.stale_discarded, node.tally.duplicates) == \
-            (tally["applied"], tally["stale"], tally["dup"]) == (6, 2, 2)
+            (tally["applied"], tally["stale"], tally["dup"]) == (6, 3, 1)
         stored = {(cid, key): cell for cid, by_key in node.store.items()
                   for key, cell in by_key.items()}
         assert stored.keys() == cells.keys()

@@ -1,20 +1,22 @@
-"""Exactly-once by sequence windows: per-origin floors plus early seqs.
+"""Exactly-once by last-writer-wins: a copy that does not beat its cell
+is never stored.
 
-``SeqWindow`` is checked against a plain set of ``(origin, seq)`` pairs,
-then in place: in remote apply, and across whole runs, where every
-apply window must end as one floor per origin whatever the run length
-and no replication source is ever offered one update twice.  A source
-offered an update twice ships it twice, and the receiver's window
-catches the repeat.  Seq runs, batches of one origin's consecutive seqs,
-are checked and recorded as ranges, and must leave what the per-update
-path leaves.
+Remote apply keeps no record of the identities it has seen; a copy of
+the update a cell holds counts as a duplicate, and an older copy as
+stale.  A differential oracle runs whole scenarios against a node that
+also keeps a plain set of ``(origin, seq)`` pairs and counts a repeated
+identity as a duplicate before last-writer-wins: both must give the same
+outputs.  Across whole runs no replication source is ever offered one
+update twice; a source offered an update twice ships it twice, and the
+receiver stores it once.  Seq runs, batches of one origin's consecutive
+seqs, are checked for a seq below 1 by their first seq.
 """
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from georep.bounds import Bound, ContainerId, SeqWindow, Update
+import georep.engine
+from georep.bounds import Bound, ContainerId, Update
 from georep.cluster import ApplyReport, ClusterNode
 from georep.engine import BatchRecord, Simulation, UpdateId
 from georep.errors import ProtocolError
@@ -22,66 +24,11 @@ from georep.scenario import load_scenario
 from georep.shipping import Batch, ReplicationSource, Trigger
 
 from conftest import make_update
+from test_sampling import bench_workload, scenarios
 
 CID = ContainerId("usertable", "family")
 
-origins = st.integers(1, 4)
-# Single identities, ascending runs from any start, and shuffled blocks of
-# consecutive seqs; repeats come from overlapping draws.
-singles = st.tuples(origins, st.integers(1, 40)).map(lambda ident: [ident])
-runs = st.tuples(origins, st.integers(1, 40), st.integers(1, 60)).map(
-    lambda r: [(r[0], seq) for seq in range(r[1], r[1] + r[2])])
-shuffled = st.tuples(origins, st.integers(1, 30)).flatmap(
-    lambda r: st.permutations([(r[0], seq) for seq in range(1, r[1] + 1)]))
-streams = st.lists(st.one_of(singles, runs, shuffled), max_size=20).map(
-    lambda chunks: [ident for chunk in chunks for ident in chunk])
-
-
-def assert_shape(window: SeqWindow, seen: set[tuple[int, int]]) -> None:
-    """The window holds exactly ``seen``: 1..floor plus the early seqs,
-    with floor + 1 missing and no empty early set kept."""
-    for origin in {o for o, _ in seen}:
-        mine = {seq for o, seq in seen if o == origin}
-        floor = window.floors.get(origin, 0)
-        assert set(range(1, floor + 1)) <= mine
-        assert floor + 1 not in mine
-        assert window.early.get(origin, set()) == {seq for seq in mine if seq > floor}
-    assert set(window.floors) | set(window.early) <= {o for o, _ in seen}
-    assert all(window.early.values())
-
-
-@given(streams)
-@settings(max_examples=300, deadline=None)
-def test_window_matches_a_set_of_identities(stream):
-    window, seen = SeqWindow(), set()
-    for origin, seq in stream:
-        assert window.add(origin, seq) is ((origin, seq) not in seen)
-        seen.add((origin, seq))
-    assert_shape(window, seen)
-
-
-def test_a_filled_gap_takes_in_the_early_seqs_above_it():
-    window = SeqWindow()
-    for seq in (1, 3, 4, 6):
-        window.add(2, seq)
-    assert (window.floors, window.early) == ({2: 1}, {2: {3, 4, 6}})
-    window.add(2, 2)
-    assert (window.floors, window.early) == ({2: 4}, {2: {6}})
-    window.add(2, 5)
-    assert (window.floors, window.early) == ({2: 6}, {})
-
-
 # -- seqs below 1 -----------------------------------------------------
-
-
-@pytest.mark.parametrize("seq", [0, -3])
-def test_seq_below_one_raises_in_the_window(seq):
-    window = SeqWindow()
-    with pytest.raises(ProtocolError, match="below 1"):
-        window.add(1, seq)
-    window.add(1, 1)
-    with pytest.raises(ProtocolError, match="below 1"):
-        window.add(1, seq)
 
 
 @pytest.mark.parametrize("seq", [0, -3])
@@ -94,10 +41,9 @@ def test_seq_below_one_raises_in_apply_remote(seq):
 
 
 def snapshot(node):
-    """Copies of a cluster's store, apply window and pending caches."""
+    """Copies of a cluster's store and pending caches."""
     return (
         {cid: dict(cells) for cid, cells in node.store.items()},
-        dict(node._applied.floors), dict(node._applied.early),
         {peer: ({cid: (list(state.queue), state.peak, state.last_ship_ms,
                        dict(state.shipped_value))
                  for cid, state in source.cache.containers.items()},
@@ -148,11 +94,11 @@ def test_a_seq_below_one_is_shipped_and_rejected_at_the_receiver(seq):
     node = ClusterNode(2, [3], on_ship=[].append)
     with pytest.raises(ProtocolError, match="below 1"):
         node.apply_remote(shipped[0])
-    assert snapshot(node) == ({}, {}, {}, {3: ({}, 0)})
+    assert snapshot(node) == ({}, {3: ({}, 0)})
     assert node.tally == ApplyReport()
 
 
-# -- whole runs: windows stay one floor per origin ---------------------
+# -- whole runs -------------------------------------------------------
 
 CHAIN = """\
 [topology]
@@ -240,29 +186,10 @@ spacing_ms = 1
 """
 
 
-def run(tmp_path, text, ops, name="run"):
-    path = tmp_path / f"{name}-{ops}.ini"
+def run(tmp_path, text, ops):
+    path = tmp_path / f"run-{ops}.ini"
     path.write_text(text.format(ops=ops), encoding="utf-8")
-    sim = Simulation(load_scenario(path))
-    return sim, sim.run()
-
-
-@pytest.mark.parametrize("text, writers, upstream", [
-    (CHAIN, {1}, {1: [], 2: [1], 3: [1]}),
-    (MESH, {1, 2, 3}, {1: [2, 3], 2: [1, 3], 3: [1, 2]}),
-], ids=["chain", "mesh"])
-def test_windows_end_as_one_floor_per_origin_at_any_length(tmp_path, text, writers,
-                                                           upstream):
-    for ops in (400, 1600):
-        sim, result = run(tmp_path, text, ops)
-        assert len(set(result.summary["digests"].values())) == 1
-        # Only the mesh delivers some updates twice, by two paths.
-        assert any(result.summary["duplicates"].values()) == (len(writers) > 1)
-        writes = {cid: node.last_seq for cid, node in sim.clusters.items()}
-        assert {cid for cid, n in writes.items() if n} == writers
-        for cid, node in sim.clusters.items():
-            assert node._applied.floors == {o: writes[o] for o in upstream[cid]}
-            assert node._applied.early == {}
+    return Simulation(load_scenario(path)).run()
 
 
 @pytest.mark.parametrize("text", [CHAIN, MESH, BLOCKS], ids=["chain", "mesh", "blocks"])
@@ -290,14 +217,14 @@ def test_no_source_is_offered_an_update_twice(tmp_path, monkeypatch, text):
     for name in ("offer", "offer_group", "ship_group_now"):
         monkeypatch.setattr(ReplicationSource, name,
                             recording(getattr(ReplicationSource, name)))
-    sim, result = run(tmp_path, text, 1600)
+    result = run(tmp_path, text, 1600)
     assert len(set(result.summary["digests"].values())) == 1
     assert sum(map(len, offered.values())) > 1000
     for identities in offered.values():
         assert len(identities) == len(set(identities))
 
 
-# -- a gap below the early seqs; redelivery is still caught ----------
+# -- a seq that never arrives; redelivery is still caught ------------
 
 
 def test_redelivery_above_a_gap_counts_as_duplicates():
@@ -307,12 +234,11 @@ def test_redelivery_above_a_gap_counts_as_duplicates():
     receiver = ClusterNode(2, [], on_ship=[].append)
     receiver.apply_remote(batch)
     assert receiver.tally == ApplyReport(applied=2)
-    assert (receiver._applied.floors, receiver._applied.early) == ({}, {1: {2, 3}})
     receiver.apply_remote(batch)
     assert receiver.tally == ApplyReport(applied=2, duplicates=2)
 
 
-# -- seq runs: one origin's consecutive seqs, checked as a range --------
+# -- seq runs: one origin's consecutive seqs --------------------------
 
 
 def run_batch(origin, first, count, source=1, destination=2):
@@ -335,68 +261,28 @@ def test_build_marks_one_origins_consecutive_seqs_as_a_run(idents, run):
     assert Batch.build(updates, 1, 2, 0, Trigger.COUNT).run == run
 
 
-def test_a_run_extends_the_floor():
-    window = SeqWindow()
-    assert window.add_run(1, 1, 5)
-    assert window.add_run(1, 6, 3)
-    assert window.add_run(2, 1, 1)
-    assert (window.floors, window.early) == ({1: 8, 2: 1}, {})
-
-
-def test_a_run_after_a_gap_falls_back_to_per_seq_adds():
-    window = SeqWindow()
-    window.add(1, 1)
-    assert not window.add_run(1, 3, 2)
-    assert (window.floors, window.early) == ({1: 1}, {})
-    node = ClusterNode(2, [], on_ship=[].append)
-    node.apply_remote(run_batch(1, 1, 1))
-    node.apply_remote(run_batch(1, 3, 2))
-    assert (node._applied.floors, node._applied.early) == ({1: 1}, {1: {3, 4}})
-    assert node.tally == ApplyReport(applied=3)
-
-
-def test_a_run_for_an_origin_holding_early_seqs_falls_back_to_per_seq_adds():
-    window = SeqWindow()
-    window.add(1, 1)
-    window.add(1, 5)
-    assert not window.add_run(1, 2, 3)
-    assert (window.floors, window.early) == ({1: 1}, {1: {5}})
-    node = ClusterNode(2, [], on_ship=[].append)
-    for first, count in ((1, 1), (5, 1), (2, 3)):
-        node.apply_remote(run_batch(1, first, count))
-    # The per-seq adds take in the early seq the run reached.
-    assert (node._applied.floors, node._applied.early) == ({1: 5}, {})
-    assert node.tally == ApplyReport(applied=5)
-
-
 def test_a_repeated_run_counts_every_update_as_a_duplicate():
     node = ClusterNode(2, [], on_ship=[].append)
     batch = run_batch(1, 1, 4)
     node.apply_remote(batch)
     node.apply_remote(batch)
     assert node.tally == ApplyReport(applied=4, duplicates=4)
-    assert (node._applied.floors, node._applied.early) == ({1: 4}, {})
 
 
 def test_a_run_of_the_nodes_own_seqs_counts_each_echo():
     node = ClusterNode(2, [], on_ship=[].append)
     node.apply_remote(run_batch(2, 1, 3, source=1))
     assert node.tally == ApplyReport(applied=3, echoes=3)
-    assert (node._applied.floors, node._applied.early) == ({2: 3}, {})
 
 
 @pytest.mark.parametrize("first", [0, -2])
 def test_a_run_holding_a_seq_below_one_raises_before_anything_is_stored(first):
-    window = SeqWindow()
-    with pytest.raises(ProtocolError, match="below 1"):
-        window.add_run(1, first, 4)
-    assert (window.floors, window.early) == ({}, {})
     node = ClusterNode(2, [3], on_ship=[].append)
     batch = run_batch(1, first, 4)
     assert batch.run == (1, first)
     with pytest.raises(ProtocolError, match=rf"update \(1, {first}\) has a sequence"):
         node.apply_remote(batch)
-    assert snapshot(node) == ({}, {}, {}, {3: ({}, 0)})
+    assert snapshot(node) == ({}, {3: ({}, 0)})
     assert node.tally == ApplyReport()
 
 
@@ -415,50 +301,73 @@ def test_a_record_gives_back_the_ids_of_its_batch(idents):
     assert (type(record._ids) is tuple) == (batch.run is not None)
 
 
-OTHER = ContainerId("other", "fam")
+# -- the differential oracle: LWW against a set of seen identities -----
 
 
-@given(st.data())
-@settings(max_examples=300, deadline=None)
-def test_runs_apply_as_the_per_update_path_does(data):
-    # Cluster 2 hears origins 1 and 3 (and its own echoes) from senders 1
-    # and 3, and relays each fresh update to the other peer at once.  One
-    # node applies every batch as built; the other the same batch with
-    # its run cleared, so always by the per-update path.
-    made: dict[tuple[int, int], Update] = {}
+class SetNode(ClusterNode):
+    """The reference rule: a plain set of every ``(origin, seq)`` seen
+    in a remote batch.  A repeated identity is a duplicate before
+    last-writer-wins; the relay rule and the echo count are the node's."""
 
-    def update(origin, seq):
-        if (origin, seq) not in made:
-            made[origin, seq] = Update(
-                data.draw(st.sampled_from([CID, OTHER])), data.draw(st.sampled_from("abc")),
-                b"v%d" % seq, data.draw(st.integers(0, 6)), origin, seq)
-        return made[origin, seq]
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.seen = set()
 
-    shipped = {"run": [], "per-update": []}
-    nodes = {name: ClusterNode(2, [1, 3], on_ship=log.append) for name, log in shipped.items()}
-    seqs = st.integers(1, 30)
-    for _ in range(data.draw(st.integers(1, 8))):
-        origin = data.draw(st.sampled_from([1, 3, 2]))
-        kind = data.draw(st.sampled_from(["next", "run", "mixed"]))
-        if kind == "mixed":
-            idents = data.draw(st.lists(st.tuples(st.sampled_from([origin, 1, 3]), seqs),
-                                        max_size=12))
-        else:
-            first = (nodes["run"]._applied.floors.get(origin, 0) + 1 if kind == "next"
-                     else data.draw(seqs))
-            idents = [(origin, seq) for seq in range(first, first + data.draw(st.integers(1, 8)))]
-        sender = data.draw(st.sampled_from([1, 3]))
-        batch = Batch.build([update(*ident) for ident in idents], sender, 2, 0, Trigger.COUNT)
-        nodes["run"].apply_remote(batch)
-        nodes["per-update"].apply_remote(batch._replace(run=None))
-    by_run, by_update = nodes["run"], nodes["per-update"]
-    assert by_run.tally == by_update.tally
-    assert by_run.store.keys() == by_update.store.keys()
-    for cid, cells in by_run.store.items():
-        assert cells.keys() == by_update.store[cid].keys()
-        assert all(cell is by_update.store[cid][key] for key, cell in cells.items())
-    assert (by_run._applied.floors, by_run._applied.early) == (
-        by_update._applied.floors, by_update._applied.early)
-    relayed = {name: [(b.destination, [id(u) for u in b.updates]) for b in log]
-               for name, log in shipped.items()}
-    assert relayed["run"] == relayed["per-update"]
+    def apply_remote(self, batch):
+        tally, fresh, stale_members = self.tally, [], []
+        for u in batch.updates:
+            tally.echoes += u.origin == self.cluster_id
+            if (u.origin, u.seq) in self.seen:
+                tally.duplicates += 1
+                continue
+            self.seen.add((u.origin, u.seq))
+            cells = self.store.setdefault(u.container, {})
+            cell = cells.get(u.key)
+            if cell is None or u.version > cell.version:
+                cells[u.key] = u
+                fresh.append(u)
+            else:
+                tally.stale_discarded += 1
+                if u.block is not None:
+                    stale_members.append(u)
+        if fresh:
+            blocks = {u.block for u in fresh}
+            self.offer(fresh + [u for u in stale_members if u.block in blocks], batch.source)
+        tally.applied += len(fresh)
+
+
+def outcome(scenario, node_class):
+    """A run's rows, batch records and summary with ``node_class`` as
+    every cluster."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(georep.engine, "ClusterNode", node_class)
+        result = Simulation(scenario).run()
+    records = [(r.source, r.destination, r.created_ms, r.trigger, r.total_bytes,
+                r.delivered_ms, r.updates) for r in result.batches]
+    return result.rows, records, result.summary
+
+
+def assert_matches_the_set_rule(scenario):
+    rows, records, summary = outcome(scenario, ClusterNode)
+    ref_rows, ref_records, ref = outcome(scenario, SetNode)
+    assert rows == ref_rows
+    assert records == ref_records
+    for field in ("digests", "applied", "echoes"):
+        assert summary[field] == ref[field]
+    # Only a repeat of an update since overwritten moves, from
+    # duplicate to stale.
+    for cid, dups in summary["duplicates"].items():
+        assert dups + summary["stale_discarded"][cid] == (
+            ref["duplicates"][cid] + ref["stale_discarded"][cid])
+        assert dups <= ref["duplicates"][cid]
+
+
+@given(scenarios())
+@settings(max_examples=400, deadline=None)
+def test_random_scenarios_match_the_set_rule(scenario):
+    assert_matches_the_set_rule(scenario)
+
+
+@pytest.mark.parametrize("name", ["steady", "burst", "mesh", "blocks"])
+def test_bench_workloads_match_the_set_rule(name):
+    assert_matches_the_set_rule(bench_workload(name, None))
