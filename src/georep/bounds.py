@@ -18,6 +18,13 @@ timer); any single dimension tripping causes the container's whole
 pending queue to be shipped as one batch, and the rule names the
 dimension that tripped.
 
+The state stores the first two dimensions as thresholds, derived from
+the bound once: ``count_at``, the queue length that trips the pending
+dimension, and ``time_at``, the instant the lag dimension trips.  A
+disabled dimension's threshold is infinite, so it never trips, and an
+all-disabled bound's ``count_at`` is 0, so every arrival trips it.  An
+arrival is then judged by two comparisons before the drift check.
+
 The lag clock runs from the container's last shipment, or from t=0 if
 it has never shipped, so its first update at or after ``lag_ms`` ships
 at once, as any arrival after an idle gap of at least ``lag_ms`` does.
@@ -195,6 +202,14 @@ class ContainerState:
     shipped, for the lag dimension.  ``shipped_value`` remembers, per
     key, the numeric payload most recently shipped, for drift
     comparisons; it stays empty under a bound without a drift limit.
+
+    Two thresholds restate the bound, set in ``__post_init__``:
+    ``count_at`` is the queue length that trips the pending dimension,
+    the limit itself, 0 under an all-disabled bound and infinite without
+    a limit; ``time_at`` is ``last_ship_ms + lag_ms``, the instant the
+    lag dimension trips, and infinite without a lag.  Only
+    ``mark_shipped`` moves ``time_at``, and only forward, as it moves
+    ``last_ship_ms``.
     """
 
     bound: Bound
@@ -202,15 +217,23 @@ class ContainerState:
     shipped_value: dict[str, float] = field(default_factory=dict)
     queue: list[Update] = field(default_factory=list)
     peak: int = 0
+    count_at: float = field(init=False)
+    time_at: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        bound = self.bound
+        self.count_at = bound.pending or (0 if bound.immediate else math.inf)
+        self.time_at = self.last_ship_ms + bound.lag_ms if bound.lag_ms else math.inf
 
     def lag_expired(self, now: int) -> bool:
-        """True when the shipment lag limit is up.
+        """True when the shipment lag limit is up: ``now`` has reached
+        ``time_at``.
 
         Inclusive at the boundary: trips exactly when the time since
         ``last_ship_ms``, 0 before the first shipment, reaches ``lag_ms``.
         Does not mutate.  Callers ask only for containers holding updates.
         """
-        return self.bound.lag_ms > 0 and now - self.last_ship_ms >= self.bound.lag_ms
+        return now >= self.time_at
 
     def drift_exceeded(self, update: Update) -> bool:
         """True when a numeric payload moved at least ``drift`` away from
@@ -229,29 +252,30 @@ class ContainerState:
         """The bound rule: which active dimension trips for one arriving
         update, already queued, or None when the update may wait.
 
-        The pending dimension trips when the queue's length reaches the
-        limit.  An all-disabled bound replicates immediately (COUNT).
-        When several dimensions trip at once, count beats time beats
-        drift.  Does not mutate.
+        The pending dimension trips when the queue's length reaches
+        ``count_at``, and the lag dimension when ``now`` reaches
+        ``time_at``; an all-disabled bound replicates immediately
+        (COUNT).  When several dimensions trip at once, count beats time
+        beats drift.  Does not mutate.
         """
-        bound = self.bound
-        if bound.pending > 0:
-            if len(self.queue) >= bound.pending:
-                return Trigger.COUNT
-        elif bound.immediate:
+        if len(self.queue) >= self.count_at:
             return Trigger.COUNT
-        if bound.lag_ms > 0 and self.lag_expired(now):
+        if now >= self.time_at:
             return Trigger.TIME
-        if bound.drift > 0.0 and self.drift_exceeded(update):
+        if self.bound.drift > 0.0 and self.drift_exceeded(update):
             return Trigger.DELTA
         return None
 
     def mark_shipped(self, now: int, updates: list[Update]) -> None:
         """Restart the lag clock after this container shipped the given
-        updates; under a drift limit, remember their numeric payloads."""
+        updates; under a drift limit, remember their numeric payloads.
+        An earlier ``now`` moves neither ``last_ship_ms`` nor ``time_at``."""
+        bound = self.bound
         if now > self.last_ship_ms:
             self.last_ship_ms = now
-        if self.bound.drift > 0.0:
+            if bound.lag_ms:
+                self.time_at = now + bound.lag_ms
+        if bound.drift > 0.0:
             for u in updates:
                 numeric = u.numeric
                 if numeric is not None:

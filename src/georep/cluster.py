@@ -39,9 +39,10 @@ None and adds each batch's counts there.
 
 A store's digest is the XOR of one SHA-256 per cell.  Replicas that
 converged hold the very same update objects, so a digest can start from
-a peer's known digest and XOR in only the cells that are not the
-identical object under the same key on both sides; the shared cells
-cancel out.
+a peer's known digest and XOR in only the cells that differ: a
+container whose cell dict equals the peer's is skipped whole, and
+elsewhere a cell that is the identical object under the same key on
+both sides; the shared cells cancel out.
 """
 
 from __future__ import annotations
@@ -98,10 +99,10 @@ class ClusterNode:
         self.store: Store = {}
         # Seq of the latest local write; the next one gets last_seq + 1.
         self.last_seq = 0
-        self.sources: dict[int, ReplicationSource] = {
-            peer: ReplicationSource(cluster_id, peer, bounds, default_bound, mode, on_ship=on_ship)
-            for peer in sorted(peers)
-        }
+        # One source per peer, in peer order.
+        self.sources: tuple[ReplicationSource, ...] = tuple(
+            ReplicationSource(cluster_id, peer, bounds, default_bound, mode, on_ship=on_ship)
+            for peer in sorted(peers))
         self.tally = ApplyReport()
 
     # -- local write path ----------------------------------------------
@@ -125,7 +126,7 @@ class ClusterNode:
         """Write locally and offer the update to every peer in one step."""
         update = self.local_put(cid, key, value)
         now = update.wall_ms
-        for source in self.sources.values():
+        for source in self.sources:
             source.offer(update, now)
         return update
 
@@ -137,12 +138,12 @@ class ClusterNode:
     def offer(self, updates: list[Update], sender: int | None = None) -> None:
         """Offer updates to every peer but ``sender``: each loose update
         alone, then all grouped ones in one group offer."""
-        sources = [source for peer, source in self.sources.items() if peer != sender]
+        sources = [source for source in self.sources if source.peer != sender]
         if not sources:
             return
         now = self.now_fn()
-        loose = [u for u in updates if u.block is None]
         grouped = [u for u in updates if u.block is not None]
+        loose = [u for u in updates if u.block is None] if grouped else updates
         for source in sources:
             for u in loose:
                 source.offer(u, now)
@@ -191,9 +192,10 @@ class ClusterNode:
                 if cells is None:
                     cells = store[cid] = {}
             cell = cells.get(u.key)
-            # Update.version, compared inline.
-            if cell is None or (u.wall_ms, u.origin, u.seq) > (
-                    cell.wall_ms, cell.origin, cell.seq):
+            # Update.version, compared inline: the (origin, seq) pairs
+            # are built only when the wall clocks tie.
+            if cell is None or u.wall_ms > cell.wall_ms or (
+                    u.wall_ms == cell.wall_ms and (u.origin, u.seq) > (cell.origin, cell.seq)):
                 cells[u.key] = u
                 fresh.append(u)
             elif u.seq == cell.seq and u.origin == cell.origin:
@@ -218,12 +220,15 @@ class ClusterNode:
         insertion order.  An empty store hashes to all zeros.
 
         Given ``base`` and ``base_digest``, the digest of ``base``'s
-        current store, only the cells that are not the identical object
-        under the same key in both stores are hashed, from both sides,
-        and XORed into ``base_digest``; the shared cells would cancel.
-        When every cell here has its twin in ``base`` and both stores
-        hold the same containers at the same sizes, ``base`` holds no
-        other cell, so its side is not walked.
+        current store, only the cells that differ between the two stores
+        are hashed, from both sides, and XORed into ``base_digest``; the
+        shared cells would cancel.  A container whose cell dict equals
+        ``base``'s (``==``, which checks identity first) is skipped
+        whole: equal updates hash alike, so its cells cancel too.  In any
+        other container, a cell is skipped when it is the identical
+        object under the same key in both stores.  When nothing here was
+        hashed and both stores hold the same containers at the same
+        sizes, ``base`` holds no other cell, so its side is not walked.
         """
         if base is None:
             return f"{_xor_cells(self.store, {})[0]:064x}"
@@ -234,27 +239,35 @@ class ClusterNode:
 
 
 def _xor_cells(store: Store, other: Store) -> tuple[int, int]:
-    """XOR of the cell hashes of ``store``, skipping each cell that is
-    the identical object under the same key in ``other``, and the number
-    of cells hashed.
+    """XOR of the cell hashes of ``store``, skipping each container whose
+    cell dict equals its twin in ``other`` and, in the others, each cell
+    that is the identical object under the same key in ``other``, and the
+    number of cells hashed.
 
-    Cells are taken from the live dicts ``DIGEST_CHUNK`` at a time, never
-    listed whole; a chunk's hashes are joined and folded into one word
-    (``_fold``)."""
+    A container absent from ``other``, as every one is in a full digest,
+    is hashed with no per-cell twin lookup, from its live dict; in any
+    other, only the cells that differ are listed.  Cells are hashed
+    ``DIGEST_CHUNK`` at a time; a chunk's hashes are joined and folded
+    into one word (``_fold``)."""
     acc = hashed = 0
     sha256 = hashlib.sha256
     for cid, cells in store.items():
+        twins = other.get(cid)
+        if twins is None:
+            items, count = iter(cells.items()), len(cells)
+        elif twins == cells:
+            continue
+        else:
+            differ = [(key, cell) for key, cell in cells.items() if twins.get(key) is not cell]
+            items, count = iter(differ), len(differ)
         label = cid.encode("utf-8")
-        twins = other.get(cid, {})
-        items = iter(cells.items())
-        for _ in range(0, len(cells), DIGEST_CHUNK):
+        for _ in range(0, count, DIGEST_CHUNK):
             words = b"".join([
                 sha256(b"%b|%b|%d|%d|%b" % (label, key.encode("utf-8"), cell.wall_ms,
                                            cell.origin, cell.value)).digest()
-                for key, cell in islice(items, DIGEST_CHUNK) if twins.get(key) is not cell])
-            if words:
-                acc ^= _fold(words)
-                hashed += len(words) // 32
+                for key, cell in islice(items, DIGEST_CHUNK)])
+            acc ^= _fold(words)
+        hashed += count
     return acc, hashed
 
 

@@ -95,9 +95,9 @@ class BatchRecord:
     """Trace entry for one shipped batch: its header, its delivery time
     (-1 until delivered) and its updates' identities.  A seq run
     (``Batch.run``) keeps them as one ``(origin, first_seq, count)``
-    triple; any other batch keeps each update's ``(origin, seq)``, packed
-    two ``q`` entries an update.  It holds no ``Update``, so it keeps no
-    value alive.
+    triple; any other batch keeps every update's origin, then every
+    update's seq, in one ``array('q')``.  It holds no ``Update``, so it
+    keeps no value alive.
 
     A record reads like the ``Batch`` it was cut from: ``record.batch``
     is the record itself, whose header fields bear the batch's names and
@@ -113,7 +113,8 @@ class BatchRecord:
         if batch.run is not None:
             self._ids = (*batch.run, len(batch.updates))
         else:
-            self._ids = array("q", [i for u in batch.updates for i in (u.origin, u.seq)])
+            updates = batch.updates
+            self._ids = array("q", [u.origin for u in updates] + [u.seq for u in updates])
 
     @property
     def batch(self) -> BatchRecord:
@@ -124,8 +125,8 @@ class BatchRecord:
         if type(self._ids) is tuple:
             origin, first, count = self._ids
             return tuple(map(UpdateId, repeat(origin, count), range(first, first + count)))
-        ids = iter(self._ids)
-        return tuple(map(UpdateId, ids, ids))
+        ids, count = self._ids, len(self._ids) // 2
+        return tuple(map(UpdateId, ids[:count], ids[count:]))
 
 
 @dataclass(slots=True)
@@ -162,7 +163,7 @@ class Simulation:
                 now_fn=partial(getattr, self.net, "now"), on_ship=on_ship)
         self.sessions = {cid: ClientSession(node) for cid, node in self.clusters.items()}
         self._sources = [source for cid in sorted(self.clusters)
-                         for source in self.clusters[cid].sources.values()]
+                         for source in self.clusters[cid].sources]
         self.metrics = MetricsCollector(scenario.window_ms)
         # Each link's largest backlog noted in the open metric window,
         # and that window's index; see _note_backlogs.
@@ -256,7 +257,7 @@ class Simulation:
             if window != self._window:
                 self._note_backlogs()
                 continue
-            for source in node.sources.values():
+            for source in node.sources:
                 count = source.cache.total_pending_count
                 if count > highs.get(source.link, 0):
                     highs[source.link] = count

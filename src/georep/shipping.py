@@ -82,7 +82,8 @@ class ReplicationSource:
     baseline behavior of shipping everything accumulated on every poll
     tick ("plain").  Under plain, no bound is judged on arrival: loose
     updates and ANY groups wait for the poll, while an IMMEDIATE group
-    still ships as one IMMEDIATE_BLOCK batch when it is offered.
+    still ships as one IMMEDIATE_BLOCK batch when it is offered.  The
+    choice is made once, at construction, as ``judged``.
 
     The source hands ``bounds`` and ``default_bound`` to its cache, which
     keeps each container's queue, bound and shipped values in one
@@ -103,10 +104,11 @@ class ReplicationSource:
         self.source = source
         self.peer = peer
         self.link = (source, peer)
-        self.mode = mode
+        # Whether arrivals are judged against their bound, decided once.
+        self.judged = mode == "bounded"
         self.cache = PendingCache(dict(bounds or {}), default_bound)
         # Whether a tick can ever ship anything from this source.
-        self.timed = mode == "plain" or any(
+        self.timed = not self.judged or any(
             b.lag_ms > 0 for b in (default_bound, *self.cache.bounds.values()))
 
     # -- ingestion ---------------------------------------------------
@@ -117,8 +119,7 @@ class ReplicationSource:
         if update.origin == self.peer:
             return
         state = self.cache.enqueue(update)
-        trigger = None if self.mode == "plain" else state.should_ship(update, now)
-        if trigger is not None:
+        if self.judged and (trigger := state.should_ship(update, now)) is not None:
             self._drain([update.container], now, trigger)
 
     def offer_group(self, updates: list[Update], now: int) -> None:
@@ -136,7 +137,7 @@ class ReplicationSource:
         """
         if any([u.block.immediate for u in updates]):
             self.ship_group_now(updates, now)
-        elif (accepted := self._accept(updates)) and self.mode != "plain":
+        elif (accepted := self._accept(updates)) and self.judged:
             # A list, not a generator: every member is evaluated, also
             # those after the first that trips.
             if any([state.should_ship(u, now) is not None for u, state in accepted]):
@@ -163,10 +164,10 @@ class ReplicationSource:
         has elapsed.  Overdue containers are visited in ``table:family``
         text order, so multi-container ticks are deterministic.
         """
-        containers, plain = self.cache.containers, self.mode == "plain"
+        containers, judged = self.cache.containers, self.judged
         for cid in sorted(containers):
             # An earlier drain may have pulled this queue's block members.
-            if containers[cid].queue and (plain or containers[cid].lag_expired(now)):
+            if containers[cid].queue and (not judged or containers[cid].lag_expired(now)):
                 self._drain([cid], now, Trigger.TIME)
 
     def final_drain(self, now: int) -> None:
@@ -181,7 +182,7 @@ class ReplicationSource:
         """True when a future tick could ship something already queued."""
         if self.cache.total_pending_count == 0:
             return False
-        if self.mode == "plain":
+        if not self.judged:
             return True
         return any(state.queue and state.bound.lag_ms > 0
                    for state in self.cache.containers.values())

@@ -55,7 +55,7 @@ def ship_log(sim, keep):
     ``Batch`` itself.  ``keep`` runs before the batch is submitted."""
     log = []
     for node in sim.clusters.values():
-        for source in node.sources.values():
+        for source in node.sources:
             def ship_and_keep(batch, source=source, ship=source.on_ship):
                 log.append(keep(source, batch))
                 ship(batch)

@@ -1,9 +1,12 @@
 """``tools/bench_record.py`` against a canned ``bench/run.py`` and a fake
-``git``: what it runs, and the file it writes."""
+``git``: what it runs, and the file it writes; and, in a throwaway git
+repository, its paired timing against a revision."""
 
 import cProfile
 import json
 import os
+import shutil
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -151,3 +154,66 @@ def test_a_failed_bench_run_writes_no_file(checkout, tmp_path):
     assert proc.returncode == 1
     assert "benchmark failed: canned" in proc.stderr
     assert not out.exists()
+
+
+def git(root, *args):
+    return subprocess.run(["git", "-C", str(root), "-c", "user.name=bench", "-c",
+                           "user.email=bench@example.invalid", *args],
+                          capture_output=True, text=True, check=True).stdout
+
+
+@pytest.fixture
+def repo(tmp_path):
+    """A git repository of one commit: the canned run.py, two workloads
+    long enough to time, and a copy of the real sources."""
+    root = tmp_path / "repo"
+    (root / "bench" / "workloads").mkdir(parents=True)
+    (root / "bench" / "run.py").write_text(CANNED_RUN, encoding="utf-8")
+    for name, operations in (("a", 1500), ("b", 2500)):
+        (root / "bench" / "workloads" / f"{name}.ini").write_text(
+            WORKLOAD.format(operations=operations), encoding="utf-8")
+    shutil.copytree(REPO / "src", root / "src",
+                    ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    (root / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 7}), encoding="utf-8")
+    git(root, "init", "-q")
+    git(root, "add", "-A")
+    git(root, "commit", "-q", "-m", "canned checkout")
+    return root
+
+
+def against(root, out, rev, pairs):
+    return subprocess.run([sys.executable, str(TOOL), "--out", str(out), "--root", str(root),
+                           "--against", rev, "--pairs", str(pairs)],
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_head_against_itself_reads_a_median_near_one(repo, tmp_path):
+    out = tmp_path / "BENCH_1.json"
+    proc = against(repo, out, "HEAD", 5)
+    assert proc.returncode == 0, proc.stderr
+    snapshot = json.loads(out.read_text(encoding="utf-8"))
+    assert snapshot["against"] == snapshot["git_head"] == git(repo, "rev-parse", "HEAD").strip()
+    for name in ("a", "b"):
+        entry = snapshot["workloads"][name]
+        assert set(entry) == {"bench", "paired", "counters"}
+        paired = entry["paired"]
+        ratios = paired["ratios"]
+        assert len(ratios) == paired["pairs"] == 5
+        assert paired["median"] == statistics.median(ratios)
+        assert (paired["min"], paired["max"]) == (min(ratios), max(ratios))
+        assert paired["won"] == sum(r < 1 for r in ratios)
+        # The same tree on both sides: only host noise parts them.
+        assert 0.75 < paired["median"] < 1.33, ratios
+    # The worktree and its entry are gone.
+    assert git(repo, "worktree", "list", "--porcelain").count("worktree ") == 1
+
+
+def test_an_unknown_revision_fails_before_any_run_and_writes_no_file(repo, tmp_path):
+    # A run.py that fails, so a run started first would be named instead.
+    (repo / "bench" / "run.py").write_text("import sys\nsys.exit(1)\n", encoding="utf-8")
+    out = tmp_path / "BENCH_1.json"
+    proc = against(repo, out, "no-such-rev", 1)
+    assert proc.returncode == 1
+    assert "no-such-rev" in proc.stderr and "run.py" not in proc.stderr
+    assert not out.exists()
+    assert git(repo, "worktree", "list", "--porcelain").count("worktree ") == 1

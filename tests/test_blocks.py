@@ -138,7 +138,7 @@ class TestImmediateBlocks:
         session.put(ORDERS, "a", b"1")
         session.put(PAYMENTS, "b", b"2")
         session.end_block()
-        source = node.sources[2]
+        [source] = node.sources
         assert held_back(source.cache, ORDERS) == 0
         assert held_back(source.cache, PAYMENTS) == 0
 

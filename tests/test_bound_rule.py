@@ -9,6 +9,10 @@ it took from to the number of updates that container still holds (zero
 unless it gave up only group members).  After every stream the model's
 counts must equal the length of the cache's queue for each container
 under a pending limit.
+
+A last property checks a ``ContainerState``'s two stored thresholds,
+``count_at`` and ``time_at``, against the rule written out dimension by
+dimension.
 """
 
 from unittest import mock
@@ -208,3 +212,69 @@ def test_pulling_group_members_leaves_the_loose_updates_counted():
     assert [u.key for u in shipped[1].updates] == ["loose1", "m0", "m1"]
     assert held_back(src.cache, B) == 1
 
+
+
+def dimension_rule(bound, last_ship_ms, shipped_value, queued, update, now):
+    """The bound rule dimension by dimension, as ``should_ship`` read it
+    before the state kept thresholds: the trigger for an update arriving
+    at a queue of ``queued`` updates, itself included, or None."""
+    if bound.pending > 0:
+        if queued >= bound.pending:
+            return Trigger.COUNT
+    elif bound.immediate:
+        return Trigger.COUNT
+    if bound.lag_ms > 0 and now - last_ship_ms >= bound.lag_ms:
+        return Trigger.TIME
+    if bound.drift > 0.0 and update.numeric is not None:
+        last = shipped_value.get(update.key)
+        if last is not None and abs(update.numeric - last) >= bound.drift:
+            return Trigger.DELTA
+    return None
+
+
+# One bound of each kind the threshold rule restates.
+rule_bounds = st.one_of(
+    st.just(Bound()),
+    st.builds(Bound, pending=st.integers(1, 6)),
+    st.builds(Bound, lag_ms=st.integers(1, 50)),
+    st.builds(Bound, lag_ms=st.integers(1, 50), pending=st.integers(1, 6)),
+    st.builds(Bound, lag_ms=st.sampled_from([0, 20]), pending=st.sampled_from([0, 3]),
+              drift=st.floats(0.5, 10.0)),
+)
+# An arrival: (queue length, key, payload, where ``now`` falls).  ``now``
+# is the lag boundary plus a small offset, so the boundary itself comes
+# up often, or an absolute instant.
+judged = st.tuples(st.integers(1, 8), st.sampled_from(["k1", "k2"]), payloads,
+                   st.one_of(st.integers(-3, 3).map(lambda d: ("near", d)),
+                             st.integers(0, 200).map(lambda t: ("at", t))))
+# A shipment: its instant as an offset from the last one, earlier ones
+# included, and the payload shipped for a key.
+shipments = st.tuples(st.integers(-60, 60), st.sampled_from(["k1", "k2"]), payloads)
+
+
+@given(bound=rule_bounds, last_ship_ms=st.integers(0, 100),
+       steps=st.lists(st.one_of(judged.map(lambda j: ("judge", j)),
+                                shipments.map(lambda s: ("ship", s))), max_size=20))
+@settings(max_examples=400, deadline=None)
+def test_the_thresholds_judge_as_each_dimension_does(bound, last_ship_ms, steps):
+    state = ContainerState(bound, last_ship_ms=last_ship_ms)
+    last, shipped = last_ship_ms, {}
+    for kind, step in steps:
+        if kind == "judge":
+            queued, key, (value, _), (where, t) = step
+            now = max(0, last + bound.lag_ms + t) if where == "near" else t
+            update = make_update(key=key, value=value)
+            state.queue = [make_update() for _ in range(queued - 1)] + [update]
+            assert state.should_ship(update, now) == dimension_rule(
+                bound, last, shipped, queued, update, now)
+            assert state.lag_expired(now) == (bound.lag_ms > 0 and now - last >= bound.lag_ms)
+        else:
+            offset, key, (value, numeric) = step
+            now = max(0, last + offset)
+            state.mark_shipped(now, [make_update(key=key, value=value)])
+            # An earlier shipment moves neither the lag clock nor its threshold.
+            last = max(last, now)
+            if bound.drift and numeric is not None:
+                shipped[key] = numeric
+        assert state.last_ship_ms == last
+        assert state.time_at == (last + bound.lag_ms if bound.lag_ms else float("inf"))

@@ -182,6 +182,27 @@ class TestRemoteApply:
         assert node.store[CID]["k"] is batch[0]
         assert node.store[CID]["n"] is repeated
 
+    def test_ties_are_classified_as_the_version_and_the_identity_do(self):
+        # Every pair of a cell and a copy over two wall clocks, two
+        # origins and two seqs: equal clocks tie-break on the origin,
+        # then on the seq.
+        versions = [(w, o, s) for w in (5, 6) for o in (1, 2) for s in (1, 2)]
+        for held in versions:
+            for copy in versions:
+                node = make_node(cluster_id=3)
+                cell, update = foreign("k", b"held", *held), foreign("k", b"copy", *copy)
+                node.apply_remote(remote_batch([cell], 1, 3))
+                node.apply_remote(remote_batch([update], 2, 3))
+                if update.version > cell.version:
+                    want = ApplyReport(applied=2)
+                elif (update.origin, update.seq) == (cell.origin, cell.seq):
+                    want = ApplyReport(applied=1, duplicates=1)
+                else:
+                    want = ApplyReport(applied=1, stale_discarded=1)
+                assert node.tally == want, (held, copy)
+                kept = update if want.applied == 2 else cell
+                assert node.store[CID]["k"] is kept, (held, copy)
+
 
 class TestDigest:
     def test_empty_store_constant(self):
@@ -234,6 +255,27 @@ class TestDigest:
         assert x.digest() == reference_digest(x.store)
         assert y.digest(x, x.digest()) == y.digest() == reference_digest(y.store)
         assert x.digest(y, y.digest()) == x.digest()
+
+    @pytest.mark.parametrize("case", ["equal twins", "one cell differs",
+                                      "one side only", "both empty"])
+    def test_a_relative_digest_equals_a_full_digest(self, case):
+        x, y = make_node(cluster_id=1), make_node(cluster_id=2)
+        cells = [foreign(key, b"v" + key.encode(), seq, 1, seq)
+                 for seq, key in enumerate("abc", start=1)]
+        if case != "both empty":
+            x.store[CID] = {u.key: u for u in cells}
+            # Equal, not identical, updates under every key.
+            y.store[CID] = {u.key: foreign(u.key, u.value, u.wall_ms, u.origin, u.seq)
+                            for u in cells}
+            assert y.store[CID] == x.store[CID]
+            assert all(y.store[CID][u.key] is not u for u in cells)
+        if case == "one cell differs":
+            y.store[CID]["b"] = foreign("b", b"other", 9, 2, 1)
+        elif case == "one side only":
+            x.store[OTHER] = {"z": foreign("z", b"only", 4, 1, 4, container=OTHER)}
+        for node, base in ((x, y), (y, x)):
+            assert node.digest(base, base.digest()) == node.digest() == \
+                reference_digest(node.store)
 
 
 class TestConvergedDigest:

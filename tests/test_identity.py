@@ -44,11 +44,11 @@ def snapshot(node):
     """Copies of a cluster's store and pending caches."""
     return (
         {cid: dict(cells) for cid, cells in node.store.items()},
-        {peer: ({cid: (list(state.queue), state.peak, state.last_ship_ms,
-                       dict(state.shipped_value))
-                 for cid, state in source.cache.containers.items()},
-                source.cache.total_pending_count)
-         for peer, source in node.sources.items()},
+        {source.peer: ({cid: (list(state.queue), state.peak, state.last_ship_ms,
+                              dict(state.shipped_value))
+                        for cid, state in source.cache.containers.items()},
+                       source.cache.total_pending_count)
+         for source in node.sources},
     )
 
 

@@ -58,7 +58,7 @@ class EveryLinkSimulation(Simulation):
     def _note_backlogs(self):
         now = self.net.now
         for node in self.clusters.values():
-            for source in node.sources.values():
+            for source in node.sources:
                 self.metrics.sample_pending(source.link, source.cache.total_pending_count, now)
 
 
