@@ -213,7 +213,6 @@ def test_pulling_group_members_leaves_the_loose_updates_counted():
     assert held_back(src.cache, B) == 1
 
 
-
 def dimension_rule(bound, last_ship_ms, shipped_value, queued, update, now):
     """The bound rule dimension by dimension, as ``should_ship`` read it
     before the state kept thresholds: the trigger for an update arriving
